@@ -8,11 +8,18 @@ package rpc
 //
 // Records are appended through a buffered writer and fsynced in batches at
 // round boundaries (Service.EndRound): the round is the durability unit,
-// matching the protocol's round-synchronous batching. Each record is framed
-// as [4-byte length][4-byte crc32][gob payload], every frame a standalone
-// gob stream, so a torn tail write — the crash case — is detected by length
-// or checksum, the log is truncated at the last intact frame, and replay
-// proceeds from what was durably committed. Warm seeds ride the same
+// matching the protocol's round-synchronous batching. Each record is one
+// frame, [4-byte length][4-byte crc32][gob payload], so a torn tail write —
+// the crash case — is detected by length or checksum, the log is truncated at
+// the last intact frame, and replay proceeds from what was durably committed.
+//
+// The gob stream behind the payloads is scoped to an epoch: one process's
+// tenure on the file, from openJournal to crash or close. One encoder lives
+// for the epoch, so journalRecord's type dictionary is sent once, in the
+// frames that first need it, and later frames carry values only (a recMeasure
+// is ~30 bytes, not 1.6 KB). An epoch opens with a marker frame; the reader
+// starts a fresh decoder there, so the next encoder's re-sent descriptors
+// never reach a decoder that has seen them. Warm seeds ride the same
 // versioned gob wire forms as the control plane itself (lp.Basis's
 // basisWire), so a journaled snapshot is exactly as usable as a live one.
 
@@ -35,8 +42,13 @@ import (
 
 // JournalVersion stamps the log's record vocabulary. A journal written by an
 // incompatible build is rejected at open, not misreplayed. Version 2 added
-// the submission-plane records (recSubmit through recMeasure).
-const JournalVersion = 2
+// the submission-plane records (recSubmit through recMeasure); version 3 made
+// the gob stream epoch-scoped (one type dictionary per epoch, not per frame).
+const JournalVersion = 3
+
+// epochMagic is the payload of the marker frame that opens every epoch. It
+// cannot be a record: gob never emits the zero-length message it starts with.
+var epochMagic = []byte("\x00gavel journal epoch")
 
 // recordKind tags the journal's record union.
 type recordKind uint8
@@ -171,6 +183,12 @@ type journal struct {
 	f  *os.File
 	w  *bufio.Writer
 
+	// The epoch's encoder writes into buf, which holds one record's payload
+	// at a time; buf and hdr are reused across appends.
+	enc *gob.Encoder
+	buf bytes.Buffer
+	hdr [8]byte
+
 	// Telemetry (setObs): append/commit counters, appended bytes, and the
 	// fsync latency histogram — the signal that shows a slow disk stalling
 	// round seals.
@@ -196,77 +214,130 @@ func (j *journal) setObs(p *obs.Plane) {
 	j.mu.Unlock()
 }
 
-// openJournal opens (or creates) the log at path, replays every intact
-// record, truncates any torn tail so appends restart from a clean frame
-// boundary, and returns the journal positioned for appending.
-func openJournal(path string) (*journal, []journalRecord, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rpc: open journal: %w", err)
-	}
-	recs, good, err := readJournal(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("rpc: truncate journal tail: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return &journal{f: f, w: bufio.NewWriterSize(f, 1<<16)}, recs, nil
+// replayStats is what one pass over the log found.
+type replayStats struct {
+	records int   // intact records handed to apply
+	epochs  int   // encoder tenures they were written in
+	bytes   int64 // offset of the last intact frame's end
 }
 
-// readJournal decodes records until EOF or the first damaged frame,
-// returning the records and the byte offset of the last intact frame's end.
-func readJournal(f *os.File) ([]journalRecord, int64, error) {
-	r := bufio.NewReaderSize(f, 1<<16)
+// openJournal opens (or creates) the log at path, streams every intact
+// record through apply, truncates any torn tail so appends restart from a
+// clean frame boundary, and returns the journal positioned for appending a
+// new epoch.
+func openJournal(path string, apply func(i int, rec *journalRecord) error) (_ *journal, st replayStats, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, st, fmt.Errorf("rpc: open journal: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, st, fmt.Errorf("rpc: stat journal: %w", err)
+	}
+	if st, err = readJournal(f, fi.Size(), apply); err != nil {
+		return nil, st, err
+	}
+	if err = f.Truncate(st.bytes); err != nil {
+		return nil, st, fmt.Errorf("rpc: truncate journal tail: %w", err)
+	}
+	if _, err = f.Seek(st.bytes, io.SeekStart); err != nil {
+		return nil, st, err
+	}
+	j := &journal{f: f, w: bufio.NewWriterSize(f, 1<<16)}
+	return j, st, j.startEpoch()
+}
+
+// readJournal decodes the size-byte log in r until EOF or the first damaged
+// frame, handing each record to apply: rec is reused, what it points to is
+// not. It holds one payload buffer and one decoder at a time, never the log.
+func readJournal(r io.Reader, size int64, apply func(i int, rec *journalRecord) error) (replayStats, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	var (
-		recs []journalRecord
-		good int64
-		hdr  [8]byte
+		st      replayStats
+		hdr     [8]byte
+		payload []byte
+		frame   bytes.Reader // the current payload, as the decoder's source
+		dec     *gob.Decoder
+		rec     journalRecord
 	)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, good, nil // clean end or torn length header
+				return st, nil // clean end or torn length header
 			}
-			return nil, 0, fmt.Errorf("rpc: read journal: %w", err)
+			return st, fmt.Errorf("rpc: read journal: %w", err)
 		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		sum := binary.BigEndian.Uint32(hdr[4:])
-		if n == 0 || n > 1<<30 {
-			return recs, good, nil // corrupt length: treat as torn tail
+		n := int64(binary.BigEndian.Uint32(hdr[:4]))
+		// The length is unverified until the checksum is: bound it by what the
+		// file can still hold before allocating for it.
+		if n == 0 || n > size-st.bytes-8 {
+			return st, nil // corrupt length or torn payload
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, good, nil // torn payload
-			}
-			return nil, 0, fmt.Errorf("rpc: read journal: %w", err)
+		if int64(cap(payload)) < n {
+			payload = make([]byte, n)
 		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, good, nil // torn or bit-rotted frame
+		payload = payload[:n]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return st, fmt.Errorf("rpc: read journal: %w", err) // n fits the file: not a torn tail
 		}
-		var rec journalRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return nil, 0, fmt.Errorf("rpc: decode journal record %d: %w", len(recs), err)
+		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
+			return st, nil // torn or bit-rotted frame
 		}
-		if len(recs) == 0 {
+		if bytes.Equal(payload, epochMagic) {
+			dec = gob.NewDecoder(&frame)
+			st.epochs++
+			st.bytes += 8 + n
+			continue
+		}
+		if dec == nil {
+			return st, fmt.Errorf("rpc: journal does not open with an epoch marker (written before version %d?)", JournalVersion)
+		}
+		frame.Reset(payload)
+		rec = journalRecord{} // gob leaves fields the frame omits as they were
+		if err := dec.Decode(&rec); err != nil {
+			return st, fmt.Errorf("rpc: decode journal record %d: %w", st.records, err)
+		}
+		if st.records == 0 {
 			if rec.Kind != recConfig || rec.Config == nil {
-				return nil, 0, fmt.Errorf("rpc: journal does not start with a config record")
+				return st, fmt.Errorf("rpc: journal does not start with a config record")
 			}
 			if rec.Config.Version != JournalVersion {
-				return nil, 0, fmt.Errorf("rpc: journal version %d, this build speaks %d",
+				return st, fmt.Errorf("rpc: journal version %d, this build speaks %d",
 					rec.Config.Version, JournalVersion)
 			}
 		}
-		recs = append(recs, rec)
-		good += int64(8 + n)
+		if err := apply(st.records, &rec); err != nil {
+			return st, err
+		}
+		st.records++
+		st.bytes += 8 + n
 	}
+}
+
+// startEpoch retires the encoder, if any, and writes the marker frame that
+// tells the reader to retire its decoder too.
+func (j *journal) startEpoch() error {
+	j.enc = gob.NewEncoder(&j.buf)
+	return j.writeFrame(epochMagic)
+}
+
+// writeFrame hands one checksummed frame to the write buffer.
+func (j *journal) writeFrame(payload []byte) error {
+	binary.BigEndian.PutUint32(j.hdr[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(j.hdr[4:], crc32.ChecksumIEEE(payload))
+	if _, err := j.w.Write(j.hdr[:]); err != nil {
+		return fmt.Errorf("rpc: append journal record: %w", err)
+	}
+	if _, err := j.w.Write(payload); err != nil {
+		return fmt.Errorf("rpc: append journal record: %w", err)
+	}
+	j.bytes.Add(8 + len(payload))
+	return nil
 }
 
 // append frames one record into the write buffer. Durability waits for the
@@ -274,21 +345,16 @@ func readJournal(f *os.File) ([]journalRecord, int64, error) {
 func (j *journal) append(rec *journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return fmt.Errorf("rpc: encode journal record: %w", err)
+	j.buf.Reset()
+	if err := j.enc.Encode(rec); err != nil {
+		// The encoder may count descriptors as sent that never reached the
+		// file, so nothing more may be written in its epoch.
+		return errors.Join(fmt.Errorf("rpc: encode journal record: %w", err), j.startEpoch())
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(buf.Len()))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(buf.Bytes()))
-	if _, err := j.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: append journal record: %w", err)
-	}
-	if _, err := j.w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("rpc: append journal record: %w", err)
+	if err := j.writeFrame(j.buf.Bytes()); err != nil {
+		return err
 	}
 	j.appends.Inc()
-	j.bytes.Add(8 + buf.Len())
 	return nil
 }
 

@@ -1,19 +1,35 @@
 package rpc
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
-func writeTestJournal(t *testing.T, path string, recs ...*journalRecord) {
+// openCollect opens the journal at path and returns it with every record it
+// replayed.
+func openCollect(path string) (*journal, []journalRecord, error) {
+	var recs []journalRecord
+	j, _, err := openJournal(path, func(_ int, rec *journalRecord) error {
+		recs = append(recs, *rec)
+		return nil
+	})
+	return j, recs, err
+}
+
+// appendEpoch opens the journal at path, appends recs as one more epoch,
+// closes it, and returns what the open replayed.
+func appendEpoch(t testing.TB, path string, recs ...*journalRecord) []journalRecord {
 	t.Helper()
-	j, got, err := openJournal(path)
+	j, got, err := openCollect(path)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(got))
 	}
 	for _, rec := range recs {
 		if err := j.append(rec); err != nil {
@@ -22,6 +38,14 @@ func writeTestJournal(t *testing.T, path string, recs ...*journalRecord) {
 	}
 	if err := j.close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	return got
+}
+
+func writeTestJournal(t *testing.T, path string, recs ...*journalRecord) {
+	t.Helper()
+	if got := appendEpoch(t, path, recs...); len(got) != 0 {
+		t.Fatalf("fresh journal replayed %d records", len(got))
 	}
 }
 
@@ -47,7 +71,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		&journalRecord{Kind: recRound, Round: 3, Degraded: true},
 	)
 
-	j, recs, err := openJournal(path)
+	j, recs, err := openCollect(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -87,7 +111,7 @@ func TestJournalTornTailTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, recs, err := openJournal(path)
+	j, recs, err := openCollect(path)
 	if err != nil {
 		t.Fatalf("open torn journal: %v", err)
 	}
@@ -101,7 +125,7 @@ func TestJournalTornTailTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, recs, err = openJournal(path)
+	j, recs, err = openCollect(path)
 	if err != nil {
 		t.Fatalf("reopen after truncate+append: %v", err)
 	}
@@ -128,7 +152,7 @@ func TestJournalCorruptFrameStopsReplay(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, recs, err := openJournal(path)
+	j, recs, err := openCollect(path)
 	if err != nil {
 		t.Fatalf("open corrupt journal: %v", err)
 	}
@@ -145,8 +169,33 @@ func TestJournalVersionMismatchRejected(t *testing.T) {
 	writeTestJournal(t, path, &journalRecord{Kind: recConfig, Config: &journalConfig{
 		Version: JournalVersion + 1, NumShards: 2,
 	}})
-	if _, _, err := openJournal(path); err == nil {
+	if _, _, err := openCollect(path); err == nil {
 		t.Fatal("journal with a future version opened without error")
+	}
+}
+
+// TestJournalV2Refused: a version-2 log (standalone gob stream per frame, no
+// epoch marker) is refused at open and left as it was, not read as a torn
+// tail and truncated to nothing.
+func TestJournalV2Refused(t *testing.T) {
+	var payload bytes.Buffer
+	rec := testConfigRecord()
+	rec.Config.Version = 2
+	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	v2 := binary.BigEndian.AppendUint32(nil, uint32(payload.Len()))
+	v2 = binary.BigEndian.AppendUint32(v2, crc32.ChecksumIEEE(payload.Bytes()))
+	v2 = append(v2, payload.Bytes()...)
+	path := filepath.Join(t.TempDir(), "j.wal")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openCollect(path); err == nil {
+		t.Fatal("a version-2 journal opened without error")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, v2) {
+		t.Fatalf("refusing a version-2 journal rewrote it: %d bytes, was %d", len(after), len(v2))
 	}
 }
 
@@ -155,7 +204,220 @@ func TestJournalVersionMismatchRejected(t *testing.T) {
 func TestJournalBadHeaderRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	writeTestJournal(t, path, &journalRecord{Kind: recRound, Round: 1})
-	if _, _, err := openJournal(path); err == nil {
+	if _, _, err := openCollect(path); err == nil {
 		t.Fatal("journal without a config header opened without error")
+	}
+}
+
+// abandon drops a journal the way a SIGKILL does: committed bytes stay, the
+// write buffer is lost, nothing is flushed.
+func abandon(j *journal) { j.f.Close() }
+
+// frameOffsets returns the start offset of every frame in a well-formed log.
+func frameOffsets(t *testing.T, data []byte) []int {
+	t.Helper()
+	var offs []int
+	for off := 0; off < len(data); {
+		if off+8 > len(data) {
+			t.Fatalf("log ends inside a frame header at %d", off)
+		}
+		offs = append(offs, off)
+		off += 8 + int(binary.BigEndian.Uint32(data[off:]))
+	}
+	return offs
+}
+
+// epochTestRecords is a record stream touching every slice- and
+// pointer-carrying kind, so each epoch's dictionary has something to re-send.
+func epochTestRecords() []*journalRecord {
+	recs := []*journalRecord{testConfigRecord()}
+	for round := int64(1); round <= 6; round++ {
+		recs = append(recs,
+			&journalRecord{Kind: recSubmit, Submit: &journalSubmit{Tenant: "a", Key: "k", JobID: int(round), Tput: []float64{1, 2}, Round: round}},
+			&journalRecord{Kind: recInstall, Install: &journalInstall{Shard: 1, JobID: int(round), ScaleFactor: 1, Tput: []float64{1.5, 0.25}}},
+			&journalRecord{Kind: recMeasure, Measure: &journalMeasure{JobID: int(round), Type: 1, Rate: 0.75}},
+			&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{Shard: 1, IDs: []int{int(round)}, X: [][]float64{{0.5, 0.5}}}},
+			&journalRecord{Kind: recRound, Round: round},
+		)
+	}
+	return recs
+}
+
+// TestJournalEpochsReplayAsOne writes one record stream across three
+// abandoned coordinators (a torn tail left between the second and the third)
+// and in a single epoch: both logs must replay record for record equal.
+func TestJournalEpochsReplayAsOne(t *testing.T) {
+	recs := epochTestRecords()
+	dir := t.TempDir()
+	one := filepath.Join(dir, "one.wal")
+	writeTestJournal(t, one, recs...)
+	j, want, err := openCollect(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abandon(j)
+
+	split := filepath.Join(dir, "split.wal")
+	cuts := []int{0, 11, 21, len(recs)}
+	for e := 0; e+1 < len(cuts); e++ {
+		j, got, err := openCollect(split)
+		if err != nil {
+			t.Fatalf("epoch %d: open: %v", e+1, err)
+		}
+		if len(got) != cuts[e] || (e > 0 && !reflect.DeepEqual(got, want[:cuts[e]])) {
+			t.Fatalf("epoch %d: replayed %d records, want the first %d intact", e+1, len(got), cuts[e])
+		}
+		for _, rec := range recs[cuts[e]:cuts[e+1]] {
+			if err := j.append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.commit(); err != nil {
+			t.Fatal(err)
+		}
+		// Appended after the last commit: lost with the write buffer.
+		if err := j.append(&journalRecord{Kind: recRound, Round: 99}); err != nil {
+			t.Fatal(err)
+		}
+		abandon(j)
+		if e == 1 {
+			f, err := os.OpenFile(split, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write([]byte{0, 0, 0, 40, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3})
+			f.Close()
+		}
+	}
+	f, err := os.Open(split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, _ := f.Stat()
+	var got []journalRecord
+	st, err := readJournal(f, fi.Size(), func(_ int, rec *journalRecord) error {
+		got = append(got, *rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.epochs != 3 || st.records != len(recs) || st.bytes != fi.Size() {
+		t.Fatalf("stats %+v, want 3 epochs, %d records, %d bytes", st, len(recs), fi.Size())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("three epochs did not replay equal to the same records in one epoch")
+	}
+}
+
+// TestJournalDamagedEpochHeadStopsReplay flips one bit in the second epoch's
+// marker and in its first record frame (the one carrying the epoch's type
+// dictionary): like any damaged frame, replay stops there — the rest of the
+// epoch is not decodable without its dictionary and must not be tried.
+func TestJournalDamagedEpochHeadStopsReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	recs := epochTestRecords()
+	appendEpoch(t, path, recs[:11]...)
+	appendEpoch(t, path, recs[11:]...)
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := frameOffsets(t, intact)
+	// Frames: marker, 11 records, marker, then the second epoch's records.
+	marker, first := offs[12], offs[13]
+	for _, c := range [][2]int{{marker + 8, marker}, {first + 8, first}, {first + 20, first}} {
+		flip, cut := c[0], c[1]
+		data := append([]byte(nil), intact...)
+		data[flip] ^= 0x10
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, got, err := openCollect(path)
+		if err != nil {
+			t.Fatalf("flip at %d: %v", flip, err)
+		}
+		abandon(j)
+		if len(got) != 11 {
+			t.Fatalf("flip at %d: replayed %d records, want the first epoch's 11", flip, len(got))
+		}
+		// Reopening appended (but never flushed) a marker; the file itself
+		// must end where the damage began.
+		if fi, _ := os.Stat(path); fi.Size() != int64(cut) {
+			t.Fatalf("flip at %d: log truncated to %d, want %d", flip, fi.Size(), cut)
+		}
+	}
+}
+
+// TestJournalDictionaryIsPerEpoch fails if per-record gob streams come back:
+// past the first of its kind, a measurement sample is a few dozen bytes on
+// disk and appending it does not allocate.
+func TestJournalDictionaryIsPerEpoch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	j, _, err := openCollect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	rec := &journalRecord{Kind: recMeasure, Measure: &journalMeasure{JobID: 123456, Type: 2, Rate: 1.0 / 3}}
+	size := func() int64 {
+		if err := j.commit(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	for _, r := range []*journalRecord{testConfigRecord(), rec} {
+		if err := j.append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := size()
+	if err := j.append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if frame := size() - before; frame > 64 {
+		t.Fatalf("a non-first recMeasure frame is %d bytes, want <= 64", frame)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { j.append(rec) }); allocs > 2 {
+		t.Fatalf("journal.append allocates %.0f times per record, want <= 2", allocs)
+	}
+}
+
+// TestJournalCorruptLengthBoundsAllocation: a tail header claiming a gigabyte
+// is a torn tail, found without allocating the gigabyte.
+func TestJournalCorruptLengthBoundsAllocation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	writeTestJournal(t, path, testConfigRecord(), &journalRecord{Kind: recRound, Round: 1})
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := binary.BigEndian.AppendUint32(nil, 1<<30-1)
+	tail = append(tail, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3)
+	if err := os.WriteFile(path, append(append([]byte(nil), intact...), tail...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j, recs, err := openCollect(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	abandon(j)
+	if len(recs) != 2 || recs[1].Round != 1 {
+		t.Fatalf("replayed %d records ahead of the corrupt header, want 2", len(recs))
+	}
+	// Two 64 KB I/O buffers and gob's decoder state, not the claimed 1 GiB.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("opening a %d-byte log allocated %d bytes", len(intact)+len(tail), got)
+	}
+	if fi, _ := os.Stat(path); fi.Size() != int64(len(intact)) {
+		t.Fatalf("log is %d bytes after open, want the %d intact ones", fi.Size(), len(intact))
 	}
 }

@@ -262,23 +262,15 @@ func NewService(cfg ServiceConfig, clients []ShardClient) (*Service, error) {
 		})
 	}
 	if cfg.Journal != "" {
-		j, recs, err := openJournal(cfg.Journal)
+		start := cfg.Obs.Registry().Now()
+		j, st, err := openJournal(cfg.Journal, s.replay)
 		if err != nil {
 			return nil, err
 		}
 		s.j = j
-		if len(recs) > 0 {
-			hdr := recs[0].Config
-			if hdr.NumShards != len(clients) {
-				j.f.Close()
-				return nil, Errorf(CodeBadRequest,
-					"journal was written for %d shards, service has %d", hdr.NumShards, len(clients))
-			}
-			if err := s.replay(recs[1:]); err != nil {
-				j.f.Close()
-				return nil, err
-			}
+		if st.records > 0 {
 			s.resumed = true
+			s.tel.replayed, s.tel.replaySec = st, cfg.Obs.Registry().Since(start)
 			s.curTrace = obs.RoundTrace(s.round + 1)
 			if err := s.reconcile(); err != nil {
 				j.f.Close()
@@ -305,127 +297,131 @@ func NewService(cfg ServiceConfig, clients []ShardClient) (*Service, error) {
 	return s, nil
 }
 
-// replay applies the journal's post-header records to the mirror, rebuilding
-// the exact pre-crash coordinator state without touching any daemon. It is
-// the read-side twin of the journaling mutators below: every applyX helper is
-// shared with the live path, so replayed and lived-through state cannot
-// drift.
-func (s *Service) replay(recs []journalRecord) error {
-	for i := range recs {
-		rec := &recs[i]
-		bad := func(k int) bool { return k < 0 || k >= len(s.shards) }
-		switch rec.Kind {
-		case recInstall:
-			in := rec.Install
-			if in == nil || bad(in.Shard) {
-				return Errorf(CodeBadRequest, "journal record %d: malformed install", i+1)
-			}
-			m := s.shards[in.Shard]
-			m.add(in.JobID, in.ScaleFactor, in.Tput)
-			s.shardOf[in.JobID] = m.index
-			if s.ing != nil {
-				s.ing.noteAdmitted(in.JobID, m.index)
-			}
-			switch in.Reason {
-			case reasonMigrate:
-				s.migrations++
-			case reasonRecover:
-				s.recoveries++
-			}
-		case recRemove:
-			rm := rec.Remove
-			if rm == nil || bad(rm.Shard) {
-				return Errorf(CodeBadRequest, "journal record %d: malformed remove", i+1)
-			}
-			s.applyRemove(rm.Shard, rm.JobID)
-		case recDown:
-			if bad(rec.Shard) {
-				return Errorf(CodeBadRequest, "journal record %d: bad shard", i+1)
-			}
-			s.applyDown(s.shards[rec.Shard])
-		case recDirty:
-			if bad(rec.Shard) {
-				return Errorf(CodeBadRequest, "journal record %d: bad shard", i+1)
-			}
-			s.shards[rec.Shard].dirty = true
-		case recAlloc:
-			al := rec.Alloc
-			if al == nil || bad(al.Shard) {
-				return Errorf(CodeBadRequest, "journal record %d: malformed alloc", i+1)
-			}
-			m := s.shards[al.Shard]
-			m.alloc = &core.Allocation{Units: al.Units, X: al.X}
-			m.allocIDs = al.IDs
-			m.dirty = false
-			m.staleRounds = 0
-		case recSnapshot:
-			sn := rec.Snapshot
-			if sn == nil || bad(sn.Shard) {
-				return Errorf(CodeBadRequest, "journal record %d: malformed snapshot", i+1)
-			}
-			m := s.shards[sn.Shard]
-			m.seeds = sn.Seeds
-			m.status = sn.Status
-		case recRebalance:
-			s.rebalances++
-		case recDegrade:
-			if bad(rec.Shard) {
-				return Errorf(CodeBadRequest, "journal record %d: bad shard", i+1)
-			}
-			m := s.shards[rec.Shard]
-			m.staleRounds++
-			m.staleAllocs++
-		case recRound:
-			s.round = rec.Round
-			if rec.Degraded {
-				s.degradedRounds++
-			}
-			if s.ing != nil {
-				// Re-run the round boundary's deterministic ingress work
-				// (token refill, overload ladder, trust review) so counters,
-				// quarantine flags, and mirror throughput clamps land exactly
-				// as they did live. No daemon push during replay: reconcile
-				// re-installs from the clamped mirror rows where needed.
-				s.applyClamps(s.ing.endRound(rec.Round), false)
-			}
-		case recSubmit:
-			if rec.Submit == nil || s.ing == nil {
-				return Errorf(CodeBadRequest, "journal record %d: submission record without an admission config", i+1)
-			}
-			s.ing.mu.Lock()
-			s.ing.applySubmitLocked(rec.Submit)
-			s.ing.mu.Unlock()
-		case recReject:
-			if rec.Ref == nil || s.ing == nil {
-				return Errorf(CodeBadRequest, "journal record %d: malformed reject", i+1)
-			}
-			s.ing.mu.Lock()
-			s.ing.applyRejectLocked(rec.Ref)
-			s.ing.mu.Unlock()
-		case recWithdraw:
-			if rec.Ref == nil || s.ing == nil {
-				return Errorf(CodeBadRequest, "journal record %d: malformed withdraw", i+1)
-			}
-			s.ing.mu.Lock()
-			s.ing.applyWithdrawLocked(rec.Ref)
-			s.ing.mu.Unlock()
-		case recTouch:
-			if rec.Ref == nil || s.ing == nil {
-				return Errorf(CodeBadRequest, "journal record %d: malformed touch", i+1)
-			}
-			s.ing.mu.Lock()
-			s.ing.applyTouchLocked(rec.Ref)
-			s.ing.mu.Unlock()
-		case recMeasure:
-			if rec.Measure == nil || s.ing == nil {
-				return Errorf(CodeBadRequest, "journal record %d: malformed measure", i+1)
-			}
-			s.ing.mu.Lock()
-			s.ing.applyMeasureLocked(rec.Measure)
-			s.ing.mu.Unlock()
-		default:
-			return Errorf(CodeBadRequest, "journal record %d: unknown kind %d", i+1, rec.Kind)
+// replay applies the journal's i-th record to the mirror; over the whole log
+// that rebuilds the exact pre-crash coordinator state without touching any
+// daemon. It is the read-side twin of the journaling mutators below: every
+// applyX helper is shared with the live path, so replayed and lived-through
+// state cannot drift.
+func (s *Service) replay(i int, rec *journalRecord) error {
+	bad := func(k int) bool { return k < 0 || k >= len(s.shards) }
+	switch rec.Kind {
+	case recConfig:
+		if i != 0 { // record 0 is the header readJournal has checked
+			return Errorf(CodeBadRequest, "journal record %d: config record past the header", i)
 		}
+		if n := rec.Config.NumShards; n != len(s.shards) {
+			return Errorf(CodeBadRequest, "journal was written for %d shards, service has %d", n, len(s.shards))
+		}
+	case recInstall:
+		in := rec.Install
+		if in == nil || bad(in.Shard) {
+			return Errorf(CodeBadRequest, "journal record %d: malformed install", i)
+		}
+		m := s.shards[in.Shard]
+		m.add(in.JobID, in.ScaleFactor, in.Tput)
+		s.shardOf[in.JobID] = m.index
+		if s.ing != nil {
+			s.ing.noteAdmitted(in.JobID, m.index)
+		}
+		switch in.Reason {
+		case reasonMigrate:
+			s.migrations++
+		case reasonRecover:
+			s.recoveries++
+		}
+	case recRemove:
+		rm := rec.Remove
+		if rm == nil || bad(rm.Shard) {
+			return Errorf(CodeBadRequest, "journal record %d: malformed remove", i)
+		}
+		s.applyRemove(rm.Shard, rm.JobID)
+	case recDown:
+		if bad(rec.Shard) {
+			return Errorf(CodeBadRequest, "journal record %d: bad shard", i)
+		}
+		s.applyDown(s.shards[rec.Shard])
+	case recDirty:
+		if bad(rec.Shard) {
+			return Errorf(CodeBadRequest, "journal record %d: bad shard", i)
+		}
+		s.shards[rec.Shard].dirty = true
+	case recAlloc:
+		al := rec.Alloc
+		if al == nil || bad(al.Shard) {
+			return Errorf(CodeBadRequest, "journal record %d: malformed alloc", i)
+		}
+		m := s.shards[al.Shard]
+		m.alloc = &core.Allocation{Units: al.Units, X: al.X}
+		m.allocIDs = al.IDs
+		m.dirty = false
+		m.staleRounds = 0
+	case recSnapshot:
+		sn := rec.Snapshot
+		if sn == nil || bad(sn.Shard) {
+			return Errorf(CodeBadRequest, "journal record %d: malformed snapshot", i)
+		}
+		m := s.shards[sn.Shard]
+		m.seeds = sn.Seeds
+		m.status = sn.Status
+	case recRebalance:
+		s.rebalances++
+	case recDegrade:
+		if bad(rec.Shard) {
+			return Errorf(CodeBadRequest, "journal record %d: bad shard", i)
+		}
+		m := s.shards[rec.Shard]
+		m.staleRounds++
+		m.staleAllocs++
+	case recRound:
+		s.round = rec.Round
+		if rec.Degraded {
+			s.degradedRounds++
+		}
+		if s.ing != nil {
+			// Re-run the round boundary's deterministic ingress work
+			// (token refill, overload ladder, trust review) so counters,
+			// quarantine flags, and mirror throughput clamps land exactly
+			// as they did live. No daemon push during replay: reconcile
+			// re-installs from the clamped mirror rows where needed.
+			s.applyClamps(s.ing.endRound(rec.Round), false)
+		}
+	case recSubmit:
+		if rec.Submit == nil || s.ing == nil {
+			return Errorf(CodeBadRequest, "journal record %d: submission record without an admission config", i)
+		}
+		s.ing.mu.Lock()
+		s.ing.applySubmitLocked(rec.Submit)
+		s.ing.mu.Unlock()
+	case recReject:
+		if rec.Ref == nil || s.ing == nil {
+			return Errorf(CodeBadRequest, "journal record %d: malformed reject", i)
+		}
+		s.ing.mu.Lock()
+		s.ing.applyRejectLocked(rec.Ref)
+		s.ing.mu.Unlock()
+	case recWithdraw:
+		if rec.Ref == nil || s.ing == nil {
+			return Errorf(CodeBadRequest, "journal record %d: malformed withdraw", i)
+		}
+		s.ing.mu.Lock()
+		s.ing.applyWithdrawLocked(rec.Ref)
+		s.ing.mu.Unlock()
+	case recTouch:
+		if rec.Ref == nil || s.ing == nil {
+			return Errorf(CodeBadRequest, "journal record %d: malformed touch", i)
+		}
+		s.ing.mu.Lock()
+		s.ing.applyTouchLocked(rec.Ref)
+		s.ing.mu.Unlock()
+	case recMeasure:
+		if rec.Measure == nil || s.ing == nil {
+			return Errorf(CodeBadRequest, "journal record %d: malformed measure", i)
+		}
+		s.ing.mu.Lock()
+		s.ing.applyMeasureLocked(rec.Measure)
+		s.ing.mu.Unlock()
+	default:
+		return Errorf(CodeBadRequest, "journal record %d: unknown kind %d", i, rec.Kind)
 	}
 	return nil
 }

@@ -33,6 +33,11 @@ type serviceObs struct {
 	shardsLive *obs.Gauge   // gavel_shards_live
 	jobsPlaced *obs.Gauge   // gavel_jobs_placed
 
+	// What resuming from the journal cost (zero on a fresh start): set by
+	// NewService before setObs publishes it.
+	replayed  replayStats
+	replaySec float64
+
 	// statusz is the round-sealed shard-table snapshot; the mutex makes
 	// StatusText safe to call from the scrape goroutine while the round loop
 	// rewrites it.
@@ -64,6 +69,8 @@ func (s *Service) setObs(p *obs.Plane) {
 	s.tel.migrations.Add(s.migrations)
 	s.tel.recoveries.Add(s.recoveries)
 	s.tel.rebalances.Add(s.rebalances)
+	reg.Counter("gavel_journal_replayed_records_total", "Journal records replayed into the mirror when this coordinator resumed.").Add(s.tel.replayed.records)
+	reg.Gauge("gavel_journal_replay_seconds", "Time the last resume spent reading and replaying the journal.").Set(s.tel.replaySec)
 	s.j.setObs(p)
 	s.ing.setObs(p)
 }
@@ -87,6 +94,10 @@ func (s *Service) syncObs() {
 	var b strings.Builder
 	fmt.Fprintf(&b, "round %d  shards %d/%d live  jobs %d  migrations %d  recoveries %d  rebalances %d  degraded rounds %d\n",
 		s.round, live, len(s.shards), len(s.shardOf), s.migrations, s.recoveries, s.rebalances, s.degradedRounds)
+	if st := s.tel.replayed; st.records > 0 {
+		fmt.Fprintf(&b, "resumed from journal: %d records, %d bytes, %d epochs, %.1f ms\n",
+			st.records, st.bytes, st.epochs, s.tel.replaySec*1e3)
+	}
 	fmt.Fprintf(&b, "%-6s %-6s %-5s %-6s %-6s %-11s %-10s\n",
 		"shard", "state", "jobs", "load", "dirty", "staleRounds", "staleTotal")
 	for _, m := range s.shards {

@@ -9,6 +9,7 @@ package simulator
 // the reply cache do not double-count server-side spans.
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -31,8 +32,9 @@ func obsChaosConfig() chaos.Config {
 }
 
 // obsServiceRun executes one service-engine chaos run with an optional
-// telemetry plane attached and returns the result fingerprint.
-func obsServiceRun(t *testing.T, plane *obs.Plane) string {
+// telemetry plane attached and an optional journal, and returns the result
+// fingerprint.
+func obsServiceRun(t *testing.T, plane *obs.Plane, journal string) string {
 	t.Helper()
 	clients := make([]rpc.ShardClient, 2)
 	for k := range clients {
@@ -42,6 +44,7 @@ func obsServiceRun(t *testing.T, plane *obs.Plane) string {
 	cfg.Chaos = obsChaosConfig()
 	cfg.RPC = rpc.CallPolicy{Retries: 5, Backoff: time.Millisecond, JitterSeed: 1}
 	cfg.Obs = plane
+	cfg.Journal = journal
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
@@ -64,8 +67,8 @@ func stubPlane() *obs.Plane {
 // plane off and on. Metrics and spans may observe every decision; they may
 // influence none.
 func TestObsOffOnByteIdentical(t *testing.T) {
-	off := obsServiceRun(t, nil)
-	on := obsServiceRun(t, stubPlane())
+	off := obsServiceRun(t, nil, "")
+	on := obsServiceRun(t, stubPlane(), "")
 	if off != on {
 		t.Fatal("attaching the telemetry plane changed a seeded chaos run's results")
 	}
@@ -73,11 +76,14 @@ func TestObsOffOnByteIdentical(t *testing.T) {
 
 // TestObsSnapshotReproducible is the metrics-determinism acceptance: two
 // same-seed chaos runs, each with a fresh stub-clock plane, produce equal
-// deterministic dumps — counter for counter, bucket for bucket.
+// deterministic dumps — counter for counter, bucket for bucket. So do two
+// coordinators resuming from the runs' journals, whose dumps and /statusz
+// carry what the replay cost.
 func TestObsSnapshotReproducible(t *testing.T) {
 	p1, p2 := stubPlane(), stubPlane()
-	obsServiceRun(t, p1)
-	obsServiceRun(t, p2)
+	j1, j2 := t.TempDir()+"/1.wal", t.TempDir()+"/2.wal"
+	obsServiceRun(t, p1, j1)
+	obsServiceRun(t, p2, j2)
 	d1 := p1.Registry().DumpDeterministic()
 	d2 := p2.Registry().DumpDeterministic()
 	if d1 == "" {
@@ -94,6 +100,42 @@ func TestObsSnapshotReproducible(t *testing.T) {
 	}
 	if d1 != d2 {
 		t.Fatalf("same seed produced different metric snapshots:\n--- run 1\n%s--- run 2\n%s", d1, d2)
+	}
+
+	resume := func(journal string) (dump, statusz string) {
+		clients := make([]rpc.ShardClient, 2)
+		for k := range clients {
+			_, clients[k] = rpc.NewLocalShard()
+		}
+		plane := stubPlane()
+		svc, err := rpc.NewService(rpc.ServiceConfig{
+			Cluster: cluster.Simulated108(),
+			Policy:  rpc.PolicySpec{Name: "max_min_fairness"},
+			Journal: journal,
+			Obs:     plane,
+		}, clients)
+		if err != nil {
+			t.Fatalf("resume over %s: %v", journal, err)
+		}
+		defer svc.Close()
+		return plane.Registry().DumpDeterministic(), svc.StatusText()
+	}
+	r1, s1 := resume(j1)
+	r2, s2 := resume(j2)
+	if r1 != r2 || s1 != s2 {
+		t.Fatalf("same journal contents resumed to different snapshots:\n--- 1\n%s%s--- 2\n%s%s", r1, s1, r2, s2)
+	}
+	// Every record the run counted, plus the config header (appended before
+	// the journal's instruments exist).
+	records := p1.Registry().Counter("gavel_journal_appends_total", "").Value() + 1
+	if want := fmt.Sprintf("gavel_journal_replayed_records_total %d\n", records); records == 1 || !strings.Contains(r1, want) {
+		t.Fatalf("resumed dump does not replay the run's %d records:\n%s", records, r1)
+	}
+	if !strings.Contains(r1, "gavel_journal_replay_seconds 0\n") {
+		t.Fatalf("resumed dump is missing the stub-clock replay time:\n%s", r1)
+	}
+	if want := fmt.Sprintf("resumed from journal: %d records, ", records); !strings.Contains(s1, want) || !strings.Contains(s1, " 1 epochs, 0.0 ms\n") {
+		t.Fatalf("statusz does not report the resume (%q...):\n%s", want, s1)
 	}
 }
 
