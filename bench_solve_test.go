@@ -26,6 +26,7 @@ import (
 	"gavel/internal/lp"
 	"gavel/internal/obs"
 	"gavel/internal/policy"
+	"gavel/internal/rpc"
 	"gavel/internal/workload"
 )
 
@@ -185,20 +186,23 @@ func BenchmarkPolicySolveReset(b *testing.B) {
 }
 
 // shardedResetHarness drives repeated reset events through the sharded
-// scheduler service (internal/cluster): n jobs and an n/4-per-type cluster
-// partitioned across K shards, each reset jittering every observed
-// throughput by ±1% and, on every 4th reset, churning the job set (the
-// oldest resident departs, a newcomer arrives through the router). Every
-// shard re-solves its own LP per reset — concurrently over the worker pool
-// — so K=1 reproduces the monolithic solve path through the same API and
-// larger K measures how sharding cuts the superlinear LP cost.
+// scheduler service (rpc.Service over in-memory shard servers): n jobs and an
+// n/4-per-type cluster partitioned across K shards, each reset jittering
+// every observed throughput by ±1% (pushed through the shard clients'
+// ObserveJob) and, on every 4th reset, churning the job set (the oldest
+// resident departs, a newcomer arrives through the router). Every shard
+// re-solves its own LP per reset — concurrently — so K=1 reproduces the
+// monolithic solve path through the same API and larger K measures how
+// sharding cuts the superlinear LP cost.
 type shardedResetHarness struct {
-	coord  *cluster.Coordinator
-	pol    policy.Policy
-	info   cluster.JobInfoFn
-	rng    *rand.Rand
-	fifo   []int // residents in admission order (churn removes the head)
-	nextID int
+	svc     *rpc.Service
+	clients []rpc.ShardClient
+	info    func(id int) policy.JobInfo
+	rng     *rand.Rand
+	rows    map[int][]float64 // residents' current (jittered) throughput rows
+	fifo    []int             // residents in admission order (churn removes the head)
+	nextID  int
+	round   int64 // AllocateAll's request ID: the shards' reply caches key on it
 }
 
 func shardedResetTput(id int) []float64 {
@@ -226,18 +230,22 @@ func newShardedResetHarness(n, shards int, engine lp.Engine) (*shardedResetHarne
 		{Name: "p100", Count: per, PricePerHour: cluster.PriceP100, PerServer: 8},
 		{Name: "k80", Count: per, PricePerHour: cluster.PriceK80, PerServer: 8},
 	}}
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		NumShards: shards,
-		Cluster:   spec,
-		Engine:    engine,
-		Route:     cluster.RouteLeastLoaded,
-	})
+	clients := make([]rpc.ShardClient, shards)
+	for k := range clients {
+		_, clients[k] = rpc.NewLocalShard()
+	}
+	svc, err := rpc.NewService(rpc.ServiceConfig{
+		Cluster: spec,
+		Policy:  rpc.PolicySpec{Name: "max_min_fairness"},
+		LP:      lp.Options{Engine: engine},
+		Route:   cluster.RouteLeastLoaded,
+	}, clients)
 	if err != nil {
 		return nil, err
 	}
 	h := &shardedResetHarness{
-		coord: coord,
-		pol:   &policy.MaxMinFairness{},
+		svc:     svc,
+		clients: clients,
 		info: func(id int) policy.JobInfo {
 			return policy.JobInfo{
 				Weight: 1 + 0.01*float64(id%997), Priority: 1,
@@ -245,39 +253,71 @@ func newShardedResetHarness(n, shards int, engine lp.Engine) (*shardedResetHarne
 			}
 		},
 		rng:    rand.New(rand.NewSource(99)),
+		rows:   map[int][]float64{},
 		nextID: n,
 	}
 	for id := 0; id < n; id++ {
-		coord.Admit(id, 1, shardedResetTput(id))
-		h.fifo = append(h.fifo, id)
+		if err := h.admit(id); err != nil {
+			return nil, err
+		}
 	}
-	if err := coord.AllocateAll(h.pol, h.info, true); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return h, h.allocate()
+}
+
+func (h *shardedResetHarness) admit(id int) error {
+	h.rows[id] = shardedResetTput(id)
+	h.fifo = append(h.fifo, id)
+	_, err := h.svc.Admit(id, 1, h.rows[id])
+	return err
+}
+
+// allocate re-solves every shard under a fresh round number.
+func (h *shardedResetHarness) allocate() error {
+	h.round++
+	return h.svc.AllocateAll(h.round, h.info, true)
 }
 
 // reset applies one reset event and re-solves every shard.
 func (h *shardedResetHarness) reset(i int) error {
-	for _, s := range h.coord.Shards() {
-		for _, id := range s.Jobs() {
-			row := append([]float64(nil), s.Cache.JobTput(id)...)
+	for k, c := range h.clients {
+		for _, id := range h.svc.ShardJobs(k) {
+			row := append([]float64(nil), h.rows[id]...)
 			for t := range row {
 				if row[t] > 0 {
 					row[t] *= 1 + 0.01*(2*h.rng.Float64()-1)
 				}
 			}
-			s.Cache.ObserveJob(id, row)
+			h.rows[id] = row
+			if err := c.ObserveJob(rpc.ObserveJobArgs{JobID: id, Tput: row}); err != nil {
+				return err
+			}
 		}
 	}
 	if i%4 == 1 {
-		h.coord.Remove(h.fifo[0])
+		if err := h.svc.Remove(h.fifo[0]); err != nil {
+			return err
+		}
+		delete(h.rows, h.fifo[0])
 		h.fifo = h.fifo[1:]
-		h.coord.Admit(h.nextID, 1, shardedResetTput(h.nextID))
-		h.fifo = append(h.fifo, h.nextID)
+		if err := h.admit(h.nextID); err != nil {
+			return err
+		}
 		h.nextID++
 	}
-	return h.coord.AllocateAll(h.pol, h.info, true)
+	return h.allocate()
+}
+
+// solveStats returns every shard's LP accounting in shard order.
+func (h *shardedResetHarness) solveStats() ([]policy.SolveStats, error) {
+	status, err := h.svc.Stats()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]policy.SolveStats, len(status))
+	for k, st := range status {
+		out[k] = st.Solve
+	}
+	return out, nil
 }
 
 // BenchmarkShardedSolveReset measures the 1024-job reset scenario on the
@@ -302,11 +342,14 @@ func BenchmarkShardedSolveReset(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			var warm, remapped, solves int
-			for _, st := range h.coord.Stats() {
-				warm += st.Solve.WarmHits
-				remapped += st.Solve.RemapHits
-				solves += st.Solve.Solves
+			stats, err := h.solveStats()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var warm, remapped int
+			for _, st := range stats {
+				warm += st.WarmHits
+				remapped += st.RemapHits
 			}
 			b.ReportMetric(float64(warm)/float64(b.N), "warm/reset")
 			b.ReportMetric(float64(remapped)/float64(b.N), "remap/reset")
@@ -350,9 +393,9 @@ func measureShardedResets(n, shards, resets int, engine lp.Engine) (shardedBench
 	if err != nil {
 		return shardedBenchRecord{}, err
 	}
-	prime := make([]policy.SolveStats, shards)
-	for k, st := range h.coord.Stats() {
-		prime[k] = st.Solve
+	prime, err := h.solveStats()
+	if err != nil {
+		return shardedBenchRecord{}, err
 	}
 	start := time.Now()
 	for i := 0; i < resets; i++ {
@@ -370,8 +413,11 @@ func measureShardedResets(n, shards, resets int, engine lp.Engine) (shardedBench
 		MaxProcs:   runtime.GOMAXPROCS(0),
 		NsPerReset: float64(elapsed.Nanoseconds()) / float64(resets),
 	}
-	for k, st := range h.coord.Stats() {
-		d := st.Solve
+	after, err := h.solveStats()
+	if err != nil {
+		return shardedBenchRecord{}, err
+	}
+	for k, d := range after {
 		d.Solves -= prime[k].Solves
 		d.WarmHits -= prime[k].WarmHits
 		d.RemapHits -= prime[k].RemapHits
@@ -589,7 +635,7 @@ func TestWriteSolveBenchJSON(t *testing.T) {
 		sharded = append(sharded, rec)
 	}
 	doc["sharded_records"] = sharded
-	doc["sharded_note"] = "1024-job resets through the sharded scheduler service (internal/cluster): per-shard warm/remap/cold solve buckets exclude the cold prime; every 4th reset churns the job set through the router, so shard-level remaps are exercised; ns_per_reset is hardware-local and maxprocs records the measurement's GOMAXPROCS — at maxprocs=1 the K=4 speedup is the algorithmic floor alone (smaller LPs are superlinearly cheaper, ~2x); on >= 4 cores the shards' solves also run concurrently, multiplying the floor by up to min(shards, cores)"
+	doc["sharded_note"] = "1024-job resets through the sharded scheduler service (rpc.Service over in-memory shard servers): per-shard warm/remap/cold solve buckets exclude the cold prime; every 4th reset churns the job set through the router, so shard-level remaps are exercised; ns_per_reset is hardware-local and maxprocs records the measurement's GOMAXPROCS — at maxprocs=1 the K=4 speedup is the algorithmic floor alone (smaller LPs are superlinearly cheaper, ~2x); on >= 4 cores the shards' solves also run concurrently, multiplying the floor by up to min(shards, cores)"
 
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -294,9 +294,11 @@ func runCoordinator(cfg coordinatorConfig) error {
 		return err
 	}
 	defer svc.Close()
-	startRound := 0
+	// The loop counts sealed rounds (0 on a fresh start, the journal's last
+	// sealed round on a resume) and numbers the round it is building one past
+	// that — the numbering the Service's trace IDs follow.
+	startRound := int(svc.Round())
 	if svc.Resumed() {
-		startRound = int(svc.Round()) + 1
 		log.Printf("gavel-sched: resumed from journal (round %d, %d jobs resident, %d recoveries so far)",
 			svc.Round(), svc.NumJobs(), svc.Recoveries())
 	}
@@ -478,10 +480,10 @@ func runCoordinator(cfg coordinatorConfig) error {
 			}
 		}
 
-		if err := svc.AllocateAll(int64(r), info, false); err != nil {
+		if err := svc.AllocateAll(int64(r)+1, info, false); err != nil {
 			return err
 		}
-		perShard, err := svc.AssignRound(int64(r), cfg.round, done)
+		perShard, err := svc.AssignRound(int64(r)+1, cfg.round, done)
 		if err != nil {
 			return err
 		}
@@ -549,7 +551,7 @@ func runCoordinator(cfg coordinatorConfig) error {
 
 		// Seal the round: with -journal this fsyncs the round's records, the
 		// point a killed coordinator replays back to.
-		if err := svc.EndRound(int64(r)); err != nil {
+		if err := svc.EndRound(int64(r) + 1); err != nil {
 			return err
 		}
 

@@ -2,10 +2,11 @@
 // sharded scheduler service (SimulationConfig.NumShards), comparing policy
 // wall-clock and per-shard LP solve buckets. With K shards, each shard owns
 // its own solve context, throughput cache, and round mechanism over a slice
-// of the cluster; a coordinator routes arrivals, rebalances by migrating
-// jobs between shards — carrying their warm LP bases along, so migrations
-// cost remapped solves instead of cold ones — and merges every round under
-// the global per-type worker budget.
+// of the cluster; the coordinator (the same rpc.Service that drives
+// gavel-shard daemons, here over in-memory shard servers) routes arrivals,
+// rebalances by migrating jobs between shards — carrying their warm LP bases
+// along, so migrations cost remapped solves instead of cold ones — and merges
+// every round under the global per-type worker budget.
 package main
 
 import (

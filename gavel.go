@@ -23,12 +23,13 @@
 //     baselines it evaluates against (heterogeneity-agnostic LAS/FIFO/FTF,
 //     Gandiva ad-hoc packing, AlloX);
 //   - internal/scheduler: the round-based mechanism (§5, Algorithm 1);
-//   - internal/cluster: cluster specs, plus the sharded scheduler service —
-//     jobs and devices partitioned across K shards, each with its own solve
-//     context, throughput cache, and mechanism, driven concurrently by a
-//     coordinator that routes arrivals, rebalances via warm-basis job
-//     migration, and merges rounds under the global worker budget
-//     (SimulationConfig.NumShards);
+//   - internal/cluster: cluster specs, plus the shard engine of the sharded
+//     scheduler service — one partition of the jobs and devices with its own
+//     solve context, throughput cache, and mechanism;
+//   - internal/rpc: the one coordinator (ClusterService) that drives K
+//     shards concurrently — in memory or as daemons over TCP — routing
+//     arrivals, rebalancing via warm-basis job migration, and merging rounds
+//     under the global worker budget (SimulationConfig.NumShards);
 //   - internal/simulator: the discrete-event evaluation substrate;
 //   - internal/estimator: the matrix-completion throughput estimator
 //     (§3.3);
@@ -90,12 +91,12 @@ type (
 	// under add/remove/observe, for callers driving policies directly.
 	ThroughputCache = core.ThroughputCache
 	// LPEngine selects the simplex implementation
-	// (SimulationConfig.LPEngine, SolveContext.Engine).
+	// (SimulationConfig.LPOptions.Engine, SolveContext.Engine).
 	LPEngine = lp.Engine
 	// ShardStat is one shard's solve/migration accounting within a sharded
 	// SimulationResult (SimulationConfig.NumShards > 0).
 	ShardStat = simulator.ShardStat
-	// ShardRoutePolicy selects how the sharded engine routes arriving jobs
+	// ShardRoutePolicy selects how a sharded run routes arriving jobs
 	// (SimulationConfig.ShardRoute).
 	ShardRoutePolicy = cluster.RoutePolicy
 	// LPOptions bundles every LP solver knob (engine, pricing, presolve,
@@ -108,15 +109,16 @@ type (
 	ShardClient = rpc.ShardClient
 	// ShardServer is the shard daemon engine behind a ShardClient.
 	ShardServer = rpc.ShardServer
-	// ClusterService drives shard daemons through the versioned control
-	// plane: routed admission, round-synchronized allocation, warm-basis
-	// rebalance migrations, snapshot-based crash recovery.
+	// ClusterService is the coordinator of every sharded run: it drives K
+	// shards — in memory or daemons — through the versioned control plane:
+	// routed admission, round-synchronized allocation, warm-basis rebalance
+	// migrations, snapshot-based crash recovery.
 	ClusterService = rpc.Service
 	// ClusterServiceConfig parameterizes a ClusterService.
 	ClusterServiceConfig = rpc.ServiceConfig
 )
 
-// Shard routing policies for the sharded engine: RouteHash assigns jobs by
+// Shard routing policies for sharded runs: RouteHash assigns jobs by
 // ID modulo the shard count, RouteLeastLoaded to the shard with the
 // smallest device demand.
 const (
@@ -179,9 +181,9 @@ func ParseLPOptions(engine, pricing, presolve, dual string) (LPOptions, error) {
 	return lp.ParseOptions(engine, pricing, presolve, dual)
 }
 
-// NewLocalShard returns a shard daemon engine and an in-memory client on it,
-// so tests and simulations drive the exact service code path without
-// sockets (SimulationConfig.ShardClients).
+// NewLocalShard returns a shard engine and an in-memory client on it — the
+// transport SimulationConfig.NumShards uses, exposed so callers can assemble
+// their own ClusterService or SimulationConfig.ShardClients without sockets.
 func NewLocalShard() (*ShardServer, ShardClient) { return rpc.NewLocalShard() }
 
 // DialShard connects to a gavel-shard daemon, performing the protocol

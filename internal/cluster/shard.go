@@ -13,11 +13,14 @@ import (
 // subset of the cluster's jobs and a per-type slice of its devices, and runs
 // Gavel's full per-cluster machinery — a policy solve context with cached
 // simplex bases, an incrementally maintained throughput cache, and a
-// round-based mechanism — over just that subset. Shards never share mutable
-// state, so a Coordinator can drive allocation and round assignment on all
-// of them concurrently; the only cross-shard traffic is job migration, which
-// moves a job's throughput rows and (via SolveContext.AdoptSeedsFrom) warm
-// LP seeds between shards.
+// round-based mechanism — over just that subset. A shard is the engine behind
+// one rpc.ShardServer; the coordinator (rpc.Service) drives it over the
+// control plane — by direct call in memory, by gob over TCP — and owns every
+// cross-shard decision (routing, rebalance, merge). Shards never share
+// mutable state, so the coordinator fans allocation and round assignment out
+// to all of them concurrently; the only cross-shard traffic is job migration,
+// which moves a job's throughput rows and warm LP seeds
+// (SolveContext.ExportSeeds / ImportSeeds) between shards.
 type Shard struct {
 	// Index is the shard's position within the coordinator, fixed at
 	// construction. Routing, merging, and stats all iterate shards in index
@@ -33,24 +36,22 @@ type Shard struct {
 	Prices     []float64
 
 	// Ctx carries the shard's warm-start state across solves. Nil selects
-	// cold solves (the coordinator's ColdSolves mode).
+	// cold solves (the benchmark baseline).
 	Ctx *policy.SolveContext
 	// Cache holds the shard's job/pair throughput matrices.
 	Cache *core.ThroughputCache
 	// Mech is the shard's round-based mechanism over its worker slice.
 	Mech *scheduler.Mechanism
 
-	// Dirty marks the allocation stale: a job arrived, departed, or
-	// migrated since it was computed.
-	Dirty bool
 	// Alloc is the current allocation (nil before the first Allocate);
 	// AllocIDs the external job IDs it was computed over, in unit order for
 	// the single-job prefix.
 	Alloc    *core.Allocation
 	AllocIDs []int
 
-	// Admitted counts jobs routed here by Admit; MigratedIn/MigratedOut
-	// count rebalance moves; PolicyTime/PolicyCalls account Allocate work.
+	// Admitted counts jobs routed here on arrival; MigratedIn/MigratedOut
+	// count rebalance and recovery moves (the shard server books all three);
+	// PolicyTime/PolicyCalls account Allocate work.
 	Admitted    int
 	MigratedIn  int
 	MigratedOut int
@@ -59,60 +60,12 @@ type Shard struct {
 
 	jobs   []int // resident job IDs in admission order (deterministic)
 	jobPos map[int]int
-	load   int // total device demand (sum of scale factors)
 }
 
-// NewShard builds an empty standalone shard over the given per-type worker
-// slice. It is the entry point for a shard *daemon* — a process that owns
-// exactly one partition of the cluster and is driven over the control plane
-// (internal/rpc) by a remote coordinator, which computed the worker split
-// with SplitWorkerCounts. In-process coordinators construct their shards
-// through NewCoordinator instead.
+// NewShard builds an empty shard over the given per-type worker slice — one
+// partition of the cluster, as split by SplitWorkerCounts.
 func NewShard(index int, workerInts, perServer []int, prices []float64, ctx *policy.SolveContext) *Shard {
-	return newShard(index, len(workerInts), workerInts, perServer, prices, ctx)
-}
-
-// Add inserts a job with its isolated throughput row: an admission or the
-// receiving half of a migration. Exported for the shard daemon; the
-// in-process coordinator books its own accounting around the unexported
-// form.
-func (s *Shard) Add(id, scaleFactor int, tput []float64) { s.add(id, scaleFactor, tput) }
-
-// Remove drops a resident job: a completion or the sending half of a
-// migration. Unknown IDs are no-ops.
-func (s *Shard) Remove(id int) { s.remove(id) }
-
-// SetPairIfAbsent installs a space-sharing pair's throughput rows unless the
-// pair is already cached. The HasPair gate lives shard-side so a remote
-// coordinator can send candidate rows unconditionally and still leave the
-// cache byte-identical to an in-process run, which skips cached pairs at the
-// source.
-func (s *Shard) SetPairIfAbsent(a, b int, ta, tb []float64) {
-	if s.Cache.HasPair(a, b) {
-		return
-	}
-	s.Cache.SetPair(a, b, ta, tb)
-}
-
-// Observe feeds one measured pair throughput into the shard's cache.
-func (s *Shard) Observe(a, b, typ int, ta, tb float64) {
-	s.Cache.ObservePair(a, b, typ, ta, tb)
-}
-
-// ObserveJob overwrites one resident job's isolated throughput row with
-// measured values and marks the shard dirty so the next allocation uses
-// them. Non-resident IDs are ignored (the cache no-ops them too), keeping
-// the update idempotent against departures.
-func (s *Shard) ObserveJob(id int, tput []float64) {
-	if !s.Has(id) {
-		return
-	}
-	s.Cache.ObserveJob(id, tput)
-	s.Dirty = true
-}
-
-// newShard builds an empty shard over the given worker slice.
-func newShard(index, numTypes int, workerInts, perServer []int, prices []float64, ctx *policy.SolveContext) *Shard {
+	numTypes := len(workerInts)
 	workers := make([]float64, numTypes)
 	for j, w := range workerInts {
 		workers[j] = float64(w)
@@ -130,33 +83,54 @@ func newShard(index, numTypes int, workerInts, perServer []int, prices []float64
 	}
 }
 
-// add inserts a job (admission or migration target).
-func (s *Shard) add(id, scaleFactor int, tput []float64) {
+// Add inserts a job with its isolated throughput row: an admission or the
+// receiving half of a migration.
+func (s *Shard) Add(id, scaleFactor int, tput []float64) {
 	if scaleFactor < 1 {
 		scaleFactor = 1
 	}
 	s.Cache.AddJob(id, scaleFactor, tput)
 	s.jobPos[id] = len(s.jobs)
 	s.jobs = append(s.jobs, id)
-	s.load += scaleFactor
-	s.Dirty = true
 }
 
-// remove drops a job (completion or migration source), preserving the
-// admission order of the remainder.
-func (s *Shard) remove(id int) {
+// Remove drops a resident job — a completion or the sending half of a
+// migration — preserving the admission order of the remainder. Unknown IDs
+// are no-ops.
+func (s *Shard) Remove(id int) {
 	pos, ok := s.jobPos[id]
 	if !ok {
 		return
 	}
-	s.load -= s.Cache.ScaleFactor(id)
 	s.Cache.RemoveJob(id)
 	s.jobs = append(s.jobs[:pos], s.jobs[pos+1:]...)
 	delete(s.jobPos, id)
 	for i := pos; i < len(s.jobs); i++ {
 		s.jobPos[s.jobs[i]] = i
 	}
-	s.Dirty = true
+}
+
+// SetPairIfAbsent installs a space-sharing pair's throughput rows unless the
+// pair is already cached. The HasPair gate lives shard-side so the
+// coordinator can send candidate rows unconditionally with every placement.
+func (s *Shard) SetPairIfAbsent(a, b int, ta, tb []float64) {
+	if s.Cache.HasPair(a, b) {
+		return
+	}
+	s.Cache.SetPair(a, b, ta, tb)
+}
+
+// Observe feeds one measured pair throughput into the shard's cache.
+func (s *Shard) Observe(a, b, typ int, ta, tb float64) {
+	s.Cache.ObservePair(a, b, typ, ta, tb)
+}
+
+// ObserveJob overwrites one resident job's isolated throughput row with
+// measured values, for the next allocation to use. Non-resident IDs are
+// ignored (the cache no-ops them), keeping the update idempotent against
+// departures.
+func (s *Shard) ObserveJob(id int, tput []float64) {
+	s.Cache.ObserveJob(id, tput)
 }
 
 // Has reports whether the job is resident.
@@ -167,10 +141,6 @@ func (s *Shard) Jobs() []int { return append([]int(nil), s.jobs...) }
 
 // NumJobs returns the resident job count.
 func (s *Shard) NumJobs() int { return len(s.jobs) }
-
-// Load returns the shard's total device demand (sum of scale factors), the
-// balance metric routing and rebalancing use.
-func (s *Shard) Load() int { return s.load }
 
 // JobInfoFn supplies the caller-side view of one job when a shard builds a
 // policy input: weights, remaining work, elapsed time, SLOs. The shard
@@ -190,7 +160,6 @@ func (s *Shard) Allocate(pol policy.Policy, minGain float64, maxPairs int, info 
 		s.Alloc = &core.Allocation{}
 		s.AllocIDs = nil
 		s.Mech.ResetReceived()
-		s.Dirty = false
 		return nil
 	}
 	ids := append([]int(nil), s.jobs...)
@@ -217,7 +186,6 @@ func (s *Shard) Allocate(pol policy.Policy, minGain float64, maxPairs int, info 
 	s.Alloc = alloc
 	s.AllocIDs = ids
 	s.Mech.ResetReceived()
-	s.Dirty = false
 	return nil
 }
 

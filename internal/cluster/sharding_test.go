@@ -2,55 +2,14 @@ package cluster
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"testing"
 
 	"gavel/internal/policy"
 )
 
-// testSpec builds a uniform 3-type cluster with n devices per type.
-func testSpec(n int) Spec {
-	return Spec{Types: []AcceleratorType{
-		{Name: "v100", Count: n, PricePerHour: PriceV100, PerServer: 4},
-		{Name: "p100", Count: n, PricePerHour: PriceP100, PerServer: 4},
-		{Name: "k80", Count: n, PricePerHour: PriceK80, PerServer: 4},
-	}}
-}
-
-// testTput gives job id a strict best type (id mod 3) so the refined max-min
-// optimum is unique: with capacity slack every job runs full-time on its
-// best type, which is what makes the sharded and monolithic solves land on
-// the same allocation.
-func testTput(id int) []float64 {
-	t := make([]float64, 3)
-	for j := range t {
-		t[j] = 1 + 0.1*float64(j)
-	}
-	t[id%3] = 4 + 0.01*float64(id%7)
-	return t
-}
-
-// basicInfo is the simplest JobInfoFn: unit weight, steady remaining work.
-func basicInfo(id int) policy.JobInfo {
-	return policy.JobInfo{
-		Weight: 1 + 0.01*float64(id), Priority: 1,
-		RemainingSteps: 1e6, TotalSteps: 2e6, Elapsed: 3600, ArrivalSeq: id,
-	}
-}
-
-func newTestCoordinator(t *testing.T, k, devicesPerType int, route RoutePolicy) *Coordinator {
-	t.Helper()
-	c, err := NewCoordinator(CoordinatorConfig{
-		NumShards: k,
-		Cluster:   testSpec(devicesPerType),
-		Route:     route,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
+// The coordinator-level behaviour (routing, rebalance, merge budgets,
+// K-shard vs one-shard allocations) is tested where the coordinator lives:
+// internal/rpc/service_sharding_test.go.
 
 func TestSplitWorkerCountsPartition(t *testing.T) {
 	counts := []int{10, 7, 3}
@@ -86,231 +45,57 @@ func TestSplitWorkerCountsPartition(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesMonolithicAllocation is the partition-respecting
-// equivalence acceptance: on a scenario whose optimum is unique and
-// separable (strict per-job best types, capacity slack in every shard, no
-// cross-shard pairs — pairs cannot cross shards by construction), K=1 and
-// K=4 must produce the same per-job allocation within 1e-6.
-func TestShardedMatchesMonolithicAllocation(t *testing.T) {
-	const jobs = 32
-	pol := &policy.MaxMinFairness{}
-
-	allocs := map[int]map[int][]float64{}
-	for _, k := range []int{1, 4} {
-		c := newTestCoordinator(t, k, 2*jobs, RouteHash)
-		for id := 0; id < jobs; id++ {
-			c.Admit(id, 1, testTput(id))
-		}
-		if err := c.AllocateAll(pol, basicInfo, false); err != nil {
-			t.Fatalf("K=%d: %v", k, err)
-		}
-		allocs[k] = c.JobAllocations()
+// testTput gives job id a strict best type (id mod 3).
+func testTput(id int) []float64 {
+	t := make([]float64, 3)
+	for j := range t {
+		t[j] = 1 + 0.1*float64(j)
 	}
-
-	for id := 0; id < jobs; id++ {
-		a1, a4 := allocs[1][id], allocs[4][id]
-		if a1 == nil || a4 == nil {
-			t.Fatalf("job %d missing from an allocation (K=1: %v, K=4: %v)", id, a1, a4)
-		}
-		for j := range a1 {
-			if d := math.Abs(a1[j] - a4[j]); d > 1e-6 {
-				t.Errorf("job %d type %d: K=1 gives %v, K=4 gives %v (diff %v)", id, j, a1[j], a4[j], d)
-			}
-		}
-	}
-}
-
-// TestRebalanceMigrationsAreRemappedNotCold is the migration-accounting
-// acceptance: jobs moved by a rebalance must warm-start both sides' next
-// solves via the cross-shape remap — RemappedSolves grows, cold solves do
-// not — including a destination shard that has never solved (it adopts the
-// source's seeds).
-func TestRebalanceMigrationsAreRemappedNotCold(t *testing.T) {
-	c := newTestCoordinator(t, 2, 16, RouteHash)
-	pol := &policy.MaxMinFairness{}
-	// Even IDs only: hash routing piles everything onto shard 0, leaving
-	// shard 1 empty (and its context seedless).
-	for i := 0; i < 8; i++ {
-		c.Admit(2*i, 1, testTput(2*i))
-	}
-	if err := c.AllocateAll(pol, basicInfo, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Shard(0).NumJobs(); got != 8 {
-		t.Fatalf("expected all 8 jobs on shard 0, got %d", got)
-	}
-
-	before := c.Stats()
-	coldBefore := make([]int, 2)
-	for k, st := range before {
-		coldBefore[k] = st.Solve.Solves - st.Solve.WarmHits - st.Solve.RemapHits
-	}
-
-	migs := c.Rebalance()
-	if len(migs) == 0 {
-		t.Fatal("rebalance moved nothing despite an 8-vs-0 imbalance")
-	}
-	if c.Migrations() != len(migs) || c.Rebalances() != 1 {
-		t.Fatalf("migration accounting: %d/%d", c.Migrations(), c.Rebalances())
-	}
-	if got := c.Shard(0).NumJobs() - c.Shard(1).NumJobs(); got < -1 || got > 1 {
-		t.Fatalf("rebalance left shards at %d vs %d jobs", c.Shard(0).NumJobs(), c.Shard(1).NumJobs())
-	}
-	for _, m := range migs {
-		if c.ShardOf(m.Job) != m.To {
-			t.Fatalf("job %d recorded at shard %d, registry says %d", m.Job, m.To, c.ShardOf(m.Job))
-		}
-	}
-
-	if err := c.AllocateAll(pol, basicInfo, false); err != nil {
-		t.Fatal(err)
-	}
-	after := c.Stats()
-	for k := range after {
-		cold := after[k].Solve.Solves - after[k].Solve.WarmHits - after[k].Solve.RemapHits
-		if cold != coldBefore[k] {
-			t.Errorf("shard %d: migration forced %d cold solves", k, cold-coldBefore[k])
-		}
-		if after[k].Solve.RemapHits <= before[k].Solve.RemapHits {
-			t.Errorf("shard %d: post-migration solve did not take the remapped path (%d -> %d)",
-				k, before[k].Solve.RemapHits, after[k].Solve.RemapHits)
-		}
-	}
-	if after[1].MigratedIn == 0 || after[0].MigratedOut == 0 {
-		t.Errorf("per-shard migration counters not updated: %+v", after)
-	}
-}
-
-// TestEmptyShardEdges exercises both empty-shard directions: a shard drained
-// of every job must allocate (empty) without panicking and keep serving
-// rounds, and a seedless shard receiving its first jobs must fall back to a
-// cold solve without panicking.
-func TestEmptyShardEdges(t *testing.T) {
-	c := newTestCoordinator(t, 2, 8, RouteHash)
-	pol := &policy.MaxMinFairness{}
-	for i := 0; i < 4; i++ {
-		c.Admit(2*i+1, 1, testTput(2*i+1)) // odd IDs: all on shard 1
-	}
-	if err := c.AllocateAll(pol, basicInfo, false); err != nil {
-		t.Fatal(err)
-	}
-	if c.Shard(0).NumJobs() != 0 {
-		t.Fatal("shard 0 should be empty")
-	}
-	// Empty shard: allocation exists, assigns nothing, no panic.
-	assigns, err := c.AssignRound(360, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range assigns {
-		if a.Shard == 0 {
-			t.Fatal("empty shard produced an assignment")
-		}
-	}
-
-	// Drain shard 1 completely: remove all jobs, reallocate, assign.
-	for _, id := range c.Shard(1).Jobs() {
-		c.Remove(id)
-	}
-	if err := c.AllocateAll(pol, basicInfo, false); err != nil {
-		t.Fatalf("drained-shard allocation: %v", err)
-	}
-	if got, err := c.AssignRound(360, nil); err != nil || len(got) != 0 {
-		t.Fatalf("drained coordinator assigned %d units (err %v)", len(got), err)
-	}
-
-	// Jobs into a never-solved coordinator context: cold solve, no panic.
-	c2 := newTestCoordinator(t, 2, 8, RouteHash)
-	c2.Admit(0, 1, testTput(0))
-	c2.Admit(1, 1, testTput(1))
-	if err := c2.AllocateAll(pol, basicInfo, false); err != nil {
-		t.Fatal(err)
-	}
-	st := c2.Stats()
-	for k := range st {
-		if st[k].Solve.RemapHits != 0 || st[k].Solve.WarmHits != 0 {
-			t.Errorf("shard %d: first-ever solve claimed a warm start: %+v", k, st[k].Solve)
-		}
-	}
-}
-
-// TestRoutingPolicies checks both routers' determinism and balance.
-func TestRoutingPolicies(t *testing.T) {
-	hash := newTestCoordinator(t, 3, 9, RouteHash)
-	for id := 0; id < 12; id++ {
-		s := hash.Admit(id, 1, testTput(id))
-		if s.Index != id%3 {
-			t.Fatalf("hash route sent job %d to shard %d", id, s.Index)
-		}
-	}
-
-	ll := newTestCoordinator(t, 3, 9, RouteLeastLoaded)
-	// Scale factors force the balancer's hand: each arrival lands on the
-	// currently lightest shard.
-	ll.Admit(100, 4, testTput(100)) // shard 0, load 4
-	if s := ll.Admit(101, 1, testTput(101)); s.Index != 1 {
-		t.Fatalf("least-loaded sent job 101 to shard %d", s.Index)
-	}
-	if s := ll.Admit(102, 1, testTput(102)); s.Index != 2 {
-		t.Fatalf("least-loaded sent job 102 to shard %d", s.Index)
-	}
-	if s := ll.Admit(103, 1, testTput(103)); s.Index != 1 {
-		t.Fatalf("least-loaded tie should break to shard 1, got %d", s.Index)
-	}
-}
-
-// TestMergeRoundBudget checks the merged-round invariant plumbing: a
-// well-formed round passes, and a forged over-budget set is rejected.
-func TestMergeRoundBudget(t *testing.T) {
-	c := newTestCoordinator(t, 2, 4, RouteHash)
-	pol := &policy.MaxMinFairness{}
-	for id := 0; id < 8; id++ {
-		c.Admit(id, 1, testTput(id))
-	}
-	if err := c.AllocateAll(pol, basicInfo, false); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := c.AssignRound(360, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) == 0 {
-		t.Fatal("no assignments in a populated round")
-	}
-	// Sanity: merged rows stay tagged with valid shards and types.
-	for _, a := range merged {
-		if a.Shard < 0 || a.Shard >= 2 || a.Type < 0 || a.Type >= 3 {
-			t.Fatalf("malformed merged assignment %+v", a)
-		}
-	}
+	t[id%3] = 4 + 0.01*float64(id%7)
+	return t
 }
 
 // TestShardJobOrderSurvivesChurn guards the determinism backbone: the
 // shard-local admission order is stable under interleaved removals, so unit
-// construction (and therefore LP column order) is reproducible.
+// construction (and therefore LP column order) is reproducible, and an
+// allocation covers exactly the resident set in that order.
 func TestShardJobOrderSurvivesChurn(t *testing.T) {
-	c := newTestCoordinator(t, 1, 8, RouteHash)
+	s := NewShard(0, []int{8, 8, 8}, []int{4, 4, 4}, []float64{PriceV100, PriceP100, PriceK80}, policy.NewSolveContext())
 	for id := 0; id < 6; id++ {
-		c.Admit(id, 1, testTput(id))
+		s.Add(id, 1, testTput(id))
 	}
-	c.Remove(2)
-	c.Remove(4)
-	c.Admit(9, 1, testTput(9))
+	s.Remove(2)
+	s.Remove(4)
+	s.Remove(7) // unknown: no-op
+	s.Add(9, 1, testTput(9))
 	want := []int{0, 1, 3, 5, 9}
-	got := c.Shard(0).Jobs()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := s.Jobs(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("job order %v, want %v", got, want)
 	}
-	// JobAllocations covers exactly the resident set after allocation.
-	if err := c.AllocateAll(&policy.MaxMinFairness{}, basicInfo, false); err != nil {
+	for _, id := range want {
+		if !s.Has(id) {
+			t.Fatalf("job %d not resident", id)
+		}
+	}
+	info := func(id int) policy.JobInfo {
+		return policy.JobInfo{Weight: 1, Priority: 1, RemainingSteps: 1e6, TotalSteps: 2e6, Elapsed: 3600, ArrivalSeq: id}
+	}
+	if err := s.Allocate(&policy.MaxMinFairness{}, 0, 0, info); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]int, 0, 5)
-	for id := range c.JobAllocations() {
-		ids = append(ids, id)
+	if fmt.Sprint(s.AllocIDs) != fmt.Sprint(want) {
+		t.Fatalf("allocated jobs %v, want %v", s.AllocIDs, want)
 	}
-	sort.Ints(ids)
-	if fmt.Sprint(ids) != fmt.Sprint(want) {
-		t.Fatalf("allocated jobs %v, want %v", ids, want)
+	if len(s.Alloc.Units) != len(want) {
+		t.Fatalf("%d units for %d single jobs", len(s.Alloc.Units), len(want))
+	}
+	assigns, err := s.AssignRound(360, func(id int) bool { return id == 3 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range assigns {
+		if s.AllocIDs[s.Alloc.Units[a.UnitIdx].Jobs[0]] == 3 {
+			t.Fatal("a skipped job was assigned")
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package e2e runs the multi-process acceptance for the cluster service:
 // real gavel-shard daemons (this test binary re-exec'd in shard-server mode)
-// on loopback sockets, driven by the coordinator engine over the versioned
-// control plane. The two acceptance properties: a multi-process run is
-// byte-identical to the in-process sharded engine on the same trace, and
+// on loopback sockets, driven by the coordinator over the versioned control
+// plane. The two acceptance properties: a multi-process run is
+// byte-identical to a run over in-memory shards on the same trace, and
 // killing a shard daemon mid-run recovers its jobs warm on the survivors.
 package e2e
 
@@ -89,7 +89,7 @@ func (d *shardDaemon) kill() {
 	}
 }
 
-// e2eConfig mirrors the sharded engine's own determinism-test config.
+// e2eConfig mirrors the simulator's own sharded determinism-test config.
 func e2eConfig(numShards, jobs int) simulator.Config {
 	return simulator.Config{
 		Cluster: cluster.Simulated108(),
@@ -117,10 +117,10 @@ func fingerprint(t *testing.T, r *simulator.Result) string {
 	return string(b)
 }
 
-// TestMultiProcessMatchesInProcess is the deployment acceptance: two real
-// shard daemon processes behind the versioned wire protocol produce a
-// byte-identical Result to the in-process sharded engine on the same trace.
-func TestMultiProcessMatchesInProcess(t *testing.T) {
+// TestMultiProcessMatchesLocal is the deployment acceptance: two real shard
+// daemon processes behind the versioned wire protocol produce a
+// byte-identical Result to two in-memory shards on the same trace.
+func TestMultiProcessMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
@@ -149,7 +149,7 @@ func TestMultiProcessMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fingerprint(t, got) != want {
-		t.Fatal("multi-process run differs from in-process sharded run")
+		t.Fatal("multi-process run differs from the run over in-memory shards")
 	}
 	if got.Recoveries != 0 {
 		t.Fatalf("healthy daemons, but Recoveries = %d", got.Recoveries)

@@ -176,11 +176,11 @@ func (c *SolveContext) ExportSeeds() []Seed {
 
 // ImportSeeds installs exported seeds for every label the context has no
 // entry for, cloning the bases (the caller may reuse the slice). It is
-// ExportSeeds' other half, with AdoptSeedsFrom's keep-local-entries
-// semantics: a label the receiver already caches is never overwritten — the
-// local basis covers more of the local column universe than a shipped one
-// could. The next Solve under an imported label remaps the basis across
-// whatever job-set difference exists (lp.Basis.Remap), so recovery from a
+// ExportSeeds' other half, with keep-local-entries semantics: a label the
+// receiver already caches is never overwritten — the local basis covers more
+// of the local column universe than a shipped one could. The next Solve
+// under an imported label remaps the basis across whatever job-set
+// difference exists (lp.Basis.Remap), so a migration or a recovery from a
 // snapshot lands in the remapped bucket, never the cold one. Nil receivers
 // are no-ops.
 func (c *SolveContext) ImportSeeds(seeds []Seed) {
@@ -222,37 +222,11 @@ func (c *SolveContext) seed(key string, ids []lp.ColumnID, numRows int) (*lp.Bas
 }
 
 // HasSeeds reports whether the context holds any cached basis. A context
-// that has never completed a solve has nothing to warm-start from; the
-// sharded coordinator uses this to decide whether a migration destination
-// should adopt the source's seeds.
+// that has never completed a solve has nothing to warm-start from; a shard
+// server uses this to decide whether a migration destination should import
+// the source's seeds.
 func (c *SolveContext) HasSeeds() bool {
 	return c != nil && len(c.bases) > 0
-}
-
-// AdoptSeedsFrom copies every cached (basis, column-identity) entry of src
-// whose label the receiver has no entry for, cloning the bases so the two
-// contexts never share mutable state across goroutines. It is the warm-basis
-// half of job migration between shards: when a job moves into a shard whose
-// context has never solved under some label, the source shard's basis —
-// remapped across the job-set change by the next Solve, which drops the
-// columns of jobs that stayed behind and enters the migrated jobs' columns
-// nonbasic — replaces what would otherwise be a cold two-phase solve.
-// Labels the receiver already caches are kept: the local basis covers more
-// of the destination's surviving columns than the source's ever could.
-// Nil receivers and nil sources are no-ops.
-func (c *SolveContext) AdoptSeedsFrom(src *SolveContext) {
-	if c == nil || src == nil {
-		return
-	}
-	for key, ent := range src.bases {
-		if _, ok := c.bases[key]; ok || ent == nil {
-			continue
-		}
-		c.bases[key] = &cachedBasis{
-			basis: ent.basis.Clone(),
-			ids:   append([]lp.ColumnID(nil), ent.ids...),
-		}
-	}
 }
 
 func sameIDs(a, b []lp.ColumnID) bool {

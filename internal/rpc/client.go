@@ -8,8 +8,8 @@ import (
 
 // ShardClient is the coordinator's handle to one shard daemon. Both
 // transports implement it — DialShard over TCP gob, NewLocalShard calling a
-// ShardServer in-process — so the Service, the simulator's served engine,
-// and the tests drive the identical shard code path regardless of whether
+// ShardServer in-process — so the Service, the simulator's sharded loop, and
+// the tests drive the identical shard code path regardless of whether
 // sockets are involved.
 type ShardClient interface {
 	Hello(args HelloArgs) (HelloReply, error)

@@ -6,20 +6,19 @@
 //     register their accelerator type, lease micro-tasks round by round, and
 //     report measured throughputs;
 //   - the coordinator <-> shard protocol (shardapi.go, shardserver.go,
-//     service.go): a remote coordinator drives shard daemons — each owning
-//     one partition of the cluster and running the full in-process machinery
-//     of internal/cluster — through round-synchronized Allocate/AssignRound
-//     calls, admission and migration messages that carry warm LP bases, and
-//     periodic basis snapshots that let a crashed daemon's jobs recover warm
-//     on the survivors.
+//     service.go): the coordinator (Service) drives shards — each owning one
+//     partition of the cluster and running the per-cluster machinery of
+//     internal/cluster, in this process or as a daemon — through
+//     round-synchronized Allocate/AssignRound calls, admission and migration
+//     messages that carry warm LP bases, and periodic basis snapshots that
+//     let a crashed daemon's jobs recover warm on the survivors.
 //
 // Both protocols are versioned: every connection opens with a handshake and
 // a version mismatch is a typed error, not a garbled gob stream. Round
 // boundaries are the batching unit of the wire protocol (Obladi-style
-// epochs), which is what lets the served engine stay byte-deterministic with
-// the in-process one: everything inside a round is a pure function of the
-// shard's state, and the coordinator serializes state changes between
-// rounds.
+// epochs), which is what keeps a run byte-deterministic across transports:
+// everything inside a round is a pure function of the shard's state, and the
+// coordinator serializes state changes between rounds.
 package rpc
 
 import (

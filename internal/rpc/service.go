@@ -19,11 +19,9 @@ import (
 // without harm. Nil disables space sharing.
 type PairSource func(a, b int) (ta, tb []float64)
 
-// ServiceConfig parameterizes a remote coordinator over shard daemons. The
-// fields mirror cluster.CoordinatorConfig — same cluster split, same routing,
-// same pair knobs — because the Service must make byte-identical decisions to
-// the in-process Coordinator; the additions are the wire-only concerns
-// (policy by name, resolved LP options, the pair source).
+// ServiceConfig parameterizes the coordinator: the cluster to split across
+// the shards, routing, the space-sharing pair knobs, and what every shard is
+// configured with (policy by name, resolved LP options).
 type ServiceConfig struct {
 	// Cluster is the global cluster; its per-type device counts are split
 	// across the shard daemons with cluster.SplitWorkerCounts.
@@ -38,8 +36,10 @@ type ServiceConfig struct {
 	ColdSolves bool
 	// Route selects arrival routing (default hash by job ID).
 	Route cluster.RoutePolicy
-	// PairGainThreshold / MaxPairsPerJob parameterize space-sharing pair
-	// candidates exactly as in cluster.CoordinatorConfig.
+	// PairGainThreshold is the minimum combined normalized throughput for a
+	// space-sharing pair to become a candidate unit; MaxPairsPerJob caps
+	// candidates per job (0 disables pair units). Pairs only ever form
+	// within a shard — partitioning the job set partitions the pair set.
 	PairGainThreshold float64
 	MaxPairsPerJob    int
 	// Pairs supplies colocated throughput rows for pair candidates; nil
@@ -136,8 +136,7 @@ func (m *shardMirror) remove(id int) {
 }
 
 // unitScaleFactor is the max member scale factor of unit u in the mirrored
-// allocation — the mirror's copy of Shard.unitScaleFactor, used to validate
-// merged rounds against the worker budgets.
+// allocation, used to validate merged rounds against the worker budgets.
 func (m *shardMirror) unitScaleFactor(u int) int {
 	sf := 1
 	for _, local := range m.alloc.Units[u].Jobs {
@@ -148,20 +147,24 @@ func (m *shardMirror) unitScaleFactor(u int) int {
 	return sf
 }
 
-// Service is the remote coordinator of the cluster service: the
-// cluster.Coordinator algorithms — deterministic routing, rebalance by
-// warm-basis migration, concurrent allocation fan-out, round merging under
-// the global budget — re-expressed over the control plane, driving shard
-// daemons through ShardClients instead of in-process Shards. It keeps a
-// local mirror of each daemon's membership and load so every control
-// decision replicates the in-process coordinator's byte for byte, pulls
-// periodic basis snapshots, and on daemon death re-routes the dead shard's
-// jobs onto the survivors with the snapshot seeds so their next solves land
-// remapped, not cold.
+// Service is the coordinator of the sharded scheduling service — the only
+// one: it partitions jobs and devices across K shards, routes arrivals
+// deterministically, periodically rebalances by migrating jobs (carrying warm
+// LP seeds across, so a migration never forces a cold solve while any seed
+// exists), fans allocation and round assignment out to every shard
+// concurrently, and merges the per-shard rounds under the global per-type
+// worker budget. Shards are driven through ShardClients, so the same code
+// runs K in-memory shard servers (NewLocalShard: a direct call, no sockets,
+// no serialization) and K shard daemons over TCP. It keeps a local mirror of
+// each shard's membership and load so every control decision is made without
+// a remote read, pulls periodic basis snapshots, and on daemon death
+// re-routes the dead shard's jobs onto the survivors with the snapshot seeds
+// so their next solves land remapped, not cold.
 //
-// A Service is not safe for concurrent use; like the in-process Coordinator,
-// all mutating entry points are single-threaded by design and the
-// concurrency lives inside the fan-out calls.
+// A Service is not safe for concurrent use: all mutating entry points are
+// single-threaded by design and the concurrency lives inside the fan-out
+// calls, where shards touch only their own state — so a fixed call order
+// yields a byte-identical outcome regardless of GOMAXPROCS.
 type Service struct {
 	cfg        ServiceConfig
 	numTypes   int
@@ -187,9 +190,10 @@ type Service struct {
 	ing *ingress
 
 	// Telemetry plane (all-nil instruments when ServiceConfig.Obs is nil;
-	// see serviceobs.go). curTrace is the trace ID stamped on every
-	// control-plane call until the next round seal — obs.RoundTrace of the
-	// round currently being built.
+	// see serviceobs.go). curTrace is the one trace ID of the round currently
+	// being built — obs.RoundTrace(round+1) — stamped on every control-plane
+	// call, fan-outs and the sealing journal.commit included, until EndRound
+	// advances it.
 	tel      serviceObs
 	curTrace string
 }
@@ -531,16 +535,8 @@ func (s *Service) ShardJobs(k int) []int {
 // allocation.
 func (s *Service) IsDirty(k int) bool { return s.shards[k].dirty }
 
-// DirtyFlag exposes shard k's staleness flag so round-progress code can mark
-// a shard stale when one of its jobs completes (the simulator passes it as
-// applyAssignments' needRealloc pointer, exactly as it does with
-// cluster.Shard.Dirty).
-func (s *Service) DirtyFlag(k int) *bool { return &s.shards[k].dirty }
-
 // MarkDirty flags shard k stale (its membership or demand changed and the
-// next AllocateAll must recompute it) and journals the transition. Journaled
-// drivers should prefer this over writing through DirtyFlag, which cannot
-// journal.
+// next AllocateAll must recompute it) and journals the transition.
 func (s *Service) MarkDirty(k int) error {
 	m := s.shards[k]
 	if m.dirty {
@@ -577,7 +573,8 @@ func (s *Service) StaleAllocs(k int) int { return s.shards[k].staleAllocs }
 // EndRound seals round r: the round-boundary record is journaled and the
 // whole round's records are fsynced in one batch. The round is the
 // durability unit — after EndRound returns, a coordinator crash replays up
-// to and including round r.
+// to and including round r. Drivers number the round they are building
+// Round()+1, which keeps r in step with the trace ID its calls carried.
 func (s *Service) EndRound(r int64) error {
 	if s.ing != nil {
 		// Round-boundary ingress work first: token refill, overload ladder,
@@ -595,7 +592,9 @@ func (s *Service) EndRound(r int64) error {
 		s.tel.degraded.Inc()
 	}
 	s.tel.rounds.Inc()
-	// Calls landing between this seal and the next belong to round r+1.
+	// The commit closes the sealed round's trace; calls landing between this
+	// seal and the next belong to round r+1.
+	sealed := s.curTrace
 	s.curTrace = obs.RoundTrace(r + 1)
 	defer s.syncObs()
 	if s.j == nil {
@@ -604,7 +603,7 @@ func (s *Service) EndRound(r int64) error {
 	if err := s.j.append(&journalRecord{Kind: recRound, Round: r, Degraded: degraded}); err != nil {
 		return err
 	}
-	sp := s.tel.tr.Begin(obs.RoundTrace(r), "journal.commit")
+	sp := s.tel.tr.Begin(sealed, "journal.commit")
 	err := s.j.commit()
 	sp.End(err)
 	return err
@@ -731,9 +730,9 @@ func leastLoaded(ms []*shardMirror) *shardMirror {
 	return best
 }
 
-// route picks the destination shard for an arriving job — the
-// cluster.Coordinator routing verbatim while every shard is live, falling
-// back to least-loaded-live when hash routing lands on a dead daemon.
+// route picks the destination shard for an arriving job per the configured
+// RoutePolicy, falling back to least-loaded-live when hash routing lands on a
+// dead daemon.
 func (s *Service) route(id int) (*shardMirror, error) {
 	live := s.live()
 	if len(live) == 0 {
@@ -755,9 +754,9 @@ func (s *Service) route(id int) (*shardMirror, error) {
 }
 
 // pairRows builds the pair candidates to ship with a job landing on m: one
-// row pair per co-resident single-worker job, in admission order — the order
-// the in-process engine installs them. The destination applies them
-// HasPair-gated, so rows for already-cached pairs are harmless.
+// row pair per co-resident single-worker job, in admission order. The
+// destination applies them HasPair-gated, so rows for already-cached pairs
+// are harmless.
 func (s *Service) pairRows(m *shardMirror, id, scaleFactor int) []PairRows {
 	if s.cfg.Pairs == nil || scaleFactor > 1 {
 		return nil
@@ -884,8 +883,11 @@ func (s *Service) Remove(id int) error {
 // migrate moves one resident job between live shards, carrying the source's
 // warm seeds: Extract pulls the row and seeds and books MigratedOut; Install
 // with Migrated set books MigratedIn and imports the seeds only when the
-// destination has none — the exact in-process AdoptSeedsFrom gate, evaluated
-// daemon-side.
+// destination has none (the shard-side HasSeeds gate: a local basis covers
+// more of the destination's columns than a shipped one could). The adopted
+// basis remaps across the job-set change on the destination's next solve
+// like any arrival, and the source's own basis remaps the departure — so a
+// migration costs two remapped solves, never a cold one.
 func (s *Service) migrate(id int, from, to *shardMirror) (err error) {
 	sp := s.tel.tr.Begin(s.curTrace, "coord.migrate").AttrInt("job", int64(id)).
 		AttrInt("from", int64(from.index)).AttrInt("to", int64(to.index))
@@ -946,8 +948,9 @@ func (s *Service) migrate(id int, from, to *shardMirror) (err error) {
 
 // Rebalance evens device demand across the live shards by migrating the most
 // recently admitted movable job from the most loaded shard to the least
-// loaded one until the gap stops shrinking — the cluster.Coordinator
-// algorithm verbatim, decided entirely on the mirror.
+// loaded one until the gap stops shrinking. Ties always break to the lowest
+// shard index and candidates are scanned in reverse admission order, so the
+// migration set is a pure function of the mirror's state.
 func (s *Service) Rebalance() ([]cluster.Migration, error) {
 	live := s.live()
 	if len(live) < 2 {
@@ -1007,7 +1010,8 @@ func (s *Service) Rebalance() ([]cluster.Migration, error) {
 // (stale: membership changed since the last allocation, or none exists; force
 // recomputes clean shards too). Results land in the mirror; a daemon death
 // marks the shard down instead of failing the call. The returned error is
-// the lowest-index protocol failure.
+// the lowest-index protocol failure. round keys the shards' reply caches and
+// must be unique per round; the trace ID is the Service's own.
 func (s *Service) AllocateAll(round int64, info func(id int) policy.JobInfo, force bool) error {
 	type slot struct {
 		rep AllocateReply
@@ -1034,7 +1038,7 @@ func (s *Service) AllocateAll(round int64, info func(id int) policy.JobInfo, for
 				AttrInt("jobs", int64(len(args.Infos)))
 			slots[k].rep, slots[k].err = m.client.Allocate(args)
 			sp.End(slots[k].err)
-		}(k, m, AllocateArgs{Round: round, Infos: infos, Trace: obs.RoundTrace(round)})
+		}(k, m, AllocateArgs{Round: round, Infos: infos, Trace: s.curTrace})
 	}
 	wg.Wait()
 	for k, m := range s.shards {
@@ -1105,7 +1109,7 @@ func (s *Service) AssignRound(round int64, roundSeconds float64, skip func(id in
 			rep, err := m.client.AssignRound(args)
 			sp.End(err)
 			perShard[k], errs[k] = rep.Assigns, err
-		}(k, m, AssignRoundArgs{Round: round, RoundSeconds: roundSeconds, SkipJobs: skipIDs, Trace: obs.RoundTrace(round)})
+		}(k, m, AssignRoundArgs{Round: round, RoundSeconds: roundSeconds, SkipJobs: skipIDs, Trace: s.curTrace})
 	}
 	wg.Wait()
 	for k, m := range s.shards {
@@ -1124,7 +1128,8 @@ func (s *Service) AssignRound(round int64, roundSeconds float64, skip func(id in
 
 // ValidateRound verifies one global round's budget invariants on the mirror:
 // every shard within its own worker slice, and the union within the global
-// per-type budget — cluster.Coordinator.ValidateRound over mirrored state.
+// per-type budget. The shards' slices partition the cluster, so a violation
+// is an invariant breach.
 func (s *Service) ValidateRound(perShard [][]scheduler.Assignment) error {
 	if len(perShard) != len(s.shards) {
 		return Errorf(CodeInternal, "%d assignment sets for %d shards", len(perShard), len(s.shards))

@@ -12,7 +12,8 @@ import (
 // This file is the wire vocabulary of the coordinator <-> shard protocol.
 // Every message is a plain exported struct so it rides gob unchanged; floats
 // cross the wire bit-exactly (gob encodes float64 as its IEEE bits), which
-// is what makes the served engine byte-identical to the in-process one.
+// is what makes a run over TCP byte-identical to one over the in-memory
+// transport.
 
 // PolicySpec names a policy by its catalog name so a coordinator can
 // configure remote shard daemons without shipping code. The names are the
@@ -51,7 +52,7 @@ func PolicyFromSpec(spec PolicySpec) (policy.Policy, error) {
 // SpecForPolicy reverses PolicyFromSpec for instances of registered
 // policies, so a caller holding a policy.Policy (the simulator) can
 // configure remote daemons. ok is false for unregistered policies — those
-// can only run in-process.
+// can only run on in-memory shard servers (ShardServer.UsePolicy).
 func SpecForPolicy(p policy.Policy) (PolicySpec, bool) {
 	switch v := p.(type) {
 	case *policy.MaxMinFairness:
@@ -93,7 +94,7 @@ type ShardConfig struct {
 	// ColdSolves disables the daemon's solve context (benchmark baseline).
 	ColdSolves bool
 	// PairGainThreshold / MaxPairsPerJob parameterize space-sharing pair
-	// candidates exactly as in cluster.CoordinatorConfig.
+	// candidates (see ServiceConfig).
 	PairGainThreshold float64
 	MaxPairsPerJob    int
 }
@@ -110,8 +111,7 @@ type PairRows struct {
 // half of a rebalance migration, or a crash recovery re-route. Seeds, when
 // present, carry warm-start state (the source shard's or the coordinator's
 // last snapshot of the dead shard); the daemon imports them only when its
-// own context has none, mirroring the in-process coordinator's
-// AdoptSeedsFrom gate, so the next solve lands remapped rather than cold.
+// own context has none, so the next solve lands remapped rather than cold.
 type InstallArgs struct {
 	// Trace is the round trace ID minted by the coordinator
 	// (obs.RoundTrace); shards tag their spans with it so per-round traces
@@ -157,9 +157,10 @@ type ExtractReply struct {
 // AllocateArgs asks the shard to recompute its allocation over its resident
 // jobs. Infos carries the coordinator-side view of each job (weights,
 // remaining work, elapsed time, SLOs) keyed by JobInfo.ID; the shard
-// overwrites Tput/ScaleFactor/NumActiveJobs from its own state exactly as
-// the in-process Shard.Allocate does. Round stamps the request for logging;
-// the protocol itself is synchronous per round.
+// overwrites Tput/ScaleFactor/NumActiveJobs from its own state
+// (cluster.Shard.Allocate). Round is the request ID of the shard's reply
+// cache: unique per round, so a retried or duplicated call is answered
+// without re-solving.
 type AllocateArgs struct {
 	// Trace is the round trace ID minted by the coordinator
 	// (obs.RoundTrace); shards tag their spans with it so per-round traces
@@ -172,8 +173,7 @@ type AllocateArgs struct {
 // AllocateReply returns the shard's allocation in full: the resident job IDs
 // in admission order (the unit-local index space), the scheduling units, and
 // the time-fraction matrix. The coordinator needs the real allocation — not
-// a summary — to apply round progress and merge budgets exactly like the
-// in-process engine.
+// a summary — to apply round progress and merge budgets.
 type AllocateReply struct {
 	IDs   []int
 	Units []core.Unit
@@ -200,8 +200,7 @@ type AssignRoundReply struct {
 }
 
 // ObserveArgs feeds measured pair throughputs back into the shard's cache
-// after a round executes, batched in observation order so the cache replays
-// them exactly as an in-process run would.
+// after a round executes, batched in observation order.
 type ObserveArgs struct {
 	// Trace is the round trace ID minted by the coordinator
 	// (obs.RoundTrace); shards tag their spans with it so per-round traces
@@ -247,8 +246,9 @@ type SnapshotReply struct {
 // StatusArgs requests the shard's accounting.
 type StatusArgs struct{}
 
-// ShardStatus is one shard daemon's accounting snapshot: the wire form of
-// cluster.ShardStats plus the policy-call counters the simulator merges.
+// ShardStatus is one shard's accounting snapshot: membership, routing and
+// migration counters, and the policy-call and LP solve counters the
+// simulator merges.
 type ShardStatus struct {
 	Index       int
 	Jobs        []int // resident job IDs in admission order

@@ -60,6 +60,18 @@ const noRound = int64(-1) << 62
 // NewShardServer returns an unconfigured shard daemon engine.
 func NewShardServer() *ShardServer { return &ShardServer{} }
 
+// UsePolicy hands an in-memory shard server the policy instance to run, in
+// place of the one Configure would build from ShardConfig.Policy. It is how a
+// coordinator in the same process (the simulator's NumShards path) runs
+// policies the wire catalog cannot name — wrappers, hierarchical policies,
+// test decorators. Nothing crosses the wire, so a remote daemon has no
+// equivalent. Call before Configure.
+func (s *ShardServer) UsePolicy(p policy.Policy) {
+	s.mu.Lock()
+	s.pol = p
+	s.mu.Unlock()
+}
+
 // SetObs attaches a telemetry plane: LP solve series feed the shard's solve
 // context, shard-surface call counters and spans are recorded per method,
 // and resident-jobs / open-connections gauges sample live state at scrape
@@ -186,9 +198,12 @@ func (s *ShardServer) Configure(cfg ShardConfig, _ *Ack) error {
 	if len(cfg.WorkerInts) == 0 {
 		return Errorf(CodeBadRequest, "empty worker slice")
 	}
-	pol, err := PolicyFromSpec(cfg.Policy)
-	if err != nil {
-		return err
+	pol := s.pol // set by UsePolicy on an in-memory server
+	if pol == nil {
+		var err error
+		if pol, err = PolicyFromSpec(cfg.Policy); err != nil {
+			return err
+		}
 	}
 	if !policy.ConcurrentSafe(pol) {
 		return Errorf(CodeBadRequest, "policy %s is not safe for the sharded engine", pol.Name())

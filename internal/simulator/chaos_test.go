@@ -9,7 +9,7 @@ import (
 	"gavel/internal/rpc"
 )
 
-// chaosRun executes one service-engine run with every shard client wrapped in
+// chaosRun executes one sharded run with every shard client wrapped in
 // a seeded chaos transport under the production retry policy, returning the
 // result fingerprint and the concatenated per-shard fault schedule. Wrapping
 // is done here (not via cfg.Chaos) so the test keeps handles to the

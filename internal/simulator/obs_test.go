@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func obsChaosConfig() chaos.Config {
 	}
 }
 
-// obsServiceRun executes one service-engine chaos run with an optional
+// obsServiceRun executes one sharded chaos run with an optional
 // telemetry plane attached and an optional journal, and returns the result
 // fingerprint.
 func obsServiceRun(t *testing.T, plane *obs.Plane, journal string) string {
@@ -177,8 +178,8 @@ func TestObsTracePropagationUnderDup(t *testing.T) {
 	info := func(id int) policy.JobInfo {
 		return policy.JobInfo{Weight: 1, RemainingSteps: 1000, TotalSteps: 2000, ArrivalSeq: id}
 	}
-	for r := 0; r < rounds; r++ {
-		if r == 0 {
+	for r := 1; r <= rounds; r++ {
+		if r == 1 {
 			for id := 0; id < jobs; id++ {
 				if _, err := svc.Admit(id, 1, []float64{1 + float64(id)*0.25, 0.5}); err != nil {
 					t.Fatalf("admit %d: %v", id, err)
@@ -245,4 +246,84 @@ func TestObsTracePropagationUnderDup(t *testing.T) {
 	if cached == 0 {
 		t.Fatal("no duplicated deliveries were answered from the reply cache")
 	}
+}
+
+// TestObsRoundSpansShareOneTrace is the one-round-one-trace acceptance, on
+// journaled sharded runs with a telemetry plane: every round-NNNNNN trace ID
+// closes with exactly one journal.commit, and every coord.* / shard.* span
+// carrying that ID — installs, removals, migrations, the allocate and assign
+// fan-outs, on the coordinator and inside the shards — started after the
+// previous round's commit ended and before its own round's commit ended. A
+// trace ID never mixes two iterations of the round loop.
+func TestObsRoundSpansShareOneTrace(t *testing.T) {
+	// A ticking stub clock gives every span a distinct, strictly ordered
+	// timestamp without depending on the wall clock's resolution.
+	tickingPlane := func() *obs.Plane {
+		p := &obs.Plane{Reg: obs.NewRegistry(), Tr: obs.NewTracer(1 << 16)}
+		t0 := time.Unix(1700000000, 0)
+		var ticks atomic.Int64
+		p.SetClock(func() time.Time { return t0.Add(time.Duration(ticks.Add(1)) * time.Microsecond) })
+		return p
+	}
+	check := func(t *testing.T, cfg Config) {
+		cfg.Journal = t.TempDir() + "/trace.wal"
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		spans := cfg.Obs.Tracer().Spans()
+		if int64(len(spans)) != cfg.Obs.Tracer().Total() {
+			t.Fatalf("trace ring evicted spans (%d of %d kept)", len(spans), cfg.Obs.Tracer().Total())
+		}
+		commitEnd := map[string]int64{} // trace -> end of its journal.commit
+		for _, sp := range spans {
+			if sp.Name != "journal.commit" {
+				continue
+			}
+			if _, dup := commitEnd[sp.Trace]; dup {
+				t.Fatalf("%s has more than one journal.commit", sp.Trace)
+			}
+			commitEnd[sp.Trace] = sp.StartNs + sp.DurNs
+		}
+		counts := map[string]int{}
+		for _, sp := range spans {
+			if !strings.HasPrefix(sp.Name, "coord.") && !strings.HasPrefix(sp.Name, "shard.") {
+				continue
+			}
+			var round int64
+			if _, err := fmt.Sscanf(sp.Trace, "round-%d", &round); err != nil {
+				t.Fatalf("span %s carries trace %q", sp.Name, sp.Trace)
+			}
+			end, ok := commitEnd[sp.Trace]
+			if !ok {
+				t.Fatalf("%s: span %s in a round that never committed", sp.Trace, sp.Name)
+			}
+			prev := commitEnd[obs.RoundTrace(round-1)] // 0 before round 1
+			if sp.StartNs < prev || sp.StartNs > end {
+				t.Fatalf("%s: span %s started at %d, outside its round's window (%d, %d]", sp.Trace, sp.Name, sp.StartNs, prev, end)
+			}
+			counts[sp.Name]++
+		}
+		for _, name := range []string{"coord.allocate", "coord.assign", "coord.migrate", "shard.install", "shard.extract", "shard.allocate", "shard.assign"} {
+			if counts[name] == 0 {
+				t.Fatalf("run recorded no %s span; the test covers less than it claims (%v)", name, counts)
+			}
+		}
+	}
+	t.Run("NumShards", func(t *testing.T) {
+		cfg := shardedTestConfig(2, 16)
+		cfg.Obs = tickingPlane()
+		check(t, cfg)
+	})
+	t.Run("ShardClients", func(t *testing.T) {
+		plane := tickingPlane()
+		clients := make([]rpc.ShardClient, 2)
+		for k := range clients {
+			srv, c := rpc.NewLocalShard()
+			srv.SetObs(plane)
+			clients[k] = c
+		}
+		cfg := serviceTestConfig(16, clients)
+		cfg.Obs = plane
+		check(t, cfg)
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"gavel/internal/chaos"
 	"gavel/internal/policy"
 	"gavel/internal/rpc"
+	"gavel/internal/scheduler"
 	"gavel/internal/workload"
 )
 
@@ -16,8 +17,8 @@ import (
 // observation order, for a single Observe flush to the shard daemon after
 // the round's progress is applied. Observations only feed the shard's
 // throughput cache — nothing reads the cache again before the next
-// allocation — so flushing a round's batch at once leaves the daemon's cache
-// byte-identical to the in-process engine's interleaved writes.
+// allocation — so flushing a round's batch at once leaves the cache exactly
+// as interleaved writes would.
 //
 // Under the submission plane the coordinator assigns wire job IDs distinct
 // from trace IDs, so every observation is translated through wire; and the
@@ -45,31 +46,43 @@ func (b *batchObserver) observeJob(id, typ int, rate float64) {
 	}
 }
 
-// runService executes the simulation on the cluster-service engine: the
-// sharded round loop of runSharded, driven through an rpc.Service over
-// Config.ShardClients instead of an in-process cluster.Coordinator. The two
-// engines are mirrors — same routing, same rebalance, same staleness and
-// retirement rules, applied in the same order — and gob moves floats
-// bit-exactly, so a service run over K clients produces a byte-identical
-// Result to an in-process run with NumShards = K. Unlike the in-process
-// engine, shard daemons can die mid-run: the coordinator detects the loss on
-// the next call, re-routes the dead shard's jobs onto the survivors with its
-// last snapshot's warm seeds, and the recovered jobs' next solves land
-// remapped, not cold.
+// runService executes a sharded simulation: one rpc.Service coordinates K
+// shards — jobs and devices partitioned, each shard owning its own solve
+// context, throughput cache, and round mechanism — through their
+// ShardClients. Per round, every stale shard recomputes its allocation and
+// every shard runs its mechanism concurrently; arrivals, departures,
+// rebalancing migrations, and progress application are serialized in
+// deterministic (trace and shard) order, so the merged Result is a pure
+// function of the config — independent of GOMAXPROCS, goroutine scheduling,
+// and transport: gob moves floats bit-exactly, so K shard daemons over TCP
+// (Config.ShardClients) produce a byte-identical Result to the K in-memory
+// shard servers Config.NumShards builds. Shard daemons, unlike in-memory
+// shards, can die mid-run: the coordinator detects the loss on the next call,
+// re-routes the dead shard's jobs onto the survivors with its last snapshot's
+// warm seeds, and the recovered jobs' next solves land remapped, not cold.
 func runService(cfg Config) (*Result, error) {
 	e, err := newRunEnv(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if s, ok := e.provider.(StableProvider); !ok || !s.StableEstimates() {
-		return nil, fmt.Errorf("simulator: the cluster-service engine requires a stable throughput provider (per-shard caches cannot track cross-pair learning)")
-	}
-	if !policy.ConcurrentSafe(cfg.Policy) {
-		return nil, fmt.Errorf("simulator: policy %s mutates internal state in Allocate and cannot run sharded (shards solve concurrently)", cfg.Policy.Name())
+	// Without ShardClients the shards live in this process: in-memory servers
+	// handed the policy instance itself (so policies the wire catalog cannot
+	// name still run) and the telemetry plane (so gavel_lp_* aggregates every
+	// shard's solves).
+	shardClients := cfg.ShardClients
+	if len(shardClients) == 0 {
+		shardClients = make([]rpc.ShardClient, cfg.NumShards)
+		for k := range shardClients {
+			srv, c := rpc.NewLocalShard()
+			srv.UsePolicy(cfg.Policy)
+			srv.SetObs(cfg.Obs)
+			shardClients[k] = c
+		}
 	}
 	spec, ok := rpc.SpecForPolicy(cfg.Policy)
 	if !ok {
-		return nil, fmt.Errorf("simulator: policy %s is not in the rpc catalog", cfg.Policy.Name())
+		// In-memory shards only (Validate): the name is a label, not a lookup.
+		spec = rpc.PolicySpec{Name: cfg.Policy.Name()}
 	}
 	pairCap := 0
 	if cfg.SpaceSharing {
@@ -81,7 +94,7 @@ func runService(cfg Config) (*Result, error) {
 	}
 
 	trace, states, res := e.trace, e.states, e.res
-	numShards := len(cfg.ShardClients)
+	numShards := len(shardClients)
 	stateOf := make(map[int]int, len(trace)) // coordinator job ID -> state index
 
 	// Under the submission plane the coordinator assigns its own job IDs;
@@ -94,10 +107,11 @@ func runService(cfg Config) (*Result, error) {
 		wire = func(id int) int { return wireOf[id] }
 	}
 
-	// The service ships pair candidates with every job placement; rows come
-	// from the provider exactly as syncPairs builds them in-process. The
-	// shard daemons apply them HasPair-gated, so answering for an
-	// already-cached pair is harmless.
+	// The service ships pair candidates with every job placement (arrival or
+	// migration destination); rows come from the provider. Pairs never cross
+	// shards: partitioning the jobs partitions the pairs. The shards apply
+	// them HasPair-gated, so answering for an already-cached pair is
+	// harmless.
 	var pairs rpc.PairSource
 	if cfg.SpaceSharing {
 		pairs = func(aID, bID int) ([]float64, []float64) {
@@ -118,12 +132,12 @@ func runService(cfg Config) (*Result, error) {
 	// the production retry/degrade/recover path. The telemetry plane rides
 	// both layers — retry outcome counters above, injected-fault counters
 	// below — without touching either one's rand stream.
-	clients := cfg.ShardClients
+	clients := shardClients
 	pol := cfg.RPC
 	pol.Obs = cfg.Obs
 	if cfg.Chaos.Enabled() || !pol.IsZero() || pol.Obs != nil {
-		clients = make([]rpc.ShardClient, len(cfg.ShardClients))
-		for k, c := range cfg.ShardClients {
+		clients = make([]rpc.ShardClient, numShards)
+		for k, c := range shardClients {
 			wrapped := chaos.Wrap(c, cfg.Chaos, k)
 			if tr, ok := wrapped.(*chaos.Transport); ok {
 				tr.SetObs(cfg.Obs)
@@ -135,7 +149,7 @@ func runService(cfg Config) (*Result, error) {
 	svc, err := rpc.NewService(rpc.ServiceConfig{
 		Cluster:           cfg.Cluster,
 		Policy:            spec,
-		LP:                cfg.lpOptions(),
+		LP:                cfg.LPOptions,
 		ColdSolves:        cfg.ColdSolves,
 		Route:             cfg.ShardRoute,
 		PairGainThreshold: pairGainThreshold,
@@ -338,36 +352,21 @@ func runService(cfg Config) (*Result, error) {
 			}
 		}
 
-		// Recompute every stale shard's allocation concurrently across the
-		// daemons.
-		info := func(id int) policy.JobInfo {
-			st := states[stateOf[id]]
-			j := st.job
-			ji := policy.JobInfo{
-				Weight:         j.Weight,
-				Priority:       j.Priority,
-				RemainingSteps: j.TotalSteps - st.steps,
-				TotalSteps:     j.TotalSteps,
-				Elapsed:        now - j.Arrival,
-				ArrivalSeq:     st.seq,
-				Entity:         j.Entity,
-			}
-			if j.SLO > 0 {
-				ji.SLORemaining = j.Arrival + j.SLO - now
-				if ji.SLORemaining < 1 {
-					ji.SLORemaining = 1
-				}
-			}
-			return ji
-		}
+		// Recompute every stale shard's allocation concurrently. The round
+		// being built is the one after the last sealed: res.Rounds+1.
+		building := int64(res.Rounds) + 1
+		info := func(id int) policy.JobInfo { return states[stateOf[id]].jobInfo(now) }
 		anyStale := false
 		for k := range reallocated {
 			alloc, _ := svc.Alloc(k)
 			reallocated[k] = svc.IsDirty(k) || alloc == nil
 			anyStale = anyStale || reallocated[k]
 		}
+		// PolicyTime is the wall-clock of the concurrent allocation phase —
+		// what a caller actually waits for — not the sum of per-shard solve
+		// times, which would overstate it by up to min(K, cores).
 		allocStart := time.Now()
-		if err := svc.AllocateAll(int64(res.Rounds), info, false); err != nil {
+		if err := svc.AllocateAll(building, info, false); err != nil {
 			return nil, fmt.Errorf("policy %s: %w", cfg.Policy.Name(), err)
 		}
 		if anyStale {
@@ -385,26 +384,34 @@ func runService(cfg Config) (*Result, error) {
 			}
 		}
 
-		// Round assignment fans out to the daemons; the merge validates the
+		// Round assignment fans out to the shards; the merge validates the
 		// per-shard and global budget invariants on the mirror. Progress,
 		// cost, and completion apply serially in shard order, with each
 		// shard's pair observations flushed back before the next shard.
-		skip := func(id int) bool { return states[stateOf[id]].done }
-		perShard, err := svc.AssignRound(int64(res.Rounds), e.round, skip)
-		if err != nil {
-			return nil, err
+		// Ideal execution skips the mechanism: every job advances exactly per
+		// its shard's mirrored allocation.
+		var perShard [][]scheduler.Assignment
+		if !cfg.IdealExecution {
+			skip := func(id int) bool { return states[stateOf[id]].done }
+			if perShard, err = svc.AssignRound(building, e.round, skip); err != nil {
+				return nil, err
+			}
 		}
 		for k := 0; k < numShards; k++ {
 			alloc, _ := svc.Alloc(k)
 			if alloc == nil || len(alloc.Units) == 0 {
 				continue
 			}
-			if cfg.OnRound != nil {
-				cfg.OnRound(now, alloc, allocStates[k], perShard[k])
-			}
 			batch := &batchObserver{wire: wire, measure: admission}
 			var dirtied bool
-			applyAssignments(cfg, batch, states, allocStates[k], alloc, perShard[k], e.round, now, e.prices, e.noise, &dirtied, &completed, res)
+			if cfg.IdealExecution {
+				advanceIdeal(cfg, states, allocStates[k], alloc, e.round, now, e.prices, e.noise, &dirtied, &completed, res)
+			} else {
+				if cfg.OnRound != nil {
+					cfg.OnRound(now, alloc, allocStates[k], perShard[k])
+				}
+				applyAssignments(cfg, batch, states, allocStates[k], alloc, perShard[k], e.round, now, e.prices, e.noise, &dirtied, &completed, res)
+			}
 			if dirtied {
 				if err := svc.MarkDirty(k); err != nil {
 					return nil, err
@@ -508,26 +515,8 @@ func runService(cfg Config) (*Result, error) {
 			StaleAllocs:        svc.StaleAllocs(st.Index),
 			QuarantinedJobs:    svc.QuarantinedJobs(st.Index),
 		})
-		res.LPSolves += st.Solve.Solves
-		res.WarmSolves += st.Solve.WarmHits
-		res.RemappedSolves += st.Solve.RemapHits
-		res.SimplexIterations += st.Solve.Iterations
-		res.RevisedSolves += st.Solve.RevisedSolves
-		res.DenseSolves += st.Solve.DenseSolves
-		res.EngineFallbacks += st.Solve.Fallbacks
-		res.PresolveReductions += st.Solve.PresolveReductions
-		res.DualIterations += st.Solve.DualIterations
+		res.addSolveStats(st.Solve)
 	}
-
-	for _, st := range states {
-		if !st.done {
-			res.Unfinished++
-		}
-	}
-	for i := range res.Jobs {
-		if res.Jobs[i].SLOViolated {
-			res.SLOViolations++
-		}
-	}
+	res.finish(states)
 	return res, nil
 }

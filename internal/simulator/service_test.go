@@ -8,19 +8,20 @@ import (
 	"gavel/internal/scheduler"
 )
 
-// serviceTestConfig is shardedTestConfig driven through the cluster-service
-// engine instead of the in-process coordinator.
+// serviceTestConfig is shardedTestConfig over caller-supplied shard clients
+// instead of NumShards in-memory shards.
 func serviceTestConfig(jobs int, clients []rpc.ShardClient) Config {
 	cfg := shardedTestConfig(0, jobs)
 	cfg.ShardClients = clients
 	return cfg
 }
 
-// TestServiceLocalTransportMatchesInProcess is the engine-equivalence
-// acceptance: a run over the rpc.Service with in-memory shard clients must be
-// byte-identical to an in-process run with the same shard count — same
-// allocations, same costs, same solve buckets, same per-shard stats.
-func TestServiceLocalTransportMatchesInProcess(t *testing.T) {
+// TestServiceSuppliedLocalShardsMatchNumShards is the two-doors-one-room
+// acceptance: caller-supplied in-memory shard clients (policy built from its
+// catalog name, as a daemon would) must be byte-identical to NumShards
+// in-memory shards (policy instance handed over) at the same shard count —
+// same allocations, same costs, same solve buckets, same per-shard stats.
+func TestServiceSuppliedLocalShardsMatchNumShards(t *testing.T) {
 	ref, err := Run(shardedTestConfig(2, 24))
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +35,7 @@ func TestServiceLocalTransportMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fingerprint(t, got) != want {
-		t.Fatal("service engine (local transport) differs from in-process sharded engine")
+		t.Fatal("supplied local shard clients differ from NumShards in-memory shards")
 	}
 	if got.Recoveries != 0 {
 		t.Fatalf("no shard died, but Recoveries = %d", got.Recoveries)
@@ -59,10 +60,11 @@ func startShardDaemon(t *testing.T) (*rpc.ShardServer, rpc.ShardClient) {
 	return srv, c
 }
 
-// TestServiceTCPTransportMatchesInProcess runs the same equivalence over real
-// loopback sockets: every message gob-encoded, floats bit-exact, so the wire
-// adds nothing and removes nothing.
-func TestServiceTCPTransportMatchesInProcess(t *testing.T) {
+// TestServiceTCPTransportMatchesLocal runs the same equivalence over real
+// loopback sockets against the in-memory transport: every message
+// gob-encoded, floats bit-exact, so the wire adds nothing and removes
+// nothing.
+func TestServiceTCPTransportMatchesLocal(t *testing.T) {
 	ref, err := Run(shardedTestConfig(2, 16))
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +78,7 @@ func TestServiceTCPTransportMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fingerprint(t, got) != want {
-		t.Fatal("service engine (TCP transport) differs from in-process sharded engine")
+		t.Fatal("TCP transport differs from the in-memory transport")
 	}
 }
 

@@ -1,13 +1,18 @@
 package simulator
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"testing"
 
 	"gavel/internal/cluster"
 	"gavel/internal/policy"
+	"gavel/internal/rpc"
 	"gavel/internal/workload"
 )
 
@@ -38,6 +43,135 @@ func fingerprint(t *testing.T, r *Result) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestShardedMatchesParentGolden pins the NumShards path — rpc.Service over
+// in-memory shard servers — to the engine it replaced: the digests in
+// testdata/sharded_golden.json were produced by the in-process
+// cluster.Coordinator loop at the last commit that had one, and the results
+// must still be byte-identical.
+func TestShardedMatchesParentGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/sharded_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Arch  string
+		Cases map[string]string
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOARCH != golden.Arch {
+		t.Skipf("digests were recorded on %s", golden.Arch)
+	}
+	cases := map[string]Config{}
+	for _, k := range []int{1, 2, 4} {
+		cases[fmt.Sprintf("k%d", k)] = shardedTestConfig(k, 24)
+	}
+	ll := shardedTestConfig(3, 24)
+	ll.ShardRoute = cluster.RouteLeastLoaded
+	ll.ReallocEveryRounds = 4
+	cases["k3_least_loaded_realloc4"] = ll
+	if len(cases) != len(golden.Cases) {
+		t.Fatalf("golden file has %d cases, the test %d", len(golden.Cases), len(cases))
+	}
+	for name, cfg := range cases {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256([]byte(fingerprint(t, res)))
+		if got := hex.EncodeToString(sum[:]); got != golden.Cases[name] {
+			t.Errorf("%s: result digest %s, the parent's in-process engine gave %s", name, got, golden.Cases[name])
+		}
+	}
+}
+
+// TestShardedRunsUncatalogedPolicy covers the in-memory policy hand-off: a
+// policy the rpc catalog cannot name (the heterogeneity-agnostic wrapper)
+// runs on NumShards in-memory shard servers, and is still refused when the
+// shards are caller-supplied clients that would have to build it by name.
+func TestShardedRunsUncatalogedPolicy(t *testing.T) {
+	cfg := shardedTestConfig(2, 12)
+	cfg.Policy = &policy.Agnostic{Inner: &policy.MaxMinFairness{}}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unfinished != 0 || res.NumShards != 2 || res.LPSolves == 0 {
+		t.Fatalf("agnostic policy on 2 shards: %d unfinished, %d shards, %d solves", res.Unfinished, res.NumShards, res.LPSolves)
+	}
+	_, c0 := rpc.NewLocalShard()
+	_, c1 := rpc.NewLocalShard()
+	cfg.NumShards, cfg.ShardClients = 0, []rpc.ShardClient{c0, c1}
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("expected Validate to refuse an uncataloged policy over supplied shard clients")
+	}
+}
+
+// TestShardedIdealExecution covers ideal execution on the sharded loop: every
+// job advances exactly per its shard's allocation (no mechanism round), two
+// shards complete, and one shard owning the whole cluster reproduces the
+// monolithic ideal run job for job.
+func TestShardedIdealExecution(t *testing.T) {
+	cfg := shardedTestConfig(2, 16)
+	cfg.IdealExecution = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unfinished != 0 {
+		t.Fatalf("K=2 ideal run left %d jobs unfinished", res.Unfinished)
+	}
+
+	cfg.NumShards, cfg.RebalanceEveryRounds = 1, 0
+	one, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NumShards = 0
+	mono, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range mono.Jobs {
+		a, b := one.Jobs[i], mono.Jobs[i]
+		if a.ID != b.ID || a.Completion != b.Completion || a.CostDollars != b.CostDollars {
+			t.Errorf("job %d: K=1 ideal (%v, $%v) vs monolithic ideal (%v, $%v)", b.ID, a.Completion, a.CostDollars, b.Completion, b.CostDollars)
+		}
+	}
+	if one.Makespan != mono.Makespan || one.TotalCost != mono.TotalCost {
+		t.Errorf("K=1 ideal makespan/cost %v/%v vs monolithic %v/%v", one.Makespan, one.TotalCost, mono.Makespan, mono.TotalCost)
+	}
+}
+
+// TestValidateOwnsShardedPreconditions pins Validate as the single home of
+// the sharded preconditions: everything Run refuses, Validate refuses first.
+func TestValidateOwnsShardedPreconditions(t *testing.T) {
+	bad := map[string]func(*Config){
+		"unstable provider": func(c *Config) { c.Provider = unstableProvider{} },
+		"serial policy":     func(c *Config) { c.Policy = policy.NewGandivaSpaceSharing(1) },
+		"wrapped serial":    func(c *Config) { c.Policy = &policy.Agnostic{Inner: policy.NewGandivaSpaceSharing(1)} },
+		"shard count":       func(c *Config) { _, cl := rpc.NewLocalShard(); c.ShardClients = []rpc.ShardClient{cl} },
+		"admission unsharded": func(c *Config) {
+			c.NumShards = 0
+			c.Admission = &rpc.AdmissionConfig{}
+		},
+	}
+	for name, mutate := range bad {
+		cfg := shardedTestConfig(2, 4)
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a configuration Run refuses", name)
+		}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run accepted the configuration", name)
+		}
+	}
+	if err := shardedTestConfig(2, 4).Validate(); err != nil {
+		t.Fatalf("valid sharded config refused: %v", err)
+	}
 }
 
 // TestShardedDeterminism is the no-ordering-leak acceptance: the same trace
