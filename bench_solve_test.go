@@ -490,6 +490,11 @@ type solveBenchRecord struct {
 	PresolveReductions int     `json:"presolve_reductions"`
 	DualIterations     int     `json:"dual_iterations"`
 	NsPerReset         float64 `json:"ns_per_reset"`
+	// BuildMs is the mean per-reset wall-clock Allocate spent outside its LP
+	// solves (program build, basis remap, extraction), read from the
+	// gavel_policy_build_seconds series. Recorded on the 4096-job tier,
+	// where it once exceeded the solve itself (DESIGN.md, "Reset path").
+	BuildMs float64 `json:"build_ms,omitempty"`
 }
 
 // measureSolveResets runs a fixed number of re-solves under the given
@@ -504,12 +509,19 @@ func measureSolveResets(polName string, p policy.Policy, n, resets int, scenario
 	ctx.NoWarm = !warm
 	ctx.Engine = engine
 	ctx.Pricing = pricing
+	if n >= 4096 {
+		ctx.Metrics = obs.NewLPMetrics(obs.NewRegistry())
+	}
 	rng := rand.New(rand.NewSource(99))
 	nextID := n
 	if _, err := p.Allocate(in, ctx); err != nil {
 		panic(err)
 	}
 	prime := ctx.Stats
+	primeBuild := 0.0
+	if ctx.Metrics != nil {
+		primeBuild = ctx.Metrics.BuildSeconds.Sum()
+	}
 	start := time.Now()
 	for i := 0; i < resets; i++ {
 		if scenario == "drift" {
@@ -537,8 +549,13 @@ func measureSolveResets(polName string, p policy.Policy, n, resets int, scenario
 	if pricing == lp.PricingAuto {
 		prName = lp.DefaultPricing.String()
 	}
+	buildMs := 0.0
+	if ctx.Metrics != nil {
+		buildMs = (ctx.Metrics.BuildSeconds.Sum() - primeBuild) * 1e3 / float64(resets)
+	}
 	return solveBenchRecord{
-		Policy: polName, Jobs: n, Scenario: scenario, Mode: mode, Engine: engName, Pricing: prName, Resets: resets,
+		BuildMs: buildMs,
+		Policy:  polName, Jobs: n, Scenario: scenario, Mode: mode, Engine: engName, Pricing: prName, Resets: resets,
 		LPSolves:           ctx.Stats.Solves - prime.Solves,
 		WarmSolves:         ctx.Stats.WarmHits - prime.WarmHits,
 		RemappedSolves:     ctx.Stats.RemapHits - prime.RemapHits,
@@ -554,6 +571,7 @@ func measureSolveResets(polName string, p policy.Policy, n, resets int, scenario
 //
 //	GAVEL_WRITE_BENCH=1 go test -run TestWriteSolveBenchJSON        # full regeneration
 //	GAVEL_WRITE_BENCH=sharded go test -run TestWriteSolveBenchJSON  # refresh only sharded_records
+//	GAVEL_WRITE_BENCH=cost4096 go test -run TestWriteSolveBenchJSON # refresh only the 4096-job cost records
 //
 // The "sharded" mode preserves the existing per-policy records (whose dense
 // 512-job cells take minutes to re-measure) and re-measures only the sharded
@@ -564,6 +582,10 @@ func TestWriteSolveBenchJSON(t *testing.T) {
 		t.Skip("set GAVEL_WRITE_BENCH=1 to (re)generate BENCH_solve.json")
 	}
 	doc := map[string]any{}
+	if mode == "cost4096" {
+		refreshCost4096Records(t)
+		return
+	}
 	if mode == "sharded" {
 		data, err := os.ReadFile("BENCH_solve.json")
 		if err != nil {
@@ -637,6 +659,42 @@ func TestWriteSolveBenchJSON(t *testing.T) {
 	doc["sharded_records"] = sharded
 	doc["sharded_note"] = "1024-job resets through the sharded scheduler service (rpc.Service over in-memory shard servers): per-shard warm/remap/cold solve buckets exclude the cold prime; every 4th reset churns the job set through the router, so shard-level remaps are exercised; ns_per_reset is hardware-local and maxprocs records the measurement's GOMAXPROCS — at maxprocs=1 the K=4 speedup is the algorithmic floor alone (smaller LPs are superlinearly cheaper, ~2x); on >= 4 cores the shards' solves also run concurrently, multiplying the floor by up to min(shards, cores)"
 
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile("BENCH_solve.json", append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refreshCost4096Records re-measures the six 4096-job cost cells (three
+// scenarios, cold and warm) and replaces them in BENCH_solve.json, leaving
+// every other record as it is.
+func refreshCost4096Records(t *testing.T) {
+	data, err := os.ReadFile("BENCH_solve.json")
+	if err != nil {
+		t.Fatalf("cost4096 mode refreshes an existing file: %v", err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var records []solveBenchRecord
+	if err := json.Unmarshal(doc["records"], &records); err != nil {
+		t.Fatal(err)
+	}
+	for i := range records {
+		r := &records[i]
+		if r.Policy != "cost" || r.Jobs != 4096 {
+			continue
+		}
+		*r = measureSolveResets("cost", &policy.MinCost{}, 4096, r.Resets, r.Scenario, r.Mode == "warm", lp.Revised, lp.PricingAuto)
+		t.Logf("cost 4096 %s %s: %.1f ms/reset, build %.1f ms", r.Scenario, r.Mode, r.NsPerReset/1e6, r.BuildMs)
+	}
+	if doc["records"], err = json.Marshal(records); err != nil {
+		t.Fatal(err)
+	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)

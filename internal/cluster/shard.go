@@ -167,6 +167,7 @@ func (s *Shard) Allocate(pol policy.Policy, minGain float64, maxPairs int, info 
 		Workers: s.Workers,
 		Prices:  s.Prices,
 		Units:   s.Cache.Units(ids, minGain, maxPairs),
+		Jobs:    make([]policy.JobInfo, 0, len(ids)),
 	}
 	for _, id := range ids {
 		ji := info(id)

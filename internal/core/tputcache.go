@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ThroughputCache maintains the (job × scheduling-unit) effective-throughput
 // matrices a policy input is built from, incrementally under job add/remove
@@ -28,6 +31,18 @@ type ThroughputCache struct {
 	scored   []pairScore
 	inScored map[[2]int]float64 // exact gain each scored entry carries
 	dirty    map[[2]int]bool
+
+	// Scratch reused by flushDirty and Units; nothing here outlives a call.
+	fresh, kept []pairScore
+	pos         map[int]int
+	cands       []pairCand
+	pairCount   []int
+}
+
+// pairCand is one pair candidate of a Units call, by position within ids.
+type pairCand struct {
+	a, b int
+	gain float64
 }
 
 // pairScore is one entry of the sorted candidate list.
@@ -48,15 +63,20 @@ func scoreLess(x, y pairScore) bool {
 	return x.key[1] < y.key[1]
 }
 
+// cachedJob is one job's isolated row. key is its single-job unit's stable
+// identity (JobKey), minted once when the job is added and handed to every
+// Unit that Units builds for it.
 type cachedJob struct {
 	tput        []float64
 	scaleFactor int
+	key         string
 }
 
 // cachedPair stores the per-type colocated throughputs of a pair, with `lo`
-// the member with the smaller job ID.
+// the member with the smaller job ID, and the pair unit's key (PairKey).
 type cachedPair struct {
 	lo, hi []float64
+	key    string
 }
 
 // NewThroughputCache returns an empty cache over numTypes accelerator types.
@@ -92,7 +112,7 @@ func (c *ThroughputCache) flushDirty() {
 	if len(c.dirty) == 0 {
 		return
 	}
-	fresh := make([]pairScore, 0, len(c.dirty))
+	fresh := c.fresh[:0]
 	for key := range c.dirty {
 		delete(c.inScored, key)
 		if g := c.PairGain(key[0], key[1]); g > 0 {
@@ -100,8 +120,18 @@ func (c *ThroughputCache) flushDirty() {
 			c.inScored[key] = g
 		}
 	}
-	sort.Slice(fresh, func(a, b int) bool { return scoreLess(fresh[a], fresh[b]) })
-	kept := make([]pairScore, 0, len(c.scored)+len(fresh))
+	// scoreLess is a strict total order (keys are distinct), so the sorted
+	// run does not depend on the map's iteration order or the sort algorithm.
+	slices.SortFunc(fresh, func(x, y pairScore) int {
+		switch {
+		case scoreLess(x, y):
+			return -1
+		case scoreLess(y, x):
+			return 1
+		}
+		return 0
+	})
+	kept := c.kept[:0]
 	for _, s := range c.scored {
 		if !c.dirty[s.key] {
 			kept = append(kept, s)
@@ -121,7 +151,8 @@ func (c *ThroughputCache) flushDirty() {
 	}
 	c.scored = append(c.scored, kept[i:]...)
 	c.scored = append(c.scored, fresh[j:]...)
-	c.dirty = map[[2]int]bool{}
+	c.fresh, c.kept = fresh[:0], kept[:0]
+	clear(c.dirty)
 }
 
 // NumTypes returns the accelerator-type count the cache was built for.
@@ -149,7 +180,10 @@ func (c *ThroughputCache) AddJob(id, scaleFactor int, tput []float64) {
 	if scaleFactor < 1 {
 		scaleFactor = 1
 	}
-	c.jobs[id] = &cachedJob{tput: append([]float64(nil), tput...), scaleFactor: scaleFactor}
+	c.jobs[id] = &cachedJob{
+		tput: append([]float64(nil), tput...), scaleFactor: scaleFactor,
+		key: JobKey(id),
+	}
 	c.markJobDirty(id)
 }
 
@@ -215,8 +249,9 @@ func (c *ThroughputCache) SetPair(a, b int, ta, tb []float64) {
 		ta, tb = tb, ta
 	}
 	c.pairs[key] = &cachedPair{
-		lo: append([]float64(nil), ta...),
-		hi: append([]float64(nil), tb...),
+		lo:  append([]float64(nil), ta...),
+		hi:  append([]float64(nil), tb...),
+		key: PairKey(a, b),
 	}
 	if c.peers[a] == nil {
 		c.peers[a] = map[int]bool{}
@@ -261,7 +296,7 @@ func (c *ThroughputCache) ObservePair(a, b, typ int, ta, tb float64) {
 	lo := append([]float64(nil), p.lo...)
 	hi := append([]float64(nil), p.hi...)
 	lo[typ], hi[typ] = ta, tb
-	c.pairs[pairIDKey(a, b)] = &cachedPair{lo: lo, hi: hi}
+	c.pairs[pairIDKey(a, b)] = &cachedPair{lo: lo, hi: hi, key: p.key}
 	c.markPairDirty(pairIDKey(a, b))
 }
 
@@ -310,23 +345,57 @@ func (c *ThroughputCache) PairGain(a, b int) float64 {
 // policy.SolveContext uses to remap cached simplex bases across job-set
 // changes.
 func (c *ThroughputCache) Units(ids []int, minGain float64, maxPairs int) []Unit {
-	units := make([]Unit, 0, len(ids))
+	var cands []pairCand
+	if maxPairs > 0 && len(c.pairs) > 0 {
+		cands = c.pairCandidates(ids, minGain, maxPairs)
+	}
+	// The units are the caller's to keep (the allocation built over them
+	// outlives the next call), so they are allocated fresh — as three
+	// slabs, not two slices per unit: the units, their member lists, and
+	// their throughput-row headers.
+	n := len(ids) + len(cands)
+	units := make([]Unit, n)
+	jobs := make([]int, len(ids)+2*len(cands))
+	rows := make([][]float64, len(ids)+2*len(cands))
+	var zero []float64
 	for m, id := range ids {
-		tput := c.JobTput(id)
-		if tput == nil {
-			tput = make([]float64, c.numTypes)
+		jobs[m] = m
+		u := &units[m]
+		u.Jobs = jobs[m : m+1 : m+1]
+		u.Tput = rows[m : m+1 : m+1]
+		if j, ok := c.jobs[id]; ok {
+			rows[m] = j.tput
+			u.Key = j.key
+			continue
 		}
-		units = append(units, Single(m, tput).Keyed(JobKey(id)))
+		if zero == nil {
+			zero = make([]float64, c.numTypes)
+		}
+		rows[m] = zero
+		u.Key = JobKey(id)
 	}
-	if maxPairs <= 0 || len(c.pairs) == 0 {
-		return units
+	for i, s := range cands {
+		at := len(ids) + 2*i
+		p := c.pairs[pairIDKey(ids[s.a], ids[s.b])]
+		jobs[at], jobs[at+1] = s.a, s.b
+		if ids[s.a] > ids[s.b] {
+			rows[at], rows[at+1] = p.hi, p.lo
+		} else {
+			rows[at], rows[at+1] = p.lo, p.hi
+		}
+		u := &units[len(ids)+i]
+		u.Jobs = jobs[at : at+2 : at+2]
+		u.Tput = rows[at : at+2 : at+2]
+		u.Key = p.key
 	}
+	return units
+}
 
-	type scored struct {
-		a, b int // positions within ids
-		gain float64
-	}
-	var cands []scored
+// pairCandidates selects the pair units of a Units call: candidates above
+// minGain in decreasing gain order (ties by position), capped at maxPairs
+// per job. The result is the cache's scratch, valid until the next call.
+func (c *ThroughputCache) pairCandidates(ids []int, minGain float64, maxPairs int) []pairCand {
+	cands := c.cands[:0]
 	if minGain < 0 {
 		// A negative threshold admits pairs the cache has never seen
 		// (gain 0), which the candidate list deliberately excludes; keep
@@ -340,7 +409,7 @@ func (c *ThroughputCache) Units(ids []int, minGain float64, maxPairs int) []Unit
 					continue
 				}
 				if g := c.PairGain(ids[a], ids[b]); g > minGain {
-					cands = append(cands, scored{a: a, b: b, gain: g})
+					cands = append(cands, pairCand{a: a, b: b, gain: g})
 				}
 			}
 		}
@@ -349,7 +418,11 @@ func (c *ThroughputCache) Units(ids []int, minGain float64, maxPairs int) []Unit
 		// against the requested job set: O(matches) after the dirty-pair
 		// patch, instead of recomputing O(n²) gains.
 		c.flushDirty()
-		pos := make(map[int]int, len(ids))
+		if c.pos == nil {
+			c.pos = make(map[int]int, len(ids))
+		}
+		pos := c.pos
+		clear(pos)
 		for m, id := range ids {
 			pos[id] = m
 		}
@@ -369,27 +442,37 @@ func (c *ThroughputCache) Units(ids []int, minGain float64, maxPairs int) []Unit
 			if a > b {
 				a, b = b, a
 			}
-			cands = append(cands, scored{a: a, b: b, gain: s.gain})
+			cands = append(cands, pairCand{a: a, b: b, gain: s.gain})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].gain != cands[j].gain {
-			return cands[i].gain > cands[j].gain
+	// A strict total order (positions are distinct), so the result does not
+	// depend on the sort algorithm.
+	slices.SortFunc(cands, func(x, y pairCand) int {
+		switch {
+		case x.gain != y.gain:
+			if x.gain > y.gain {
+				return -1
+			}
+			return 1
+		case x.a != y.a:
+			return x.a - y.a
 		}
-		if cands[i].a != cands[j].a {
-			return cands[i].a < cands[j].a
-		}
-		return cands[i].b < cands[j].b
+		return x.b - y.b
 	})
-	pairCount := make([]int, len(ids))
+	c.pairCount = growInts(c.pairCount, len(ids))
+	pairCount := c.pairCount
+	for i := range pairCount {
+		pairCount[i] = 0
+	}
+	kept := cands[:0]
 	for _, s := range cands {
 		if pairCount[s.a] >= maxPairs || pairCount[s.b] >= maxPairs {
 			continue
 		}
 		pairCount[s.a]++
 		pairCount[s.b]++
-		ta, tb, _ := c.PairTput(ids[s.a], ids[s.b])
-		units = append(units, Pair(s.a, s.b, ta, tb).Keyed(PairKey(ids[s.a], ids[s.b])))
+		kept = append(kept, s)
 	}
-	return units
+	c.cands = cands[:0]
+	return kept
 }

@@ -39,12 +39,13 @@ func (maxMinNoRefine) Allocate(in *policy.Input, ctx *policy.SolveContext) (*cor
 	// Pareto-improving pass.
 	minNorm := -1.0
 	norms := make([]float64, len(in.Jobs))
+	tput := alloc.EffectiveThroughputs(len(in.Jobs))
 	for m := range in.Jobs {
 		eq := core.EqualShareThroughput(in.Jobs[m].Tput, in.Workers)
 		if eq <= 0 {
 			continue
 		}
-		norms[m] = alloc.EffectiveThroughput(m) / eq
+		norms[m] = tput[m] / eq
 		if minNorm < 0 || norms[m] < minNorm {
 			minNorm = norms[m]
 		}

@@ -90,9 +90,9 @@ func hierarchyTimeline(intra policy.EntityPolicy, title string) (*HierarchyOutco
 		// Normalized per-job share of total effective throughput.
 		shares := make([]float64, numJobs)
 		total := 0.0
-		norm := make([]float64, arrived)
+		norm := alloc.EffectiveThroughputs(arrived)
 		for m := 0; m < arrived; m++ {
-			norm[m] = alloc.EffectiveThroughput(m) / core.EqualShareThroughput(in.Jobs[m].Tput, workers)
+			norm[m] /= core.EqualShareThroughput(in.Jobs[m].Tput, workers)
 			total += norm[m]
 		}
 		if total > 0 {
@@ -113,6 +113,7 @@ func hierarchyTimeline(intra policy.EntityPolicy, title string) (*HierarchyOutco
 	// jobs — then total effective normalized throughput is compared.
 	staticTotal := 0.0
 	awareTotal := 0.0
+	lastTput := lastAlloc.EffectiveThroughputs(len(lastIn.Jobs))
 	for m := range lastIn.Jobs {
 		e := lastIn.Jobs[m].Entity
 		entW := []float64{1, 2, 3}[e] / 6.0
@@ -123,7 +124,7 @@ func hierarchyTimeline(intra policy.EntityPolicy, title string) (*HierarchyOutco
 		}
 		norm := core.EqualShareThroughput(lastIn.Jobs[m].Tput, workers)
 		staticTotal += tp / norm
-		awareTotal += lastAlloc.EffectiveThroughput(m) / norm
+		awareTotal += lastTput[m] / norm
 	}
 	out.TotalGainOverStatic = awareTotal / staticTotal
 

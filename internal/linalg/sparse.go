@@ -28,6 +28,8 @@ type SparseCol struct {
 // the input was linearly dependent on the columns pivoted before it.
 // FreeRows lists the rows not yet pivoted when the dependency surfaced; a
 // caller repairing the basis can re-cover any of them with a unit column.
+// The value LU.Factorize returns belongs to its Scratch and is valid until
+// the next factorization with it.
 type SingularError struct {
 	Col      int
 	FreeRows []int
@@ -46,15 +48,23 @@ type luEntry struct {
 // LU is a sparse LU factorization of a square matrix B with row and column
 // permutations: processing columns q[0..n) in order, pivoting rows p[0..n).
 // FTran and BTran are the simplex engine's forward and transpose solves.
+//
+// Each factor is one contiguous entry slab plus per-step offsets (step k's
+// entries are ent[start[k]:start[k+1]], in the order the elimination
+// produced them), so the triangular solves stream through memory instead of
+// chasing one slice header per column, and Factorize can rebuild the
+// factorization in place: an LU grows to the largest basis it has held and
+// never allocates again.
 type LU struct {
 	n         int
-	p         []int       // step -> pivot row
-	q         []int       // step -> original column
-	stepOfRow []int       // row -> step
-	lcols     [][]luEntry // per step: (row, multiplier) below the diagonal
-	ucols     [][]luEntry // per step k: (step s<k, u[s][k]) above the diagonal
-	diag      []float64   // u[k][k]
-	nnz       int
+	p         []int     // step -> pivot row
+	q         []int     // step -> original column
+	stepOfRow []int     // row -> step
+	lstart    []int     // step k's L entries are lent[lstart[k]:lstart[k+1]]
+	lent      []luEntry // (row, multiplier) below the diagonal
+	ustart    []int     // step k's U entries are uent[ustart[k]:ustart[k+1]]
+	uent      []luEntry // (step s<k, u[s][k]) above the diagonal
+	diag      []float64 // u[k][k]
 	z         []float64 // solve scratch, step-indexed
 }
 
@@ -66,122 +76,108 @@ const (
 	luAbsTol = 1e-11
 )
 
-// Scratch holds the transient workspaces of FactorizeSparseInto plus a pool
-// of retired LU shells, so a caller that refactorizes the same-sized basis
-// every few dozen pivots (the revised simplex engine) reuses the backing
-// arrays instead of reallocating them per factorization. The zero value is
-// ready to use; a Scratch is not safe for concurrent factorizations.
+// Scratch holds the transient workspaces of LU.Factorize, so a caller that
+// refactorizes every few dozen pivots (the revised simplex engine) reuses
+// them instead of reallocating per factorization. The zero value is ready to
+// use; a Scratch is not safe for concurrent factorizations.
 type Scratch struct {
 	x       []float64
 	seen    []int
 	visited []int
 	touched []int
 	reach   []int
+	stack   []int
 	order   []int
+	bucket  []int
 	rowCnt  []int
-	spare   []*LU
+	// singular is the error value Factorize returns for a dependent column,
+	// reused so that a basis repair loop (factorize, replace the dependent
+	// column, retry) allocates nothing either.
+	singular SingularError
 }
 
+// growF and growI resize s to n elements, reallocating (with a quarter of
+// headroom, so a slowly growing basis does not reallocate at every size)
+// only when the capacity falls short. Contents are unspecified.
 func growF(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]float64, n, n+n/4)
 	}
 	return s[:n]
 }
 
 func growI(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]int, n, n+n/4)
 	}
 	return s[:n]
-}
-
-// Recycle returns a retired factorization's arrays to the pool. The caller
-// must not use lu after recycling it.
-func (sc *Scratch) Recycle(lu *LU) {
-	if sc == nil || lu == nil || len(sc.spare) >= 2 {
-		return
-	}
-	sc.spare = append(sc.spare, lu)
-}
-
-// shell returns an LU whose top-level arrays are sized for n, reusing a
-// recycled factorization's backing storage when one fits.
-func (sc *Scratch) shell(n int) *LU {
-	if sc != nil {
-		for i, lu := range sc.spare {
-			if cap(lu.p) >= n && cap(lu.lcols) >= n {
-				sc.spare = append(sc.spare[:i], sc.spare[i+1:]...)
-				lu.n = n
-				lu.p, lu.q, lu.stepOfRow = lu.p[:n], lu.q[:n], lu.stepOfRow[:n]
-				lu.diag, lu.z = lu.diag[:n], lu.z[:n]
-				lu.lcols, lu.ucols = lu.lcols[:n], lu.ucols[:n]
-				for k := 0; k < n; k++ {
-					lu.lcols[k] = lu.lcols[k][:0]
-					lu.ucols[k] = lu.ucols[k][:0]
-				}
-				lu.nnz = 0
-				return lu
-			}
-		}
-	}
-	return &LU{
-		n:         n,
-		p:         make([]int, n),
-		q:         make([]int, n),
-		stepOfRow: make([]int, n),
-		lcols:     make([][]luEntry, n),
-		ucols:     make([][]luEntry, n),
-		diag:      make([]float64, n),
-		z:         make([]float64, n),
-	}
 }
 
 // FactorizeSparse computes the LU factorization of the n x n matrix whose
 // columns are cols. It returns a *SingularError when a column turns out
 // linearly dependent on the columns already pivoted.
 func FactorizeSparse(n int, cols []SparseCol) (*LU, error) {
-	return FactorizeSparseInto(n, cols, nil)
+	f := new(LU)
+	if err := f.Factorize(n, cols, new(Scratch)); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
-// FactorizeSparseInto is FactorizeSparse with caller-owned scratch buffers:
-// a non-nil sc supplies (and keeps) every transient workspace, so repeated
-// factorizations allocate only the factor entries themselves. sc may be nil.
-func FactorizeSparseInto(n int, cols []SparseCol, sc *Scratch) (*LU, error) {
+// Factorize rebuilds f as the LU factorization of the n x n matrix whose
+// columns are cols, reusing f's storage and sc's workspaces: once both have
+// grown to the largest n seen, a refactorization allocates nothing. On error
+// (a *SingularError for a dependent column) f holds no usable factorization.
+func (f *LU) Factorize(n int, cols []SparseCol, sc *Scratch) error {
 	if len(cols) != n {
-		return nil, fmt.Errorf("linalg: FactorizeSparse wants %d columns, got %d", n, len(cols))
+		return fmt.Errorf("linalg: FactorizeSparse wants %d columns, got %d", n, len(cols))
 	}
-	var local Scratch
-	if sc == nil {
-		sc = &local
-	}
-	f := sc.shell(n)
+	f.n = n
+	f.p, f.q, f.stepOfRow = growI(f.p, n), growI(f.q, n), growI(f.stepOfRow, n)
+	f.lstart, f.ustart = growI(f.lstart, n+1), growI(f.ustart, n+1)
+	f.diag, f.z = growF(f.diag, n), growF(f.z, n)
+	f.lent, f.uent = f.lent[:0], f.uent[:0]
 	for i := range f.stepOfRow {
 		f.stepOfRow[i] = -1
 	}
 
-	// Static Markowitz ordering: columns by ascending nonzero count; original
-	// row counts for the dynamic row choice.
-	sc.order = growI(sc.order, n)
-	order := sc.order
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(cols[order[a]].Rows) < len(cols[order[b]].Rows)
-	})
+	// Static Markowitz ordering: columns by ascending nonzero count (a
+	// stable counting sort, so equal counts keep their input order);
+	// original row counts for the dynamic row choice.
 	sc.rowCnt = growI(sc.rowCnt, n)
 	rowCount := sc.rowCnt
 	for i := range rowCount {
 		rowCount[i] = 0
 	}
+	maxCnt := 0
 	for j := range cols {
+		if c := len(cols[j].Rows); c > maxCnt {
+			maxCnt = c
+		}
 		for _, r := range cols[j].Rows {
 			if r < 0 || r >= n {
-				return nil, fmt.Errorf("linalg: column %d references row %d of %d", j, r, n)
+				return fmt.Errorf("linalg: column %d references row %d of %d", j, r, n)
 			}
 			rowCount[r]++
 		}
+	}
+	sc.bucket = growI(sc.bucket, maxCnt+2)
+	bucket := sc.bucket
+	for i := range bucket {
+		bucket[i] = 0
+	}
+	for j := range cols {
+		bucket[len(cols[j].Rows)+1]++
+	}
+	for c := 1; c < len(bucket); c++ {
+		bucket[c] += bucket[c-1]
+	}
+	sc.order = growI(sc.order, n)
+	order := sc.order
+	for j := range cols {
+		c := len(cols[j].Rows)
+		order[bucket[c]] = j
+		bucket[c]++
 	}
 
 	sc.x = growF(sc.x, n)
@@ -195,21 +191,14 @@ func FactorizeSparseInto(n int, cols []SparseCol, sc *Scratch) (*LU, error) {
 	}
 	touched := sc.touched[:0] // rows touched this column
 	reach := sc.reach[:0]     // pivot steps reached this column
-	defer func() { sc.touched, sc.reach = touched[:0], reach[:0] }()
-
-	var dfs func(s int)
-	dfs = func(s int) {
-		visited[s] = 1
-		for _, e := range f.lcols[s] {
-			if s2 := f.stepOfRow[e.idx]; s2 >= 0 && visited[s2] == 0 {
-				dfs(s2)
-			}
-		}
-		reach = append(reach, s)
-	}
+	stack := sc.stack[:0]     // depth-first search frontier
+	// Hand grown buffers back on every exit below.
+	keep := func() { sc.touched, sc.reach, sc.stack = touched[:0], reach[:0], stack[:0] }
 
 	for k, c := range order {
-		// Scatter column c and find the pivot steps its solve touches.
+		// Scatter column c and find the pivot steps its solve touches: every
+		// step reachable from the column's pivoted rows through L. Only the
+		// set matters — it is sorted below — so the search order is free.
 		touched = touched[:0]
 		reach = reach[:0]
 		for t, r := range cols[c].Rows {
@@ -217,7 +206,19 @@ func FactorizeSparseInto(n int, cols []SparseCol, sc *Scratch) (*LU, error) {
 			seen[r] = 1
 			touched = append(touched, r)
 			if s := f.stepOfRow[r]; s >= 0 && visited[s] == 0 {
-				dfs(s)
+				visited[s] = 1
+				stack = append(stack, s)
+				for len(stack) > 0 {
+					s := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					reach = append(reach, s)
+					for _, e := range f.lent[f.lstart[s]:f.lstart[s+1]] {
+						if s2 := f.stepOfRow[e.idx]; s2 >= 0 && visited[s2] == 0 {
+							visited[s2] = 1
+							stack = append(stack, s2)
+						}
+					}
+				}
 			}
 		}
 		// Dependencies in L x = b only flow from earlier steps to later ones,
@@ -229,8 +230,8 @@ func FactorizeSparseInto(n int, cols []SparseCol, sc *Scratch) (*LU, error) {
 				continue
 			}
 			// Any pivoted row fill lands in already has its step in reach:
-			// the DFS visited it through this very edge.
-			for _, e := range f.lcols[s] {
+			// the search visited it through this very edge.
+			for _, e := range f.lent[f.lstart[s]:f.lstart[s+1]] {
 				if seen[e.idx] == 0 {
 					seen[e.idx] = 1
 					x[e.idx] = 0
@@ -251,13 +252,15 @@ func FactorizeSparseInto(n int, cols []SparseCol, sc *Scratch) (*LU, error) {
 			}
 		}
 		if maxAbs < luAbsTol {
-			se := &SingularError{Col: c}
+			se := &sc.singular
+			se.Col, se.FreeRows = c, se.FreeRows[:0]
 			for r := 0; r < n; r++ {
 				if f.stepOfRow[r] < 0 {
 					se.FreeRows = append(se.FreeRows, r)
 				}
 			}
-			return nil, se
+			keep()
+			return se
 		}
 		piv, pivCount := -1, n+1
 		for _, r := range touched {
@@ -271,6 +274,7 @@ func FactorizeSparseInto(n int, cols []SparseCol, sc *Scratch) (*LU, error) {
 		pv := x[piv]
 		f.p[k], f.q[k], f.diag[k] = piv, c, pv
 		f.stepOfRow[piv] = k
+		f.lstart[k], f.ustart[k] = len(f.lent), len(f.uent)
 		for _, r := range touched {
 			v := x[r]
 			x[r] = 0
@@ -279,81 +283,96 @@ func FactorizeSparseInto(n int, cols []SparseCol, sc *Scratch) (*LU, error) {
 				continue
 			}
 			if s := f.stepOfRow[r]; s >= 0 && s != k {
-				f.ucols[k] = append(f.ucols[k], luEntry{idx: s, val: v})
+				f.uent = append(f.uent, luEntry{idx: s, val: v})
 			} else {
-				f.lcols[k] = append(f.lcols[k], luEntry{idx: r, val: v / pv})
+				f.lent = append(f.lent, luEntry{idx: r, val: v / pv})
 			}
 		}
-		f.nnz += len(f.ucols[k]) + len(f.lcols[k]) + 1
+		f.lstart[k+1], f.ustart[k+1] = len(f.lent), len(f.uent)
 		for _, s := range reach {
 			visited[s] = 0
 		}
 	}
-	return f, nil
+	keep()
+	return nil
 }
 
 // N returns the dimension of the factored matrix.
 func (f *LU) N() int { return f.n }
 
 // NNZ returns the number of stored factor entries (fill-in diagnostics).
-func (f *LU) NNZ() int { return f.nnz }
+func (f *LU) NNZ() int { return len(f.lent) + len(f.uent) + f.n }
 
 // FTran solves B w = b. b is indexed by matrix row; the result is written to
 // w indexed by matrix column (w[j] is the solution component of column j).
 // b is consumed as scratch; w may alias b.
 func (f *LU) FTran(b, w []float64) {
-	// Forward eliminate: apply the stored row operations to b.
-	for k := 0; k < f.n; k++ {
-		v := b[f.p[k]]
-		if v == 0 {
-			continue
+	p, n := f.p, f.n
+	// Forward eliminate: apply the stored row operations to b. Step k's
+	// entries follow step k-1's in the slab, so one cursor walks it.
+	lent, lstart := f.lent, f.lstart
+	for k, lo := 0, 0; k < n; k++ {
+		hi := lstart[k+1]
+		if v := b[p[k]]; v != 0 {
+			for _, e := range lent[lo:hi] {
+				b[e.idx] -= e.val * v
+			}
 		}
-		for _, e := range f.lcols[k] {
-			b[e.idx] -= e.val * v
-		}
+		lo = hi
 	}
 	// Backward substitution by columns of U.
-	z := f.z
-	for k := f.n - 1; k >= 0; k-- {
-		zk := b[f.p[k]] / f.diag[k]
+	z, diag := f.z, f.diag
+	uent, ustart := f.uent, f.ustart
+	for k, hi := n-1, len(uent); k >= 0; k-- {
+		lo := ustart[k]
+		zk := b[p[k]] / diag[k]
 		z[k] = zk
-		if zk == 0 {
-			continue
+		if zk != 0 {
+			for _, e := range uent[lo:hi] {
+				b[p[e.idx]] -= e.val * zk
+			}
 		}
-		for _, e := range f.ucols[k] {
-			b[f.p[e.idx]] -= e.val * zk
-		}
+		hi = lo
 	}
-	for k := 0; k < f.n; k++ {
-		w[f.q[k]] = z[k]
+	for k, q := range f.q[:n] {
+		w[q] = z[k]
 	}
 }
 
 // BTran solves Bᵀ y = c. c is indexed by matrix column; the result is
 // written to y indexed by matrix row. c is left untouched; y may alias c.
 func (f *LU) BTran(c, y []float64) {
-	// Forward substitution on Uᵀ (gather form: ucols[k] holds u[s][k], s<k).
-	z := f.z
-	for k := 0; k < f.n; k++ {
-		s := c[f.q[k]]
-		for _, e := range f.ucols[k] {
+	p, q, n := f.p, f.q, f.n
+	// Forward substitution on Uᵀ (gather form: step k holds u[s][k], s<k).
+	z, diag := f.z, f.diag
+	uent, ustart := f.uent, f.ustart
+	for k, lo := 0, 0; k < n; k++ {
+		hi := ustart[k+1]
+		s := c[q[k]]
+		for _, e := range uent[lo:hi] {
 			s -= e.val * z[e.idx]
 		}
-		z[k] = s / f.diag[k]
+		z[k] = s / diag[k]
+		lo = hi
 	}
 	for i := range y {
 		y[i] = 0
 	}
-	for k := 0; k < f.n; k++ {
-		y[f.p[k]] = z[k]
+	for k, r := range p[:n] {
+		y[r] = z[k]
 	}
 	// Transposed row operations, in reverse order.
-	for k := f.n - 1; k >= 0; k-- {
-		s := y[f.p[k]]
-		for _, e := range f.lcols[k] {
-			s -= e.val * y[e.idx]
+	lent, lstart := f.lent, f.lstart
+	for k, hi := n-1, len(lent); k >= 0; k-- {
+		lo := lstart[k]
+		if lo != hi {
+			s := y[p[k]]
+			for _, e := range lent[lo:hi] {
+				s -= e.val * y[e.idx]
+			}
+			y[p[k]] = s
 		}
-		y[f.p[k]] = s
+		hi = lo
 	}
 }
 

@@ -153,3 +153,78 @@ func TestSparseLUUnitBasis(t *testing.T) {
 		}
 	}
 }
+
+// TestFactorizeInPlaceAllocatesNothing is the arena contract of the revised
+// simplex engine: it keeps one LU for its m-row basis and one for the polish
+// clone's (m+1)-row basis, refactorizes each in place, and shares one
+// Scratch between them. After the first factorization of each, a thousand
+// alternating refactorizations must allocate nothing, and every solve must
+// be bit-equal to a from-scratch FactorizeSparse.
+func TestFactorizeInPlaceAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const m = 60
+	big := randSparse(rng, m+1, 0.08)
+	// The m x m basis is the (m+1) x (m+1) one without its last row and
+	// column (the diagonal keeps both nonsingular).
+	small := make([]SparseCol, m)
+	for j := 0; j < m; j++ {
+		for t, r := range big[j].Rows {
+			if r < m {
+				small[j].Rows = append(small[j].Rows, r)
+				small[j].Vals = append(small[j].Vals, big[j].Vals[t])
+			}
+		}
+	}
+	sizes := [2]int{m, m + 1}
+	bases := [2][]SparseCol{small, big}
+	var want [2]*LU
+	for i := range want {
+		lu, err := FactorizeSparse(sizes[i], bases[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = lu
+	}
+
+	var lus [2]LU
+	var sc Scratch
+	for i := range lus {
+		if err := lus[i].Factorize(sizes[i], bases[i], &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i := step % 2
+		step++
+		if err := lus[i].Factorize(sizes[i], bases[i], &sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("alternating in-place refactorizations allocate %v objects each, want 0", allocs)
+	}
+
+	for i := range lus {
+		n := sizes[i]
+		b := make([]float64, n)
+		for k := range b {
+			b[k] = 2*rng.Float64() - 1
+		}
+		got, ref := make([]float64, n), make([]float64, n)
+		lus[i].FTran(append([]float64(nil), b...), got)
+		want[i].FTran(append([]float64(nil), b...), ref)
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(ref[k]) {
+				t.Fatalf("n=%d FTran[%d] = %v, from-scratch factorization gives %v", n, k, got[k], ref[k])
+			}
+		}
+		lus[i].BTran(b, got)
+		want[i].BTran(b, ref)
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(ref[k]) {
+				t.Fatalf("n=%d BTran[%d] = %v, from-scratch factorization gives %v", n, k, got[k], ref[k])
+			}
+		}
+	}
+}

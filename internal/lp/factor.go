@@ -8,21 +8,25 @@ package lp
 import "gavel/internal/linalg"
 
 // etaVec is one product-form update: the entering column's basis-space image
-// w = B⁻¹ a_enter, stored sparse, replacing basis position pos.
+// w = B⁻¹ a_enter, stored sparse, replacing basis position pos. Its
+// off-pivot entries are ind[start:end] / val[start:end] of the factor's eta
+// slab.
 type etaVec struct {
-	pos int
-	wr  float64 // w[pos], the pivot element
-	ind []int   // positions != pos with nonzero w
-	val []float64
+	pos        int
+	wr         float64 // w[pos], the pivot element
+	start, end int
 }
 
 // basisFactor is a factorization of the current basis: an LU of the basis at
 // the last refresh plus the etas accumulated since. FTRAN/BTRAN apply the LU
-// solves and then the eta file (in opposite orders).
+// solves and then the eta file (in opposite orders). The LU is refactorized
+// in place and the eta file is one index/value slab, so a factor that has
+// grown to its working size never allocates.
 type basisFactor struct {
-	lu     *linalg.LU
-	etas   []etaVec
-	etaNNZ int
+	lu   linalg.LU
+	etas []etaVec
+	ind  []int // positions != pos with nonzero w, all etas back to back
+	val  []float64
 }
 
 const (
@@ -32,11 +36,11 @@ const (
 	etaDropTol = 1e-12
 )
 
-// reset installs a fresh LU and clears the eta file.
-func (bf *basisFactor) reset(lu *linalg.LU) {
-	bf.lu = lu
+// clearEtas empties the eta file after a fresh factorization of lu.
+func (bf *basisFactor) clearEtas() {
 	bf.etas = bf.etas[:0]
-	bf.etaNNZ = 0
+	bf.ind = bf.ind[:0]
+	bf.val = bf.val[:0]
 }
 
 // dirty reports whether any etas have accumulated since the last refresh.
@@ -45,21 +49,20 @@ func (bf *basisFactor) dirty() bool { return len(bf.etas) > 0 }
 // needRefresh reports whether the eta file is long or dense enough that a
 // refactorization is cheaper than carrying it further.
 func (bf *basisFactor) needRefresh(m int) bool {
-	return len(bf.etas) >= refactorEvery || bf.etaNNZ > 8*m+256
+	return len(bf.etas) >= refactorEvery || len(bf.ind)+len(bf.etas) > 8*m+256
 }
 
 // push appends the eta for the pivot that replaced basis position pos with a
 // column whose basis-space image is w (dense, position-indexed).
 func (bf *basisFactor) push(pos int, w []float64) {
-	e := etaVec{pos: pos, wr: w[pos]}
+	start := len(bf.ind)
 	for i, v := range w {
 		if i != pos && (v > etaDropTol || v < -etaDropTol) {
-			e.ind = append(e.ind, i)
-			e.val = append(e.val, v)
+			bf.ind = append(bf.ind, i)
+			bf.val = append(bf.val, v)
 		}
 	}
-	bf.etas = append(bf.etas, e)
-	bf.etaNNZ += len(e.ind) + 1
+	bf.etas = append(bf.etas, etaVec{pos: pos, wr: w[pos], start: start, end: len(bf.ind)})
 }
 
 // ftran solves B w = b in place: x enters indexed by constraint row and
@@ -73,8 +76,9 @@ func (bf *basisFactor) ftran(x []float64) {
 		if zr == 0 {
 			continue
 		}
-		for i, idx := range e.ind {
-			x[idx] -= e.val[i] * zr
+		val := bf.val[e.start:e.end]
+		for i, idx := range bf.ind[e.start:e.end] {
+			x[idx] -= val[i] * zr
 		}
 	}
 }
@@ -85,8 +89,9 @@ func (bf *basisFactor) btran(x []float64) {
 	for t := len(bf.etas) - 1; t >= 0; t-- {
 		e := &bf.etas[t]
 		s := x[e.pos]
-		for i, idx := range e.ind {
-			s -= e.val[i] * x[idx]
+		val := bf.val[e.start:e.end]
+		for i, idx := range bf.ind[e.start:e.end] {
+			s -= val[i] * x[idx]
 		}
 		x[e.pos] = s / e.wr
 	}

@@ -12,7 +12,10 @@ import (
 //	          x >= 0,  d.x + beta > 0
 //
 // Gavel's cost policies ("maximize throughput per dollar", §4.2) have this
-// form. SolveFractional reduces it to a single LP via the Charnes-Cooper
+// form. policy.MinCost writes the transformed LP directly onto its allocation
+// program (core.Program's homogenized layout) so it shares the reset path's
+// arena and warm starts; this type is the stand-alone statement of the same
+// reduction. SolveFractional reduces it to a single LP via the Charnes-Cooper
 // transformation: with y = t*x and t = 1/(d.x + beta),
 //
 //	maximize  c.y + alpha*t
@@ -28,21 +31,6 @@ type Fractional struct {
 	Den     []float64 // d, len NumVars
 	DenC    float64   // beta
 	Cons    []FractionalConstraint
-	// Engine selects the simplex implementation for the transformed LP;
-	// EngineAuto follows DefaultEngine.
-	Engine Engine
-	// Pricing selects the entering-column rule for the transformed LP;
-	// PricingAuto follows DefaultPricing.
-	Pricing Pricing
-	// Presolve selects whether the transformed LP runs the presolve pass;
-	// PresolveAuto follows DefaultPresolve.
-	Presolve PresolveMode
-	// Dual selects whether seeded solves of the transformed LP may repair
-	// with the dual simplex; DualAuto follows DefaultDual.
-	Dual DualMode
-	// Workspace, when set, supplies the reusable per-solve scratch arena to
-	// the transformed LP (see Problem.SetWorkspace).
-	Workspace *Workspace
 }
 
 // FractionalConstraint is one row a.x (op) b of a Fractional program. ID,
@@ -59,18 +47,14 @@ type FractionalConstraint struct {
 // has t ~ 0, meaning the denominator is unbounded and the ratio degenerate.
 var ErrDegenerateFraction = errors.New("lp: degenerate linear-fractional program (t = 0)")
 
-// SolveFractional solves the linear-fractional program and returns the
-// optimal x and objective ratio.
-func SolveFractional(f *Fractional) (x []float64, ratio float64, err error) {
-	x, ratio, _, err = SolveFractionalFrom(f, nil)
-	return x, ratio, err
-}
-
 // CharnesCooperID is the ColumnID of the homogenizing variable t the
-// Charnes-Cooper transformation appends after the y columns. Callers that
-// remap transformed bases across shape changes (SolveFractionalFromMapped)
-// append it to their per-variable IDs to name the transformed LP's columns.
-const CharnesCooperID ColumnID = "cc:t"
+// Charnes-Cooper transformation appends after the y columns, and
+// CharnesCooperRowID the row identity of its normalization row d.y + beta*t
+// = 1: the names a transformed LP's basis is cached and remapped under.
+const (
+	CharnesCooperID    ColumnID = "cc:t"
+	CharnesCooperRowID          = "cc:den"
+)
 
 // transform builds the Charnes-Cooper LP for f, returning the problem, the
 // y variable indices, and the t variable index.
@@ -79,16 +63,9 @@ func (f *Fractional) transform() (*Problem, []int, int, error) {
 		return nil, nil, 0, fmt.Errorf("%w: coefficient vectors must have NumVars entries", ErrBadProblem)
 	}
 	p := NewProblem(Maximize)
-	p.SetEngine(f.Engine)
-	p.SetPricing(f.Pricing)
-	p.SetPresolve(f.Presolve)
-	p.SetDual(f.Dual)
-	if f.Workspace != nil {
-		p.SetWorkspace(f.Workspace)
-	}
 	y := make([]int, f.NumVars)
 	for j := 0; j < f.NumVars; j++ {
-		y[j] = p.AddVar(f.Num[j], fmt.Sprintf("y%d", j))
+		y[j] = p.AddVar(f.Num[j], "y")
 	}
 	t := p.AddVar(f.NumC, "t")
 
@@ -107,56 +84,36 @@ func (f *Fractional) transform() (*Problem, []int, int, error) {
 		}
 	}
 	denTerms = append(denTerms, Term{Var: t, Coeff: f.DenC})
-	p.AddConstraintRow(denTerms, EQ, 1, "cc:den")
+	p.AddConstraintRow(denTerms, EQ, 1, CharnesCooperRowID)
 	return p, y, t, nil
 }
 
-// recover converts the transformed LP's result back to the fractional
-// program's solution x = y / t.
-func (f *Fractional) recover(res *Result, y []int, t int) (x []float64, ratio float64, out *Result, err error) {
+// SolveFractional solves the linear-fractional program and returns the
+// optimal x and objective ratio.
+func SolveFractional(f *Fractional) (x []float64, ratio float64, err error) {
+	p, y, t, err := f.transform()
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := p.Solve()
+	if err != nil {
+		return nil, 0, err
+	}
 	if res.Status != Optimal {
-		return nil, 0, res, fmt.Errorf("lp: fractional program not optimal: %v", res.Status)
+		return nil, 0, fmt.Errorf("lp: fractional program not optimal: %v", res.Status)
 	}
 	tv := res.X[t]
-	if tv < 1e-9 {
-		return nil, 0, res, ErrDegenerateFraction
+	if tv < CharnesCooperMinT {
+		return nil, 0, ErrDegenerateFraction
 	}
 	x = make([]float64, f.NumVars)
 	for j := range x {
 		x[j] = res.X[y[j]] / tv
 	}
-	return x, res.Objective, res, nil
+	return x, res.Objective, nil
 }
 
-// SolveFractionalFrom solves the linear-fractional program, seeding the
-// transformed LP from a previous basis when one is supplied (the transformed
-// problem's shape is a deterministic function of f's shape, so a basis from
-// a same-shaped Fractional warm-starts its successor). It returns the raw
-// result of the transformed LP, whose Basis seeds the next call.
-func SolveFractionalFrom(f *Fractional, prev *Basis) (x []float64, ratio float64, res *Result, err error) {
-	p, y, t, err := f.transform()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	res, err = p.SolveFrom(prev)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return f.recover(res, y, t)
-}
-
-// SolveFractionalFromMapped solves the linear-fractional program seeding the
-// transformed LP from a basis remapped across a shape change. The mapping
-// must target the transformed column universe: the caller's per-variable IDs
-// followed by CharnesCooperID (see policy.SolveContext.SolveFractional).
-func SolveFractionalFromMapped(f *Fractional, mb *MappedBasis) (x []float64, ratio float64, res *Result, err error) {
-	p, y, t, err := f.transform()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	res, err = p.SolveFromMapped(mb)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return f.recover(res, y, t)
-}
+// CharnesCooperMinT is the smallest value of the homogenizing variable t a
+// transformed solution may carry before the ratio counts as degenerate
+// (ErrDegenerateFraction).
+const CharnesCooperMinT = 1e-9

@@ -128,7 +128,7 @@ type Term struct {
 }
 
 type constraint struct {
-	terms []Term
+	terms []Term // a window of Problem.terms, never a slice of its own
 	op    Op
 	rhs   float64
 	id    string // stable row identity for cross-shape basis remapping; "" = anonymous
@@ -137,9 +137,12 @@ type constraint struct {
 // Problem is a linear program under construction. The zero value is not
 // usable; create one with NewProblem.
 type Problem struct {
-	sense   Sense
-	obj     []float64
-	names   []string
+	sense Sense
+	obj   []float64
+	// terms is the slab every row's terms live in, back to back in row
+	// order: adding a row copies its terms here instead of allocating a
+	// slice per row, and Reset/Truncate reuse the slab for the next program.
+	terms   []Term
 	cons    []constraint
 	engine  Engine
 	pricing Pricing
@@ -178,12 +181,38 @@ func (p *Problem) SetPresolve(m PresolveMode) { p.presolv = m }
 // package-level DefaultDual.
 func (p *Problem) SetDual(m DualMode) { p.dual = m }
 
-// SetWorkspace attaches a reusable scratch arena. Solves through the revised
-// engine draw every per-solve vector (FTRAN/BTRAN images, pricing weights,
-// CSC slabs, factorization scratch) from it instead of allocating, so a
-// caller solving in a loop — SolveContext, the simulator — pays near-zero
-// allocation per solve. A Workspace is not safe for concurrent solves.
+// SetWorkspace attaches the arena this problem's revised-engine solves run
+// in (see Workspace for exactly what it owns). A caller solving in a loop —
+// SolveContext, the simulator — attaches the same arena to every problem, and
+// a steady-state solve then allocates only what it returns: the Result, its
+// X, and the Basis snapshot. Without one, each solve builds a private arena
+// and drops it. A Workspace is not safe for concurrent solves.
 func (p *Problem) SetWorkspace(ws *Workspace) { p.ws = ws }
+
+// Reset empties the problem for reuse under a new objective sense, keeping
+// the storage it has grown (objective vector, term slab, row table) and
+// clearing every solver knob and the attached workspace.
+func (p *Problem) Reset(sense Sense) {
+	*p = Problem{sense: sense, obj: p.obj[:0], terms: p.terms[:0], cons: p.cons[:0]}
+}
+
+// Truncate drops every variable from index numVars on and every constraint
+// from index numRows on, and zeroes the remaining objective: a program whose
+// first columns and rows are a fixed skeleton (core.Program) rewinds to it
+// instead of being rebuilt. Rows are only ever appended, so the surviving
+// rows' terms are exactly the slab's first entries.
+func (p *Problem) Truncate(numVars, numRows int) {
+	p.obj = p.obj[:numVars]
+	for j := range p.obj {
+		p.obj[j] = 0
+	}
+	nt := 0
+	for _, c := range p.cons[:numRows] {
+		nt += len(c.terms)
+	}
+	p.cons = p.cons[:numRows]
+	p.terms = p.terms[:nt]
+}
 
 // resolveEngine returns the engine this problem will actually solve with.
 func (p *Problem) resolveEngine() Engine {
@@ -203,11 +232,18 @@ func (p *Problem) NumVars() int { return len(p.obj) }
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
 
+// Row returns constraint i as it was added: its terms (a read-only view of
+// the problem's storage), operator, right-hand side and row identity.
+func (p *Problem) Row(i int) (terms []Term, op Op, rhs float64, id string) {
+	c := &p.cons[i]
+	return c.terms, c.op, c.rhs, c.id
+}
+
 // AddVar adds a non-negative variable with the given objective coefficient
-// and returns its index.
+// and returns its index. The name documents the call site only; the problem
+// does not keep it (stable identities are ColumnIDs, held by the caller).
 func (p *Problem) AddVar(objCoeff float64, name string) int {
 	p.obj = append(p.obj, objCoeff)
-	p.names = append(p.names, name)
 	return len(p.obj) - 1
 }
 
@@ -221,11 +257,15 @@ func (p *Problem) AddObj(v int, delta float64) { p.obj[v] += delta }
 func (p *Problem) ObjCoeff(v int) float64 { return p.obj[v] }
 
 // AddConstraint adds the constraint sum(terms) op rhs. Terms referencing the
-// same variable are accumulated.
+// same variable are accumulated. The terms are copied into the problem's
+// slab, so the caller may reuse its slice.
 func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) {
-	c := constraint{terms: make([]Term, len(terms)), op: op, rhs: rhs}
-	copy(c.terms, terms)
-	p.cons = append(p.cons, c)
+	start := len(p.terms)
+	p.terms = append(p.terms, terms...)
+	// A full slice expression: the row's window must never be appended
+	// through. When the slab reallocates, earlier rows keep their (still
+	// valid, never rewritten) windows of the old backing array.
+	p.cons = append(p.cons, constraint{terms: p.terms[start:len(p.terms):len(p.terms)], op: op, rhs: rhs})
 }
 
 // AddConstraintRow adds the constraint sum(terms) op rhs with a stable row
@@ -369,10 +409,22 @@ func (mb *MappedBasis) NumCandidates() int {
 // Returns nil when b is nil or oldCols does not match b's shape; a nil
 // MappedBasis makes SolveFromMapped run the cold path.
 func (b *Basis) Remap(oldCols, newCols []ColumnID) *MappedBasis {
+	return b.RemapIn(new(Workspace), oldCols, newCols)
+}
+
+// RemapIn is Remap with its lookup tables and the returned MappedBasis held
+// in ws: a caller remapping once per reset (policy.SolveContext) pays no
+// allocation for it. The result is valid until the next RemapIn on ws.
+func (b *Basis) RemapIn(ws *Workspace, oldCols, newCols []ColumnID) *MappedBasis {
 	if b == nil || len(oldCols) != b.numVars {
 		return nil
 	}
-	idx := make(map[ColumnID]int, len(newCols))
+	sa := &ws.seed
+	if sa.colAt == nil {
+		sa.colAt = make(map[ColumnID]int, len(newCols))
+	}
+	idx := sa.colAt
+	clear(idx)
 	for j, id := range newCols {
 		if id != "" {
 			idx[id] = j
@@ -380,22 +432,30 @@ func (b *Basis) Remap(oldCols, newCols []ColumnID) *MappedBasis {
 	}
 	// Reconstruct which row each slack column belongs to (slack indices are
 	// assigned in row order over the LE/GE rows).
-	slackOwner := make(map[int]int)
-	slackAt := b.numVars
+	slackOwner := sa.slackOwner[:0]
 	for i, op := range b.ops {
 		if op == LE || op == GE {
-			slackOwner[slackAt] = i
-			slackAt++
+			slackOwner = append(slackOwner, i)
 		}
 	}
+	sa.slackOwner = slackOwner
 	rowID := func(i int) string {
 		if i < len(b.rowIDs) {
 			return b.rowIDs[i]
 		}
 		return ""
 	}
-	seen := make(map[int]bool)
-	mb := &MappedBasis{numVars: len(newCols)}
+	sa.seen = grow(sa.seen, len(newCols))
+	seen := sa.seen
+	for j := range seen {
+		seen[j] = false
+	}
+	mb := &sa.mapped
+	*mb = MappedBasis{
+		numVars: len(newCols),
+		cands:   mb.cands[:0], candRows: mb.candRows[:0],
+		slackRows: mb.slackRows[:0], uppers: mb.uppers[:0],
+	}
 	for hostRow, c := range b.cols {
 		switch {
 		case c < 0:
@@ -410,8 +470,8 @@ func (b *Basis) Remap(oldCols, newCols []ColumnID) *MappedBasis {
 			// Basic slack: carry the identity of the row OWNING the slack
 			// (the non-binding constraint), not the row hosting it — the
 			// basic set, not the hosting assignment, determines the vertex.
-			if owner, ok := slackOwner[c]; ok {
-				if id := rowID(owner); id != "" {
+			if k := c - b.numVars; k < len(slackOwner) {
+				if id := rowID(slackOwner[k]); id != "" {
 					mb.slackRows = append(mb.slackRows, id)
 				}
 			}
@@ -489,6 +549,12 @@ func (p *Problem) solve(prev *Basis, mapped *MappedBasis) (*Result, error) {
 		}
 	}
 	engine := p.resolveEngine()
+	if p.ws == nil {
+		// No caller-supplied arena: this solve gets a private one (presolve
+		// and the revised engine have no other place to work).
+		p.ws = new(Workspace)
+		defer func() { p.ws = nil }()
+	}
 	if !p.noPresolve && p.resolvePresolve() == PresolveOn {
 		if ps := newPresolve(p, engine == Revised); ps != nil {
 			if res, ok := ps.run(prev, mapped, engine); ok {
@@ -503,7 +569,7 @@ func (p *Problem) solve(prev *Basis, mapped *MappedBasis) (*Result, error) {
 	if engine == Revised {
 		if res, ok := p.solveRevised(prev, mapped); ok {
 			res.Engine = Revised
-			return res, nil
+			return p.own(res), nil
 		}
 		// The revised engine hit something it cannot certify — a singular
 		// factorization repair could not fix, a stuck pivot, a verification

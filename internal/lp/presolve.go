@@ -76,7 +76,9 @@ func (p *Problem) resolvePresolve() PresolveMode {
 }
 
 // presolveState is one solve's reduction record: what was removed, why, and
-// every table needed to project seeds down and lift solutions back up.
+// every table needed to project seeds down and lift solutions back up. It
+// lives in the solve's Workspace and every array below is reused from one
+// solve to the next; nothing in it outlives the solve.
 type presolveState struct {
 	p      *Problem
 	bounds bool // extract bounds (revised engine) vs keep bound rows (dense)
@@ -84,6 +86,13 @@ type presolveState struct {
 	n, m       int
 	reds       int // total reductions (rows removed + cols fixed + bounds)
 	infeasible bool
+
+	// Deduplicated rows in raw orientation: row i's terms are
+	// rowTerms[rowStart[i]:rowStart[i+1]].
+	rowStart []int
+	rowTerms []Term
+	ops      []Op
+	rhs      []float64
 
 	rowRemoved []bool
 	rowHost    []int // removed row -> full basic column hosted there (-1 none)
@@ -98,11 +107,28 @@ type presolveState struct {
 
 	fullOps      []Op  // full normalized (rhs >= 0) ops
 	fullSlackOrd []int // full row -> slack ordinal (-1 for EQ rows)
+	slackRow     []int // slack ordinal -> full row
 
-	red      *Problem
+	red      *Problem // the reduced problem (nil until materialized)
+	redProb  Problem  // its storage
+	redUB    []float64
 	redOps   []Op  // reduced normalized ops
 	redSlack []int // reduced row -> reduced slack ordinal (-1 for EQ rows)
 	redOwner []int // reduced slack ordinal -> reduced row
+
+	// Seeds projected onto the reduced problem, consumed by its solve.
+	prevSeed   Basis
+	mappedSeed MappedBasis
+
+	scratch   []float64
+	touched   []int
+	colActive []int
+	termBuf   []Term
+}
+
+// row returns the deduplicated terms of full row i.
+func (ps *presolveState) row(i int) []Term {
+	return ps.rowTerms[ps.rowStart[i]:ps.rowStart[i+1]]
 }
 
 // minObj returns the objective coefficient of full column j in minimize
@@ -114,36 +140,61 @@ func (ps *presolveState) minObj(j int) float64 {
 	return ps.p.obj[j]
 }
 
-// newPresolve runs the reduction fixpoint on p. bounds enables implicit
-// upper-bound extraction (revised engine only). Returns nil when presolve
-// found nothing to do — the caller then solves the raw problem directly.
+// fix pins full column j at v (presolve substitutes it out of every row).
+func (ps *presolveState) fix(j int, v float64) {
+	if v < 0 && v > -feasTol {
+		v = 0
+	}
+	ps.colFixed[j] = true
+	ps.fixedVal[j] = v
+	ps.reds++
+}
+
+// newPresolve runs the reduction fixpoint on p in p's workspace. bounds
+// enables implicit upper-bound extraction (revised engine only). Returns nil
+// when presolve found nothing to do — the caller then solves the raw problem
+// directly.
 func newPresolve(p *Problem, bounds bool) *presolveState {
 	n := len(p.obj)
 	m := len(p.cons)
 	if m == 0 || n == 0 {
 		return nil
 	}
-	ps := &presolveState{
-		p: p, bounds: bounds, n: n, m: m,
-		rowRemoved: make([]bool, m),
-		rowHost:    make([]int, m),
-		colFixed:   make([]bool, n),
-		fixedVal:   make([]float64, n),
+	ps := &p.ws.ps
+	ps.p, ps.bounds, ps.n, ps.m = p, bounds, n, m
+	ps.reds, ps.infeasible, ps.red = 0, false, nil
+	ps.rowRemoved = grow(ps.rowRemoved, m)
+	ps.rowHost = grow(ps.rowHost, m)
+	for i := 0; i < m; i++ {
+		ps.rowRemoved[i], ps.rowHost[i] = false, 0
 	}
+	ps.colFixed = grow(ps.colFixed, n)
+	ps.fixedVal = grow(ps.fixedVal, n)
+	for j := 0; j < n; j++ {
+		ps.colFixed[j], ps.fixedVal[j] = false, 0
+	}
+	ps.ub = ps.ub[:0]
 	if bounds {
-		ps.ub = make([]float64, n)
+		ps.ub = grow(ps.ub, n)
 		for j := range ps.ub {
 			ps.ub[j] = math.Inf(1)
 		}
 	}
+	ps.keptRows, ps.keptCols = ps.keptRows[:0], ps.keptCols[:0]
 
 	// Deduplicate each row's terms once (same accumulation newRevEngine
 	// does), keeping raw orientation.
-	rows := make([][]Term, m)
-	ops := make([]Op, m)
-	rhs := make([]float64, m)
-	scratch := make([]float64, n)
-	var touched []int
+	ps.rowStart = grow(ps.rowStart, m+1)
+	ps.ops = grow(ps.ops, m)
+	ps.rhs = grow(ps.rhs, m)
+	ps.scratch = grow(ps.scratch, n)
+	scratch := ps.scratch
+	for j := range scratch {
+		scratch[j] = 0
+	}
+	ops, rhs := ps.ops, ps.rhs
+	terms := ps.rowTerms[:0]
+	touched := ps.touched
 	for i, c := range p.cons {
 		touched = touched[:0]
 		for _, t := range c.terms {
@@ -152,22 +203,24 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 			}
 			scratch[t.Var] += t.Coeff
 		}
-		terms := make([]Term, 0, len(touched))
+		ps.rowStart[i] = len(terms)
 		for _, v := range touched {
 			if scratch[v] != 0 {
 				terms = append(terms, Term{Var: v, Coeff: scratch[v]})
 			}
 			scratch[v] = 0
 		}
-		rows[i], ops[i], rhs[i] = terms, c.op, c.rhs
+		ops[i], rhs[i] = c.op, c.rhs
 	}
+	ps.rowStart[m] = len(terms)
+	ps.rowTerms, ps.touched = terms, touched[:0]
 
 	// Slack ordinals over the full shape. LE and GE rows each own exactly
 	// one slack and rhs-normalization never turns an inequality into an
 	// equality, so the ordinals are orientation-independent.
-	ps.fullOps = make([]Op, m)
-	ps.fullSlackOrd = make([]int, m)
-	ord := 0
+	ps.fullOps = grow(ps.fullOps, m)
+	ps.fullSlackOrd = grow(ps.fullSlackOrd, m)
+	ps.slackRow = ps.slackRow[:0]
 	for i := range ops {
 		op := ops[i]
 		if rhs[i] < 0 {
@@ -181,22 +234,13 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 		ps.fullOps[i] = op
 		ps.fullSlackOrd[i] = -1
 		if ops[i] != EQ {
-			ps.fullSlackOrd[i] = ord
-			ord++
+			ps.fullSlackOrd[i] = len(ps.slackRow)
+			ps.slackRow = append(ps.slackRow, i)
 		}
 	}
 
-	fix := func(j int, v float64) {
-		if v < 0 && v > -feasTol {
-			v = 0
-		}
-		ps.colFixed[j] = true
-		ps.fixedVal[j] = v
-		ps.reds++
-	}
-
-	// rhsEff subtracts fixed columns' contributions; activeTerms filters
-	// them out. Both read the live fix state, so substitution is implicit.
+	// The row and column passes read the live fix state, so substituting a
+	// fixed column into the rows that hold it is implicit.
 	for round := 1; ; round++ {
 		changed := false
 
@@ -205,12 +249,13 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 			// coefficients and op LE or EQ (or the sign-flipped GE mirror)
 			// caps every variable it touches at rhs/a_j. One pass only —
 			// bounds derived from bounds can chase tails.
-			for i := range rows {
-				if len(rows[i]) < 2 {
+			for i := 0; i < m; i++ {
+				row := ps.row(i)
+				if len(row) < 2 {
 					continue // singletons are the row pass's business
 				}
 				allPos, allNeg := true, true
-				for _, t := range rows[i] {
+				for _, t := range row {
 					if t.Coeff < 0 {
 						allPos = false
 					}
@@ -221,7 +266,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 				b := rhs[i]
 				switch {
 				case allPos && (ops[i] == LE || ops[i] == EQ) && b >= 0:
-					for _, t := range rows[i] {
+					for _, t := range row {
 						if t.Coeff > eps {
 							if cand := b / t.Coeff; cand < ps.ub[t.Var]-1e-12 {
 								ps.ub[t.Var] = cand
@@ -235,7 +280,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 					ps.infeasible = true
 					return ps
 				case allNeg && (ops[i] == GE || ops[i] == EQ) && b <= 0:
-					for _, t := range rows[i] {
+					for _, t := range row {
 						if t.Coeff < -eps {
 							if cand := b / t.Coeff; cand < ps.ub[t.Var]-1e-12 {
 								ps.ub[t.Var] = cand
@@ -252,7 +297,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 		}
 
 		// Row pass: empty and singleton rows.
-		for i := range rows {
+		for i := 0; i < m; i++ {
 			if ps.rowRemoved[i] {
 				continue
 			}
@@ -260,7 +305,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 			var aj float64
 			var jAct int
 			b := rhs[i]
-			for _, t := range rows[i] {
+			for _, t := range ps.row(i) {
 				if ps.colFixed[t.Var] {
 					b -= t.Coeff * ps.fixedVal[t.Var]
 					continue
@@ -294,7 +339,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 					ps.infeasible = true
 					return ps
 				}
-				fix(jAct, v)
+				ps.fix(jAct, v)
 				ps.removeRow(i, jAct)
 				changed = true
 			case (ops[i] == LE && aj > 0) || (ops[i] == GE && aj < 0):
@@ -321,12 +366,16 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 		}
 
 		// Column pass: bound-fixed and empty columns.
-		colActive := make([]int, n)
-		for i := range rows {
+		ps.colActive = grow(ps.colActive, n)
+		colActive := ps.colActive
+		for j := range colActive {
+			colActive[j] = 0
+		}
+		for i := 0; i < m; i++ {
 			if ps.rowRemoved[i] {
 				continue
 			}
-			for _, t := range rows[i] {
+			for _, t := range ps.row(i) {
 				if !ps.colFixed[t.Var] {
 					colActive[t.Var]++
 				}
@@ -342,7 +391,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 					return ps
 				}
 				if ps.ub[j] <= eps {
-					fix(j, 0)
+					ps.fix(j, 0)
 					changed = true
 					continue
 				}
@@ -353,10 +402,10 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 				case c >= -eps:
 					// Zero or penalized: the canonical (sigma-polished)
 					// optimum parks it at zero.
-					fix(j, 0)
+					ps.fix(j, 0)
 					changed = true
 				case ps.bounds && !math.IsInf(ps.ub[j], 1):
-					fix(j, ps.ub[j])
+					ps.fix(j, ps.ub[j])
 					changed = true
 				default:
 					// Favorable and unbounded: leave it; the engine
@@ -384,7 +433,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 	}
 
 	// Row and column maps.
-	ps.rowMap = make([]int, m)
+	ps.rowMap = grow(ps.rowMap, m)
 	for i := range ps.rowMap {
 		if ps.rowRemoved[i] {
 			ps.rowMap[i] = -1
@@ -393,7 +442,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 		ps.rowMap[i] = len(ps.keptRows)
 		ps.keptRows = append(ps.keptRows, i)
 	}
-	ps.colMap = make([]int, n)
+	ps.colMap = grow(ps.colMap, n)
 	for j := range ps.colMap {
 		if ps.colFixed[j] {
 			ps.colMap[j] = -1
@@ -408,26 +457,30 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 
 	// Materialize the reduced problem. Row IDs and ops carry over verbatim;
 	// only the rhs absorbs the fixed columns.
-	red := NewProblem(p.sense)
+	red := &ps.redProb
+	red.Reset(p.sense)
 	red.noPresolve = true
 	red.pricing, red.dual, red.ws = p.pricing, p.dual, p.ws
 	for _, j := range ps.keptCols {
-		red.AddVar(p.obj[j], p.names[j])
+		red.AddVar(p.obj[j], "")
 	}
+	buf := ps.termBuf
 	for _, i := range ps.keptRows {
 		b := rhs[i]
-		terms := make([]Term, 0, len(rows[i]))
-		for _, t := range rows[i] {
+		buf = buf[:0]
+		for _, t := range ps.row(i) {
 			if ps.colFixed[t.Var] {
 				b -= t.Coeff * ps.fixedVal[t.Var]
 				continue
 			}
-			terms = append(terms, Term{Var: ps.colMap[t.Var], Coeff: t.Coeff})
+			buf = append(buf, Term{Var: ps.colMap[t.Var], Coeff: t.Coeff})
 		}
-		red.AddConstraintRow(terms, ops[i], b, p.cons[i].id)
+		red.AddConstraintRow(buf, ops[i], b, p.cons[i].id)
 	}
+	ps.termBuf = buf[:0]
 	if anyUB {
-		red.ub = make([]float64, len(ps.keptCols))
+		ps.redUB = grow(ps.redUB, len(ps.keptCols))
+		red.ub = ps.redUB
 		for jr, j := range ps.keptCols {
 			red.ub[jr] = ps.ub[j]
 		}
@@ -435,8 +488,9 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 	ps.red = red
 
 	// Reduced normalized ops and slack ordinals.
-	ps.redOps = make([]Op, len(red.cons))
-	ps.redSlack = make([]int, len(red.cons))
+	ps.redOps = grow(ps.redOps, len(red.cons))
+	ps.redSlack = grow(ps.redSlack, len(red.cons))
+	ps.redOwner = ps.redOwner[:0]
 	for ir, c := range red.cons {
 		op := c.op
 		if c.rhs < 0 {
@@ -559,7 +613,9 @@ func (ps *presolveState) mapPrev(prev *Basis) *Basis {
 	if prev == nil || !prev.compatible(ps.n, ps.fullOps) {
 		return nil
 	}
-	cols := make([]int, len(ps.keptRows))
+	out := &ps.prevSeed
+	cols := grow(out.cols, len(ps.keptRows))
+	out.cols = cols
 	for ir, i := range ps.keptRows {
 		c := prev.cols[i]
 		switch {
@@ -573,41 +629,33 @@ func (ps *presolveState) mapPrev(prev *Basis) *Basis {
 			cols[ir] = cm
 		default:
 			sOrd := c - ps.n
-			owner := -1
-			for i2, o := range ps.fullSlackOrd {
-				if o == sOrd {
-					owner = i2
-					break
-				}
-			}
-			if owner < 0 {
+			if sOrd >= len(ps.slackRow) {
 				return nil
 			}
-			ir2 := ps.rowMap[owner]
+			ir2 := ps.rowMap[ps.slackRow[sOrd]]
 			if ir2 < 0 || ps.redSlack[ir2] < 0 {
 				return nil // the slack's row was removed
 			}
 			cols[ir] = len(ps.keptCols) + ps.redSlack[ir2]
 		}
 	}
-	var atUpper []int
+	atUpper := out.atUpper[:0]
 	for _, j := range prev.atUpper {
 		if j >= 0 && j < ps.n && ps.colMap[j] >= 0 {
 			atUpper = append(atUpper, ps.colMap[j])
 		}
 	}
-	ids := make([]string, len(ps.keptRows))
-	for ir, i := range ps.keptRows {
-		ids[ir] = ps.p.cons[i].id
-	}
-	return &Basis{
+	// The seeded solve reads the shape (numVars, ops), the basic columns, the
+	// at-upper set and the polished flag; row identities are not consulted
+	// on the positional path.
+	*out = Basis{
 		numVars:  len(ps.keptCols),
-		ops:      append([]Op(nil), ps.redOps...),
+		ops:      ps.redOps,
 		cols:     cols,
-		rowIDs:   ids,
 		atUpper:  atUpper,
 		polished: prev.polished,
 	}
+	return out
 }
 
 // mapMapped projects a cross-shape seed onto the reduced problem. Row IDs
@@ -618,7 +666,11 @@ func (ps *presolveState) mapMapped(mb *MappedBasis) *MappedBasis {
 	if mb == nil || mb.numVars != ps.n {
 		return nil
 	}
-	out := &MappedBasis{numVars: len(ps.keptCols)}
+	out := &ps.mappedSeed
+	*out = MappedBasis{
+		numVars: len(ps.keptCols),
+		cands:   out.cands[:0], candRows: out.candRows[:0], uppers: out.uppers[:0],
+	}
 	for k, c := range mb.cands {
 		if c < 0 || c >= ps.n {
 			return nil

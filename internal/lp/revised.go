@@ -35,7 +35,7 @@ package lp
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"gavel/internal/linalg"
 )
@@ -76,7 +76,7 @@ type revEngine struct {
 	basis   []int // basic column per position (position == row slot)
 	inBasis []bool
 	xB      []float64
-	factor  basisFactor
+	factor  *basisFactor // the bank's factorization, rebuilt in place
 
 	hasUB   bool
 	ub      []float64 // structural upper bounds (+Inf = none); nil without bounds
@@ -97,40 +97,29 @@ type revEngine struct {
 	snapPolished  bool      // this solve's snapshot reproduces the canonical vertex
 	protectRow    int       // basis position the ratio test avoids evicting (-1 = none)
 
-	arena         *Workspace // shared scratch (nil = allocate plainly)
-	wsY, wsW, wsZ []float64  // BTRAN / FTRAN / pivot-row workspaces
+	ws            *Workspace   // the arena this solve runs in
+	arena         *engineArena // this engine's bank of it
+	wsY, wsW, wsZ []float64    // BTRAN / FTRAN / pivot-row workspaces
 }
 
-// newRevEngine normalizes the problem into CSC form. ok=false hands the
-// solve to the dense path (degenerate shapes the engine does not model).
-// With a Workspace attached to the problem, every per-solve array is carved
-// from the arena; the CSC entries go into one slab sized by a counting pass.
+// newRevEngine normalizes the problem into CSC form in bank 0 of the
+// problem's arena: the engine struct, every per-solve array and the
+// factorization live there, and the CSC entries go into one slab sized by a
+// counting pass. ok=false hands the solve to the dense path (degenerate
+// shapes the engine does not model).
 func newRevEngine(p *Problem) (*revEngine, bool) {
 	n := len(p.obj)
 	m := len(p.cons)
 	if m == 0 {
 		return nil, false
 	}
-	e := &revEngine{p: p, m: m, n: n, arena: p.ws}
-	ws := e.arena
-
-	var scratch []float64
-	var rawCnt []int
-	if ws != nil {
-		e.ops = ws.opsBuf(m)
-		e.rhs = ws.floats(wsF64RHS, m)
-		e.slackOf = ws.intsBuf(wsIntSlackOf, m)
-		scratch = ws.floats(wsF64Scratch, n)
-		rawCnt = ws.intsBuf(wsIntColCount, n)
-		for j := 0; j < n; j++ {
-			scratch[j], rawCnt[j] = 0, 0
-		}
-	} else {
-		e.ops = make([]Op, m)
-		e.rhs = make([]float64, m)
-		e.slackOf = make([]int, m)
-		scratch = make([]float64, n)
-		rawCnt = make([]int, n)
+	ar := &p.ws.eng[0]
+	e := &ar.engine
+	*e = revEngine{p: p, m: m, n: n, ws: p.ws, arena: ar, factor: &ar.factor}
+	scratch := ar.floats(wsF64Scratch, n)
+	rawCnt := ar.intsBuf(wsIntColCount, n)
+	for j := 0; j < n; j++ {
+		scratch[j], rawCnt[j] = 0, 0
 	}
 
 	// Counting pass: raw per-column term counts bound the deduplicated CSC
@@ -146,21 +135,16 @@ func newRevEngine(p *Problem) (*revEngine, bool) {
 		}
 	}
 	e.nTotal = n + nSlack
-	var slab []colEntry
-	if ws != nil {
-		e.cols = ws.colHeaders(e.nTotal)
-		slab = ws.colEntries(rawNNZ + nSlack)
-	} else {
-		e.cols = make([][]colEntry, e.nTotal)
-		slab = make([]colEntry, 0, rawNNZ+nSlack)
-	}
+	e.hasUB = p.ub != nil
+	ar.bind(e)
+	slab := ar.colEntries(rawNNZ + nSlack)
 	pos := 0
 	for j := 0; j < n; j++ {
 		e.cols[j] = slab[pos : pos : pos+rawCnt[j]]
 		pos += rawCnt[j]
 	}
 
-	var touched []int
+	touched := ar.touched
 	nS := 0
 	for i, c := range p.cons {
 		touched = touched[:0]
@@ -201,26 +185,10 @@ func newRevEngine(p *Problem) (*revEngine, bool) {
 			nS++
 		}
 	}
+	ar.touched = touched[:0]
 
-	if ws != nil {
-		e.obj = ws.floats(wsF64Obj, e.nTotal)
-		e.basis = ws.intsBuf(wsIntBasis, m)
-		e.inBasis = ws.boolsBuf(wsBoolInBasis, e.nTotal)
-		e.xB = ws.floats(wsF64XB, m)
-		e.wsY = ws.floats(wsF64Y, m)
-		e.wsW = ws.floats(wsF64W, m)
-		e.wsZ = ws.floats(wsF64Z, m)
-		for j := range e.inBasis {
-			e.inBasis[j] = false
-		}
-	} else {
-		e.obj = make([]float64, e.nTotal)
-		e.basis = make([]int, m)
-		e.inBasis = make([]bool, e.nTotal)
-		e.xB = make([]float64, m)
-		e.wsY = make([]float64, m)
-		e.wsW = make([]float64, m)
-		e.wsZ = make([]float64, m)
+	for j := range e.inBasis {
+		e.inBasis[j] = false
 	}
 	for j := n; j < e.nTotal; j++ {
 		e.obj[j] = 0
@@ -232,30 +200,41 @@ func newRevEngine(p *Problem) (*revEngine, bool) {
 			e.obj[j] = p.obj[j]
 		}
 	}
-	if p.ub != nil {
-		e.hasUB = true
-		if ws != nil {
-			e.ub = ws.floats(wsF64UB, n)
-			e.atUpper = ws.boolsBuf(wsBoolAtUpper, n)
-			for j := 0; j < n; j++ {
-				e.atUpper[j] = false
-			}
-		} else {
-			e.ub = make([]float64, n)
-			e.atUpper = make([]bool, n)
+	if e.hasUB {
+		e.ub = ar.floats(wsF64UB, n)
+		for j := 0; j < n; j++ {
+			e.atUpper[j] = false
 		}
 		copy(e.ub, p.ub)
 	}
 	if p.resolvePricing() == PricingDevex {
-		if ws != nil {
-			e.devex = ws.floats(wsF64Devex, e.nTotal)
-		} else {
-			e.devex = make([]float64, e.nTotal)
-		}
+		e.devex = ar.floats(wsF64Devex, e.nTotal)
 		e.devexInit()
 	}
 	e.protectRow = -1
 	return e, true
+}
+
+// bind points the engine's per-solve vectors (everything sized by its m, n
+// and nTotal) at this bank's buffers, grown as needed, and empties the
+// bank's eta file. Contents are whatever the last solve left.
+func (a *engineArena) bind(e *revEngine) {
+	a.ops = grow(a.ops, e.m)
+	a.colHdr = grow(a.colHdr, e.nTotal)
+	e.ops, e.cols = a.ops, a.colHdr
+	e.rhs = a.floats(wsF64RHS, e.m)
+	e.slackOf = a.intsBuf(wsIntSlackOf, e.m)
+	e.obj = a.floats(wsF64Obj, e.nTotal)
+	e.basis = a.intsBuf(wsIntBasis, e.m)
+	e.inBasis = a.boolsBuf(wsBoolInBasis, e.nTotal)
+	e.xB = a.floats(wsF64XB, e.m)
+	e.wsY = a.floats(wsF64Y, e.m)
+	e.wsW = a.floats(wsF64W, e.m)
+	e.wsZ = a.floats(wsF64Z, e.m)
+	if e.hasUB {
+		e.atUpper = a.boolsBuf(wsBoolAtUpper, e.n)
+	}
+	e.factor.clearEtas()
 }
 
 // nbAtUpper reports whether nonbasic column j currently rests at its upper
@@ -288,18 +267,7 @@ func (e *revEngine) factorize(repair bool) bool {
 				nnz += len(e.cols[c])
 			}
 		}
-		var cols []linalg.SparseCol
-		var rows []int
-		var vals []float64
-		var sc *linalg.Scratch
-		if e.arena != nil {
-			cols, rows, vals = e.arena.sparseCols(e.m, nnz)
-			sc = &e.arena.lin
-		} else {
-			cols = make([]linalg.SparseCol, e.m)
-			rows = make([]int, nnz)
-			vals = make([]float64, nnz)
-		}
+		cols, rows, vals := e.arena.sparseCols(e.m, nnz)
 		pos := 0
 		for i, c := range e.basis {
 			start := pos
@@ -314,12 +282,9 @@ func (e *revEngine) factorize(repair bool) bool {
 			}
 			cols[i] = linalg.SparseCol{Rows: rows[start:pos], Vals: vals[start:pos]}
 		}
-		lu, err := linalg.FactorizeSparseInto(e.m, cols, sc)
+		err := e.factor.lu.Factorize(e.m, cols, &e.ws.lin)
 		if err == nil {
-			if sc != nil && e.factor.lu != nil {
-				sc.Recycle(e.factor.lu)
-			}
-			e.factor.reset(lu)
+			e.factor.clearEtas()
 			return true
 		}
 		se, ok := err.(*linalg.SingularError)
@@ -775,7 +740,7 @@ func (e *revEngine) phase1Ratio(w []float64, s, dEnter, uEnter float64, bland bo
 // breakpoints when the direction carries it across the whole feasible band
 // and out the other side.
 func (e *revEngine) phase1Breakpoints(w []float64, s float64) []phase1Bp {
-	var bps []phase1Bp
+	bps := e.arena.bps[:0]
 	for i, c := range e.basis {
 		v, r := e.xB[i], s*w[i]
 		if c >= e.nTotal {
@@ -827,11 +792,24 @@ func (e *revEngine) phase1Breakpoints(w []float64, s float64) []phase1Bp {
 			}
 		}
 	}
+	e.arena.bps = bps[:0] // keep what the list grew to
 	return bps
 }
 
+// sortBreakpoints orders the breakpoints by step. slices.SortFunc runs the
+// same pattern-defeating quicksort as sort.Slice — identical comparisons and
+// swaps, so ties land in the same (unstable but deterministic) order — minus
+// sort.Slice's reflection swapper, which allocated on every ratio test.
 func sortBreakpoints(bps []phase1Bp) {
-	sort.Slice(bps, func(a, b int) bool { return bps[a].theta < bps[b].theta })
+	slices.SortFunc(bps, func(a, b phase1Bp) int {
+		switch {
+		case a.theta < b.theta:
+			return -1
+		case b.theta < a.theta:
+			return 1
+		}
+		return 0
+	})
 }
 
 // better reports whether candidate row i at ratio theta beats the incumbent:
@@ -1152,36 +1130,44 @@ func (e *revEngine) polishVertex() {
 			}
 		}
 	}
+	// The clone lives in the arena's second bank: the engine's own state
+	// (bank 0) stays certified whatever the polish does.
 	m2 := e.m + 1
-	e2 := &revEngine{p: e.p, m: m2, n: e.n, nTotal: e.nTotal, arena: e.arena}
-	e2.cols = make([][]colEntry, e.nTotal)
+	ar := &e.ws.eng[1]
+	e2 := &ar.engine
+	*e2 = revEngine{p: e.p, m: m2, n: e.n, nTotal: e.nTotal, ws: e.ws, arena: ar, factor: &ar.factor, hasUB: e.hasUB, ub: e.ub}
+	ar.bind(e2)
+	nnz := 0
+	for j := 0; j < e.n; j++ {
+		if e.obj[j] != 0 {
+			nnz += len(e.cols[j]) + 1
+		}
+	}
+	slab := ar.colEntries(nnz)
 	for j := 0; j < e.nTotal; j++ {
 		col := e.cols[j]
 		if j < e.n && e.obj[j] != 0 {
-			ext := make([]colEntry, 0, len(col)+1)
-			ext = append(ext, col...)
-			ext = append(ext, colEntry{row: e.m, val: e.obj[j]})
-			col = ext
+			start := len(slab)
+			slab = append(slab, col...)
+			slab = append(slab, colEntry{row: e.m, val: e.obj[j]})
+			col = slab[start:len(slab):len(slab)]
 		}
 		e2.cols[j] = col
 	}
-	e2.ops = append(append(make([]Op, 0, m2), e.ops...), EQ)
-	e2.rhs = append(append(make([]float64, 0, m2), e.rhs...), objStar)
-	e2.slackOf = append(append(make([]int, 0, m2), e.slackOf...), -1)
-	e2.obj = make([]float64, e.nTotal)
+	copy(e2.ops, e.ops)
+	copy(e2.rhs, e.rhs)
+	copy(e2.slackOf, e.slackOf)
+	copy(e2.basis, e.basis)
+	e2.ops[e.m], e2.rhs[e.m], e2.slackOf[e.m], e2.basis[e.m] = EQ, objStar, -1, e.nTotal+e.m
+	for j := range e2.obj {
+		e2.obj[j] = 0
+	}
 	for j := 0; j < e.n; j++ {
 		e2.obj[j] = e.sigmaCost(j)
 	}
-	e2.basis = append(append(make([]int, 0, m2), e.basis...), e.nTotal+e.m)
-	e2.inBasis = append([]bool(nil), e.inBasis...)
-	e2.xB = make([]float64, m2)
-	e2.wsY = make([]float64, m2)
-	e2.wsW = make([]float64, m2)
-	e2.wsZ = make([]float64, m2)
-	e2.hasUB = e.hasUB
-	e2.ub = e.ub
+	copy(e2.inBasis, e.inBasis)
 	if e.hasUB {
-		e2.atUpper = append([]bool(nil), e.atUpper...)
+		copy(e2.atUpper, e.atUpper)
 	}
 	e2.protectRow = e.m
 	if !e2.refresh() {
@@ -1290,8 +1276,9 @@ func (e *revEngine) polishVertex() {
 	// shape, and the next seed attempt then falls back), but the x vector is
 	// taken from the extended basis directly, so the reported allocation is
 	// canonical regardless.
-	x := make([]float64, e.n)
+	x := ar.floats(wsF64Scratch, e.n)
 	for j := 0; j < e.n; j++ {
+		x[j] = 0
 		if e2.nbAtUpper(j) {
 			x[j] = e2.ub[j]
 		}
@@ -1354,10 +1341,15 @@ func (e *revEngine) driveOutArtificials() bool {
 	return true
 }
 
-// finish assembles the Result from an optimal basis.
+// finish assembles the Result from an optimal basis in the engine's arena
+// bank: X, the snapshot's basic columns and its at-upper list are arena
+// storage, its ops are the engine's, and it carries no row identities. The
+// caller either lifts it to the full shape (presolve, which reads exactly
+// those fields) or hands it to Problem.own.
 func (e *revEngine) finish(warm, remapped bool) *Result {
-	p := e.p
-	x := make([]float64, e.n)
+	p, ar := e.p, e.arena
+	ar.resX = grow(ar.resX, e.n)
+	x := ar.resX
 	if e.polishedX != nil {
 		copy(x, e.polishedX)
 		for j, v := range x {
@@ -1367,6 +1359,7 @@ func (e *revEngine) finish(warm, remapped bool) *Result {
 		}
 	} else {
 		for j := 0; j < e.n; j++ {
+			x[j] = 0
 			if e.nbAtUpper(j) {
 				x[j] = e.ub[j]
 			}
@@ -1385,7 +1378,8 @@ func (e *revEngine) finish(warm, remapped bool) *Result {
 	for j, c := range p.obj {
 		obj += c * x[j]
 	}
-	cols := make([]int, e.m)
+	snap := &ar.resBasis
+	cols := grow(snap.cols, e.m)
 	for i, c := range e.basis {
 		if c < e.nTotal {
 			cols[i] = c
@@ -1393,30 +1387,51 @@ func (e *revEngine) finish(warm, remapped bool) *Result {
 			cols[i] = -1 // redundant row, dense-path compatible
 		}
 	}
-	snap := p.snapshotBasis(e.ops, cols)
-	snap.polished = e.snapPolished
+	atUpper := snap.atUpper[:0]
 	if e.hasUB {
 		for j := 0; j < e.n; j++ {
 			if e.atUpper[j] && !e.inBasis[j] {
-				snap.atUpper = append(snap.atUpper, j)
+				atUpper = append(atUpper, j)
 			}
 		}
 	}
-	return &Result{
+	*snap = Basis{numVars: e.n, ops: e.ops, cols: cols, atUpper: atUpper, polished: e.snapPolished}
+	ar.res = Result{
 		Status: Optimal, X: x, Objective: obj,
 		Iterations: e.iterations, Pivots: e.pivots,
 		DualIterations: e.dualIters, Refactorizations: e.refactors,
 		Basis: snap, WarmStarted: warm, Remapped: remapped,
 	}
+	return &ar.res
+}
+
+// own detaches a result the revised engine assembled in the arena: the
+// returned Result, its X and its Basis (now carrying the problem's row
+// identities) are the caller's to keep.
+func (p *Problem) own(res *Result) *Result {
+	out := new(Result)
+	*out = *res
+	if res.X != nil {
+		out.X = append([]float64(nil), res.X...)
+	}
+	if b := res.Basis; b != nil {
+		out.Basis = p.snapshotBasis(b.ops, b.cols)
+		out.Basis.polished = b.polished
+		if len(b.atUpper) > 0 {
+			out.Basis.atUpper = append([]int(nil), b.atUpper...)
+		}
+	}
+	return out
 }
 
 // statusResult wraps a non-optimal terminal status.
 func (e *revEngine) statusResult(st Status, warm, remapped bool) *Result {
-	return &Result{
+	e.arena.res = Result{
 		Status: st, Iterations: e.iterations, Pivots: e.pivots,
 		DualIterations: e.dualIters, Refactorizations: e.refactors,
 		WarmStarted: warm, Remapped: remapped,
 	}
+	return &e.arena.res
 }
 
 // solveCold runs the two-phase revised simplex from the slack/artificial
@@ -1497,7 +1512,12 @@ func (e *revEngine) solveSeeded(prev *Basis) (*Result, bool) {
 // the dual simplex when the seed stayed dual feasible). ok=false retries
 // cold.
 func (e *revEngine) solveMapped(mb *MappedBasis) (*Result, bool) {
-	rowAt := make(map[string]int, e.m)
+	sa := &e.ws.seed
+	if sa.rowAt == nil {
+		sa.rowAt = make(map[string]int, e.m)
+	}
+	rowAt := sa.rowAt
+	clear(rowAt)
 	for i, c := range e.p.cons {
 		if c.id != "" {
 			rowAt[c.id] = i
@@ -1516,7 +1536,7 @@ func (e *revEngine) solveMapped(mb *MappedBasis) (*Result, bool) {
 			e.inBasis[col] = true
 		}
 	}
-	var loose []int
+	loose := sa.loose[:0]
 	for k, col := range mb.cands {
 		if col < 0 || col >= e.n {
 			return nil, false
@@ -1531,6 +1551,7 @@ func (e *revEngine) solveMapped(mb *MappedBasis) (*Result, bool) {
 		}
 		loose = append(loose, col)
 	}
+	sa.loose = loose[:0]
 	free := 0
 	place := func(col int) {
 		for ; free < e.m; free++ {

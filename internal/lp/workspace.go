@@ -2,35 +2,71 @@ package lp
 
 import "gavel/internal/linalg"
 
-// Workspace is a reusable scratch arena for the revised simplex engine.
-// Attach one to a Problem with SetWorkspace; every per-solve vector — the
-// FTRAN/BTRAN images, basic-value and pricing-weight arrays, the CSC column
-// slabs, and the sparse-LU factorization scratch — is then carved from the
-// arena instead of allocated, so a caller that solves in a loop (SolveContext,
-// the simulator's reset path) performs near-zero allocation per solve.
+// Workspace is the arena every revised-engine solve runs in. It owns, and
+// reuses verbatim from one solve to the next:
 //
-// Buffers grow monotonically to the largest problem seen and are reused
-// verbatim afterwards. A Workspace is not safe for concurrent solves; each
-// solve context owns one.
+//   - the engine state of the solve and of its vertex-polish clone (two
+//     disjoint banks, since both are live at once): the CSC column slab,
+//     every dense work vector, the basis factorization — an in-place LU
+//     (linalg.LU.Factorize) plus the eta file as one index/value slab — and
+//     the phase-1 breakpoint list;
+//   - presolve's row/column work arrays, its deduplicated row slab and the
+//     reduced Problem it hands the engine, plus the seeds projected onto it;
+//   - the lookup tables of Basis.Remap and of the mapped seed placement.
+//
+// What a solve returns is never arena-backed: Result.X and the Basis
+// snapshot are allocated per solve, because callers keep them (the
+// allocation, the warm-start cache) past the next solve.
+//
+// Buffers grow monotonically to the largest problem seen. Attach one arena
+// to every problem solved in a loop (SetWorkspace; policy.SolveContext does)
+// and a steady-state solve allocates only its Result; a problem without one
+// gets a private arena for the single solve. A Workspace is not safe for
+// concurrent solves.
 type Workspace struct {
-	lin linalg.Scratch
-
-	f64   [][]float64 // named float64 buffers, by slot
-	ints  [][]int
-	bools [][]bool
-	ops   []Op
-
-	colSlab   []colEntry // CSC entries for structural + slack columns
-	colHdr    [][]colEntry
-	colCounts []int
-	spCols    []linalg.SparseCol
-	spRows    []int
-	spVals    []float64
+	lin  linalg.Scratch
+	eng  [2]engineArena // 0: the solve's engine, 1: its polish clone
+	ps   presolveState
+	seed seedArena
 }
 
-// Buffer slots. Each engine buffer has a fixed slot so two live engines never
-// alias (the engine and its polish clone use disjoint arenas: the clone
-// allocates plainly).
+// engineArena is one engine's bank of reusable storage.
+type engineArena struct {
+	engine revEngine
+	factor basisFactor
+
+	f64   [wsF64Count][]float64
+	ints  [wsIntCount][]int
+	bools [wsBoolCount][]bool
+	ops   []Op
+
+	colSlab []colEntry // CSC entries for structural + slack columns
+	colHdr  [][]colEntry
+	touched []int // rows' distinct variables while building the CSC
+	spCols  []linalg.SparseCol
+	spRows  []int
+	spVals  []float64
+	bps     []phase1Bp
+
+	// The result the engine assembles before it is lifted or detached.
+	res      Result
+	resX     []float64
+	resBasis Basis
+}
+
+// seedArena holds the tables that carry a basis across shapes: Remap's
+// identity lookups and the MappedBasis it produces, and the row-identity
+// lookup of the mapped seed placement.
+type seedArena struct {
+	colAt      map[ColumnID]int
+	seen       []bool
+	slackOwner []int
+	mapped     MappedBasis
+	rowAt      map[string]int
+	loose      []int
+}
+
+// Buffer slots of an engine bank.
 const (
 	wsF64Y = iota
 	wsF64W
@@ -57,78 +93,45 @@ const (
 	wsBoolCount
 )
 
-func (ws *Workspace) floats(slot, n int) []float64 {
-	if ws.f64 == nil {
-		ws.f64 = make([][]float64, wsF64Count)
+// grow returns s resized to n elements, reallocating only when its capacity
+// falls short — then with a quarter of headroom, so a problem that creeps up
+// one job at a time does not reallocate the arena at every step. Contents
+// are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
 	}
-	b := ws.f64[slot]
-	if cap(b) < n {
-		b = make([]float64, n)
-	}
-	b = b[:n]
-	ws.f64[slot] = b
-	return b
+	return s[:n]
 }
 
-func (ws *Workspace) intsBuf(slot, n int) []int {
-	if ws.ints == nil {
-		ws.ints = make([][]int, wsIntCount)
-	}
-	b := ws.ints[slot]
-	if cap(b) < n {
-		b = make([]int, n)
-	}
-	b = b[:n]
-	ws.ints[slot] = b
-	return b
+func (a *engineArena) floats(slot, n int) []float64 {
+	a.f64[slot] = grow(a.f64[slot], n)
+	return a.f64[slot]
 }
 
-func (ws *Workspace) boolsBuf(slot, n int) []bool {
-	if ws.bools == nil {
-		ws.bools = make([][]bool, wsBoolCount)
-	}
-	b := ws.bools[slot]
-	if cap(b) < n {
-		b = make([]bool, n)
-	}
-	b = b[:n]
-	ws.bools[slot] = b
-	return b
+func (a *engineArena) intsBuf(slot, n int) []int {
+	a.ints[slot] = grow(a.ints[slot], n)
+	return a.ints[slot]
 }
 
-func (ws *Workspace) opsBuf(n int) []Op {
-	if cap(ws.ops) < n {
-		ws.ops = make([]Op, n)
-	}
-	ws.ops = ws.ops[:n]
-	return ws.ops
-}
-
-// colHeaders returns the CSC column-header slice (n column slots).
-func (ws *Workspace) colHeaders(n int) [][]colEntry {
-	if cap(ws.colHdr) < n {
-		ws.colHdr = make([][]colEntry, n)
-	}
-	return ws.colHdr[:n]
+func (a *engineArena) boolsBuf(slot, n int) []bool {
+	a.bools[slot] = grow(a.bools[slot], n)
+	return a.bools[slot]
 }
 
 // colEntries returns a slab with capacity for n CSC entries, length 0.
-func (ws *Workspace) colEntries(n int) []colEntry {
-	if cap(ws.colSlab) < n {
-		ws.colSlab = make([]colEntry, 0, n)
+func (a *engineArena) colEntries(n int) []colEntry {
+	if cap(a.colSlab) < n {
+		a.colSlab = make([]colEntry, 0, n+n/4)
 	}
-	return ws.colSlab[:0]
+	return a.colSlab[:0]
 }
 
 // sparseCols returns headers and row/val slabs for a basis factorization
 // with m columns and at most nnz entries.
-func (ws *Workspace) sparseCols(m, nnz int) ([]linalg.SparseCol, []int, []float64) {
-	if cap(ws.spCols) < m {
-		ws.spCols = make([]linalg.SparseCol, m)
-	}
-	if cap(ws.spRows) < nnz {
-		ws.spRows = make([]int, nnz)
-		ws.spVals = make([]float64, nnz)
-	}
-	return ws.spCols[:m], ws.spRows[:nnz], ws.spVals[:nnz]
+func (a *engineArena) sparseCols(m, nnz int) ([]linalg.SparseCol, []int, []float64) {
+	a.spCols = grow(a.spCols, m)
+	a.spRows = grow(a.spRows, nnz)
+	a.spVals = grow(a.spVals, nnz)
+	return a.spCols, a.spRows, a.spVals
 }

@@ -20,6 +20,9 @@ type LPMetrics struct {
 	Refactorizations   *Counter
 	LabelSolves        *CounterVec // per caller-supplied solve label
 	SolveSeconds       *Histogram
+	// BuildSeconds is, per policy Allocate call, the wall-clock spent
+	// outside LP solves: program build, basis remapping, extraction.
+	BuildSeconds *Histogram
 }
 
 // NewLPMetrics registers the LP series on r (nil r yields a nil bundle).
@@ -36,6 +39,7 @@ func NewLPMetrics(r *Registry) *LPMetrics {
 		Refactorizations:   r.Counter("gavel_lp_refactorizations_total", "Basis LU refactorizations in the revised engine."),
 		LabelSolves:        r.CounterVec("gavel_lp_label_solves_total", "LP solves by caller label.", "label"),
 		SolveSeconds:       r.Histogram("gavel_lp_solve_seconds", "Wall-clock per LP solve.", DurationBuckets),
+		BuildSeconds:       r.Histogram("gavel_policy_build_seconds", "Wall-clock per policy Allocate outside its LP solves.", DurationBuckets),
 	}
 	// Pre-register the outcome children so scrapes see the full vocabulary
 	// at zero before the first solve of each kind lands.
@@ -54,10 +58,11 @@ func (m *LPMetrics) Start() time.Time {
 	return m.reg.Now()
 }
 
-// RecordSolve feeds one completed solve into the live series.
-func (m *LPMetrics) RecordSolve(kind, label string, iterations, dualIterations, presolveReductions, refactorizations int, start time.Time) {
+// RecordSolve feeds one completed solve into the live series and returns the
+// wall-clock seconds it observed for it (0 without a start time).
+func (m *LPMetrics) RecordSolve(kind, label string, iterations, dualIterations, presolveReductions, refactorizations int, start time.Time) float64 {
 	if m == nil {
-		return
+		return 0
 	}
 	m.Solves.With(kind).Inc()
 	m.Iterations.Add(iterations)
@@ -67,7 +72,20 @@ func (m *LPMetrics) RecordSolve(kind, label string, iterations, dualIterations, 
 	if label != "" {
 		m.LabelSolves.With(label).Inc()
 	}
-	if !start.IsZero() {
-		m.SolveSeconds.Observe(m.reg.Since(start))
+	if start.IsZero() {
+		return 0
 	}
+	d := m.reg.Since(start)
+	m.SolveSeconds.Observe(d)
+	return d
+}
+
+// ObserveBuild records one policy Allocate that began at start and spent
+// solveSeconds of its wall-clock inside LP solves.
+func (m *LPMetrics) ObserveBuild(start time.Time, solveSeconds float64) {
+	if m == nil || start.IsZero() {
+		return
+	}
+	// Clock granularity can leave the difference a hair below zero.
+	m.BuildSeconds.Observe(max(0, m.reg.Since(start)-solveSeconds))
 }

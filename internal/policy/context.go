@@ -2,8 +2,10 @@ package policy
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
+	"gavel/internal/core"
 	"gavel/internal/lp"
 	"gavel/internal/obs"
 )
@@ -59,11 +61,33 @@ type SolveContext struct {
 	// goroutines may share one.
 	Metrics *obs.LPMetrics
 
-	// ws is the lazily created scratch arena shared by every revised-engine
-	// solve issued through this context, eliminating per-solve allocation of
-	// the engine's working vectors. Solves through a context are serial, so
-	// one arena suffices.
-	ws *lp.Workspace
+	// ws is the arena every solve issued through this context runs in (see
+	// lp.Workspace for what it owns), and prog the one Program every policy
+	// builds its LPs on. Both grow to the largest reset seen and are reused
+	// verbatim, so a steady-state reset allocates only what it returns: the
+	// Allocation, the solve's Result.X and the cached Basis. Allocate calls
+	// through a context are serial and build one program at a time, so one
+	// of each suffices.
+	ws   lp.Workspace
+	prog core.Program
+	// scale is the per-job scale-factor scratch handed to the program build;
+	// f64 a policy's per-variable scratch (floats).
+	scale []int
+	f64   []float64
+	// rowIDs interns the per-job row and column identities policies derive
+	// from external job IDs ("r:17", "wf:17"), so a reset formats a string
+	// only for a job it has not seen under that prefix.
+	rowIDs map[rowIDKey]string
+	// solveSeconds accumulates the wall-clock of this context's LP solves
+	// when Metrics is set; observeBuild subtracts it from an Allocate's wall.
+	solveSeconds float64
+}
+
+// rowIDKey names one interned identity: a policy-chosen prefix and the
+// external job ID.
+type rowIDKey struct {
+	prefix string
+	id     int
 }
 
 // cachedBasis pairs a cached simplex basis with the column identities of the
@@ -76,7 +100,7 @@ type cachedBasis struct {
 
 // SolveStats counts LP work issued through a SolveContext.
 type SolveStats struct {
-	Solves        int // LP solves issued (including fractional programs)
+	Solves        int // LP solves issued
 	WarmAttempts  int // solves seeded positionally from a same-shape basis
 	WarmHits      int // positional seeds that actually ran warm
 	RemapAttempts int // solves seeded from a basis remapped across shapes
@@ -94,7 +118,7 @@ type SolveStats struct {
 	// Labels breaks Iterations/DualIterations/PresolveReductions down by the
 	// policy-chosen solve label, so multi-LP policies (e.g. the fairness
 	// binary search plus its refine pass) can be attributed separately. Keys
-	// are the labels passed to Solve/SolveFractional.
+	// are the labels passed to Solve.
 	Labels map[string]LabelStats
 }
 
@@ -108,7 +132,85 @@ type LabelStats struct {
 
 // NewSolveContext returns an empty context.
 func NewSolveContext() *SolveContext {
-	return &SolveContext{bases: map[string]*cachedBasis{}}
+	return &SolveContext{bases: map[string]*cachedBasis{}, rowIDs: map[rowIDKey]string{}}
+}
+
+// program builds the LP skeleton for in (core.NewProgram's layout, or its
+// Charnes-Cooper homogenization) on the context's reusable Program. The
+// program is valid until the next call; a policy solving several LPs over
+// one input rewinds it (Program.Rewind) instead of asking again. A nil
+// context builds a fresh program.
+func (c *SolveContext) program(sense lp.Sense, in *Input, homogeneous bool) *core.Program {
+	var pr *core.Program
+	var scale []int
+	if c == nil {
+		pr, scale = new(core.Program), in.scaleFactors()
+	} else {
+		// Identities of departed jobs would otherwise accumulate forever.
+		if len(c.rowIDs) > 16*len(in.Jobs)+4096 {
+			clear(c.rowIDs)
+		}
+		c.scale = in.scaleFactorsInto(c.scale)
+		pr, scale = &c.prog, c.scale
+	}
+	if homogeneous {
+		pr.BuildHomogeneous(sense, in.Units, scale, in.Workers)
+	} else {
+		pr.Build(sense, in.Units, scale, in.Workers)
+	}
+	return pr
+}
+
+// floats returns a float64 scratch vector of length n from the context
+// (contents unspecified, valid until the next call); a nil context
+// allocates.
+func (c *SolveContext) floats(n int) []float64 {
+	if c == nil {
+		return make([]float64, n)
+	}
+	if cap(c.f64) < n {
+		c.f64 = make([]float64, n)
+	}
+	return c.f64[:n]
+}
+
+// rowID returns the identity prefix+id (e.g. "r:17") policies give the rows
+// and columns they derive from an external job ID, interned per context.
+func (c *SolveContext) rowID(prefix string, id int) string {
+	if c == nil {
+		return prefix + strconv.Itoa(id)
+	}
+	k := rowIDKey{prefix, id}
+	s, ok := c.rowIDs[k]
+	if !ok {
+		s = prefix + strconv.Itoa(id)
+		c.rowIDs[k] = s
+	}
+	return s
+}
+
+// startBuild and observeBuild bracket one Allocate: together they observe
+// the wall-clock the call spent outside its LP solves — program build,
+// basis remapping, extraction — as gavel_policy_build_seconds. Without
+// Metrics neither reads the clock.
+func (c *SolveContext) startBuild() buildTimer {
+	if c == nil || c.Metrics == nil {
+		return buildTimer{}
+	}
+	return buildTimer{start: c.Metrics.Start(), solved: c.solveSeconds}
+}
+
+func (c *SolveContext) observeBuild(t buildTimer) {
+	if t.start.IsZero() {
+		return
+	}
+	c.Metrics.ObserveBuild(t.start, c.solveSeconds-t.solved)
+}
+
+// buildTimer is the state startBuild hands observeBuild.
+type buildTimer struct {
+	start  time.Time
+	solved float64 // the context's solveSeconds when the Allocate began
 }
 
 // NewSolveContextWith returns an empty context carrying the given solver
@@ -218,7 +320,7 @@ func (c *SolveContext) seed(key string, ids []lp.ColumnID, numRows int) (*lp.Bas
 	if sameIDs(ent.ids, ids) && ent.basis.NumRows() == numRows {
 		return ent.basis, nil
 	}
-	return nil, ent.basis.Remap(ent.ids, ids)
+	return nil, ent.basis.RemapIn(&c.ws, ent.ids, ids)
 }
 
 // HasSeeds reports whether the context holds any cached basis. A context
@@ -254,7 +356,19 @@ func (c *SolveContext) record(key string, ids []lp.ColumnID, res *lp.Result) {
 	c.recordCounters(key, res)
 	c.recordEngine(res)
 	if res.Status == lp.Optimal && res.Basis != nil {
-		c.bases[key] = &cachedBasis{basis: res.Basis, ids: ids}
+		// ids is typically the program's own slice, rewritten by the next
+		// build: the cache keeps a copy, in the entry's storage.
+		ent := c.bases[key]
+		if ent == nil {
+			ent = &cachedBasis{}
+			c.bases[key] = ent
+		}
+		ent.basis = res.Basis
+		if ids == nil {
+			ent.ids = nil
+		} else {
+			ent.ids = append(ent.ids[:0], ids...)
+		}
 	}
 }
 
@@ -275,7 +389,7 @@ func (c *SolveContext) emit(key string, res *lp.Result, start time.Time) {
 	if c.Metrics == nil || res == nil {
 		return
 	}
-	c.Metrics.RecordSolve(solveKind(res), key, res.Iterations, res.DualIterations,
+	c.solveSeconds += c.Metrics.RecordSolve(solveKind(res), key, res.Iterations, res.DualIterations,
 		res.PresolveReductions, res.Refactorizations, start)
 	if res.Engine == lp.Dense {
 		selected := c.Engine
@@ -312,10 +426,7 @@ func (c *SolveContext) apply(p *lp.Problem) {
 	p.SetPricing(c.Pricing)
 	p.SetPresolve(c.Presolve)
 	p.SetDual(c.Dual)
-	if c.ws == nil {
-		c.ws = &lp.Workspace{}
-	}
-	p.SetWorkspace(c.ws)
+	p.SetWorkspace(&c.ws)
 }
 
 // recordEngine buckets a solve by the engine that completed it, counting
@@ -395,53 +506,4 @@ func (c *SolveContext) SolveCold(p *lp.Problem) (*lp.Result, error) {
 	c.recordEngine(res)
 	c.emit("cold", res, start)
 	return res, nil
-}
-
-// SolveFractional solves the linear-fractional program with the same basis
-// caching and cross-shape remapping as Solve. ids names f's variables (len
-// f.NumVars); the Charnes-Cooper homogenizing column is accounted for
-// internally.
-func (c *SolveContext) SolveFractional(key string, f *lp.Fractional, ids []lp.ColumnID) ([]float64, float64, error) {
-	if c == nil {
-		x, ratio, err := lp.SolveFractional(f)
-		return x, ratio, err
-	}
-	c.Stats.Solves++
-	f.Engine = c.Engine
-	f.Pricing = c.Pricing
-	f.Presolve = c.Presolve
-	f.Dual = c.Dual
-	if c.ws == nil {
-		c.ws = &lp.Workspace{}
-	}
-	f.Workspace = c.ws
-	var tids []lp.ColumnID
-	if ids != nil {
-		tids = make([]lp.ColumnID, 0, len(ids)+1)
-		tids = append(tids, ids...)
-		tids = append(tids, lp.CharnesCooperID)
-	}
-	// The transformed LP has one row per constraint plus the denominator
-	// normalization row.
-	prev, mapped := c.seed(key, tids, len(f.Cons)+1)
-	start := c.Metrics.Start()
-	var x []float64
-	var ratio float64
-	var res *lp.Result
-	var err error
-	switch {
-	case prev != nil:
-		c.Stats.WarmAttempts++
-		x, ratio, res, err = lp.SolveFractionalFrom(f, prev)
-	case mapped != nil:
-		c.Stats.RemapAttempts++
-		x, ratio, res, err = lp.SolveFractionalFromMapped(f, mapped)
-	default:
-		x, ratio, res, err = lp.SolveFractionalFrom(f, nil)
-	}
-	if res != nil {
-		c.record(key, tids, res)
-		c.emit(key, res, start)
-	}
-	return x, ratio, err
 }

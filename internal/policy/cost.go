@@ -16,7 +16,8 @@ import (
 //	       sum_u sum_j cost_j * X_uj
 //
 // a linear-fractional program solved exactly with the Charnes-Cooper
-// transformation (internal/lp.SolveFractional). Pair units are charged
+// transformation (lp.Fractional), built directly on core.Program's
+// homogenized layout so it shares the reset path. Pair units are charged
 // once, so space sharing is not double-billed. With EnforceSLOs set, the
 // constraint throughput(m, X) >= steps_m / SLO_remaining_m is added for
 // every job with an SLO ("minimize cost w/ SLOs").
@@ -34,6 +35,7 @@ func (p *MinCost) Name() string {
 
 // Allocate implements Policy.
 func (p *MinCost) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -43,124 +45,7 @@ func (p *MinCost) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, erro
 	if len(in.Prices) != len(in.Workers) {
 		return nil, fmt.Errorf("min_cost: %d prices for %d types", len(in.Prices), len(in.Workers))
 	}
-	numTypes := len(in.Workers)
-	sf := in.scaleFactors()
 
-	// Flatten usable (unit, type) pairs into fractional-program variables,
-	// naming each by the unit's stable key so the transformed LP's basis
-	// can be remapped across job arrivals and departures.
-	varOf := make([][]int, len(in.Units))
-	var colIDs []lp.ColumnID
-	nv := 0
-	for ui := range in.Units {
-		varOf[ui] = make([]int, numTypes)
-		key := in.Units[ui].Key
-		if key == "" {
-			key = fmt.Sprintf("u%d", ui)
-		}
-		for j := 0; j < numTypes; j++ {
-			usable := false
-			for k := range in.Units[ui].Jobs {
-				if in.Units[ui].Tput[k][j] > 0 {
-					usable = true
-					break
-				}
-			}
-			if usable {
-				varOf[ui][j] = nv
-				colIDs = append(colIDs, lp.ColumnID(fmt.Sprintf("%s@%d", key, j)))
-				nv++
-			} else {
-				varOf[ui][j] = -1
-			}
-		}
-	}
-
-	f := &lp.Fractional{
-		NumVars: nv,
-		Num:     make([]float64, nv),
-		Den:     make([]float64, nv),
-	}
-	// Numerator: normalized throughput. Denominator: dollar rate.
-	for ui := range in.Units {
-		u := &in.Units[ui]
-		for j := 0; j < numTypes; j++ {
-			v := varOf[ui][j]
-			if v < 0 {
-				continue
-			}
-			for k, m := range u.Jobs {
-				fastest := core.MaxThroughput(in.Jobs[m].Tput)
-				if core.Finite(fastest) && u.Tput[k][j] > 0 {
-					f.Num[v] += u.Tput[k][j] / fastest
-				}
-			}
-			nWorkers := float64(1)
-			for _, m := range u.Jobs {
-				if s := float64(sf[m]); s > nWorkers {
-					nWorkers = s
-				}
-			}
-			f.Den[v] += in.Prices[j] * nWorkers
-		}
-	}
-
-	throughputTerms := func(m int) []lp.Term {
-		var terms []lp.Term
-		for ui := range in.Units {
-			u := &in.Units[ui]
-			for k, jm := range u.Jobs {
-				if jm != m {
-					continue
-				}
-				for j := 0; j < numTypes; j++ {
-					if v := varOf[ui][j]; v >= 0 && u.Tput[k][j] > 0 {
-						terms = append(terms, lp.Term{Var: v, Coeff: u.Tput[k][j]})
-					}
-				}
-			}
-		}
-		return terms
-	}
-
-	// Per-job time budget.
-	for m := range in.Jobs {
-		var terms []lp.Term
-		for ui := range in.Units {
-			if in.Units[ui].Contains(m) {
-				for j := 0; j < numTypes; j++ {
-					if v := varOf[ui][j]; v >= 0 {
-						terms = append(terms, lp.Term{Var: v, Coeff: 1})
-					}
-				}
-			}
-		}
-		if len(terms) > 0 {
-			f.Cons = append(f.Cons, lp.FractionalConstraint{
-				Terms: terms, Op: lp.LE, RHS: 1, ID: fmt.Sprintf("b:%d", in.Jobs[m].ID),
-			})
-		}
-	}
-	// Per-type capacity.
-	for j := 0; j < numTypes; j++ {
-		var terms []lp.Term
-		for ui := range in.Units {
-			if v := varOf[ui][j]; v >= 0 {
-				nWorkers := float64(1)
-				for _, m := range in.Units[ui].Jobs {
-					if s := float64(sf[m]); s > nWorkers {
-						nWorkers = s
-					}
-				}
-				terms = append(terms, lp.Term{Var: v, Coeff: nWorkers})
-			}
-		}
-		if len(terms) > 0 {
-			f.Cons = append(f.Cons, lp.FractionalConstraint{
-				Terms: terms, Op: lp.LE, RHS: in.Workers[j], ID: fmt.Sprintf("c:%d", j),
-			})
-		}
-	}
 	// SLO floor constraints. An SLO that cannot be met even on the job's
 	// fastest accelerator running full time is hopeless — adding it would
 	// make the whole program infeasible, so it is skipped (the violation
@@ -190,46 +75,66 @@ func (p *MinCost) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, erro
 		sort.Slice(slos, func(a, b int) bool { return slos[a].tightness < slos[b].tightness })
 	}
 
-	baseCons := f.Cons
-	solve := func(nSLO int) ([]float64, error) {
-		f.Cons = append([]lp.FractionalConstraint(nil), baseCons...)
-		for _, s := range slos[:nSLO] {
-			f.Cons = append(f.Cons, lp.FractionalConstraint{
-				Terms: throughputTerms(s.job), Op: lp.GE, RHS: s.need,
-				ID: fmt.Sprintf("slo:%d", in.Jobs[s.job].ID),
-			})
+	// The Charnes-Cooper transformed LP (lp.Fractional documents the
+	// reduction), written straight onto the shared allocation layout: the
+	// program's columns are y = t·X over the usable (unit, type) pairs plus
+	// the homogenizing t, its skeleton the budget and capacity rows
+	// a·y − b·t <= 0. A solution with t ~ 0 has an unbounded denominator.
+	pr := ctx.program(lp.Maximize, in, true)
+	den := ctx.floats(pr.P.NumVars()) // every allocation column is set below
+	den[pr.Homogenizer()] = 0
+	solve := func(nSLO int) (*lp.Result, error) {
+		pr.Rewind()
+		// Numerator (the objective): normalized throughput. Denominator
+		// (the normalization row): dollar rate, a pair unit charged once.
+		for ui := range in.Units {
+			u := &in.Units[ui]
+			for j, v := range pr.XVar[ui] {
+				if v < 0 {
+					continue
+				}
+				for k, m := range u.Jobs {
+					fastest := core.MaxThroughput(in.Jobs[m].Tput)
+					if core.Finite(fastest) && u.Tput[k][j] > 0 {
+						pr.P.AddObj(v, u.Tput[k][j]/fastest)
+					}
+				}
+				nWorkers := float64(1)
+				for _, m := range u.Jobs {
+					if s := float64(in.Jobs[m].scaleFactor()); s > nWorkers {
+						nWorkers = s
+					}
+				}
+				den[v] = in.Prices[j] * nWorkers
+			}
 		}
-		x, _, err := ctx.SolveFractional("mincost", f, colIDs)
-		return x, err
+		for _, s := range slos[:nSLO] {
+			pr.AddRow(pr.ThroughputTerms(s.job, 1), lp.GE, s.need, ctx.rowID("slo:", in.Jobs[s.job].ID))
+		}
+		pr.AddNormalization(den, 0)
+		res, err := ctx.Solve("mincost", pr.P, pr.ColumnIDs())
+		switch {
+		case err != nil:
+			return nil, err
+		case res.Status != lp.Optimal:
+			return nil, fmt.Errorf("lp: fractional program not optimal: %v", res.Status)
+		case res.X[pr.Homogenizer()] < lp.CharnesCooperMinT:
+			return nil, lp.ErrDegenerateFraction
+		}
+		return res, nil
 	}
 	nSLO := len(slos)
-	x, err := solve(nSLO)
+	res, err := solve(nSLO)
 	for err != nil && nSLO > 0 {
 		// Drop the tightest quarter (at least one) and retry.
 		drop := (nSLO + 3) / 4
 		nSLO -= drop
-		x, err = solve(nSLO)
+		res, err = solve(nSLO)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("min_cost: %w", err)
 	}
-	X := make([][]float64, len(in.Units))
-	for ui := range in.Units {
-		X[ui] = make([]float64, numTypes)
-		for j := 0; j < numTypes; j++ {
-			if v := varOf[ui][j]; v >= 0 {
-				val := x[v]
-				if val < 0 {
-					val = 0
-				}
-				if val > 1 {
-					val = 1
-				}
-				X[ui][j] = val
-			}
-		}
-	}
-	return &core.Allocation{Units: in.Units, X: X}, nil
+	return pr.ExtractRatio(res.X), nil
 }
 
 // MaxTotalThroughput maximizes total normalized effective throughput: the
@@ -241,13 +146,14 @@ func (MaxTotalThroughput) Name() string { return "max_total_throughput" }
 
 // Allocate implements Policy.
 func (MaxTotalThroughput) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	if len(in.Jobs) == 0 {
 		return emptyAllocation(in), nil
 	}
-	pr := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+	pr := ctx.program(lp.Maximize, in, false)
 	for m := range in.Jobs {
 		fastest := core.MaxThroughput(in.Jobs[m].Tput)
 		if !core.Finite(fastest) {

@@ -22,6 +22,7 @@ func (FIFO) Name() string { return "fifo" }
 
 // Allocate implements Policy.
 func (FIFO) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -38,7 +39,7 @@ func (FIFO) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
 	})
 	M := float64(len(in.Jobs))
 
-	pr := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+	pr := ctx.program(lp.Maximize, in, false)
 	for rank, m := range order {
 		fastest := core.MaxThroughput(in.Jobs[m].Tput)
 		if !core.Finite(fastest) {
@@ -69,6 +70,7 @@ func (ShortestJobFirst) Name() string { return "shortest_job_first" }
 
 // Allocate implements Policy.
 func (ShortestJobFirst) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -93,7 +95,7 @@ func (ShortestJobFirst) Allocate(in *Input, ctx *SolveContext) (*core.Allocation
 	// Maximize the shortest job's throughput with a large primary weight,
 	// breaking ties by total normalized throughput so the rest of the
 	// cluster stays busy. A single LP keeps this policy cheap.
-	pr := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+	pr := ctx.program(lp.Maximize, in, false)
 	const primary = 1e6
 	for m := range in.Jobs {
 		fastest := core.MaxThroughput(in.Jobs[m].Tput)

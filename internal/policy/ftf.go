@@ -35,6 +35,7 @@ func (p *FinishTimeFairness) Name() string { return "finish_time_fairness" }
 
 // Allocate implements Policy.
 func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -67,8 +68,11 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 		return emptyAllocation(in), nil
 	}
 
+	// Every probe of the search solves over the same skeleton, built once
+	// and rewound per probe.
+	pr := ctx.program(lp.Maximize, in, false)
 	feasible := func(r float64) (*core.Allocation, bool) {
-		pr := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+		pr.Rewind()
 		for m := range in.Jobs {
 			if d[m] == 0 {
 				continue
@@ -86,7 +90,7 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 					pr.P.AddObj(tm.Var, tm.Coeff/fastest)
 				}
 			}
-			pr.AddRow(terms, lp.GE, need, fmt.Sprintf("r:%d", in.Jobs[m].ID))
+			pr.AddRow(terms, lp.GE, need, ctx.rowID("r:", in.Jobs[m].ID))
 		}
 		res, err := ctx.Solve("ftf/feas", pr.P, pr.ColumnIDs())
 		if err != nil || res.Status != lp.Optimal {

@@ -57,6 +57,7 @@ func WaterFilledMaxMin() *Hierarchical {
 
 // Allocate implements Policy.
 func (p *Hierarchical) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -86,6 +87,11 @@ func (p *Hierarchical) Allocate(in *Input, ctx *SolveContext) (*core.Allocation,
 	prev := make([]float64, len(in.Jobs))  // previous iteration's achieved levels
 	var lastAlloc *core.Allocation
 
+	// Every LP of the procedure — each iteration's water-filling program and
+	// its bottleneck test — sits on the same skeleton, built once and
+	// rewound per LP.
+	pr := ctx.program(lp.Maximize, in, false)
+
 	for iter := 0; iter < maxIter; iter++ {
 		wjob := p.jobWeights(in, entities, frozen)
 		anyActive := false
@@ -98,14 +104,14 @@ func (p *Hierarchical) Allocate(in *Input, ctx *SolveContext) (*core.Allocation,
 			break
 		}
 
-		alloc, achieved, err := p.solveIteration(in, ctx, wjob, norm, frozen, floor, prev)
+		alloc, achieved, err := p.solveIteration(in, ctx, pr, wjob, norm, frozen, floor, prev)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchical iteration %d: %w", iter, err)
 		}
 		lastAlloc = alloc
 		prev = achieved
 
-		newlyFrozen := p.findBottlenecks(in, ctx, wjob, norm, frozen, floor, achieved)
+		newlyFrozen := p.findBottlenecks(in, ctx, pr, wjob, norm, frozen, floor, achieved)
 		if len(newlyFrozen) == 0 {
 			// Nothing else can be distinguished: freeze everything active.
 			for m := range wjob {
@@ -225,8 +231,8 @@ func (p *Hierarchical) jobWeights(in *Input, entities []entityGroup, frozen []bo
 // hierarchical LP onto the cold path. With the pin, every optimal vertex
 // assigns zero-weight jobs the same level, so seeded solves (positional or
 // remapped) are safe and the LPs warm-start like every other policy's.
-func (p *Hierarchical) solveIteration(in *Input, ctx *SolveContext, wjob, norm []float64, frozen []bool, floor, prev []float64) (*core.Allocation, []float64, error) {
-	pr := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+func (p *Hierarchical) solveIteration(in *Input, ctx *SolveContext, pr *core.Program, wjob, norm []float64, frozen []bool, floor, prev []float64) (*core.Allocation, []float64, error) {
+	pr.Rewind()
 	t := pr.AddVar(1, "t")
 	for m := range in.Jobs {
 		if norm[m] <= 0 {
@@ -241,12 +247,12 @@ func (p *Hierarchical) solveIteration(in *Input, ctx *SolveContext, wjob, norm [
 		case frozen[m]:
 			// Do not degrade a bottlenecked job below its frozen level.
 			terms := pr.ThroughputTerms(m, sf/norm[m])
-			pr.AddRow(terms, lp.GE, floor[m]*(1-1e-6), fmt.Sprintf("wf:%d", id))
+			pr.AddRow(terms, lp.GE, floor[m]*(1-1e-6), ctx.rowID("wf:", id))
 		case wjob[m] > 0:
 			// (normThpt - prev)/wjob >= t, plus non-degradation.
 			terms := pr.ThroughputTerms(m, sf/(wjob[m]*norm[m]))
 			terms = append(terms, lp.Term{Var: t, Coeff: -1})
-			pr.AddRow(terms, lp.GE, prev[m]/wjob[m]*(1-1e-6), fmt.Sprintf("wf:%d", id))
+			pr.AddRow(terms, lp.GE, prev[m]/wjob[m]*(1-1e-6), ctx.rowID("wf:", id))
 		default:
 			// Zero-weight this iteration: pin the incidental throughput to
 			// the previous level from both sides so the optimum is
@@ -254,9 +260,9 @@ func (p *Hierarchical) solveIteration(in *Input, ctx *SolveContext, wjob, norm [
 			// until it carries weight).
 			terms := pr.ThroughputTerms(m, sf/norm[m])
 			if prev[m] > 0 {
-				pr.AddRow(terms, lp.GE, prev[m]*(1-1e-6), fmt.Sprintf("wf:%d", id))
+				pr.AddRow(terms, lp.GE, prev[m]*(1-1e-6), ctx.rowID("wf:", id))
 			}
-			pr.AddRow(terms, lp.LE, prev[m]*(1+1e-6), fmt.Sprintf("wfc:%d", id))
+			pr.AddRow(terms, lp.LE, prev[m]*(1+1e-6), ctx.rowID("wfc:", id))
 		}
 	}
 	res, err := ctx.Solve("hier/wf", pr.P, pr.ColumnIDs())
@@ -267,23 +273,27 @@ func (p *Hierarchical) solveIteration(in *Input, ctx *SolveContext, wjob, norm [
 		return nil, nil, fmt.Errorf("LP %v", res.Status)
 	}
 	alloc := pr.Extract(res.X)
-	achieved := make([]float64, len(in.Jobs))
+	// One pass over the units for every job's throughput, then scaled in
+	// place into the achieved normalized levels.
+	achieved := alloc.EffectiveThroughputs(len(in.Jobs))
 	for m := range in.Jobs {
 		if norm[m] > 0 {
 			sf := float64(in.Jobs[m].ScaleFactor)
 			if sf < 1 {
 				sf = 1
 			}
-			achieved[m] = alloc.EffectiveThroughput(m) * sf / norm[m]
+			achieved[m] = achieved[m] * sf / norm[m]
+		} else {
+			achieved[m] = 0
 		}
 	}
 	return alloc, achieved, nil
 }
 
 // findBottlenecks returns the active jobs to freeze after an iteration.
-func (p *Hierarchical) findBottlenecks(in *Input, ctx *SolveContext, wjob, norm []float64, frozen []bool, floor, achieved []float64) []int {
+func (p *Hierarchical) findBottlenecks(in *Input, ctx *SolveContext, pr *core.Program, wjob, norm []float64, frozen []bool, floor, achieved []float64) []int {
 	if p.UseMILP {
-		if out, ok := p.milpBottlenecks(in, wjob, norm, frozen, floor, achieved); ok {
+		if out, ok := p.milpBottlenecks(in, pr.Index(), wjob, norm, frozen, floor, achieved); ok {
 			return out
 		}
 		// Fall through to the LP test on MILP trouble.
@@ -293,7 +303,7 @@ func (p *Hierarchical) findBottlenecks(in *Input, ctx *SolveContext, wjob, norm 
 	// normThpt(m) >= achieved_m + s_m, keep everyone else at their level,
 	// and maximize sum s_m. With eps small the per-job improvements are
 	// (near-)independent, so s_m stuck at 0 marks a bottlenecked job.
-	pr := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+	pr.Rewind()
 	slack := make([]int, len(in.Jobs))
 	for m := range slack {
 		slack[m] = -1
@@ -310,14 +320,17 @@ func (p *Hierarchical) findBottlenecks(in *Input, ctx *SolveContext, wjob, norm 
 		terms := pr.ThroughputTerms(m, sf/norm[m])
 		switch {
 		case frozen[m]:
-			pr.AddRow(terms, lp.GE, floor[m]*(1-1e-6), fmt.Sprintf("bn:%d", id))
+			pr.AddRow(terms, lp.GE, floor[m]*(1-1e-6), ctx.rowID("bn:", id))
 		case wjob[m] > 0:
 			eps := 1e-3 * (achieved[m] + 1)
-			s := pr.AddVar(1, fmt.Sprintf("s:%d", id))
+			s := pr.AddVar(1, ctx.rowID("s:", id))
 			slack[m] = s
-			pr.AddRow([]lp.Term{{Var: s, Coeff: 1}}, lp.LE, eps, fmt.Sprintf("bs:%d", id))
+			// terms stays valid across this AddRow: it copies its own
+			// argument and does not touch the program's scratch.
+			slackTerm := [1]lp.Term{{Var: s, Coeff: 1}}
+			pr.AddRow(slackTerm[:], lp.LE, eps, ctx.rowID("bs:", id))
 			terms = append(terms, lp.Term{Var: s, Coeff: -1})
-			pr.AddRow(terms, lp.GE, achieved[m]*(1-1e-6), fmt.Sprintf("bn:%d", id))
+			pr.AddRow(terms, lp.GE, achieved[m]*(1-1e-6), ctx.rowID("bn:", id))
 		}
 	}
 	// The bottleneck test reads only which slacks are stuck at zero, a
@@ -351,7 +364,7 @@ func (p *Hierarchical) findBottlenecks(in *Input, ctx *SolveContext, wjob, norm 
 // milpBottlenecks runs the Appendix A.1 MILP: maximize the number of jobs
 // whose scaled throughput can strictly improve while no job drops below its
 // current level; jobs with z_m = 0 are bottlenecked.
-func (p *Hierarchical) milpBottlenecks(in *Input, wjob, norm []float64, frozen []bool, floor, achieved []float64) ([]int, bool) {
+func (p *Hierarchical) milpBottlenecks(in *Input, index *core.MemberIndex, wjob, norm []float64, frozen []bool, floor, achieved []float64) ([]int, bool) {
 	mp := milp.NewProblem(lp.Maximize)
 	numTypes := len(in.Workers)
 	sfJob := in.scaleFactors()
@@ -377,16 +390,12 @@ func (p *Hierarchical) milpBottlenecks(in *Input, wjob, norm []float64, frozen [
 	}
 	tputTerms := func(m int, factor float64) []lp.Term {
 		var terms []lp.Term
-		for ui := range in.Units {
-			u := &in.Units[ui]
-			for k, jm := range u.Jobs {
-				if jm != m {
-					continue
-				}
-				for j := 0; j < numTypes; j++ {
-					if v := xv[ui][j]; v >= 0 && u.Tput[k][j] > 0 {
-						terms = append(terms, lp.Term{Var: v, Coeff: factor * u.Tput[k][j]})
-					}
+		units, slots := index.Of(m)
+		for i, ui := range units {
+			tput := in.Units[ui].Tput[slots[i]]
+			for j := 0; j < numTypes; j++ {
+				if v := xv[ui][j]; v >= 0 && tput[j] > 0 {
+					terms = append(terms, lp.Term{Var: v, Coeff: factor * tput[j]})
 				}
 			}
 		}
@@ -395,12 +404,11 @@ func (p *Hierarchical) milpBottlenecks(in *Input, wjob, norm []float64, frozen [
 	// Validity constraints.
 	for m := range in.Jobs {
 		var terms []lp.Term
-		for ui := range in.Units {
-			if in.Units[ui].Contains(m) {
-				for j := 0; j < numTypes; j++ {
-					if v := xv[ui][j]; v >= 0 {
-						terms = append(terms, lp.Term{Var: v, Coeff: 1})
-					}
+		units, _ := index.Of(m)
+		for _, ui := range units {
+			for j := 0; j < numTypes; j++ {
+				if v := xv[ui][j]; v >= 0 {
+					terms = append(terms, lp.Term{Var: v, Coeff: 1})
 				}
 			}
 		}

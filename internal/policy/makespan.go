@@ -27,6 +27,7 @@ func (Makespan) Name() string { return "min_makespan" }
 
 // Allocate implements Policy.
 func (Makespan) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -34,7 +35,7 @@ func (Makespan) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error)
 		return emptyAllocation(in), nil
 	}
 
-	pr := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+	pr := ctx.program(lp.Maximize, in, false)
 	z := pr.AddVar(1, "z")
 	nConstrained := 0
 	for m := range in.Jobs {
@@ -44,7 +45,7 @@ func (Makespan) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error)
 		}
 		terms := pr.ThroughputTerms(m, 1)
 		terms = append(terms, lp.Term{Var: z, Coeff: -steps})
-		pr.AddRow(terms, lp.GE, 0, fmt.Sprintf("r:%d", in.Jobs[m].ID))
+		pr.AddRow(terms, lp.GE, 0, ctx.rowID("r:", in.Jobs[m].ID))
 		nConstrained++
 	}
 	if nConstrained == 0 {
@@ -63,39 +64,41 @@ func (Makespan) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error)
 	}
 
 	// Refinement: keep every job on pace for the optimal makespan, then
-	// maximize total normalized throughput.
-	pr2 := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+	// maximize total normalized throughput — on the same skeleton, rewound
+	// (res.X, the first pass's solution, is the solver's own and stays).
+	pr.Rewind()
 	for m := range in.Jobs {
 		steps := in.Jobs[m].RemainingSteps
 		fastest := core.MaxThroughput(in.Jobs[m].Tput)
 		if !core.Finite(fastest) {
 			continue
 		}
-		terms := pr2.ThroughputTerms(m, 1)
+		terms := pr.ThroughputTerms(m, 1)
 		for _, tm := range terms {
-			pr2.P.AddObj(tm.Var, tm.Coeff/fastest)
+			pr.P.AddObj(tm.Var, tm.Coeff/fastest)
 		}
 		if steps > 0 {
-			pr2.AddRow(terms, lp.GE, steps*zStar*(1-1e-6), fmt.Sprintf("r:%d", in.Jobs[m].ID))
+			pr.AddRow(terms, lp.GE, steps*zStar*(1-1e-6), ctx.rowID("r:", in.Jobs[m].ID))
 		}
 	}
-	res2, err := ctx.Solve("makespan/refine", pr2.P, pr2.ColumnIDs())
+	res2, err := ctx.Solve("makespan/refine", pr.P, pr.ColumnIDs())
 	if err != nil || res2.Status != lp.Optimal {
 		return pr.Extract(res.X), nil
 	}
-	return pr2.Extract(res2.X), nil
+	return pr.Extract(res2.X), nil
 }
 
 // MakespanValue returns the makespan the allocation achieves on the given
 // input: max_m remaining_steps / throughput(m, X).
 func MakespanValue(in *Input, alloc *core.Allocation) float64 {
 	worst := 0.0
+	tput := alloc.EffectiveThroughputs(len(in.Jobs))
 	for m := range in.Jobs {
 		steps := in.Jobs[m].RemainingSteps
 		if steps <= 0 {
 			continue
 		}
-		tp := alloc.EffectiveThroughput(m)
+		tp := tput[m]
 		if tp <= 0 {
 			return inf()
 		}

@@ -29,6 +29,7 @@ func (p *MaxMinFairness) Name() string { return "max_min_fairness" }
 
 // Allocate implements Policy.
 func (p *MaxMinFairness) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -41,7 +42,7 @@ func (p *MaxMinFairness) Allocate(in *Input, ctx *SolveContext) (*core.Allocatio
 	}
 
 	// Pass 1: maximize the minimum normalized throughput t.
-	pr := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+	pr := ctx.program(lp.Maximize, in, false)
 	t := pr.AddVar(1, "t")
 	for m := range in.Jobs {
 		if coeff[m] == 0 {
@@ -49,7 +50,7 @@ func (p *MaxMinFairness) Allocate(in *Input, ctx *SolveContext) (*core.Allocatio
 		}
 		terms := pr.ThroughputTerms(m, coeff[m])
 		terms = append(terms, lp.Term{Var: t, Coeff: -1})
-		pr.AddRow(terms, lp.GE, 0, fmt.Sprintf("r:%d", in.Jobs[m].ID))
+		pr.AddRow(terms, lp.GE, 0, ctx.rowID("r:", in.Jobs[m].ID))
 	}
 	res, err := ctx.Solve("maxmin/minmax", pr.P, pr.ColumnIDs())
 	if err != nil {
@@ -61,25 +62,28 @@ func (p *MaxMinFairness) Allocate(in *Input, ctx *SolveContext) (*core.Allocatio
 	tStar := res.X[t]
 
 	// Pass 2: fix the fairness floor slightly below t*, maximize total
-	// normalized throughput so leftover capacity is not wasted.
-	pr2 := core.NewProgram(lp.Maximize, in.Units, in.scaleFactors(), in.Workers)
+	// normalized throughput so leftover capacity is not wasted. Its program
+	// is pass 1's skeleton (same columns, budget and capacity rows) without
+	// the t column, so it is rewound rather than rebuilt from the units;
+	// pass 1's solution res.X stays valid, it is the solver's own.
+	pr.Rewind()
 	for m := range in.Jobs {
 		if coeff[m] == 0 {
 			continue
 		}
-		terms := pr2.ThroughputTerms(m, coeff[m])
+		terms := pr.ThroughputTerms(m, coeff[m])
 		for _, tm := range terms {
-			pr2.P.AddObj(tm.Var, tm.Coeff)
+			pr.P.AddObj(tm.Var, tm.Coeff)
 		}
-		pr2.AddRow(terms, lp.GE, tStar*(1-1e-6), fmt.Sprintf("r:%d", in.Jobs[m].ID))
+		pr.AddRow(terms, lp.GE, tStar*(1-1e-6), ctx.rowID("r:", in.Jobs[m].ID))
 	}
-	res2, err := ctx.Solve("maxmin/refine", pr2.P, pr2.ColumnIDs())
+	res2, err := ctx.Solve("maxmin/refine", pr.P, pr.ColumnIDs())
 	if err != nil || res2.Status != lp.Optimal {
 		// The floor should always be feasible; fall back to pass 1 if the
 		// refinement hits numerical trouble.
 		return pr.Extract(res.X), nil
 	}
-	return pr2.Extract(res2.X), nil
+	return pr.Extract(res2.X), nil
 }
 
 // normalizers computes scale_m / (w_m * throughput(m, X^equal)) per job;

@@ -33,6 +33,7 @@ func (p *PlacementAwareMaxMin) Name() string { return "max_min_fairness_placemen
 // with placement splitting (the paper evaluates SS for single-worker jobs,
 // which are placement-insensitive); pairs in the input are ignored.
 func (p *PlacementAwareMaxMin) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
+	defer ctx.observeBuild(ctx.startBuild())
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -60,7 +61,7 @@ func (p *PlacementAwareMaxMin) Allocate(in *Input, ctx *SolveContext) (*core.All
 		virtUnits[m] = core.Single(m, vt).Keyed(core.JobKey(in.Jobs[m].ID))
 	}
 
-	pr := core.NewProgram(lp.Maximize, virtUnits, in.scaleFactors(), virtWorkers)
+	pr := ctx.program(lp.Maximize, &Input{Jobs: in.Jobs, Units: virtUnits, Workers: virtWorkers}, false)
 	// The consolidated and unconsolidated columns of a physical type share
 	// its devices: sum over both halves <= count.
 	for j := 0; j < numTypes; j++ {
@@ -100,7 +101,7 @@ func (p *PlacementAwareMaxMin) Allocate(in *Input, ctx *SolveContext) (*core.All
 		}
 		terms := pr.ThroughputTerms(m, sf/(w*norm))
 		terms = append(terms, lp.Term{Var: t, Coeff: -1})
-		pr.AddRow(terms, lp.GE, 0, fmt.Sprintf("r:%d", in.Jobs[m].ID))
+		pr.AddRow(terms, lp.GE, 0, ctx.rowID("r:", in.Jobs[m].ID))
 		any = true
 	}
 	if !any {

@@ -92,16 +92,28 @@ func ConcurrentSafe(p Policy) bool {
 
 // scaleFactors extracts the per-job scale-factor slice the core constraint
 // builder consumes.
-func (in *Input) scaleFactors() []int {
-	sf := make([]int, len(in.Jobs))
-	for i, j := range in.Jobs {
-		if j.ScaleFactor <= 0 {
-			sf[i] = 1
-		} else {
-			sf[i] = j.ScaleFactor
-		}
+func (in *Input) scaleFactors() []int { return in.scaleFactorsInto(nil) }
+
+// scaleFactorsInto is scaleFactors into buf's storage when it is large
+// enough.
+func (in *Input) scaleFactorsInto(buf []int) []int {
+	sf := buf[:0]
+	if cap(sf) < len(in.Jobs) {
+		sf = make([]int, 0, len(in.Jobs))
+	}
+	sf = sf[:len(in.Jobs)]
+	for i := range in.Jobs {
+		sf[i] = in.Jobs[i].scaleFactor()
 	}
 	return sf
+}
+
+// scaleFactor is the number of workers the job occupies, at least 1.
+func (j *JobInfo) scaleFactor() int {
+	if j.ScaleFactor <= 0 {
+		return 1
+	}
+	return j.ScaleFactor
 }
 
 // singlesOnly returns the prefix of in.Units holding only single-job units.

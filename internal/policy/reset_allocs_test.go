@@ -1,0 +1,74 @@
+package policy
+
+import (
+	"runtime"
+	"testing"
+)
+
+// resetAllocCeilings are the committed per-reset allocation ceilings, set at
+// about twice what the arena-backed reset path measures (objects and bytes
+// per reset; CHANGES.md PR 15 records the measurements and the parent's).
+// What legitimately remains per reset is what the reset returns or caches:
+// the units, the policy input, the Allocation, each solve's Result.X and
+// Basis snapshot.
+var resetAllocCeilings = map[string]struct{ objects, bytes float64 }{
+	"maxmin_ss_churn_64": {objects: 150, bytes: 130_000}, // measured 77 / 65,402 (parent 15,099 / 2,418,894)
+	"cost_drift_256":     {objects: 48, bytes: 240_000},  // measured 24 / 121,008 (parent 6,583 / 914,717)
+}
+
+// measureResetAllocs runs the scenario's reset stream through one
+// SolveContext and returns the mean heap objects and bytes one steady-state
+// reset (Units → Allocate, which ends in Extract) allocates. It reads the
+// counters testing.AllocsPerRun reads (runtime.MemStats under GOMAXPROCS(1)),
+// but brackets only the reset itself: the disturbance between resets —
+// arrivals, departures, throughput observations — is the caller's cost, and
+// AllocsPerRun cannot exclude it.
+func measureResetAllocs(t testing.TB, sc resetScenario, warmup, resets int) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newResetStream(sc, 20260926)
+	pol := sc.policy()
+	ctx := NewSolveContextWith(resetGoldenOptions)
+	var before, after runtime.MemStats
+	var mallocs, total uint64
+	for r := 0; r < warmup+resets; r++ {
+		if r > 0 {
+			s.disturb()
+		}
+		runtime.ReadMemStats(&before)
+		in := s.input()
+		_, err := pol.Allocate(in, ctx)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s reset %d: %v", sc.name, r, err)
+		}
+		if r >= warmup {
+			mallocs += after.Mallocs - before.Mallocs
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	return float64(mallocs) / float64(resets), float64(total) / float64(resets)
+}
+
+// TestResetPathAllocs holds the reset path to its allocation ceilings: after
+// three warm-up resets have grown the arenas, a reset may allocate only what
+// it hands back.
+func TestResetPathAllocs(t *testing.T) {
+	cases := []resetScenario{
+		{name: "maxmin_ss_churn_64", policy: func() Policy { return &MaxMinFairness{} }, jobs: 64, pairs: 4, disturb: resetChurn},
+		{name: "cost_drift_256", policy: func() Policy { return &MinCost{} }, jobs: 256, disturb: resetDrift},
+	}
+	for _, sc := range cases {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			objects, bytes := measureResetAllocs(t, sc, 3, 20)
+			ceil := resetAllocCeilings[sc.name]
+			t.Logf("%.0f objects, %.0f bytes per reset (ceilings %.0f / %.0f)", objects, bytes, ceil.objects, ceil.bytes)
+			if objects > ceil.objects {
+				t.Errorf("%.0f objects per reset, ceiling %.0f", objects, ceil.objects)
+			}
+			if bytes > ceil.bytes {
+				t.Errorf("%.0f bytes per reset, ceiling %.0f", bytes, ceil.bytes)
+			}
+		})
+	}
+}
