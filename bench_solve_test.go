@@ -191,8 +191,8 @@ func BenchmarkPolicySolveReset(b *testing.B) {
 // every observed throughput by ±1% (pushed through the shard clients'
 // ObserveJob) and, on every 4th reset, churning the job set (the oldest
 // resident departs, a newcomer arrives through the router). Every shard
-// re-solves its own LP per reset — concurrently — so K=1 reproduces the
-// monolithic solve path through the same API and larger K measures how
+// re-solves its own LP per reset — concurrently — so K=1 is the
+// unpartitioned solve path through the same API and larger K measures how
 // sharding cuts the superlinear LP cost.
 type shardedResetHarness struct {
 	svc     *rpc.Service
@@ -322,7 +322,7 @@ func (h *shardedResetHarness) solveStats() ([]policy.SolveStats, error) {
 
 // BenchmarkShardedSolveReset measures the 1024-job reset scenario on the
 // sharded service at K=1 vs K=4: per-shard LPs are superlinearly cheaper
-// than the monolithic one and solve concurrently, so K=4 should beat K=1 by
+// than the one-shard LP and solve concurrently, so K=4 should beat K=1 by
 // well over the core-count-independent algorithmic factor. Revised engine
 // only, like every 1024-job cell.
 func BenchmarkShardedSolveReset(b *testing.B) {

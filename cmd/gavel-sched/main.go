@@ -248,34 +248,20 @@ func runCoordinator(cfg coordinatorConfig) error {
 	}
 	cfg.rpcPolicy.Obs = plane
 
+	// Dial with the deadline only (it lives on the socket); retries and call
+	// metrics belong to the fault-plane stack's outer layer.
+	dial := rpc.CallPolicy{Timeout: cfg.rpcPolicy.Timeout}
 	clients := make([]rpc.ShardClient, len(cfg.shardAddrs))
 	var transports []*chaos.Transport
 	for i, addr := range cfg.shardAddrs {
-		if cfg.chaos.Enabled() {
-			// Chaos sits between the transport and the retry layer: dial with
-			// retries off (the deadline stays on the socket), inject faults,
-			// then re-layer the retry policy on top so injected transients
-			// exercise the production retry/degrade/recover path.
-			noRetry := cfg.rpcPolicy
-			noRetry.Retries = 0
-			// Only the outer retry layer observes calls — instrumenting the
-			// dial-time layer too would double-count every call.
-			noRetry.Obs = nil
-			c, err := rpc.DialShardWith(strings.TrimSpace(addr), noRetry)
-			if err != nil {
-				return fmt.Errorf("shard %s: %w", addr, err)
-			}
-			tr := chaos.Wrap(c, cfg.chaos, i).(*chaos.Transport)
-			tr.SetObs(plane)
-			transports = append(transports, tr)
-			clients[i] = rpc.WithRetry(tr, cfg.rpcPolicy)
-			continue
-		}
-		c, err := rpc.DialShardWith(strings.TrimSpace(addr), cfg.rpcPolicy)
+		c, err := rpc.DialShardWith(strings.TrimSpace(addr), dial)
 		if err != nil {
 			return fmt.Errorf("shard %s: %w", addr, err)
 		}
-		clients[i] = c
+		var tr *chaos.Transport
+		if clients[i], tr = chaos.Stack(c, cfg.chaos, i, cfg.rpcPolicy); tr != nil {
+			transports = append(transports, tr)
+		}
 	}
 	svcCfg := rpc.ServiceConfig{
 		Cluster: spec,

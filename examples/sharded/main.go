@@ -1,5 +1,5 @@
-// Sharded: run the same trace through the monolithic scheduler and the
-// sharded scheduler service (SimulationConfig.NumShards), comparing policy
+// Sharded: run the same trace through the scheduler service on one shard
+// (the default) and on four (SimulationConfig.NumShards), comparing policy
 // wall-clock and per-shard LP solve buckets. With K shards, each shard owns
 // its own solve context, throughput cache, and round mechanism over a slice
 // of the cluster; the coordinator (the same rpc.Service that drives
@@ -29,7 +29,7 @@ func main() {
 			Policy:               gavel.MaxMinFairnessPolicy(),
 			Trace:                trace,
 			SpaceSharing:         true,
-			NumShards:            shards, // 0 = monolithic loop
+			NumShards:            shards,
 			RebalanceEveryRounds: 10,
 			ShardRoute:           gavel.RouteLeastLoaded,
 		})
@@ -39,9 +39,9 @@ func main() {
 		return res
 	}
 
-	mono := run(0)
-	fmt.Printf("monolithic:  avg JCT %5.2f h   policy time %8v   solves %d (%d warm, %d remapped)\n",
-		mono.AvgJCT(5), mono.PolicyTime.Round(1e6), mono.LPSolves, mono.WarmSolves, mono.RemappedSolves)
+	one := run(1)
+	fmt.Printf("K=1 shard:   avg JCT %5.2f h   policy time %8v   solves %d (%d warm, %d remapped)\n",
+		one.AvgJCT(5), one.PolicyTime.Round(1e6), one.LPSolves, one.WarmSolves, one.RemappedSolves)
 
 	sharded := run(4)
 	fmt.Printf("K=4 shards:  avg JCT %5.2f h   policy time %8v   solves %d (%d warm, %d remapped)\n",

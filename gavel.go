@@ -30,7 +30,8 @@
 //     shards concurrently — in memory or as daemons over TCP — routing
 //     arrivals, rebalancing via warm-basis job migration, and merging rounds
 //     under the global worker budget (SimulationConfig.NumShards);
-//   - internal/simulator: the discrete-event evaluation substrate;
+//   - internal/simulator: the discrete-event evaluation substrate — one
+//     round loop over the ClusterService, on one in-memory shard by default;
 //   - internal/estimator: the matrix-completion throughput estimator
 //     (§3.3);
 //   - internal/experiments: regenerates every table and figure in §7.
@@ -93,11 +94,12 @@ type (
 	// LPEngine selects the simplex implementation
 	// (SimulationConfig.LPOptions.Engine, SolveContext.Engine).
 	LPEngine = lp.Engine
-	// ShardStat is one shard's solve/migration accounting within a sharded
-	// SimulationResult (SimulationConfig.NumShards > 0).
+	// ShardStat is one shard's solve/migration accounting within a
+	// SimulationResult (one entry by default, SimulationConfig.NumShards
+	// otherwise).
 	ShardStat = simulator.ShardStat
-	// ShardRoutePolicy selects how a sharded run routes arriving jobs
-	// (SimulationConfig.ShardRoute).
+	// ShardRoutePolicy selects how a run routes arriving jobs across its
+	// shards (SimulationConfig.ShardRoute).
 	ShardRoutePolicy = cluster.RoutePolicy
 	// LPOptions bundles every LP solver knob (engine, pricing, presolve,
 	// dual warm starts), resolved once at startup and threaded through
@@ -109,7 +111,7 @@ type (
 	ShardClient = rpc.ShardClient
 	// ShardServer is the shard daemon engine behind a ShardClient.
 	ShardServer = rpc.ShardServer
-	// ClusterService is the coordinator of every sharded run: it drives K
+	// ClusterService is the coordinator of every run: it drives K
 	// shards — in memory or daemons — through the versioned control plane:
 	// routed admission, round-synchronized allocation, warm-basis rebalance
 	// migrations, snapshot-based crash recovery.
@@ -118,7 +120,7 @@ type (
 	ClusterServiceConfig = rpc.ServiceConfig
 )
 
-// Shard routing policies for sharded runs: RouteHash assigns jobs by
+// Shard routing policies: RouteHash assigns jobs by
 // ID modulo the shard count, RouteLeastLoaded to the shard with the
 // smallest device demand.
 const (

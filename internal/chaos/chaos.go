@@ -124,10 +124,9 @@ type Event struct {
 	Kind   FaultKind
 }
 
-// Transport is a fault-injecting rpc.ShardClient wrapping another. Wrap it
-// below rpc.WithRetry so injected transients exercise the retry path:
-//
-//	client := rpc.WithRetry(chaos.Wrap(inner, cfg, k), pol)
+// Transport is a fault-injecting rpc.ShardClient wrapping another. It belongs
+// below rpc.WithRetry so injected transients exercise the retry path; Stack
+// builds exactly that layering.
 type Transport struct {
 	inner rpc.ShardClient
 	cfg   Config
@@ -160,6 +159,22 @@ func Wrap(inner rpc.ShardClient, cfg Config, shard int) rpc.ShardClient {
 		shard: shard,
 		rng:   rand.New(rand.NewSource(cfg.Seed*31 + int64(shard))),
 	}
+}
+
+// Stack layers the whole client-side fault plane over one shard client: the
+// chaos transport at the bottom, so every injected transient exercises the
+// production retry/degrade/recover path of the retry loop above it, and
+// pol.Obs on both — retry outcome counters above, injected-fault counters
+// below, neither touching a rand stream. inner should carry no retries or Obs
+// of its own, or every call is counted twice. The Transport is nil when cfg
+// injects nothing; a policy with neither retries nor Obs adds no retry layer.
+func Stack(inner rpc.ShardClient, cfg Config, shard int, pol rpc.CallPolicy) (rpc.ShardClient, *Transport) {
+	if !cfg.Enabled() {
+		return rpc.WithRetry(inner, pol), nil
+	}
+	tr := Wrap(inner, cfg, shard).(*Transport)
+	tr.SetObs(pol.Obs)
+	return rpc.WithRetry(tr, pol), tr
 }
 
 // SetObs registers the injected-fault counter

@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"gavel/internal/obs"
 	"gavel/internal/rpc"
 )
 
@@ -241,5 +243,38 @@ func TestWrapDisabled(t *testing.T) {
 	inner := newNopClient()
 	if got := Wrap(inner, Config{}, 0); got != rpc.ShardClient(inner) {
 		t.Fatal("disabled config did not return the inner client unchanged")
+	}
+}
+
+// TestStackLayersRetryOverChaos: the stack puts the retry loop above the
+// fault transport — a partition shorter than the retry budget is invisible to
+// the caller and every masked attempt is in the schedule — counts faults and
+// call outcomes on the one plane, and adds nothing it was not asked for.
+func TestStackLayersRetryOverChaos(t *testing.T) {
+	inner := newNopClient()
+	if got, tr := Stack(inner, Config{}, 0, rpc.CallPolicy{}); got != rpc.ShardClient(inner) || tr != nil {
+		t.Fatal("no faults and no policy should leave the client as it was")
+	}
+
+	plane := &obs.Plane{Reg: obs.NewRegistry()}
+	pol := rpc.CallPolicy{Retries: 3, Backoff: time.Microsecond, Obs: plane}
+	c, tr := Stack(inner, Config{Seed: 1, PartitionStart: 1, PartitionCalls: 2}, 0, pol)
+	if tr == nil {
+		t.Fatal("an enabled config returned no transport")
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("retry did not mask a 2-call partition: %v", err)
+	}
+	if got := len(tr.Schedule()); got != 2 || inner.delivered["Ping"] != 1 {
+		t.Fatalf("%d faults logged, %d pings delivered; want 2 and 1", got, inner.delivered["Ping"])
+	}
+	dump := plane.Registry().DumpDeterministic()
+	for _, series := range []string{
+		`gavel_chaos_faults_total{kind="partition"} 2`,
+		`gavel_rpc_retries_total{method="Ping"} 2`,
+	} {
+		if !strings.Contains(dump, series) {
+			t.Errorf("registry is missing %s:\n%s", series, dump)
+		}
 	}
 }

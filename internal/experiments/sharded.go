@@ -11,14 +11,13 @@ import (
 	"gavel/internal/workload"
 )
 
-// ShardedOutcome reports the sharded scheduler service against the
-// monolithic loop: end-to-end policy wall-clock and solve buckets per shard
-// count, on the same trace.
+// ShardedOutcome reports the scheduler service across shard counts:
+// end-to-end policy wall-clock and solve buckets per K, on the same trace.
 type ShardedOutcome struct {
 	Report string
 	Shards []int
-	// PolicySeconds[i] is total Policy.Allocate wall-clock under Shards[i]
-	// (0 = monolithic); AvgJCTHours[i] the corresponding mean JCT.
+	// PolicySeconds[i] is total Policy.Allocate wall-clock under Shards[i];
+	// AvgJCTHours[i] the corresponding mean JCT.
 	PolicySeconds []float64
 	AvgJCTHours   []float64
 }
@@ -26,14 +25,14 @@ type ShardedOutcome struct {
 // String implements fmt.Stringer.
 func (o *ShardedOutcome) String() string { return o.Report }
 
-// Sharded compares the monolithic scheduler (K=0) against the sharded
-// service at the given shard counts on one trace: jobs and devices are
+// Sharded runs one trace through the scheduler service at the given shard
+// counts (K=1 is the default simulator run): jobs and devices are
 // partitioned per shard, allocations and rounds run concurrently, and the
 // coordinator rebalances every 10 rounds with warm-basis job migration. The
 // interesting outputs are the policy wall-clock (per-shard LPs are
-// superlinearly cheaper than the monolithic one, and they solve in
-// parallel) and the solve buckets (migrations land in the remapped bucket,
-// not the cold one).
+// superlinearly cheaper than the one-shard LP, and they solve in parallel)
+// and the solve buckets (migrations land in the remapped bucket, not the
+// cold one).
 func Sharded(opt Options, shardCounts []int) (*ShardedOutcome, error) {
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 4}
@@ -47,33 +46,25 @@ func Sharded(opt Options, shardCounts []int) (*ShardedOutcome, error) {
 	})
 	out := &ShardedOutcome{}
 	var b strings.Builder
-	b.WriteString("Sharded scheduler service: monolithic vs K-shard runs (same trace)\n")
+	b.WriteString("Sharded scheduler service: K-shard runs of the same trace\n")
 	fmt.Fprintf(&b, "%-12s %12s %10s %10s %10s %10s %12s\n",
 		"engine", "policy time", "avg JCT", "solves", "remapped", "cold", "migrations")
-	runs := append([]int{0}, shardCounts...)
-	for _, k := range runs {
-		cfg := simulator.Config{
-			Cluster:      cluster.Simulated108(),
-			Policy:       &policy.MaxMinFairness{},
-			Trace:        trace,
-			SpaceSharing: true,
-			NumShards:    k,
-		}
-		if k > 0 {
-			cfg.RebalanceEveryRounds = 10
-			cfg.ShardRoute = cluster.RouteLeastLoaded
-		}
-		res, err := simulator.Run(cfg)
+	for _, k := range shardCounts {
+		res, err := simulator.Run(simulator.Config{
+			Cluster:              cluster.Simulated108(),
+			Policy:               &policy.MaxMinFairness{},
+			Trace:                trace,
+			SpaceSharing:         true,
+			NumShards:            k,
+			RebalanceEveryRounds: 10,
+			ShardRoute:           cluster.RouteLeastLoaded,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("sharded k=%d: %w", k, err)
 		}
-		label := "monolithic"
-		if k > 0 {
-			label = fmt.Sprintf("K=%d", k)
-		}
 		cold := res.LPSolves - res.WarmSolves - res.RemappedSolves
 		fmt.Fprintf(&b, "%-12s %12v %9.2fh %10d %10d %10d %12d\n",
-			label, res.PolicyTime.Round(time.Millisecond), res.AvgJCT(5),
+			fmt.Sprintf("K=%d", k), res.PolicyTime.Round(time.Millisecond), res.AvgJCT(5),
 			res.LPSolves, res.RemappedSolves, cold, res.Migrations)
 		out.Shards = append(out.Shards, k)
 		out.PolicySeconds = append(out.PolicySeconds, res.PolicyTime.Seconds())

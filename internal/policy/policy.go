@@ -71,8 +71,9 @@ type Policy interface {
 
 // SerialPolicy marks a policy whose Allocate mutates unsynchronized
 // internal state (random exploration streams, learned pairings) and must
-// therefore never be invoked from multiple goroutines at once. The sharded
-// engine, which solves its shards concurrently, rejects such policies.
+// therefore never be invoked from multiple goroutines at once. A run whose
+// shards share one instance and solve concurrently (the simulator's
+// NumShards > 1 in-memory shards) rejects such policies.
 type SerialPolicy interface {
 	SerialOnly()
 }

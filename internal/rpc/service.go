@@ -95,6 +95,10 @@ type shardMirror struct {
 
 	alloc    *core.Allocation // last AllocateReply, rebuilt coordinator-side
 	allocIDs []int
+	// Argument scratch of the fan-out calls (AllocateAll's Infos, AssignRound's
+	// SkipJobs): a client has consumed its arguments by the time it returns.
+	infos []policy.JobInfo
+	skip  []int
 
 	seeds  []policy.Seed // last snapshot's warm seeds
 	status ShardStatus   // last known accounting (survives the daemon)
@@ -171,6 +175,7 @@ type Service struct {
 	globalInts []int
 	split      [][]int
 	shards     []*shardMirror
+	fan        []int // shard indices of the fan-out in progress (scratch)
 	shardOf    map[int]int
 	migrations int
 	rebalances int
@@ -761,7 +766,7 @@ func (s *Service) pairRows(m *shardMirror, id, scaleFactor int) []PairRows {
 	if s.cfg.Pairs == nil || scaleFactor > 1 {
 		return nil
 	}
-	var out []PairRows
+	out := make([]PairRows, 0, len(m.jobs))
 	for _, other := range m.jobs {
 		if other == id || m.sf[other] > 1 {
 			continue
@@ -1006,6 +1011,26 @@ func (s *Service) Rebalance() ([]cluster.Migration, error) {
 	return migs, nil
 }
 
+// fanOut calls fn(k) for every shard index in ks concurrently and returns when
+// all have. A fan-out of one — every round of a one-shard run — is a plain
+// call: no goroutine, no handoff to another thread and back. fn writes only
+// shard k's state and slots indexed by k.
+func fanOut(ks []int, fn func(k int)) {
+	if len(ks) == 1 {
+		fn(ks[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, k := range ks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(k)
+		}()
+	}
+	wg.Wait()
+}
+
 // AllocateAll recomputes every stale live shard's allocation concurrently
 // (stale: membership changed since the last allocation, or none exists; force
 // recomputes clean shards too). Results land in the mirror; a daemon death
@@ -1013,38 +1038,36 @@ func (s *Service) Rebalance() ([]cluster.Migration, error) {
 // the lowest-index protocol failure. round keys the shards' reply caches and
 // must be unique per round; the trace ID is the Service's own.
 func (s *Service) AllocateAll(round int64, info func(id int) policy.JobInfo, force bool) error {
-	type slot struct {
-		rep AllocateReply
-		err error
-		ran bool
-	}
-	slots := make([]slot, len(s.shards))
-	var wg sync.WaitGroup
+	s.fan = s.fan[:0]
 	for k, m := range s.shards {
 		if m.down || (!force && !m.dirty && m.alloc != nil) {
 			continue
 		}
-		infos := make([]policy.JobInfo, 0, len(m.jobs))
+		m.infos = m.infos[:0]
 		for _, id := range m.jobs {
 			ji := info(id)
 			ji.ID = id
-			infos = append(infos, ji)
+			m.infos = append(m.infos, ji)
 		}
-		slots[k].ran = true
-		wg.Add(1)
-		go func(k int, m *shardMirror, args AllocateArgs) {
-			defer wg.Done()
-			sp := s.tel.tr.Begin(args.Trace, "coord.allocate").OnShard(k).
-				AttrInt("jobs", int64(len(args.Infos)))
-			slots[k].rep, slots[k].err = m.client.Allocate(args)
-			sp.End(slots[k].err)
-		}(k, m, AllocateArgs{Round: round, Infos: infos, Trace: s.curTrace})
+		s.fan = append(s.fan, k)
 	}
-	wg.Wait()
-	for k, m := range s.shards {
-		if !slots[k].ran {
-			continue
-		}
+	if len(s.fan) == 0 {
+		return nil // most rounds: nothing is stale
+	}
+	type slot struct {
+		rep AllocateReply
+		err error
+	}
+	slots := make([]slot, len(s.shards))
+	fanOut(s.fan, func(k int) {
+		m := s.shards[k]
+		sp := s.tel.tr.Begin(s.curTrace, "coord.allocate").OnShard(k).
+			AttrInt("jobs", int64(len(m.infos)))
+		slots[k].rep, slots[k].err = m.client.Allocate(AllocateArgs{Round: round, Infos: m.infos, Trace: s.curTrace})
+		sp.End(slots[k].err)
+	})
+	for _, k := range s.fan {
+		m := s.shards[k]
 		if err := slots[k].err; err != nil {
 			switch code := CodeOf(err); {
 			case code == CodeShardDown:
@@ -1088,30 +1111,29 @@ func (s *Service) AllocateAll(round int64, info func(id int) policy.JobInfo, for
 func (s *Service) AssignRound(round int64, roundSeconds float64, skip func(id int) bool) ([][]scheduler.Assignment, error) {
 	perShard := make([][]scheduler.Assignment, len(s.shards))
 	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
+	s.fan = s.fan[:0]
 	for k, m := range s.shards {
 		if m.down || m.alloc == nil || len(m.alloc.Units) == 0 {
 			continue
 		}
-		var skipIDs []int
+		m.skip = m.skip[:0]
 		if skip != nil {
 			for _, id := range m.allocIDs {
 				if skip(id) {
-					skipIDs = append(skipIDs, id)
+					m.skip = append(m.skip, id)
 				}
 			}
 		}
-		wg.Add(1)
-		go func(k int, m *shardMirror, args AssignRoundArgs) {
-			defer wg.Done()
-			sp := s.tel.tr.Begin(args.Trace, "coord.assign").OnShard(k).
-				AttrInt("skip", int64(len(args.SkipJobs)))
-			rep, err := m.client.AssignRound(args)
-			sp.End(err)
-			perShard[k], errs[k] = rep.Assigns, err
-		}(k, m, AssignRoundArgs{Round: round, RoundSeconds: roundSeconds, SkipJobs: skipIDs, Trace: s.curTrace})
+		s.fan = append(s.fan, k)
 	}
-	wg.Wait()
+	fanOut(s.fan, func(k int) {
+		m := s.shards[k]
+		sp := s.tel.tr.Begin(s.curTrace, "coord.assign").OnShard(k).
+			AttrInt("skip", int64(len(m.skip)))
+		rep, err := m.client.AssignRound(AssignRoundArgs{Round: round, RoundSeconds: roundSeconds, SkipJobs: m.skip, Trace: s.curTrace})
+		sp.End(err)
+		perShard[k], errs[k] = rep.Assigns, err
+	})
 	for k, m := range s.shards {
 		if err := errs[k]; err != nil {
 			perShard[k] = nil
@@ -1164,6 +1186,23 @@ func (s *Service) Observe(k int, obs []PairObservation) error {
 	return s.degradeOrErr(m, m.client.Observe(ObserveArgs{Obs: obs, Trace: s.curTrace}))
 }
 
+// ObserveJob overwrites a resident job's isolated throughput row on its shard,
+// for the next allocation to use — how a driver whose throughput estimates
+// move between resets keeps the shard's cache current. The mirror keeps the
+// row the job was admitted with (what a recovery re-installs), so nothing is
+// journaled: such a driver re-pushes its rows to every stale shard anyway.
+func (s *Service) ObserveJob(id int, tput []float64) error {
+	if err := ValidateTput(s.numTypes, tput); err != nil {
+		return err
+	}
+	k, ok := s.shardOf[id]
+	if !ok || s.shards[k].down {
+		return nil
+	}
+	m := s.shards[k]
+	return s.degradeOrErr(m, m.client.ObserveJob(ObserveJobArgs{JobID: id, Tput: tput, Trace: s.curTrace}))
+}
+
 // SnapshotAll pulls every live shard's recovery snapshot — warm seeds plus
 // accounting — into the mirror. This is the coordinator's periodic
 // checkpoint: if a daemon later dies, its jobs re-route with these seeds and
@@ -1182,34 +1221,21 @@ func (s *Service) SnapshotAll() error {
 		}
 		m.seeds = rep.Seeds
 		m.status = rep.Status
+		// PolicyTime is a wall clock, which no replay can reproduce: the
+		// journal carries it zeroed (gob omits a zero field), the live mirror
+		// keeps the real value.
+		journaled := rep.Status
+		journaled.PolicyTime = 0
 		err = s.record(&journalRecord{Kind: recSnapshot, Snapshot: &journalSnapshot{
 			Shard:  m.index,
 			Seeds:  rep.Seeds,
-			Status: rep.Status,
+			Status: journaled,
 		}})
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// PingAll probes every live daemon, marking the unresponsive ones down, and
-// returns the indices of newly dead shards.
-func (s *Service) PingAll() ([]int, error) {
-	var dead []int
-	for _, m := range s.shards {
-		if m.down {
-			continue
-		}
-		if m.client.Ping() != nil {
-			if err := s.markDown(m); err != nil {
-				return dead, err
-			}
-			dead = append(dead, m.index)
-		}
-	}
-	return dead, nil
 }
 
 // Recover re-routes every job resident on dead shards onto the live ones, in

@@ -185,6 +185,56 @@ func TestServiceRestartReplaysByteIdentical(t *testing.T) {
 	}
 }
 
+// TestJournalCarriesNoWallClock pins the other half of the replay contract:
+// the journal holds nothing a stub clock could not reproduce. Snapshots carry
+// the shard's status, whose PolicyTime is wall-clock: it must be journaled
+// zeroed (every other counter intact) while the live mirror keeps the
+// measured value, so two coordinators driven through the same schedule write
+// journals of the same length. (Not the same bytes: gob walks the status's
+// per-label map in Go's map order.)
+func TestJournalCarriesNoWallClock(t *testing.T) {
+	var sizes [2]int64
+	for i := range sizes {
+		path := filepath.Join(t.TempDir(), "j.wal")
+		_, c0 := NewLocalShard()
+		_, c1 := NewLocalShard()
+		svc, err := NewService(testServiceConfig(path), []ShardClient{c0, c1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 8; r++ {
+			driveRound(t, svc, r)
+		}
+		if svc.shards[0].status.PolicyTime <= 0 {
+			t.Fatal("the live mirror lost the shard's measured policy time")
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snapshots := 0
+		j, st, err := openJournal(path, func(n int, rec *journalRecord) error {
+			if rec.Kind == recSnapshot {
+				snapshots++
+				if got := rec.Snapshot.Status; got.PolicyTime != 0 || got.PolicyCalls == 0 {
+					t.Errorf("record %d journals policy time %v over %d calls", n, got.PolicyTime, got.PolicyCalls)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.close()
+		if snapshots == 0 {
+			t.Fatal("schedule journaled no snapshot")
+		}
+		sizes[i] = st.bytes
+	}
+	if sizes[0] != sizes[1] {
+		t.Fatalf("same schedule wrote journals of %d and %d bytes", sizes[0], sizes[1])
+	}
+}
+
 // TestServiceRestartReconcilesBareDaemons covers the double-crash case: the
 // coordinator AND a shard daemon restart together. The journal rebuilds the
 // mirror; reconcile detects the bare daemon and re-installs its jobs with

@@ -321,3 +321,89 @@ func TestMergeRoundBudget(t *testing.T) {
 		t.Fatal("a round with one assignment set for two shards was accepted")
 	}
 }
+
+// TestObserveJobRewritesTheShardRow covers the driver-side row push: the
+// shard's next allocation runs on the pushed isolated row, the mirror keeps
+// the admission row (what a recovery re-installs), a departed job is a no-op,
+// and a malformed row is refused at the edge like Admit's.
+func TestObserveJobRewritesTheShardRow(t *testing.T) {
+	svc := newShardingService(t, 1, 1, cluster.RouteHash)
+	for id := 0; id < 2; id++ {
+		mustAdmit(t, svc, id, 1)
+	}
+	// Job 0 is admitted fastest on type 0 and takes that type's one device.
+	if err := svc.AllocateAll(1, shardingInfo, false); err != nil {
+		t.Fatal(err)
+	}
+	if x := jobAllocations(svc)[0]; x[0] < 0.9 {
+		t.Fatalf("job 0 gets %v of its best type before the push", x)
+	}
+	// Now it is measured useless there and fast on type 2.
+	if err := svc.ObserveJob(0, []float64{0.01, 0.01, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AllocateAll(2, shardingInfo, true); err != nil {
+		t.Fatal(err)
+	}
+	if x := jobAllocations(svc)[0]; x[2] < 0.9 {
+		t.Fatalf("job 0 gets %v after its row moved to type 2", x)
+	}
+	if got := svc.shards[0].tput[0]; got[0] != shardingTput(0)[0] {
+		t.Fatalf("mirror row %v is no longer the admission row", got)
+	}
+	if err := svc.ObserveJob(99, []float64{1, 1, 1}); err != nil {
+		t.Fatalf("push for a job nobody holds: %v", err)
+	}
+	if err := svc.ObserveJob(0, []float64{1, math.NaN(), 1}); err == nil {
+		t.Fatal("a NaN row was accepted")
+	}
+}
+
+// TestShardAllocateMatchesInfosByID: a shard pairs the coordinator's per-job
+// infos with its residents by job ID, not by position — the lookup resumes
+// where the last one hit because the two orders normally agree, but a
+// shuffled Infos must give the same allocation, never a neighbour's
+// weight.
+func TestShardAllocateMatchesInfosByID(t *testing.T) {
+	allocate := func(order []int) AllocateReply {
+		srv, c := NewLocalShard()
+		err := c.Configure(ShardConfig{
+			WorkerInts: []int{1, 1, 1}, PerServer: []int{4, 4, 4}, Prices: []float64{3, 2, 1},
+			Policy: PolicySpec{Name: "max_min_fairness"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < 4; id++ {
+			if err := c.Install(InstallArgs{JobID: id, ScaleFactor: 1, Tput: []float64{1, 1, 1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		args := AllocateArgs{Round: 1}
+		for _, id := range order {
+			ji := shardingInfo(id)
+			ji.ID, ji.Weight = id, float64(1+id) // the only thing telling the jobs apart
+			args.Infos = append(args.Infos, ji)
+		}
+		var rep AllocateReply
+		if err := srv.Allocate(args, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want := allocate([]int{0, 1, 2, 3})
+	for _, order := range [][]int{{3, 2, 1, 0}, {1, 3, 0, 2}} {
+		got := allocate(order)
+		for u := range want.X {
+			for j := range want.X[u] {
+				if got.X[u][j] != want.X[u][j] {
+					t.Fatalf("Infos in order %v: X[%d] = %v, in resident order %v", order, u, got.X[u], want.X[u])
+				}
+			}
+		}
+	}
+	// Heavier jobs get more: the weights did arrive, each at its own job.
+	if want.X[3][0]+want.X[3][1]+want.X[3][2] <= want.X[0][0]+want.X[0][1]+want.X[0][2] {
+		t.Fatalf("weights did not reach the policy: X = %v", want.X)
+	}
+}

@@ -65,7 +65,10 @@ func NewShardServer() *ShardServer { return &ShardServer{} }
 // coordinator in the same process (the simulator's NumShards path) runs
 // policies the wire catalog cannot name — wrappers, hierarchical policies,
 // test decorators. Nothing crosses the wire, so a remote daemon has no
-// equivalent. Call before Configure.
+// equivalent. The server's mutex serializes its calls, so even a
+// policy.SerialPolicy is safe behind one server; handing one instance to
+// several servers is the caller's to refuse (simulator.Config.Validate does).
+// Call before Configure.
 func (s *ShardServer) UsePolicy(p policy.Policy) {
 	s.mu.Lock()
 	s.pol = p
@@ -205,9 +208,6 @@ func (s *ShardServer) Configure(cfg ShardConfig, _ *Ack) error {
 			return err
 		}
 	}
-	if !policy.ConcurrentSafe(pol) {
-		return Errorf(CodeBadRequest, "policy %s is not safe for the sharded engine", pol.Name())
-	}
 	var ctx *policy.SolveContext
 	if !cfg.ColdSolves {
 		ctx = policy.NewSolveContextWith(cfg.LP)
@@ -312,18 +312,25 @@ func (s *ShardServer) Allocate(args AllocateArgs, reply *AllocateReply) error {
 	s.calls.With("Allocate").Inc()
 	sp := s.tr.Begin(args.Trace, "shard.allocate").OnShard(s.cfg.Index).AttrInt("jobs", int64(sh.NumJobs()))
 	itersBefore := s.solveIters(sh)
-	infos := make(map[int]policy.JobInfo, len(args.Infos))
-	for _, ji := range args.Infos {
-		infos[ji.ID] = ji
+	// Infos arrive in the mirror's admission order, which is the shard's own:
+	// each lookup resumes where the last one hit.
+	next := 0
+	info := func(id int) policy.JobInfo {
+		for i := range args.Infos {
+			if ji := &args.Infos[(next+i)%len(args.Infos)]; ji.ID == id {
+				next += i + 1
+				return *ji
+			}
+		}
+		return policy.JobInfo{}
 	}
-	info := func(id int) policy.JobInfo { return infos[id] }
 	if err := sh.Allocate(s.pol, s.cfg.PairGainThreshold, s.cfg.MaxPairsPerJob, info); err != nil {
 		err = Errorf(CodeInternal, "allocate: %v", err)
 		sp.End(err)
 		return err
 	}
 	sp.AttrInt("iterations", s.solveIters(sh)-itersBefore).End(nil)
-	reply.IDs = append([]int(nil), sh.AllocIDs...)
+	reply.IDs = sh.AllocIDs // fresh per allocation and never written again
 	reply.Units = sh.Alloc.Units
 	reply.X = sh.Alloc.X
 	s.lastAllocRound, s.lastAlloc = args.Round, *reply

@@ -9,10 +9,11 @@ import (
 	"gavel/internal/rpc"
 )
 
-// chaosRun executes one sharded run with every shard client wrapped in
-// a seeded chaos transport under the production retry policy, returning the
-// result fingerprint and the concatenated per-shard fault schedule. Wrapping
-// is done here (not via cfg.Chaos) so the test keeps handles to the
+// chaosRun executes one sharded run with every shard client under the
+// client fault-plane stack (chaos.Stack: a seeded chaos transport below the
+// production retry policy), returning the result fingerprint and the
+// concatenated per-shard fault schedule. Stacking is done here (not via
+// cfg.Chaos, which calls the same function) so the test keeps handles to the
 // *chaos.Transport values and can read their schedules back.
 func chaosRun(t *testing.T, ccfg chaos.Config) (string, string) {
 	t.Helper()
@@ -21,9 +22,9 @@ func chaosRun(t *testing.T, ccfg chaos.Config) (string, string) {
 	clients := make([]rpc.ShardClient, 2)
 	for k := range clients {
 		_, inner := rpc.NewLocalShard()
-		tr := chaos.Wrap(inner, ccfg, k).(*chaos.Transport)
+		var tr *chaos.Transport
+		clients[k], tr = chaos.Stack(inner, ccfg, k, pol)
 		transports = append(transports, tr)
-		clients[k] = rpc.WithRetry(tr, pol)
 	}
 	res, err := Run(serviceTestConfig(16, clients))
 	if err != nil {

@@ -14,16 +14,19 @@ import (
 )
 
 // batchObserver collects one shard's measured pair throughputs in
-// observation order, for a single Observe flush to the shard daemon after
-// the round's progress is applied. Observations only feed the shard's
-// throughput cache — nothing reads the cache again before the next
-// allocation — so flushing a round's batch at once leaves the cache exactly
-// as interleaved writes would.
+// observation order, for a single Observe flush to the shard after the
+// round's progress is applied. Observations only feed the shard's throughput
+// cache — nothing reads the cache again before the next allocation — so
+// flushing a round's batch at once leaves the cache exactly as interleaved
+// writes would. One observer serves the whole run: the shard has consumed a
+// batch by the time its flush returns.
 //
 // Under the submission plane the coordinator assigns wire job IDs distinct
 // from trace IDs, so every observation is translated through wire; and the
-// realized isolated rates (jobObserver) are collected as the worker-measured
-// samples the trust review cross-checks against declarations.
+// realized isolated rates (noise included) of every non-pair assignment are
+// collected as the worker-measured samples the trust review cross-checks
+// against declared rows. Pair assignments are excluded: their realized rates
+// measure colocation, not the isolated row the declaration claims.
 type batchObserver struct {
 	wire    func(int) int // trace job ID -> coordinator job ID
 	measure bool
@@ -36,6 +39,8 @@ type measuredSample struct {
 	rate    float64
 }
 
+func (b *batchObserver) reset() { b.obs, b.meas = b.obs[:0], b.meas[:0] }
+
 func (b *batchObserver) observePair(aID, bID, typ int, ta, tb float64) {
 	b.obs = append(b.obs, rpc.PairObservation{A: b.wire(aID), B: b.wire(bID), Type: typ, Ta: ta, Tb: tb})
 }
@@ -46,10 +51,11 @@ func (b *batchObserver) observeJob(id, typ int, rate float64) {
 	}
 }
 
-// runService executes a sharded simulation: one rpc.Service coordinates K
-// shards — jobs and devices partitioned, each shard owning its own solve
-// context, throughput cache, and round mechanism — through their
-// ShardClients. Per round, every stale shard recomputes its allocation and
+// Run executes the simulation — on the one round loop there is: an rpc.Service
+// coordinating K shards (the default Config is K = 1: one in-memory shard
+// owning the whole cluster), jobs and devices partitioned, each shard with
+// its own solve context, throughput cache, and round mechanism behind its
+// ShardClient. Per round, every stale shard recomputes its allocation and
 // every shard runs its mechanism concurrently; arrivals, departures,
 // rebalancing migrations, and progress application are serialized in
 // deterministic (trace and shard) order, so the merged Result is a pure
@@ -60,7 +66,7 @@ func (b *batchObserver) observeJob(id, typ int, rate float64) {
 // shards, can die mid-run: the coordinator detects the loss on the next call,
 // re-routes the dead shard's jobs onto the survivors with its last snapshot's
 // warm seeds, and the recovered jobs' next solves land remapped, not cold.
-func runService(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) {
 	e, err := newRunEnv(cfg)
 	if err != nil {
 		return nil, err
@@ -71,7 +77,7 @@ func runService(cfg Config) (*Result, error) {
 	// shard's solves).
 	shardClients := cfg.ShardClients
 	if len(shardClients) == 0 {
-		shardClients = make([]rpc.ShardClient, cfg.NumShards)
+		shardClients = make([]rpc.ShardClient, max(cfg.NumShards, 1))
 		for k := range shardClients {
 			srv, c := rpc.NewLocalShard()
 			srv.UsePolicy(cfg.Policy)
@@ -88,6 +94,10 @@ func runService(cfg Config) (*Result, error) {
 	if cfg.SpaceSharing {
 		pairCap = e.maxPairs
 	}
+	// Recovery snapshots are for shards that can be lost (supplied clients,
+	// injected crashes) or a journal that records them; shards built here, with
+	// neither, would export seeds nobody can ever read.
+	snapshots := len(cfg.ShardClients) > 0 || cfg.Journal != "" || cfg.Chaos.Enabled()
 	snapEvery := cfg.SnapshotEveryRounds
 	if snapEvery <= 0 {
 		snapEvery = 10
@@ -106,44 +116,49 @@ func runService(cfg Config) (*Result, error) {
 	if admission {
 		wire = func(id int) int { return wireOf[id] }
 	}
+	batch := &batchObserver{wire: wire, measure: admission}
+
+	// A StableProvider's rows are queried once, when a job lands on a shard,
+	// and the shard's cache carries them from there. Any other provider may
+	// change any answer at any time (the estimator's cross-pair learning), so
+	// what it says at landing is never read: pairs ship as zero placeholders
+	// and refreshRows pushes current rows before each allocation.
+	stable := false
+	if sp, ok := e.provider.(StableProvider); ok {
+		stable = sp.StableEstimates()
+	}
 
 	// The service ships pair candidates with every job placement (arrival or
-	// migration destination); rows come from the provider. Pairs never cross
-	// shards: partitioning the jobs partitions the pairs. The shards apply
-	// them HasPair-gated, so answering for an already-cached pair is
-	// harmless.
+	// migration destination). Pairs never cross shards: partitioning the jobs
+	// partitions the pairs. The shards apply them HasPair-gated, so answering
+	// for an already-cached pair is harmless. The provider is always asked
+	// about a pair lower trace position first, whichever job is landing.
 	var pairs rpc.PairSource
 	if cfg.SpaceSharing {
 		pairs = func(aID, bID int) ([]float64, []float64) {
-			a, b := states[stateOf[aID]].job, states[stateOf[bID]].job
-			ta := make([]float64, len(e.workers))
-			tb := make([]float64, len(e.workers))
-			for t := range ta {
-				if ca, cb, ok := e.provider.Colocated(a, b, t); ok {
-					ta[t], tb[t] = ca, cb
+			rows := make([]float64, 2*e.numTypes)
+			ta, tb := rows[:e.numTypes:e.numTypes], rows[e.numTypes:]
+			if !stable {
+				return ta, tb
+			}
+			lo, hi, tlo, thi := stateOf[aID], stateOf[bID], ta, tb
+			if lo > hi {
+				lo, hi, tlo, thi = hi, lo, tb, ta
+			}
+			for t := range tlo {
+				if clo, chi, ok := e.provider.Colocated(states[lo].job, states[hi].job, t); ok {
+					tlo[t], thi[t] = clo, chi
 				}
 			}
 			return ta, tb
 		}
 	}
 
-	// The fault plane layers per client: the chaos transport injects seeded
-	// faults below the retry policy, so every injected transient exercises
-	// the production retry/degrade/recover path. The telemetry plane rides
-	// both layers — retry outcome counters above, injected-fault counters
-	// below — without touching either one's rand stream.
-	clients := shardClients
 	pol := cfg.RPC
 	pol.Obs = cfg.Obs
-	if cfg.Chaos.Enabled() || !pol.IsZero() || pol.Obs != nil {
-		clients = make([]rpc.ShardClient, numShards)
-		for k, c := range shardClients {
-			wrapped := chaos.Wrap(c, cfg.Chaos, k)
-			if tr, ok := wrapped.(*chaos.Transport); ok {
-				tr.SetObs(cfg.Obs)
-			}
-			clients[k] = rpc.WithRetry(wrapped, pol)
-		}
+	clients := make([]rpc.ShardClient, numShards)
+	for k, c := range shardClients {
+		clients[k], _ = chaos.Stack(c, cfg.Chaos, k, pol)
 	}
 
 	svc, err := rpc.NewService(rpc.ServiceConfig{
@@ -169,9 +184,70 @@ func runService(cfg Config) (*Result, error) {
 		defer svc.Close()
 	}
 
+	// refreshRows is the unstable provider's "fresh cache per reset": right
+	// before stale shard k reallocates, every row its policy input reads is
+	// re-queried — isolated rows, then every single-worker pair on every type,
+	// residents in ascending trace position, lower position first (the
+	// estimator fingerprints a job from one rng stream on first contact, so
+	// the order is part of the result) — and pushed to the shard. Under the
+	// submission plane isolated rows are the tenants' declarations, not the
+	// provider's, and stay as submitted.
+	var resident []int
+	refreshRows := func(k int) error {
+		resident = resident[:0]
+		for _, id := range svc.ShardJobs(k) {
+			resident = append(resident, stateOf[id])
+		}
+		sort.Ints(resident)
+		if !admission {
+			for _, si := range resident {
+				j := states[si].job
+				if err := svc.ObserveJob(j.ID, e.isolatedRow(j)); err != nil {
+					return err
+				}
+			}
+		}
+		if !cfg.SpaceSharing {
+			return nil
+		}
+		batch.reset()
+		for i, sa := range resident {
+			ja := states[sa].job
+			if ja.ScaleFactor > 1 {
+				continue
+			}
+			for _, sb := range resident[i+1:] {
+				jb := states[sb].job
+				if jb.ScaleFactor > 1 {
+					continue
+				}
+				for t := 0; t < e.numTypes; t++ {
+					ta, tb, ok := e.provider.Colocated(ja, jb, t)
+					if !ok {
+						ta, tb = 0, 0
+					}
+					batch.observePair(ja.ID, jb.ID, t, ta, tb)
+				}
+			}
+		}
+		return svc.Observe(k, batch.obs)
+	}
+
 	allocStates := make([][]int, numShards) // per shard: state indices parallel to AllocIDs
 	shardRounds := make([]int, numShards)   // rounds since the shard's last allocation
 	reallocated := make([]bool, numShards)
+
+	// retire removes shard k's finished jobs from the service.
+	retire := func(k int) error {
+		for _, id := range svc.ShardJobs(k) {
+			if states[stateOf[id]].done {
+				if err := svc.Remove(id); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 
 	// Submission-plane bookkeeping: trace jobs submitted but not yet
 	// admitted (keyed by coordinator job ID), and submissions refused with
@@ -187,21 +263,16 @@ func runService(cfg Config) (*Result, error) {
 	}
 	submitKey := func(j *workload.Job) string { return fmt.Sprintf("job-%d", j.ID) }
 	submit := func(si int) error {
-		st := states[si]
-		j := st.job
-		truth := make([]float64, len(e.workers))
-		for t := range truth {
-			truth[t] = e.provider.Isolated(j, t)
-		}
+		j := states[si].job
 		// The tenant declares truth x DeclareFactor; the trust review learns
 		// the truth back from the workers' measured rates.
 		df := j.DeclareFactor
 		if df <= 0 {
 			df = 1
 		}
-		decl := make([]float64, len(truth))
-		for t, v := range truth {
-			decl[t] = v * df
+		decl := e.isolatedRow(j)
+		for t := range decl {
+			decl[t] *= df
 		}
 		rep, err := svc.Submit(rpc.SubmitArgs{
 			Tenant:      tenantName(j),
@@ -228,21 +299,15 @@ func runService(cfg Config) (*Result, error) {
 	}
 
 	now := 0.0
-	completed := 0
 	nextArrival := 0
 
-	for completed < len(trace) && now < e.maxSec {
+	for e.completed < len(trace) && now < e.maxSec {
 		// Retire finished jobs. Only stale shards can hold one: a finishing
 		// job marks its shard dirty.
 		for k := 0; k < numShards; k++ {
-			if !svc.IsDirty(k) {
-				continue
-			}
-			for _, id := range svc.ShardJobs(k) {
-				if states[stateOf[id]].done {
-					if err := svc.Remove(id); err != nil {
-						return nil, err
-					}
+			if svc.IsDirty(k) {
+				if err := retire(k); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -297,14 +362,9 @@ func runService(cfg Config) (*Result, error) {
 		} else {
 			for nextArrival < len(trace) && trace[nextArrival].Arrival <= now {
 				st := states[nextArrival]
-				j := st.job
 				st.arrivalN = svc.NumJobs() + 1
-				tput := make([]float64, len(e.workers))
-				for t := range tput {
-					tput[t] = e.provider.Isolated(j, t)
-				}
-				stateOf[j.ID] = nextArrival
-				if _, err := svc.Admit(j.ID, j.ScaleFactor, tput); err != nil {
+				stateOf[st.job.ID] = nextArrival
+				if _, err := svc.Admit(st.job.ID, st.job.ScaleFactor, e.isolatedRow(st.job)); err != nil {
 					return nil, err
 				}
 				nextArrival++
@@ -336,19 +396,14 @@ func runService(cfg Config) (*Result, error) {
 
 		// Periodic rebalance: migrate jobs from the most to the least
 		// loaded shard; their warm LP bases travel in the Extract/Install
-		// payloads.
+		// payloads. A migration is a physical placement change.
 		if cfg.RebalanceEveryRounds > 0 && res.Rounds > 0 && res.Rounds%cfg.RebalanceEveryRounds == 0 {
 			migs, err := svc.Rebalance()
 			if err != nil {
 				return nil, err
 			}
 			for _, m := range migs {
-				st := states[stateOf[m.Job]]
-				// A migration is a physical placement change: server
-				// indices are shard-local, so the old coordinates must not
-				// suppress the checkpoint penalty or preemption count when
-				// the destination shard happens to reuse the same numbers.
-				st.lastType, st.lastServer, st.lastPartner = -1, -1, -1
+				states[stateOf[m.Job]].forgetPlacement()
 			}
 		}
 
@@ -361,6 +416,11 @@ func runService(cfg Config) (*Result, error) {
 			alloc, _ := svc.Alloc(k)
 			reallocated[k] = svc.IsDirty(k) || alloc == nil
 			anyStale = anyStale || reallocated[k]
+			if reallocated[k] && !stable && !svc.Down(k) {
+				if err := refreshRows(k); err != nil {
+					return nil, err
+				}
+			}
 		}
 		// PolicyTime is the wall-clock of the concurrent allocation phase —
 		// what a caller actually waits for — not the sum of per-shard solve
@@ -402,17 +462,17 @@ func runService(cfg Config) (*Result, error) {
 			if alloc == nil || len(alloc.Units) == 0 {
 				continue
 			}
-			batch := &batchObserver{wire: wire, measure: admission}
-			var dirtied bool
+			batch.reset()
+			var finished bool
 			if cfg.IdealExecution {
-				advanceIdeal(cfg, states, allocStates[k], alloc, e.round, now, e.prices, e.noise, &dirtied, &completed, res)
+				finished = e.advanceIdeal(allocStates[k], alloc, now)
 			} else {
 				if cfg.OnRound != nil {
 					cfg.OnRound(now, alloc, allocStates[k], perShard[k])
 				}
-				applyAssignments(cfg, batch, states, allocStates[k], alloc, perShard[k], e.round, now, e.prices, e.noise, &dirtied, &completed, res)
+				finished = e.applyAssignments(batch, allocStates[k], alloc, perShard[k], now)
 			}
-			if dirtied {
+			if finished {
 				if err := svc.MarkDirty(k); err != nil {
 					return nil, err
 				}
@@ -441,7 +501,7 @@ func runService(cfg Config) (*Result, error) {
 		}
 		// Periodic recovery snapshot: pull every daemon's warm seeds and
 		// accounting. Read-only — results are unaffected by the cadence.
-		if res.Rounds%snapEvery == 0 {
+		if snapshots && res.Rounds%snapEvery == 0 {
 			if err := svc.SnapshotAll(); err != nil {
 				return nil, err
 			}
@@ -456,8 +516,7 @@ func runService(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			for _, m := range migs {
-				st := states[stateOf[m.Job]]
-				st.lastType, st.lastServer, st.lastPartner = -1, -1, -1
+				states[stateOf[m.Job]].forgetPlacement()
 			}
 		}
 		// Seal the round: the journal's fsync batch point. Without a journal
@@ -473,12 +532,8 @@ func runService(cfg Config) (*Result, error) {
 	// terminal.
 	if admission {
 		for k := 0; k < numShards; k++ {
-			for _, id := range svc.ShardJobs(k) {
-				if states[stateOf[id]].done {
-					if err := svc.Remove(id); err != nil {
-						return nil, err
-					}
-				}
+			if err := retire(k); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -5,12 +5,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 
 	"gavel/internal/cluster"
+	"gavel/internal/estimator"
 	"gavel/internal/policy"
 	"gavel/internal/rpc"
 	"gavel/internal/workload"
@@ -31,8 +32,7 @@ func shardedTestConfig(numShards int, jobs int) Config {
 }
 
 // fingerprint serializes everything deterministic about a Result. PolicyTime
-// is wall-clock and inherently run-local (the monolithic engine's is too),
-// so it is zeroed; every other field — per-job outcomes, float cost sums,
+// is wall-clock and inherently run-local, so it is zeroed; every other field — per-job outcomes, float cost sums,
 // solve buckets, per-shard stats — must be byte-identical.
 func fingerprint(t *testing.T, r *Result) string {
 	t.Helper()
@@ -110,10 +110,10 @@ func TestShardedRunsUncatalogedPolicy(t *testing.T) {
 	}
 }
 
-// TestShardedIdealExecution covers ideal execution on the sharded loop: every
-// job advances exactly per its shard's allocation (no mechanism round), two
-// shards complete, and one shard owning the whole cluster reproduces the
-// monolithic ideal run job for job.
+// TestShardedIdealExecution covers ideal execution across shards: every job
+// advances exactly per its shard's allocation (no mechanism round) and two
+// shards complete. What one shard owning the whole cluster must produce is
+// pinned by the "ideal" case of TestRunMatchesParentMonolithicGolden.
 func TestShardedIdealExecution(t *testing.T) {
 	cfg := shardedTestConfig(2, 16)
 	cfg.IdealExecution = true
@@ -124,40 +124,15 @@ func TestShardedIdealExecution(t *testing.T) {
 	if res.Unfinished != 0 {
 		t.Fatalf("K=2 ideal run left %d jobs unfinished", res.Unfinished)
 	}
-
-	cfg.NumShards, cfg.RebalanceEveryRounds = 1, 0
-	one, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NumShards = 0
-	mono, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mono.Jobs {
-		a, b := one.Jobs[i], mono.Jobs[i]
-		if a.ID != b.ID || a.Completion != b.Completion || a.CostDollars != b.CostDollars {
-			t.Errorf("job %d: K=1 ideal (%v, $%v) vs monolithic ideal (%v, $%v)", b.ID, a.Completion, a.CostDollars, b.Completion, b.CostDollars)
-		}
-	}
-	if one.Makespan != mono.Makespan || one.TotalCost != mono.TotalCost {
-		t.Errorf("K=1 ideal makespan/cost %v/%v vs monolithic %v/%v", one.Makespan, one.TotalCost, mono.Makespan, mono.TotalCost)
-	}
 }
 
 // TestValidateOwnsShardedPreconditions pins Validate as the single home of
-// the sharded preconditions: everything Run refuses, Validate refuses first.
+// the shard preconditions: everything Run refuses, Validate refuses first.
 func TestValidateOwnsShardedPreconditions(t *testing.T) {
 	bad := map[string]func(*Config){
-		"unstable provider": func(c *Config) { c.Provider = unstableProvider{} },
-		"serial policy":     func(c *Config) { c.Policy = policy.NewGandivaSpaceSharing(1) },
-		"wrapped serial":    func(c *Config) { c.Policy = &policy.Agnostic{Inner: policy.NewGandivaSpaceSharing(1)} },
-		"shard count":       func(c *Config) { _, cl := rpc.NewLocalShard(); c.ShardClients = []rpc.ShardClient{cl} },
-		"admission unsharded": func(c *Config) {
-			c.NumShards = 0
-			c.Admission = &rpc.AdmissionConfig{}
-		},
+		"serial policy":  func(c *Config) { c.Policy = policy.NewGandivaSpaceSharing(1) },
+		"wrapped serial": func(c *Config) { c.Policy = &policy.Agnostic{Inner: policy.NewGandivaSpaceSharing(1)} },
+		"shard count":    func(c *Config) { _, cl := rpc.NewLocalShard(); c.ShardClients = []rpc.ShardClient{cl} },
 	}
 	for name, mutate := range bad {
 		cfg := shardedTestConfig(2, 4)
@@ -278,47 +253,27 @@ func TestShardedMigrationsAreWarm(t *testing.T) {
 	}
 }
 
-// TestShardedK1MatchesMonolithicOutcomes pins the K=1 sharded engine to the
-// monolithic loop: one shard owns the whole cluster and the whole job set,
-// so every job must complete at the same time with the same cost in both
-// engines (the engines share the allocation, mechanism, and progress code).
+// TestShardedK1MatchesMonolithicOutcomes pins the default run as K=1: a
+// Config that names no shard count and one that asks for one shard are the
+// same run, byte for byte. What that run must produce is pinned against the
+// monolithic loop it replaced by TestRunMatchesParentMonolithicGolden.
 func TestShardedK1MatchesMonolithicOutcomes(t *testing.T) {
 	cfg := shardedTestConfig(1, 24)
 	cfg.RebalanceEveryRounds = 0
-	sharded, err := Run(cfg)
+	one, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.NumShards = 0
-	mono, err := Run(cfg)
+	zero, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sharded.Jobs) != len(mono.Jobs) {
-		t.Fatal("job count mismatch")
+	if zero.NumShards != 1 || len(zero.ShardStats) != 1 {
+		t.Fatalf("default run reports %d shards, %d shard stats", zero.NumShards, len(zero.ShardStats))
 	}
-	for i := range mono.Jobs {
-		a, b := sharded.Jobs[i], mono.Jobs[i]
-		if a.ID != b.ID {
-			t.Fatalf("job order diverged at %d", i)
-		}
-		if math.Abs(a.Completion-b.Completion) > 1e-6 || math.Abs(a.CostDollars-b.CostDollars) > 1e-6 {
-			t.Errorf("job %d: sharded (%.3f, $%.4f) vs monolithic (%.3f, $%.4f)",
-				a.ID, a.Completion, a.CostDollars, b.Completion, b.CostDollars)
-		}
-	}
-	if sharded.Makespan != mono.Makespan {
-		t.Errorf("makespan %v vs %v", sharded.Makespan, mono.Makespan)
-	}
-}
-
-// TestShardedRejectsUnstableProvider pins the documented restriction: a
-// provider with cross-pair learning cannot back per-shard caches.
-func TestShardedRejectsUnstableProvider(t *testing.T) {
-	cfg := shardedTestConfig(2, 4)
-	cfg.Provider = unstableProvider{}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("expected an error for a non-stable provider")
+	if fingerprint(t, zero) != fingerprint(t, one) {
+		t.Fatal("NumShards 0 and NumShards 1 are different runs")
 	}
 }
 
@@ -327,10 +282,89 @@ type unstableProvider struct{ Oracle }
 
 func (unstableProvider) StableEstimates() bool { return false }
 
-// TestShardedRejectsSerialPolicy pins the concurrency guard: policies that
-// mutate unsynchronized state in Allocate (Gandiva's random exploration)
-// must be rejected rather than raced across shards — including when hidden
-// behind the heterogeneity-agnostic wrapper.
+// contactRecorder is an unstable provider that logs the order in which
+// Colocated first mentions each job, and every call that names the later
+// trace position first.
+type contactRecorder struct {
+	Oracle
+	pos       map[int]int // job ID -> trace position
+	seen      map[int]bool
+	contacts  []int // trace positions in first-contact order
+	backwards int
+}
+
+func (contactRecorder) StableEstimates() bool { return false }
+
+func (r *contactRecorder) Colocated(a, b *workload.Job, j int) (float64, float64, bool) {
+	if r.pos[a.ID] > r.pos[b.ID] {
+		r.backwards++
+	}
+	for _, job := range []*workload.Job{a, b} {
+		if !r.seen[job.ID] {
+			r.seen[job.ID] = true
+			r.contacts = append(r.contacts, r.pos[job.ID])
+		}
+	}
+	return r.Oracle.Colocated(a, b, j)
+}
+
+// TestUnstableProviderShardedDeterministic covers what replaced the
+// stable-provider precondition: a provider with cross-pair learning (the
+// matrix-completion estimator) runs on any shard count, its rows re-queried
+// per stale shard before each allocation, and the result is a pure function
+// of the config. The order of those queries is part of the contract — the
+// estimator fingerprints a job from one rng stream on first contact — so a
+// recording provider checks it: lower trace position first in every call, and
+// on one shard jobs first contacted in ascending trace position.
+func TestUnstableProviderShardedDeterministic(t *testing.T) {
+	run := func() string {
+		cfg := shardedTestConfig(2, 16)
+		cfg.Provider = estimator.New(workload.Zoo(), workload.P100, 2, 7)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Unfinished != 0 {
+			t.Fatalf("%d jobs unfinished under the estimator", res.Unfinished)
+		}
+		return fingerprint(t, res)
+	}
+	prev := runtime.GOMAXPROCS(1)
+	serial := run()
+	runtime.GOMAXPROCS(4)
+	parallel := run()
+	runtime.GOMAXPROCS(prev)
+	if serial != parallel {
+		t.Fatal("estimator run on 2 shards differs between GOMAXPROCS 1 and 4")
+	}
+
+	for _, k := range []int{0, 2} {
+		cfg := shardedTestConfig(k, 16)
+		rec := &contactRecorder{pos: map[int]int{}, seen: map[int]bool{}}
+		for i, j := range cfg.Trace { // GenerateTrace emits jobs in arrival order
+			rec.pos[j.ID] = i
+		}
+		cfg.Provider = rec
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.contacts) < 8 {
+			t.Fatalf("K=%d: only %d jobs ever reached the provider", k, len(rec.contacts))
+		}
+		if rec.backwards != 0 {
+			t.Errorf("K=%d: %d Colocated calls named the later trace position first", k, rec.backwards)
+		}
+		if k == 0 && !sort.IntsAreSorted(rec.contacts) {
+			t.Errorf("first-contact order is not ascending trace position: %v", rec.contacts)
+		}
+	}
+}
+
+// TestShardedRejectsSerialPolicy pins the concurrency guard where it belongs:
+// a policy that mutates unsynchronized state in Allocate (Gandiva's random
+// exploration) is refused when several in-memory shards would solve on the
+// one instance concurrently — including when hidden behind the
+// heterogeneity-agnostic wrapper — and runs on one shard, named or default.
 func TestShardedRejectsSerialPolicy(t *testing.T) {
 	cfg := shardedTestConfig(2, 4)
 	cfg.Policy = policy.NewGandivaSpaceSharing(1)
@@ -340,5 +374,16 @@ func TestShardedRejectsSerialPolicy(t *testing.T) {
 	cfg.Policy = &policy.Agnostic{Inner: policy.NewGandivaSpaceSharing(1)}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected an error for a wrapped serial-only policy")
+	}
+	for _, k := range []int{0, 1} {
+		cfg := shardedTestConfig(k, 4)
+		cfg.Policy = policy.NewGandivaSpaceSharing(1)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("NumShards %d refused a serial-only policy: %v", k, err)
+		}
+		if res.Unfinished != 0 {
+			t.Fatalf("NumShards %d: %d jobs unfinished", k, res.Unfinished)
+		}
 	}
 }

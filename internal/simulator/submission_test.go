@@ -49,24 +49,34 @@ func tenantStat(t *testing.T, res *Result, name string) rpc.TenantStatus {
 
 // TestSubmissionPlaneCompletes streams one honest tenant's jobs through the
 // submission plane and checks the full lifecycle: every submission is
-// accepted, admitted, and resolved Done, with the queue drained.
+// accepted, admitted, and resolved Done, with the queue drained — over two
+// supplied shards, and over the default Config, which is a coordinator like
+// any other.
 func TestSubmissionPlaneCompletes(t *testing.T) {
 	trace := workload.GenerateTenantTrace(3, []workload.TenantSpec{
 		{Name: "alice", NumJobs: 8, LambdaPerHour: 60, Trace: shortJobs},
 	})
-	res, err := Run(submissionTestConfig(trace, &rpc.AdmissionConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Unfinished != 0 {
-		t.Fatalf("%d jobs unfinished", res.Unfinished)
-	}
-	ts := tenantStat(t, res, "alice")
-	if ts.Submitted != 8 || ts.Admitted != 8 || ts.Done != 8 {
-		t.Fatalf("lifecycle accounting off: %+v", ts)
-	}
-	if ts.Queued != 0 || ts.Resident != 0 || ts.Quarantined {
-		t.Fatalf("terminal state not clean: %+v", ts)
+	supplied := submissionTestConfig(trace, &rpc.AdmissionConfig{})
+	byDefault := submissionTestConfig(trace, &rpc.AdmissionConfig{})
+	byDefault.ShardClients = nil
+	for name, cfg := range map[string]Config{"two supplied shards": supplied, "default config": byDefault} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Unfinished != 0 {
+			t.Fatalf("%s: %d jobs unfinished", name, res.Unfinished)
+		}
+		ts := tenantStat(t, res, "alice")
+		if ts.Submitted != 8 || ts.Admitted != 8 || ts.Done != 8 {
+			t.Fatalf("%s: lifecycle accounting off: %+v", name, ts)
+		}
+		if ts.Queued != 0 || ts.Resident != 0 || ts.Quarantined {
+			t.Fatalf("%s: terminal state not clean: %+v", name, ts)
+		}
 	}
 }
 
