@@ -23,7 +23,6 @@ import (
 
 	"gavel/internal/cluster"
 	"gavel/internal/core"
-	"gavel/internal/lp"
 	"gavel/internal/obs"
 	"gavel/internal/policy"
 	"gavel/internal/rpc"
@@ -133,19 +132,16 @@ var solveResetPolicies = []struct {
 // observed throughputs (shape-preserving warm starts); the "churn" scenario
 // additionally changes the job set on 25% of resets (a departure + an
 // arrival), which forces the warm path through the cross-shape basis remap.
-// The LP engine follows lp.DefaultEngine (GAVEL_LP_ENGINE), so the CI
-// bench-smoke job runs the matrix once per engine and diffs the outputs;
-// the 1024-job cells run only on the sparse revised engine — a dense cold
-// solve at that size costs minutes per reset, which is exactly the scaling
-// wall the revised core removes.
+// ftf stops at 512 jobs: its binary search (~20 solves per reset) puts the
+// 1024-job cells out of a benchmark run's budget.
 func BenchmarkPolicySolveReset(b *testing.B) {
 	for _, pol := range solveResetPolicies {
 		for _, n := range []int{128, 256, 512, 1024} {
 			for _, scenario := range []string{"perturb", "churn"} {
 				for _, mode := range []string{"cold", "warm"} {
 					b.Run(fmt.Sprintf("%s/jobs=%d/%s/%s", pol.name, n, scenario, mode), func(b *testing.B) {
-						if n >= 1024 && (lp.DefaultEngine != lp.Revised || pol.name == "ftf") {
-							b.Skip("1024 jobs is only feasible with the sparse revised engine (and ftf's binary search is out of budget even there)")
+						if n >= 1024 && pol.name == "ftf" {
+							b.Skip("ftf's binary search is out of budget at 1024 jobs")
 						}
 						in := solveResetInput(n)
 						p := pol.make()
@@ -220,7 +216,7 @@ func shardedResetTput(id int) []float64 {
 // newShardedResetHarness admits n jobs and primes every shard's context with
 // one (cold) allocation, so the first measured reset runs warm — mirroring
 // the unsharded measureSolveResets.
-func newShardedResetHarness(n, shards int, engine lp.Engine) (*shardedResetHarness, error) {
+func newShardedResetHarness(n, shards int) (*shardedResetHarness, error) {
 	per := n / 4
 	if per < 1 {
 		per = 1
@@ -237,7 +233,6 @@ func newShardedResetHarness(n, shards int, engine lp.Engine) (*shardedResetHarne
 	svc, err := rpc.NewService(rpc.ServiceConfig{
 		Cluster: spec,
 		Policy:  rpc.PolicySpec{Name: "max_min_fairness"},
-		LP:      lp.Options{Engine: engine},
 		Route:   cluster.RouteLeastLoaded,
 	}, clients)
 	if err != nil {
@@ -323,15 +318,11 @@ func (h *shardedResetHarness) solveStats() ([]policy.SolveStats, error) {
 // BenchmarkShardedSolveReset measures the 1024-job reset scenario on the
 // sharded service at K=1 vs K=4: per-shard LPs are superlinearly cheaper
 // than the one-shard LP and solve concurrently, so K=4 should beat K=1 by
-// well over the core-count-independent algorithmic factor. Revised engine
-// only, like every 1024-job cell.
+// well over the core-count-independent algorithmic factor.
 func BenchmarkShardedSolveReset(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("jobs=1024/shards=%d", shards), func(b *testing.B) {
-			if lp.DefaultEngine != lp.Revised {
-				b.Skip("1024 jobs is only feasible with the sparse revised engine")
-			}
-			h, err := newShardedResetHarness(1024, shards, lp.EngineAuto)
+			h, err := newShardedResetHarness(1024, shards)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -374,8 +365,10 @@ type shardedShardRecord struct {
 }
 
 type shardedBenchRecord struct {
-	Jobs   int    `json:"jobs"`
-	Shards int    `json:"shards"`
+	Jobs   int `json:"jobs"`
+	Shards int `json:"shards"`
+	// Engine is always "revised"; the field dates from when BENCH_solve.json
+	// also held the dense tableau's records.
 	Engine string `json:"engine"`
 	Resets int    `json:"resets"`
 	// MaxProcs records GOMAXPROCS at measurement time: per-shard solves run
@@ -388,8 +381,8 @@ type shardedBenchRecord struct {
 
 // measureShardedResets runs the sharded reset scenario for a fixed number of
 // resets and returns wall-clock plus per-shard warm/remap/cold buckets.
-func measureShardedResets(n, shards, resets int, engine lp.Engine) (shardedBenchRecord, error) {
-	h, err := newShardedResetHarness(n, shards, engine)
+func measureShardedResets(n, shards, resets int) (shardedBenchRecord, error) {
+	h, err := newShardedResetHarness(n, shards)
 	if err != nil {
 		return shardedBenchRecord{}, err
 	}
@@ -404,12 +397,8 @@ func measureShardedResets(n, shards, resets int, engine lp.Engine) (shardedBench
 		}
 	}
 	elapsed := time.Since(start)
-	engName := engine.String()
-	if engine == lp.EngineAuto {
-		engName = lp.DefaultEngine.String()
-	}
 	rec := shardedBenchRecord{
-		Jobs: n, Shards: shards, Engine: engName, Resets: resets,
+		Jobs: n, Shards: shards, Engine: "revised", Resets: resets,
 		MaxProcs:   runtime.GOMAXPROCS(0),
 		NsPerReset: float64(elapsed.Nanoseconds()) / float64(resets),
 	}
@@ -449,7 +438,7 @@ func TestWriteShardStats(t *testing.T) {
 	}
 	var records []shardedBenchRecord
 	for _, shards := range []int{1, 4} {
-		rec, err := measureShardedResets(256, shards, 8, lp.EngineAuto)
+		rec, err := measureShardedResets(256, shards, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,9 +462,9 @@ type solveBenchRecord struct {
 	Jobs     int    `json:"jobs"`
 	Scenario string `json:"scenario"`
 	Mode     string `json:"mode"`
-	Engine   string `json:"engine"`
-	// Pricing is the entering-column rule the revised engine used ("devex"
-	// or "partial"; the dense tableau ignores it).
+	// Engine is always "revised" and Pricing always "devex"; the fields date
+	// from when the file also held dense-tableau and partial-pricing records.
+	Engine            string `json:"engine"`
 	Pricing           string `json:"pricing"`
 	Resets            int    `json:"resets"`
 	LPSolves          int    `json:"lp_solves"`
@@ -500,15 +489,12 @@ type solveBenchRecord struct {
 // measureSolveResets runs a fixed number of re-solves under the given
 // scenario ("perturb" jitters throughputs; "churn" additionally changes the
 // job set on every 4th reset; "drift" jitters only the worker capacities —
-// a pure rhs drift that keeps cached bases dual feasible), engine, and
-// pricing rule, and returns the record. Iteration counts are deterministic;
-// timings are hardware-local.
-func measureSolveResets(polName string, p policy.Policy, n, resets int, scenario string, warm bool, engine lp.Engine, pricing lp.Pricing) solveBenchRecord {
+// a pure rhs drift that keeps cached bases dual feasible) and returns the
+// record. Iteration counts are deterministic; timings are hardware-local.
+func measureSolveResets(polName string, p policy.Policy, n, resets int, scenario string, warm bool) solveBenchRecord {
 	in := solveResetInput(n)
 	ctx := policy.NewSolveContext()
 	ctx.NoWarm = !warm
-	ctx.Engine = engine
-	ctx.Pricing = pricing
 	if n >= 4096 {
 		ctx.Metrics = obs.NewLPMetrics(obs.NewRegistry())
 	}
@@ -541,21 +527,13 @@ func measureSolveResets(polName string, p policy.Policy, n, resets int, scenario
 	if warm {
 		mode = "warm"
 	}
-	engName := engine.String()
-	if engine == lp.EngineAuto {
-		engName = lp.DefaultEngine.String()
-	}
-	prName := pricing.String()
-	if pricing == lp.PricingAuto {
-		prName = lp.DefaultPricing.String()
-	}
 	buildMs := 0.0
 	if ctx.Metrics != nil {
 		buildMs = (ctx.Metrics.BuildSeconds.Sum() - primeBuild) * 1e3 / float64(resets)
 	}
 	return solveBenchRecord{
 		BuildMs: buildMs,
-		Policy:  polName, Jobs: n, Scenario: scenario, Mode: mode, Engine: engName, Pricing: prName, Resets: resets,
+		Policy:  polName, Jobs: n, Scenario: scenario, Mode: mode, Engine: "revised", Pricing: "devex", Resets: resets,
 		LPSolves:           ctx.Stats.Solves - prime.Solves,
 		WarmSolves:         ctx.Stats.WarmHits - prime.WarmHits,
 		RemappedSolves:     ctx.Stats.RemapHits - prime.RemapHits,
@@ -573,9 +551,8 @@ func measureSolveResets(polName string, p policy.Policy, n, resets int, scenario
 //	GAVEL_WRITE_BENCH=sharded go test -run TestWriteSolveBenchJSON  # refresh only sharded_records
 //	GAVEL_WRITE_BENCH=cost4096 go test -run TestWriteSolveBenchJSON # refresh only the 4096-job cost records
 //
-// The "sharded" mode preserves the existing per-policy records (whose dense
-// 512-job cells take minutes to re-measure) and re-measures only the sharded
-// reset scenario.
+// The "sharded" mode preserves the existing per-policy records and
+// re-measures only the sharded reset scenario.
 func TestWriteSolveBenchJSON(t *testing.T) {
 	mode := os.Getenv("GAVEL_WRITE_BENCH")
 	if mode == "" {
@@ -597,60 +574,45 @@ func TestWriteSolveBenchJSON(t *testing.T) {
 	} else {
 		var records []solveBenchRecord
 		for _, pol := range solveResetPolicies {
-			for _, engine := range []lp.Engine{lp.Dense, lp.Revised} {
-				sizes := []int{128, 256, 512}
-				if engine == lp.Revised && pol.name != "ftf" {
-					// The 1024-job tier exists only on the sparse revised
-					// core: the dense tableau needs minutes per cold reset at
-					// that size (and ftf's binary search multiplies that by
-					// ~20 solves per reset).
-					sizes = append(sizes, 1024)
+			sizes := []int{128, 256, 512}
+			if pol.name != "ftf" {
+				// ftf's binary search multiplies a reset by ~20 solves; its
+				// 1024-job cells are out of budget.
+				sizes = append(sizes, 1024)
+			}
+			if pol.name == "cost" {
+				// The 4096-job tier is cost-only for now: presolve
+				// collapses the Charnes-Cooper program to a few dozen
+				// effective rows, so its cold reset lands well under a
+				// second, while maxmin's two-rows-per-job LP still costs
+				// ~10s cold at this size (the remaining open item on the
+				// LP-core roadmap).
+				sizes = append(sizes, 4096)
+			}
+			for _, n := range sizes {
+				resets := 10
+				if n >= 4096 {
+					resets = 4
 				}
-				if engine == lp.Revised && pol.name == "cost" {
-					// The 4096-job tier is cost-only for now: presolve
-					// collapses the Charnes-Cooper program to a few dozen
-					// effective rows, so its cold reset lands well under a
-					// second, while maxmin's two-rows-per-job LP still costs
-					// ~10s cold at this size (the remaining open item on the
-					// LP-core roadmap).
-					sizes = append(sizes, 4096)
-				}
-				scenarios := []string{"perturb", "churn"}
-				if engine == lp.Revised {
-					// The rhs-only drift scenario showcases the dual-simplex
-					// warm path; the dense tableau has no dual path, so the
-					// cells would be noise there.
-					scenarios = append(scenarios, "drift")
-				}
-				for _, n := range sizes {
-					resets := 10
-					if engine == lp.Dense && n >= 512 {
-						// The dense oracle's 512-job cells take minutes each;
-						// fewer resets keep regeneration tractable while the
-						// per-reset numbers stay comparable.
-						resets = 4
-					}
-					if n >= 4096 {
-						resets = 4
-					}
-					for _, scenario := range scenarios {
-						for _, warm := range []bool{false, true} {
-							records = append(records, measureSolveResets(pol.name, pol.make(), n, resets, scenario, warm, engine, lp.PricingAuto))
-						}
+				// drift is the rhs-only scenario the dual-simplex warm path
+				// repairs.
+				for _, scenario := range []string{"perturb", "churn", "drift"} {
+					for _, warm := range []bool{false, true} {
+						records = append(records, measureSolveResets(pol.name, pol.make(), n, resets, scenario, warm))
 					}
 				}
 			}
 		}
 		doc["benchmark"] = "PolicySolveReset"
-		doc["unit_note"] = "resets perturb throughputs by 1%; the churn scenario additionally changes the job set (departure+arrival) on 25% of resets; the drift scenario (revised only) jitters worker capacities — a pure rhs drift repaired by the dual simplex; ns_per_reset is hardware-local, iteration counts are deterministic; engine selects the simplex core (the 1024/4096-job cells exist only on the sparse revised engine — dense needs minutes per reset at those sizes)"
+		doc["unit_note"] = "resets perturb throughputs by 1%; the churn scenario additionally changes the job set (departure+arrival) on 25% of resets; the drift scenario jitters worker capacities — a pure rhs drift repaired by the dual simplex; ns_per_reset is hardware-local, iteration counts are deterministic; engine and pricing are constant (revised, devex) and kept so older records stay comparable"
 		doc["records"] = records
 	}
 
 	// The sharded reset scenario: the same 1024-job reset stream through the
-	// sharded scheduler service at K=1 vs K=4 (revised engine only).
+	// sharded scheduler service at K=1 vs K=4.
 	var sharded []shardedBenchRecord
 	for _, shards := range []int{1, 4} {
-		rec, err := measureShardedResets(1024, shards, 20, lp.Revised)
+		rec, err := measureShardedResets(1024, shards, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -689,7 +651,7 @@ func refreshCost4096Records(t *testing.T) {
 		if r.Policy != "cost" || r.Jobs != 4096 {
 			continue
 		}
-		*r = measureSolveResets("cost", &policy.MinCost{}, 4096, r.Resets, r.Scenario, r.Mode == "warm", lp.Revised, lp.PricingAuto)
+		*r = measureSolveResets("cost", &policy.MinCost{}, 4096, r.Resets, r.Scenario, r.Mode == "warm")
 		t.Logf("cost 4096 %s %s: %.1f ms/reset, build %.1f ms", r.Scenario, r.Mode, r.NsPerReset/1e6, r.BuildMs)
 	}
 	if doc["records"], err = json.Marshal(records); err != nil {
@@ -714,8 +676,8 @@ func TestWarmSolveResetSavings(t *testing.T) {
 	}
 	for _, pol := range solveResetPolicies {
 		for _, n := range []int{128, 256} {
-			cold := measureSolveResets(pol.name, pol.make(), n, 6, "perturb", false, lp.EngineAuto, lp.PricingAuto)
-			warm := measureSolveResets(pol.name, pol.make(), n, 6, "perturb", true, lp.EngineAuto, lp.PricingAuto)
+			cold := measureSolveResets(pol.name, pol.make(), n, 6, "perturb", false)
+			warm := measureSolveResets(pol.name, pol.make(), n, 6, "perturb", true)
 			if warm.WarmSolves == 0 {
 				t.Fatalf("%s jobs=%d: no warm solves", pol.name, n)
 			}
@@ -749,8 +711,8 @@ func TestRemappedSolveChurnSavings(t *testing.T) {
 			sizes = []int{128, 256}
 		}
 		for _, n := range sizes {
-			cold := measureSolveResets(pol.name, pol.make(), n, 8, "churn", false, lp.EngineAuto, lp.PricingAuto)
-			warm := measureSolveResets(pol.name, pol.make(), n, 8, "churn", true, lp.EngineAuto, lp.PricingAuto)
+			cold := measureSolveResets(pol.name, pol.make(), n, 8, "churn", false)
+			warm := measureSolveResets(pol.name, pol.make(), n, 8, "churn", true)
 			if warm.RemappedSolves == 0 {
 				t.Fatalf("%s jobs=%d: churn resets never took the remapped path", pol.name, n)
 			}
@@ -794,57 +756,14 @@ func TestDualIterationsOnDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drift measurement is not -short")
 	}
-	if lp.DefaultEngine != lp.Revised {
-		t.Skip("the dual path exists only on the revised engine")
-	}
 	totalDual := 0
 	for _, pol := range solveResetPolicies {
-		warm := measureSolveResets(pol.name, pol.make(), 128, 6, "drift", true, lp.EngineAuto, lp.PricingAuto)
+		warm := measureSolveResets(pol.name, pol.make(), 128, 6, "drift", true)
 		t.Logf("%s: %d dual iterations of %d simplex iterations over %d warm solves",
 			pol.name, warm.DualIterations, warm.SimplexIterations, warm.WarmSolves)
 		totalDual += warm.DualIterations
 	}
 	if totalDual == 0 {
 		t.Errorf("no policy took a single dual-simplex pivot on rhs-only drift")
-	}
-}
-
-// TestWritePricingMatrix writes the pricing-rule matrix artifact for the CI
-// bench-smoke job (gated by GAVEL_PRICING_MATRIX=<path>): the same cold
-// reset scenario measured under Devex and rotating partial pricing. On the
-// revised engine it runs the 1024-job tier, where Devex's iteration
-// advantage over partial pricing is the tentpole claim; the dense tableau
-// ignores pricing, so under GAVEL_LP_ENGINE=dense it runs a small tier just
-// to prove the knob is inert there.
-func TestWritePricingMatrix(t *testing.T) {
-	path := os.Getenv("GAVEL_PRICING_MATRIX")
-	if path == "" {
-		t.Skip("set GAVEL_PRICING_MATRIX=<path> to write the pricing-matrix artifact")
-	}
-	n, resets := 1024, 4
-	if lp.DefaultEngine != lp.Revised {
-		n, resets = 128, 6
-	}
-	var records []solveBenchRecord
-	for _, pol := range solveResetPolicies {
-		if pol.name == "ftf" {
-			continue // ~20 binary-search solves per reset; out of smoke budget
-		}
-		for _, pr := range []lp.Pricing{lp.PricingDevex, lp.PricingPartial} {
-			rec := measureSolveResets(pol.name, pol.make(), n, resets, "perturb", false, lp.EngineAuto, pr)
-			t.Logf("%s pricing=%s: %d simplex iterations, %.0f ns/reset", pol.name, rec.Pricing, rec.SimplexIterations, rec.NsPerReset)
-			records = append(records, rec)
-		}
-	}
-	out, err := json.MarshalIndent(map[string]any{
-		"benchmark": "PolicySolveReset/pricing-matrix",
-		"unit_note": "cold resets per policy x pricing rule; on the revised engine devex needs fewer simplex iterations than partial — modestly on the maxmin LP (whose optimum needs ~1 pivot per job under any rule), and by well over the 30% acceptance bar on the cost policy's Charnes-Cooper LPs, where Dantzig-style pricing is blind to the normalization row's column geometry",
-		"records":   records,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -36,7 +36,6 @@ import (
 
 	"gavel/internal/chaos"
 	"gavel/internal/cluster"
-	"gavel/internal/lp"
 	"gavel/internal/obs"
 	"gavel/internal/policy"
 	"gavel/internal/rpc"
@@ -56,11 +55,6 @@ func main() {
 		rebalance  = flag.Int("rebalance-every", 10, "rounds between shard rebalances (0 = off)")
 		realloc    = flag.Int("realloc-every", 4, "rounds between forced reallocations (0 = off)")
 		snapshot   = flag.Int("snapshot-every", 1, "rounds between recovery snapshots")
-
-		lpEngine   = flag.String("lp-engine", "", "LP engine: dense|revised (default auto)")
-		lpPricing  = flag.String("lp-pricing", "", "LP pricing: dantzig|devex (default auto)")
-		lpPresolve = flag.String("lp-presolve", "", "LP presolve: on|off (default auto)")
-		lpDual     = flag.String("lp-dual", "", "LP dual warm starts: on|off (default auto)")
 
 		submitListen = flag.String("submit-listen", "", "address to serve the client submission plane on (coordinator mode; empty = off)")
 		decisionLog  = flag.String("decision-log", "", "file rewritten each round with the admission decision log (shed/quarantine/abandon)")
@@ -89,10 +83,6 @@ func main() {
 		runStandalone(*listen, *jobs, *round, *steps, telemetry)
 		return
 	}
-	opts, err := lp.ParseOptions(*lpEngine, *lpPricing, *lpPresolve, *lpDual)
-	if err != nil {
-		log.Fatalf("gavel-sched: %v", err)
-	}
 	faults, err := chaos.ParseSpec(*chaosSpec)
 	if err != nil {
 		log.Fatalf("gavel-sched: %v", err)
@@ -118,7 +108,6 @@ func main() {
 		rebalance:    *rebalance,
 		realloc:      *realloc,
 		snapshot:     *snapshot,
-		lp:           opts,
 		journal:      *journal,
 		chaos:        faults,
 		rpcPolicy:    pol,
@@ -198,7 +187,6 @@ type coordinatorConfig struct {
 	rebalance  int
 	realloc    int
 	snapshot   int
-	lp         lp.Options
 	journal    string
 	chaos      chaos.Config
 	rpcPolicy  rpc.CallPolicy
@@ -266,7 +254,6 @@ func runCoordinator(cfg coordinatorConfig) error {
 	svcCfg := rpc.ServiceConfig{
 		Cluster: spec,
 		Policy:  rpc.PolicySpec{Name: cfg.policy},
-		LP:      cfg.lp,
 		Journal: cfg.journal,
 		Obs:     plane,
 	}
@@ -305,8 +292,8 @@ func runCoordinator(cfg coordinatorConfig) error {
 			obsSrv.AddStatus("tenants", svc.TenantStatusText)
 		}
 	}
-	log.Printf("gavel-sched: coordinator mode, protocol v%d, lease plane on %s, %d shards, policy %s, lp[%s]",
-		rpc.ProtocolVersion, addr, len(clients), cfg.policy, cfg.lp.Resolve())
+	log.Printf("gavel-sched: coordinator mode, protocol v%d, lease plane on %s, %d shards, policy %s",
+		rpc.ProtocolVersion, addr, len(clients), cfg.policy)
 
 	// jobSteps is every lease-plane job's training length — the synthetic
 	// batch at cfg.steps plus each streamed submission at its declared length.

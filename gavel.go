@@ -51,7 +51,6 @@ import (
 	"gavel/internal/cluster"
 	"gavel/internal/core"
 	"gavel/internal/estimator"
-	"gavel/internal/lp"
 	"gavel/internal/policy"
 	"gavel/internal/rpc"
 	"gavel/internal/simulator"
@@ -91,9 +90,6 @@ type (
 	// ThroughputCache maintains job/pair throughput matrices incrementally
 	// under add/remove/observe, for callers driving policies directly.
 	ThroughputCache = core.ThroughputCache
-	// LPEngine selects the simplex implementation
-	// (SimulationConfig.LPOptions.Engine, SolveContext.Engine).
-	LPEngine = lp.Engine
 	// ShardStat is one shard's solve/migration accounting within a
 	// SimulationResult (one entry by default, SimulationConfig.NumShards
 	// otherwise).
@@ -101,10 +97,6 @@ type (
 	// ShardRoutePolicy selects how a run routes arriving jobs across its
 	// shards (SimulationConfig.ShardRoute).
 	ShardRoutePolicy = cluster.RoutePolicy
-	// LPOptions bundles every LP solver knob (engine, pricing, presolve,
-	// dual warm starts), resolved once at startup and threaded through
-	// SimulationConfig.LPOptions, the cluster service, and the daemons.
-	LPOptions = lp.Options
 	// ShardClient is the coordinator-side handle on one shard daemon —
 	// in-memory (NewLocalShard) or remote (DialShard); both drive the
 	// identical engine code path.
@@ -142,16 +134,6 @@ const (
 	EntityFIFO     = policy.EntityFIFO
 )
 
-// Simplex engine selectors. LPEngineRevised — the sparse revised simplex
-// core — is the default; LPEngineDense is the reference tableau oracle
-// (also reachable fleet-wide via GAVEL_LP_ENGINE=dense); LPEngineAuto
-// follows the package default.
-const (
-	LPEngineAuto    = lp.EngineAuto
-	LPEngineDense   = lp.Dense
-	LPEngineRevised = lp.Revised
-)
-
 // Cluster constructors matching the paper's testbeds.
 var (
 	// Physical48 is the paper's physical cluster: 8 V100, 16 P100, 24 K80.
@@ -170,18 +152,6 @@ func NewTrace(opt TraceOptions) []Job { return workload.GenerateTrace(opt) }
 
 // Simulate runs a trace through a policy on a simulated cluster.
 func Simulate(cfg SimulationConfig) (*SimulationResult, error) { return simulator.Run(cfg) }
-
-// LPOptionsFromEnv reads the GAVEL_LP_* environment knobs into an LPOptions,
-// the one sanctioned env read — resolve it at startup and thread the value
-// through configs instead of re-reading the environment.
-func LPOptionsFromEnv() LPOptions { return lp.OptionsFromEnv() }
-
-// ParseLPOptions parses textual solver knobs ("dense"/"revised",
-// "dantzig"/"devex", "on"/"off" twice; empty strings mean auto), the form
-// daemon flags use.
-func ParseLPOptions(engine, pricing, presolve, dual string) (LPOptions, error) {
-	return lp.ParseOptions(engine, pricing, presolve, dual)
-}
 
 // NewLocalShard returns a shard engine and an in-memory client on it — the
 // transport SimulationConfig.NumShards uses, exposed so callers can assemble

@@ -9,52 +9,11 @@ package lp
 // simplex instead walks the dual-feasible bases directly, evicting one
 // out-of-bounds basic variable per pivot while keeping optimality-signed
 // reduced costs, so it lands on the new optimum the moment feasibility is
-// restored — no second optimization phase. optimize() auto-selects it for
-// seeded solves; GAVEL_LP_DUAL=off (or SetDual(DualOff)) disables it.
+// restored — no second optimization phase. optimize() selects it for seeded
+// solves whose basis kept dual feasibility (or lost primal feasibility in
+// only a handful of slots, see dualRepairable).
 
-import (
-	"math"
-	"os"
-	"strings"
-)
-
-// DualMode selects whether seeded revised solves may use the dual simplex to
-// repair primal infeasibility.
-type DualMode int
-
-const (
-	// DualAuto (the zero value) follows DefaultDual.
-	DualAuto DualMode = iota
-	// DualOn repairs dual-feasible warm starts with the dual simplex.
-	DualOn
-	// DualOff always repairs with the primal composite phase 1.
-	DualOff
-)
-
-// DefaultDual is the mode used by problems with no explicit mode set. It is
-// initialized from GAVEL_LP_DUAL: "off" or "0" disable the dual path; unset
-// or anything else enables it.
-var DefaultDual = dualFromEnv()
-
-func dualFromEnv() DualMode {
-	switch strings.ToLower(os.Getenv("GAVEL_LP_DUAL")) {
-	case "off", "0", "false":
-		return DualOff
-	}
-	return DualOn
-}
-
-// resolveDual returns the dual-repair mode this problem will actually use.
-func (p *Problem) resolveDual() DualMode {
-	m := p.dual
-	if m == DualAuto {
-		m = DefaultDual
-	}
-	if m != DualOff {
-		m = DualOn
-	}
-	return m
-}
+import "math"
 
 // dualTol is the reduced-cost tolerance for declaring a basis dual feasible.
 const dualTol = 1e-7
@@ -204,8 +163,8 @@ func (e *revEngine) dualSimplex(budget int) bool {
 			}
 		}
 		if enter < 0 {
-			// No column can push the row back: the primal phase 1 (or the
-			// dense oracle behind it) settles infeasibility properly.
+			// No column can push the row back: the primal phase 1 settles
+			// infeasibility properly.
 			return false
 		}
 		if math.Abs(alphaQ) < pivotTol {

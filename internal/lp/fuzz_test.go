@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// The engine equivalence harness: the sparse revised simplex engine must
-// agree with the dense tableau oracle on status and objective (within 1e-9
-// relative) across randomized problems — feasible, infeasible, unbounded,
-// and degenerate — and across every seeding path: cold, positionally
-// warm-started from a perturbed predecessor, and remapped across column
-// churn. This is what licenses making Revised the default solve path.
+// The equivalence harness: the solver must agree with the reference tableau
+// (reference_test.go) on status and objective (within 1e-9 relative) across
+// randomized problems — feasible, infeasible, unbounded, and degenerate — and
+// across every seeding path: cold, positionally warm-started from a perturbed
+// predecessor, and remapped across column churn. The reference always solves
+// cold: a seed may change the solver's speed, never its answer.
 
 // fuzzProblem is a randomly generated LP plus the scaffolding to rebuild,
 // perturb, and churn it.
@@ -30,9 +30,8 @@ type fuzzRow struct {
 	id    string
 }
 
-func (fp *fuzzProblem) build(engine Engine) *Problem {
+func (fp *fuzzProblem) build() *Problem {
 	p := NewProblem(fp.sense)
-	p.SetEngine(engine)
 	for j, c := range fp.obj {
 		p.AddVar(c, string(fp.ids[j]))
 	}
@@ -133,48 +132,49 @@ func genFuzz(rng *rand.Rand, nextID *int, flavor string) *fuzzProblem {
 	return fp
 }
 
-// checkEngines solves fp under both engines and enforces status and
-// objective agreement. Returns the two results for seeding follow-ups.
-func checkEngines(t *testing.T, label string, fp *fuzzProblem, solve func(*Problem) (*Result, error)) (*Result, *Result) {
-	t.Helper()
-	dense, err := solve(fp.build(Dense))
-	if err != nil {
-		t.Fatalf("%s: dense: %v", label, err)
-	}
-	revised, err := solve(fp.build(Revised))
-	if err != nil {
-		t.Fatalf("%s: revised: %v", label, err)
-	}
-	if dense.Status != revised.Status {
-		t.Fatalf("%s: dense status %v, revised %v", label, dense.Status, revised.Status)
-	}
-	if dense.Status == Optimal {
-		scale := 1 + math.Abs(dense.Objective)
-		if d := math.Abs(dense.Objective - revised.Objective); d > 1e-9*scale {
-			t.Fatalf("%s: dense objective %v, revised %v (diff %g)", label, dense.Objective, revised.Objective, d)
-		}
-	}
-	return dense, revised
-}
-
-// TestEnginesAgreeCold fuzzes cold solves across all flavors.
-func TestEnginesAgreeCold(t *testing.T) {
+// TestRevisedMatchesReferenceCold fuzzes cold solves across all flavors. The
+// same stream of problems is what the golden recorded the deleted dense
+// engine on, so the walk also proves the reference is still that engine.
+func TestRevisedMatchesReferenceCold(t *testing.T) {
+	golden := loadReferenceGolden(t)
 	rng := rand.New(rand.NewSource(11))
 	nextID := 0
 	flavors := []string{"feasible", "feasible", "infeasible", "unbounded", "degenerate"}
 	for trial := 0; trial < 300; trial++ {
 		flavor := flavors[trial%len(flavors)]
 		fp := genFuzz(rng, &nextID, flavor)
-		checkEngines(t, fmt.Sprintf("trial %d (%s)", trial, flavor), fp,
-			func(p *Problem) (*Result, error) { return p.Solve() })
+		label := fmt.Sprintf("trial %d (%s)", trial, flavor)
+		ref := referenceSolve(fp.build())
+		golden.check(t, label, ref)
+		res, err := fp.build().Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		checkParity(t, label+" vs reference", res, ref)
+	}
+	golden.check(t, "beale", referenceSolve(bealeProblem()))
+	if golden.next != len(golden.Cases) {
+		t.Fatalf("walked %d of the golden's %d cases", golden.next, len(golden.Cases))
 	}
 }
 
-// TestEnginesAgreeWarm fuzzes the positional warm path: solve, perturb the
-// rhs and objective, then re-solve seeded from each engine's own basis —
-// and cross-seeded from the other engine's basis, since Basis is engine
-// portable by design.
-func TestEnginesAgreeWarm(t *testing.T) {
+// solveBoth solves fp cold on the reference and on the solver; ok reports
+// that both found an optimum (only optimal bases seed warm starts).
+func solveBoth(t *testing.T, fp *fuzzProblem) (ref, res *Result, ok bool) {
+	t.Helper()
+	ref = referenceSolve(fp.build())
+	res, err := fp.build().Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref, res, ref.Status == Optimal && res.Status == Optimal
+}
+
+// TestRevisedMatchesReferenceWarm fuzzes the positional warm path: solve,
+// perturb the rhs and objective, then re-solve seeded alternately from the
+// solver's own basis and from the reference's, since a Basis is portable by
+// design.
+func TestRevisedMatchesReferenceWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	nextID := 0
 	for trial := 0; trial < 150; trial++ {
@@ -183,9 +183,9 @@ func TestEnginesAgreeWarm(t *testing.T) {
 			flavor = "degenerate"
 		}
 		fp := genFuzz(rng, &nextID, flavor)
-		dense0, revised0, err := solveBoth(fp)
-		if err != nil || dense0.Status != Optimal || revised0.Status != Optimal {
-			continue // only optimal bases seed warm starts
+		ref0, res0, ok := solveBoth(t, fp)
+		if !ok {
+			continue
 		}
 		// Perturb in place: rhs jitter plus objective jitter.
 		for i := range fp.rows {
@@ -195,23 +195,13 @@ func TestEnginesAgreeWarm(t *testing.T) {
 			fp.obj[j] *= 1 + 0.02*(2*rng.Float64()-1)
 		}
 		label := fmt.Sprintf("trial %d warm", trial)
-		seeds := []*Basis{dense0.Basis, revised0.Basis}
-		seed := seeds[trial%2]
-		checkEngines(t, label, fp,
-			func(p *Problem) (*Result, error) { return p.SolveFrom(seed) })
+		seed := []*Basis{ref0.Basis, res0.Basis}[trial%2]
+		warm, err := fp.build().SolveFrom(seed)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		checkParity(t, label+" vs reference", warm, referenceSolve(fp.build()))
 	}
-}
-
-func solveBoth(fp *fuzzProblem) (*Result, *Result, error) {
-	dense, err := fp.build(Dense).Solve()
-	if err != nil {
-		return nil, nil, err
-	}
-	revised, err := fp.build(Revised).Solve()
-	if err != nil {
-		return nil, nil, err
-	}
-	return dense, revised, nil
 }
 
 // churn drops a random suffix of columns and appends fresh ones, the same
@@ -242,34 +232,32 @@ func churn(rng *rand.Rand, fp *fuzzProblem, nextID *int) *fuzzProblem {
 	return out
 }
 
-// TestEnginesAgreeRemapped fuzzes the cross-shape path: churn the column
-// set, remap each engine's basis onto the new problem, and require both
-// engines to match their own cold solves and each other.
-func TestEnginesAgreeRemapped(t *testing.T) {
+// TestRevisedMatchesReferenceRemapped fuzzes the cross-shape path: churn the
+// column set, remap the solver's basis (or the reference's) onto the new
+// problem, and require the mapped solve to match the reference's cold answer
+// and the solver's own.
+func TestRevisedMatchesReferenceRemapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	nextID := 0
 	engaged := 0
 	for trial := 0; trial < 150; trial++ {
 		fp := genFuzz(rng, &nextID, "feasible")
-		dense0, revised0, err := solveBoth(fp)
-		if err != nil || dense0.Status != Optimal || revised0.Status != Optimal {
+		ref0, res0, ok := solveBoth(t, fp)
+		if !ok {
 			continue
 		}
 		next := churn(rng, fp, &nextID)
-		seeds := []*Basis{dense0.Basis, revised0.Basis}
-		mb := seeds[trial%2].Remap(fp.ids, next.ids)
+		mb := []*Basis{ref0.Basis, res0.Basis}[trial%2].Remap(fp.ids, next.ids)
 		label := fmt.Sprintf("trial %d remap", trial)
-		dense, revised := checkEngines(t, label, next,
-			func(p *Problem) (*Result, error) { return p.SolveFromMapped(mb) })
-		// The remapped solves must also match a cold solve of the same
-		// problem: the mapping may only change speed, never the answer.
-		coldD, coldR, err := solveBoth(next)
+		mapped, err := next.build().SolveFromMapped(mb)
 		if err != nil {
-			t.Fatalf("%s: cold: %v", label, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		checkParity(t, label+" dense-vs-cold", dense, coldD)
-		checkParity(t, label+" revised-vs-cold", revised, coldR)
-		if revised.Remapped {
+		// The mapping may only change speed, never the answer.
+		ref, cold, _ := solveBoth(t, next)
+		checkParity(t, label+" vs reference", mapped, ref)
+		checkParity(t, label+" vs cold", mapped, cold)
+		if mapped.Remapped {
 			engaged++
 		}
 	}

@@ -312,11 +312,23 @@ func TestSolveFractional(t *testing.T) {
 	}
 }
 
+// TestEmptyProblem covers the closed form of a problem without rows: every
+// variable rests at zero, unless a cost rewards growing one without limit.
 func TestEmptyProblem(t *testing.T) {
 	p := NewProblem(Maximize)
 	res := mustOptimal(t, p)
-	if res.Objective != 0 || len(res.X) != 0 {
+	if res.Objective != 0 || len(res.X) != 0 || res.Recovered {
 		t.Fatalf("empty problem: %+v", res)
+	}
+	p.AddVar(-1, "penalized")
+	p.AddVar(0, "free")
+	res = mustOptimal(t, p)
+	if res.Objective != 0 || len(res.X) != 2 || res.X[0] != 0 || res.X[1] != 0 || res.Basis.NumVars() != 2 {
+		t.Fatalf("rowless problem: %+v", res)
+	}
+	p.AddVar(1, "rewarded")
+	if res, err := p.Solve(); err != nil || res.Status != Unbounded {
+		t.Fatalf("rowless problem with a favorable cost: %+v, %v", res, err)
 	}
 }
 

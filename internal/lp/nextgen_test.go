@@ -1,31 +1,23 @@
 package lp
 
-// Tests for the next-gen solve path: presolve round-trips, pricing-rule
-// equivalence, dual-vs-primal warm-start equivalence, remapping of
-// nonbasic-at-upper columns, and the anti-cycling audit. They share the
-// fuzz harness of engines_test.go.
+// Tests for the solve path's stages: presolve round-trips, dual-vs-primal
+// warm-start equivalence, remapping of nonbasic-at-upper columns, the
+// anti-cycling audit, and the recovery re-solve. They share the fuzz harness
+// of fuzz_test.go.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// buildWith builds fp with the full knob set.
-func (fp *fuzzProblem) buildWith(engine Engine, presolve PresolveMode, pricing Pricing, dual DualMode) *Problem {
-	p := fp.build(engine)
-	p.SetPresolve(presolve)
-	p.SetPricing(pricing)
-	p.SetDual(dual)
-	return p
-}
-
 // TestPresolvedMatchesRawFuzz is the presolve round-trip gate: on fuzzed
 // LPs of every flavor, solving with the presolve pass must agree with the
-// raw solve — same status, objective within 1e-9 — on both engines, and the
-// postsolved x must satisfy every original row. Presolve may only change
-// speed, never the answer.
+// raw solve — same status, objective within 1e-9 — and the postsolved x must
+// satisfy every original row. Presolve may only change speed, never the
+// answer.
 func TestPresolvedMatchesRawFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	nextID := 0
@@ -34,86 +26,54 @@ func TestPresolvedMatchesRawFuzz(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		flavor := flavors[trial%len(flavors)]
 		fp := genFuzz(rng, &nextID, flavor)
-		for _, engine := range []Engine{Dense, Revised} {
-			label := fmt.Sprintf("trial %d (%s) %v", trial, flavor, engine)
-			raw, err := fp.buildWith(engine, PresolveOff, PricingAuto, DualAuto).Solve()
-			if err != nil {
-				t.Fatalf("%s: raw: %v", label, err)
+		label := fmt.Sprintf("trial %d (%s)", trial, flavor)
+		rawProblem := fp.build()
+		rawProblem.noPresolve = true
+		raw, err := rawProblem.Solve()
+		if err != nil {
+			t.Fatalf("%s: raw: %v", label, err)
+		}
+		if raw.PresolveReductions != 0 {
+			t.Fatalf("%s: the raw solve reports %d presolve reductions", label, raw.PresolveReductions)
+		}
+		pre, err := fp.build().Solve()
+		if err != nil {
+			t.Fatalf("%s: presolved: %v", label, err)
+		}
+		reductions += pre.PresolveReductions
+		if raw.Status != pre.Status {
+			t.Fatalf("%s: raw status %v, presolved %v", label, raw.Status, pre.Status)
+		}
+		if raw.Status != Optimal {
+			continue
+		}
+		scale := 1 + math.Abs(raw.Objective)
+		if d := math.Abs(raw.Objective - pre.Objective); d > 1e-9*scale {
+			t.Fatalf("%s: raw objective %v, presolved %v (diff %g)", label, raw.Objective, pre.Objective, d)
+		}
+		// The postsolved point must satisfy every ORIGINAL row: the
+		// postsolve map has to undo each reduction exactly.
+		for _, r := range fp.rows {
+			ax := 0.0
+			for j, c := range r.coeff {
+				ax += c * pre.X[j]
 			}
-			pre, err := fp.buildWith(engine, PresolveOn, PricingAuto, DualAuto).Solve()
-			if err != nil {
-				t.Fatalf("%s: presolved: %v", label, err)
+			viol := false
+			switch r.op {
+			case LE:
+				viol = ax > r.rhs+1e-7
+			case GE:
+				viol = ax < r.rhs-1e-7
+			default:
+				viol = math.Abs(ax-r.rhs) > 1e-7
 			}
-			reductions += pre.PresolveReductions
-			if raw.Status != pre.Status {
-				t.Fatalf("%s: raw status %v, presolved %v", label, raw.Status, pre.Status)
-			}
-			if raw.Status != Optimal {
-				continue
-			}
-			scale := 1 + math.Abs(raw.Objective)
-			if d := math.Abs(raw.Objective - pre.Objective); d > 1e-9*scale {
-				t.Fatalf("%s: raw objective %v, presolved %v (diff %g)", label, raw.Objective, pre.Objective, d)
-			}
-			// The postsolved point must satisfy every ORIGINAL row: the
-			// postsolve map has to undo each reduction exactly.
-			for _, r := range fp.rows {
-				ax := 0.0
-				for j, c := range r.coeff {
-					ax += c * pre.X[j]
-				}
-				viol := false
-				switch r.op {
-				case LE:
-					viol = ax > r.rhs+1e-7
-				case GE:
-					viol = ax < r.rhs-1e-7
-				default:
-					viol = math.Abs(ax-r.rhs) > 1e-7
-				}
-				if viol {
-					t.Fatalf("%s: postsolved x violates row %s: ax=%v %v rhs=%v", label, r.id, ax, r.op, r.rhs)
-				}
+			if viol {
+				t.Fatalf("%s: postsolved x violates row %s: ax=%v %v rhs=%v", label, r.id, ax, r.op, r.rhs)
 			}
 		}
 	}
 	if reductions == 0 {
 		t.Fatal("presolve never removed anything across 300 fuzzed LPs")
-	}
-}
-
-// TestPricingRulesAgree is the pricing equivalence gate: Devex and rotating
-// partial pricing must reach the same certified optimum on every fuzzed LP
-// (pricing is about speed, never the answer), and both must match the dense
-// oracle.
-func TestPricingRulesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	nextID := 0
-	flavors := []string{"feasible", "feasible", "degenerate"}
-	for trial := 0; trial < 200; trial++ {
-		flavor := flavors[trial%len(flavors)]
-		fp := genFuzz(rng, &nextID, flavor)
-		label := fmt.Sprintf("trial %d (%s)", trial, flavor)
-		oracle, err := fp.build(Dense).Solve()
-		if err != nil {
-			t.Fatalf("%s: dense: %v", label, err)
-		}
-		for _, pr := range []Pricing{PricingDevex, PricingPartial} {
-			res, err := fp.buildWith(Revised, PresolveAuto, pr, DualAuto).Solve()
-			if err != nil {
-				t.Fatalf("%s %v: %v", label, pr, err)
-			}
-			if res.Status != oracle.Status {
-				t.Fatalf("%s: dense status %v, %v status %v", label, oracle.Status, pr, res.Status)
-			}
-			if res.Status != Optimal {
-				continue
-			}
-			scale := 1 + math.Abs(oracle.Objective)
-			if d := math.Abs(oracle.Objective - res.Objective); d > 1e-9*scale {
-				t.Fatalf("%s: dense objective %v, %v objective %v (diff %g)", label, oracle.Objective, pr, res.Objective, d)
-			}
-		}
 	}
 }
 
@@ -128,7 +88,7 @@ func TestDualMatchesPrimalWarm(t *testing.T) {
 	dualIters := 0
 	for trial := 0; trial < 200; trial++ {
 		fp := genFuzz(rng, &nextID, "feasible")
-		first, err := fp.build(Revised).Solve()
+		first, err := fp.build().Solve()
 		if err != nil || first.Status != Optimal {
 			continue
 		}
@@ -138,17 +98,19 @@ func TestDualMatchesPrimalWarm(t *testing.T) {
 			fp.rows[i].rhs *= 1 + 0.05*(2*rng.Float64()-1)
 		}
 		label := fmt.Sprintf("trial %d", trial)
-		viaDual, err := fp.buildWith(Revised, PresolveAuto, PricingAuto, DualOn).SolveFrom(first.Basis)
+		viaDual, err := fp.build().SolveFrom(first.Basis)
 		if err != nil {
 			t.Fatalf("%s: dual: %v", label, err)
 		}
-		viaPrimal, err := fp.buildWith(Revised, PresolveAuto, PricingAuto, DualOff).SolveFrom(first.Basis)
+		primalOnly := fp.build()
+		primalOnly.noDual = true
+		viaPrimal, err := primalOnly.SolveFrom(first.Basis)
 		if err != nil {
 			t.Fatalf("%s: primal: %v", label, err)
 		}
 		dualIters += viaDual.DualIterations
 		if viaPrimal.DualIterations != 0 {
-			t.Fatalf("%s: DualOff solve reported %d dual iterations", label, viaPrimal.DualIterations)
+			t.Fatalf("%s: the primal-only solve reported %d dual iterations", label, viaPrimal.DualIterations)
 		}
 		if viaDual.Status != viaPrimal.Status {
 			t.Fatalf("%s: dual status %v, primal %v", label, viaDual.Status, viaPrimal.Status)
@@ -175,7 +137,6 @@ func TestDualMatchesPrimalWarm(t *testing.T) {
 func TestRemapCarriesNonBasicAtUpper(t *testing.T) {
 	build := func(ids []ColumnID, obj []float64, caps []float64, budget float64) *Problem {
 		p := NewProblem(Maximize)
-		p.SetEngine(Revised)
 		var terms []Term
 		for j, id := range ids {
 			p.AddVar(obj[j], string(id))
@@ -235,42 +196,60 @@ func TestRemapCarriesNonBasicAtUpper(t *testing.T) {
 
 // TestBealeCyclingRegression is the anti-cycling audit: Beale's classic
 // cycling LP (pure Dantzig pricing loops forever on it) must reach the known
-// optimum under every pricing rule on both engines, within a hard iteration
-// budget — the degenerate-streak Bland switch is what guarantees
-// termination.
+// optimum within a hard iteration budget — the degenerate-streak switch from
+// Devex to Bland's rule is what guarantees termination.
 func TestBealeCyclingRegression(t *testing.T) {
-	beale := func(engine Engine, pricing Pricing) *Problem {
-		p := NewProblem(Minimize)
-		p.SetEngine(engine)
-		p.SetPricing(pricing)
-		x1 := p.AddVar(-0.75, "x1")
-		x2 := p.AddVar(150, "x2")
-		x3 := p.AddVar(-0.02, "x3")
-		x4 := p.AddVar(6, "x4")
-		p.AddConstraint([]Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
-		p.AddConstraint([]Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
-		p.AddConstraint([]Term{{x3, 1}}, LE, 1)
-		return p
+	res, err := bealeProblem().Solve()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, engine := range []Engine{Dense, Revised} {
-		for _, pricing := range []Pricing{PricingDevex, PricingPartial} {
-			res, err := beale(engine, pricing).Solve()
-			if err != nil {
-				t.Fatalf("%v/%v: %v", engine, pricing, err)
-			}
-			if res.Status != Optimal {
-				t.Fatalf("%v/%v: status %v", engine, pricing, res.Status)
-			}
-			if math.Abs(res.Objective-(-0.05)) > 1e-9 {
-				t.Fatalf("%v/%v: objective %v, want -0.05", engine, pricing, res.Objective)
-			}
-			// The bound is loose on purpose: the dense tableau only switches
-			// to Bland's rule at its stall threshold (stallFactor*(m+n) ≈ 200
-			// here), while the revised engine's degenerate-streak counter
-			// fires much earlier. Cycling means never terminating at all.
-			if res.Iterations > 500 {
-				t.Fatalf("%v/%v: %d iterations on a 3-row LP — cycling guard not engaging", engine, pricing, res.Iterations)
-			}
-		}
+	if res.Status != Optimal {
+		t.Fatalf("status %v", res.Status)
+	}
+	if math.Abs(res.Objective-(-0.05)) > 1e-9 {
+		t.Fatalf("objective %v, want -0.05", res.Objective)
+	}
+	// Cycling means never terminating at all; the bound is loose on purpose.
+	if res.Iterations > 500 {
+		t.Fatalf("%d iterations on a 3-row LP — cycling guard not engaging", res.Iterations)
+	}
+}
+
+// TestRecoveryResolve drives the one path no well-conditioned problem
+// reaches: an attempt the engine cannot verify. One failed attempt is
+// answered by the raw cold re-solve and flagged; two yield ErrNumerical and
+// no Result — never an unverified answer.
+func TestRecoveryResolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	nextID := 0
+	fp := genFuzz(rng, &nextID, "feasible")
+	want, err := fp.build().Solve()
+	if err != nil || want.Status != Optimal || want.Recovered || want.PresolveReductions == 0 {
+		t.Fatalf("baseline solve: %+v, %v", want, err)
+	}
+
+	ws := &Workspace{failNext: 1}
+	p := fp.build()
+	p.SetWorkspace(ws)
+	got, err := p.SolveFrom(want.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Recovered || got.WarmStarted || got.PresolveReductions != 0 {
+		t.Fatalf("want the raw cold re-solve, got recovered=%v warm=%v reductions=%d",
+			got.Recovered, got.WarmStarted, got.PresolveReductions)
+	}
+	checkParity(t, "recovered", got, want)
+	if got.Basis == nil {
+		t.Fatal("the recovered optimum carries no basis to warm-start from")
+	}
+
+	ws.failNext = 2
+	got, err = p.Solve()
+	if !errors.Is(err, ErrNumerical) || got != nil {
+		t.Fatalf("want (nil, ErrNumerical), got (%+v, %v)", got, err)
+	}
+	if ws.failNext != 0 {
+		t.Fatalf("%d of two failures left unconsumed", ws.failNext)
 	}
 }

@@ -1,18 +1,14 @@
 package lp
 
-import (
-	"fmt"
-	"strings"
-)
-
-// Options bundles every solver knob a caller can set — the simplex engine,
-// the pricing rule, the presolve pass, and the dual warm-repair path — into
-// one typed value. It replaces ad-hoc GAVEL_LP_* getenv reads scattered
-// through call sites: resolve an Options once at startup (OptionsFromEnv,
-// then override from flags or a config file) and thread it through
-// SolveContext, simulator.Config, and the daemons. The zero value is all
-// Auto, which follows the package defaults (themselves env-initialized, so
-// the environment remains the fallback of last resort).
+// Options is what is left of the solver-selection layer: the package has one
+// engine, one pricing rule, and presolve and the dual repair always on, and
+// nothing reads these fields. The type and its four constants still compile
+// only because bench/, which a change to the solver may not edit, spells the
+// old defaults out; they go in the next benchmark change, with
+// policy.NewSolveContextWith, simulator.Config.LPOptions and
+// rpc.ServiceConfig.LP.
+//
+// Deprecated: inert. Pinned by bench/solve.go:18-19.
 type Options struct {
 	Engine   Engine
 	Pricing  Pricing
@@ -20,119 +16,19 @@ type Options struct {
 	Dual     DualMode
 }
 
-// OptionsFromEnv resolves the GAVEL_LP_ENGINE / GAVEL_LP_PRICING /
-// GAVEL_LP_PRESOLVE / GAVEL_LP_DUAL environment knobs into concrete (non-Auto)
-// options. This is the single startup-time read; the package-level Default*
-// variables are initialized from the same parsers, so Auto-valued Options
-// agree with it.
-func OptionsFromEnv() Options {
-	return Options{
-		Engine:   engineFromEnv(),
-		Pricing:  pricingFromEnv(),
-		Presolve: presolveFromEnv(),
-		Dual:     dualFromEnv(),
-	}
-}
+// Deprecated: inert, like the Options fields they type (bench/solve.go:19).
+type (
+	Engine       int
+	Pricing      int
+	PresolveMode int
+	DualMode     int
+)
 
-// Resolve replaces every Auto field with the corresponding package default,
-// yielding fully concrete options.
-func (o Options) Resolve() Options {
-	if o.Engine == EngineAuto {
-		o.Engine = DefaultEngine
-	}
-	if o.Pricing == PricingAuto {
-		o.Pricing = DefaultPricing
-	}
-	if o.Presolve == PresolveAuto {
-		o.Presolve = DefaultPresolve
-	}
-	if o.Dual == DualAuto {
-		o.Dual = DefaultDual
-	}
-	return o
-}
-
-// IsZero reports whether every field is Auto (the zero value).
-func (o Options) IsZero() bool { return o == Options{} }
-
-// Apply pushes the options onto a problem about to be solved.
-func (o Options) Apply(p *Problem) {
-	p.SetEngine(o.Engine)
-	p.SetPricing(o.Pricing)
-	p.SetPresolve(o.Presolve)
-	p.SetDual(o.Dual)
-}
-
-// String renders the options in the flag syntax ParseOptions accepts.
-func (o Options) String() string {
-	return fmt.Sprintf("engine=%s,pricing=%s,presolve=%s,dual=%s",
-		o.Engine, o.Pricing, presolveName(o.Presolve), dualName(o.Dual))
-}
-
-func presolveName(m PresolveMode) string {
-	switch m {
-	case PresolveOn:
-		return "on"
-	case PresolveOff:
-		return "off"
-	}
-	return "auto"
-}
-
-func dualName(m DualMode) string {
-	switch m {
-	case DualOn:
-		return "on"
-	case DualOff:
-		return "off"
-	}
-	return "auto"
-}
-
-// ParseOptions parses the four knobs from their flag/config-file string
-// forms. Empty strings mean Auto (follow the package default, i.e. the
-// environment fallback). Unknown values are an error — flags, unlike env
-// vars, should not fail silently.
-func ParseOptions(engine, pricing, presolve, dual string) (Options, error) {
-	var o Options
-	switch strings.ToLower(engine) {
-	case "", "auto":
-		o.Engine = EngineAuto
-	case "dense":
-		o.Engine = Dense
-	case "revised":
-		o.Engine = Revised
-	default:
-		return o, fmt.Errorf("lp: unknown engine %q (want dense or revised)", engine)
-	}
-	switch strings.ToLower(pricing) {
-	case "", "auto":
-		o.Pricing = PricingAuto
-	case "partial":
-		o.Pricing = PricingPartial
-	case "devex", "steepest", "steepest-edge":
-		o.Pricing = PricingDevex
-	default:
-		return o, fmt.Errorf("lp: unknown pricing %q (want partial or devex)", pricing)
-	}
-	var err error
-	if o.Presolve, err = parseOnOff(presolve, "presolve", PresolveAuto, PresolveOn, PresolveOff); err != nil {
-		return o, err
-	}
-	if o.Dual, err = parseOnOff(dual, "dual", DualAuto, DualOn, DualOff); err != nil {
-		return o, err
-	}
-	return o, nil
-}
-
-func parseOnOff[T ~int](s, knob string, auto, on, off T) (T, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return auto, nil
-	case "on", "1", "true":
-		return on, nil
-	case "off", "0", "false":
-		return off, nil
-	}
-	return auto, fmt.Errorf("lp: unknown %s mode %q (want on or off)", knob, s)
-}
+// Deprecated: inert (bench/solve.go:19). The values are the ones the
+// constants had when the alternatives existed.
+const (
+	Revised      Engine       = 2
+	PricingDevex Pricing      = 2
+	PresolveOn   PresolveMode = 1
+	DualOn       DualMode     = 1
+)

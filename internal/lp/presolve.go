@@ -7,9 +7,9 @@ package lp
 //
 //   - empty rows (consistency-checked, then dropped);
 //   - singleton rows: an EQ singleton fixes its column, an LE/GE singleton
-//     is either redundant or — on the revised-engine path — extracted into
-//     an implicit upper bound the bounded-variable simplex enforces without
-//     a row (this is what removes every `x <= 1`-style cap row);
+//     is either redundant or extracted into an implicit upper bound the
+//     bounded-variable simplex enforces without a row (this is what removes
+//     every `x <= 1`-style cap row);
 //   - implied bound tightening from all-nonnegative LE/EQ rows (a job's
 //     budget row sum_m x_jm <= 1 bounds each x_jm even when no explicit cap
 //     row exists);
@@ -27,61 +27,15 @@ package lp
 // problem (the reduction is deterministic, so a basis lifted by the previous
 // solve projects back exactly), which is what keeps warm and remapped solves
 // as effective with presolve as without it.
-//
-// The dense tableau has no bound support, so when the dense engine is
-// selected presolve runs in bounds-off mode: rows that would become implicit
-// bounds stay explicit, and only the unconditionally sound reductions run.
 
-import (
-	"math"
-	"os"
-	"strings"
-)
-
-// PresolveMode selects whether solves run the presolve pass.
-type PresolveMode int
-
-const (
-	// PresolveAuto (the zero value) follows DefaultPresolve.
-	PresolveAuto PresolveMode = iota
-	// PresolveOn runs the presolve pass before every solve.
-	PresolveOn
-	// PresolveOff hands the raw problem to the engine.
-	PresolveOff
-)
-
-// DefaultPresolve is the mode used by problems with no explicit mode set. It
-// is initialized from GAVEL_LP_PRESOLVE: "off" or "0" disable the pass;
-// unset or anything else enable it.
-var DefaultPresolve = presolveFromEnv()
-
-func presolveFromEnv() PresolveMode {
-	switch strings.ToLower(os.Getenv("GAVEL_LP_PRESOLVE")) {
-	case "off", "0", "false":
-		return PresolveOff
-	}
-	return PresolveOn
-}
-
-// resolvePresolve returns the presolve mode this problem will actually use.
-func (p *Problem) resolvePresolve() PresolveMode {
-	m := p.presolv
-	if m == PresolveAuto {
-		m = DefaultPresolve
-	}
-	if m != PresolveOff {
-		m = PresolveOn
-	}
-	return m
-}
+import "math"
 
 // presolveState is one solve's reduction record: what was removed, why, and
 // every table needed to project seeds down and lift solutions back up. It
 // lives in the solve's Workspace and every array below is reused from one
 // solve to the next; nothing in it outlives the solve.
 type presolveState struct {
-	p      *Problem
-	bounds bool // extract bounds (revised engine) vs keep bound rows (dense)
+	p *Problem
 
 	n, m       int
 	reds       int // total reductions (rows removed + cols fixed + bounds)
@@ -103,7 +57,7 @@ type presolveState struct {
 	fixedVal []float64
 	colMap   []int     // full col -> reduced col (-1 fixed)
 	keptCols []int     // reduced col -> full col
-	ub       []float64 // full-col upper bounds (+Inf), bounds mode only
+	ub       []float64 // full-col upper bounds (+Inf = none)
 
 	fullOps      []Op  // full normalized (rhs >= 0) ops
 	fullSlackOrd []int // full row -> slack ordinal (-1 for EQ rows)
@@ -150,18 +104,17 @@ func (ps *presolveState) fix(j int, v float64) {
 	ps.reds++
 }
 
-// newPresolve runs the reduction fixpoint on p in p's workspace. bounds
-// enables implicit upper-bound extraction (revised engine only). Returns nil
+// newPresolve runs the reduction fixpoint on p in p's workspace. Returns nil
 // when presolve found nothing to do — the caller then solves the raw problem
 // directly.
-func newPresolve(p *Problem, bounds bool) *presolveState {
+func newPresolve(p *Problem) *presolveState {
 	n := len(p.obj)
 	m := len(p.cons)
 	if m == 0 || n == 0 {
 		return nil
 	}
 	ps := &p.ws.ps
-	ps.p, ps.bounds, ps.n, ps.m = p, bounds, n, m
+	ps.p, ps.n, ps.m = p, n, m
 	ps.reds, ps.infeasible, ps.red = 0, false, nil
 	ps.rowRemoved = grow(ps.rowRemoved, m)
 	ps.rowHost = grow(ps.rowHost, m)
@@ -173,12 +126,9 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 	for j := 0; j < n; j++ {
 		ps.colFixed[j], ps.fixedVal[j] = false, 0
 	}
-	ps.ub = ps.ub[:0]
-	if bounds {
-		ps.ub = grow(ps.ub, n)
-		for j := range ps.ub {
-			ps.ub[j] = math.Inf(1)
-		}
+	ps.ub = grow(ps.ub, n)
+	for j := range ps.ub {
+		ps.ub[j] = math.Inf(1)
 	}
 	ps.keptRows, ps.keptCols = ps.keptRows[:0], ps.keptCols[:0]
 
@@ -244,7 +194,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 	for round := 1; ; round++ {
 		changed := false
 
-		if ps.bounds && round == 1 {
+		if round == 1 {
 			// Implied bound tightening: a row with all-nonnegative
 			// coefficients and op LE or EQ (or the sign-flipped GE mirror)
 			// caps every variable it touches at rhs/a_j. One pass only —
@@ -335,7 +285,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 			v := b / aj
 			switch {
 			case ops[i] == EQ:
-				if v < -feasTol || (ps.bounds && v > ps.ub[jAct]+feasTol) {
+				if v < -feasTol || v > ps.ub[jAct]+feasTol {
 					ps.infeasible = true
 					return ps
 				}
@@ -348,14 +298,11 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 					ps.infeasible = true
 					return ps
 				}
-				if ps.bounds {
-					if v < ps.ub[jAct] {
-						ps.ub[jAct] = v
-					}
-					ps.removeRow(i, -2) // host own slack
-					changed = true
+				if v < ps.ub[jAct] {
+					ps.ub[jAct] = v
 				}
-				// bounds-off: the row stays; the engine enforces it.
+				ps.removeRow(i, -2) // host own slack
+				changed = true
 			default:
 				// Lower bound x_j >= v; redundant when v <= 0 (x >= 0).
 				if v <= eps {
@@ -385,16 +332,14 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 			if ps.colFixed[j] {
 				continue
 			}
-			if ps.bounds {
-				if ps.ub[j] < -feasTol {
-					ps.infeasible = true
-					return ps
-				}
-				if ps.ub[j] <= eps {
-					ps.fix(j, 0)
-					changed = true
-					continue
-				}
+			if ps.ub[j] < -feasTol {
+				ps.infeasible = true
+				return ps
+			}
+			if ps.ub[j] <= eps {
+				ps.fix(j, 0)
+				changed = true
+				continue
 			}
 			if colActive[j] == 0 {
 				c := ps.minObj(j)
@@ -404,7 +349,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 					// optimum parks it at zero.
 					ps.fix(j, 0)
 					changed = true
-				case ps.bounds && !math.IsInf(ps.ub[j], 1):
+				case !math.IsInf(ps.ub[j], 1):
 					ps.fix(j, ps.ub[j])
 					changed = true
 				default:
@@ -420,12 +365,10 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 	}
 
 	anyUB := false
-	if ps.bounds {
-		for j := range ps.ub {
-			if !ps.colFixed[j] && !math.IsInf(ps.ub[j], 1) {
-				anyUB = true
-				break
-			}
+	for j := range ps.ub {
+		if !ps.colFixed[j] && !math.IsInf(ps.ub[j], 1) {
+			anyUB = true
+			break
 		}
 	}
 	if ps.reds == 0 && !anyUB {
@@ -460,7 +403,7 @@ func newPresolve(p *Problem, bounds bool) *presolveState {
 	red := &ps.redProb
 	red.Reset(p.sense)
 	red.noPresolve = true
-	red.pricing, red.dual, red.ws = p.pricing, p.dual, p.ws
+	red.noDual, red.ws = p.noDual, p.ws
 	for _, j := range ps.keptCols {
 		red.AddVar(p.obj[j], "")
 	}
@@ -533,40 +476,31 @@ func (ps *presolveState) removeRow(i, host int) {
 }
 
 // run solves the reduced problem (or the trivial remnant) and lifts the
-// result. ok=false sends the caller back to the raw problem — the reduced
-// engine could not certify an answer.
-func (ps *presolveState) run(prev *Basis, mapped *MappedBasis, engine Engine) (*Result, bool) {
+// result. ok=false means the engine could not verify an answer for the
+// reduced problem.
+func (ps *presolveState) run(prev *Basis, mapped *MappedBasis) (*Result, bool) {
 	if ps.infeasible {
-		return &Result{Status: Infeasible, Engine: engine, PresolveReductions: ps.reds}, true
+		return &Result{Status: Infeasible, PresolveReductions: ps.reds}, true
 	}
 	if len(ps.keptRows) == 0 {
-		return ps.trivial(engine)
+		return ps.trivial(), true
 	}
 	rp := ps.mapPrev(prev)
 	var rm *MappedBasis
 	if rp == nil {
 		rm = ps.mapMapped(mapped)
 	}
-	if engine == Revised {
-		res, ok := ps.red.solveRevised(rp, rm)
-		if !ok {
-			return nil, false
-		}
-		res.Engine = Revised
-		return ps.lift(res), true
-	}
-	res, err := ps.red.solveDense(rp, rm)
-	if err != nil || res == nil || res.Status == IterationLimit {
+	res, ok := ps.red.solveRevised(rp, rm)
+	if !ok {
 		return nil, false
 	}
-	res.Engine = Dense
 	return ps.lift(res), true
 }
 
 // trivial handles the every-row-removed remnant: each surviving column sits
 // at whichever bound its cost favors; a favorable cost with no upper bound
 // is unbounded.
-func (ps *presolveState) trivial(engine Engine) (*Result, bool) {
+func (ps *presolveState) trivial() *Result {
 	x := make([]float64, ps.n)
 	var atUpper []int
 	for j := 0; j < ps.n; j++ {
@@ -575,12 +509,12 @@ func (ps *presolveState) trivial(engine Engine) (*Result, bool) {
 			continue
 		}
 		if c := ps.minObj(j); c < -eps {
-			if ps.bounds && !math.IsInf(ps.ub[j], 1) {
+			if !math.IsInf(ps.ub[j], 1) {
 				x[j] = ps.ub[j]
 				atUpper = append(atUpper, j)
 				continue
 			}
-			return &Result{Status: Unbounded, Engine: engine, PresolveReductions: ps.reds}, true
+			return &Result{Status: Unbounded, PresolveReductions: ps.reds}
 		}
 	}
 	obj := 0.0
@@ -593,7 +527,7 @@ func (ps *presolveState) trivial(engine Engine) (*Result, bool) {
 	}
 	return &Result{
 		Status: Optimal, X: x, Objective: obj,
-		Engine: engine, PresolveReductions: ps.reds,
+		PresolveReductions: ps.reds,
 		Basis: &Basis{
 			numVars: ps.n,
 			ops:     append([]Op(nil), ps.fullOps...),
@@ -601,7 +535,7 @@ func (ps *presolveState) trivial(engine Engine) (*Result, bool) {
 			rowIDs:  ids,
 			atUpper: atUpper,
 		},
-	}, true
+	}
 }
 
 // mapPrev projects a full-shape positional seed onto the reduced problem.
@@ -706,7 +640,6 @@ func (ps *presolveState) lift(redRes *Result) *Result {
 		Pivots:             redRes.Pivots,
 		WarmStarted:        redRes.WarmStarted,
 		Remapped:           redRes.Remapped,
-		Engine:             redRes.Engine,
 		DualIterations:     redRes.DualIterations,
 		Refactorizations:   redRes.Refactorizations,
 		PresolveReductions: ps.reds,

@@ -1,73 +1,14 @@
 package lp
 
-import (
-	"os"
-	"strings"
-)
-
-// Pricing selects the revised engine's rule for choosing the entering
-// column. Pricing is about speed, never about the answer: every rule walks to
-// the same certified optimum (and the vertex polish makes the reported x
-// identical), it just takes a different number of pivots to get there.
-type Pricing int
-
-const (
-	// PricingAuto (the zero value) follows DefaultPricing.
-	PricingAuto Pricing = iota
-	// PricingPartial is rotating partial pricing: Dantzig's rule (most
-	// negative reduced cost) inside a rotating window of columns. Cheap per
-	// iteration, but blind to column geometry — on the long thin allocation
-	// LPs it takes many near-degenerate pivots a weighted rule skips.
-	PricingPartial
-	// PricingDevex is Devex pricing (Harris 1973), the practical
-	// approximation of steepest edge: entering columns are scored by
-	// d_j^2 / gamma_j, where gamma_j approximates the squared norm of the
-	// column's pivoting direction, and the weights are updated from each
-	// pivot's BTRAN row. Costs a full pricing scan per iteration but picks
-	// directions that make real progress, cutting iteration counts
-	// substantially on Gavel's allocation programs.
-	PricingDevex
-)
-
-func (r Pricing) String() string {
-	switch r {
-	case PricingAuto:
-		return "auto"
-	case PricingPartial:
-		return "partial"
-	case PricingDevex:
-		return "devex"
-	}
-	return "unknown"
-}
-
-// DefaultPricing is the rule used by problems with no explicit rule set
-// (SetPricing(PricingAuto)). It is initialized from GAVEL_LP_PRICING:
-// "partial" selects rotating partial pricing; "devex", "steepest", or
-// "steepest-edge" select Devex; unset or unrecognized values select Devex.
-var DefaultPricing = pricingFromEnv()
-
-func pricingFromEnv() Pricing {
-	switch strings.ToLower(os.Getenv("GAVEL_LP_PRICING")) {
-	case "partial":
-		return PricingPartial
-	case "devex", "steepest", "steepest-edge":
-		return PricingDevex
-	}
-	return PricingDevex
-}
-
-// resolvePricing returns the pricing rule this problem will actually use.
-func (p *Problem) resolvePricing() Pricing {
-	r := p.pricing
-	if r == PricingAuto {
-		r = DefaultPricing
-	}
-	if r != PricingPartial {
-		r = PricingDevex
-	}
-	return r
-}
+// Pricing — the engine's choice of entering column — is Devex (Harris 1973),
+// the practical approximation of steepest edge: entering columns are scored
+// by d_j^2 / gamma_j, where gamma_j approximates the squared norm of the
+// column's pivoting direction, and the weights are updated from each pivot's
+// BTRAN row. It costs a full pricing scan per iteration but picks directions
+// that make real progress, which on Gavel's long thin allocation programs is
+// worth far more than the scan (revEngine.priceEnter; Bland's rule takes over
+// for anti-cycling). Pricing is about speed, never about the answer: the
+// vertex polish makes the reported x independent of the walk.
 
 // devexReset is the weight magnitude past which the reference framework has
 // drifted too far and every weight snaps back to 1 (a fresh reference frame).
@@ -75,9 +16,6 @@ const devexReset = 1e7
 
 // devexInit (re)initializes the Devex reference weights to 1.
 func (e *revEngine) devexInit() {
-	if e.devex == nil {
-		return
-	}
 	for j := range e.devex {
 		e.devex[j] = 1
 	}
@@ -93,7 +31,7 @@ func (e *revEngine) devexInit() {
 // max(gamma_q/alpha_q^2, 1).
 func (e *revEngine) devexUpdate(enter, r int, w []float64) {
 	if e.devex == nil {
-		return
+		return // the polish clone keeps no weights
 	}
 	alphaQ := w[r]
 	if alphaQ == 0 {

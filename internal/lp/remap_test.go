@@ -60,15 +60,18 @@ func jitterRHS(rng *rand.Rand, rhs []float64, frac float64) []float64 {
 	return out
 }
 
-func checkParity(t *testing.T, label string, mapped, cold *Result) {
+// checkParity holds a solve to the answer of a cold (or reference) solve of
+// the same problem: equal status, and when optimal an objective equal within
+// 1e-9 relative.
+func checkParity(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if mapped.Status != cold.Status {
-		t.Fatalf("%s: mapped status %v, cold %v", label, mapped.Status, cold.Status)
+	if got.Status != want.Status {
+		t.Fatalf("%s: status %v, want %v", label, got.Status, want.Status)
 	}
-	if cold.Status == Optimal {
-		scale := 1 + math.Abs(cold.Objective)
-		if diff := math.Abs(mapped.Objective - cold.Objective); diff > 1e-9*scale {
-			t.Fatalf("%s: mapped objective %v, cold %v (diff %v)", label, mapped.Objective, cold.Objective, diff)
+	if want.Status == Optimal {
+		scale := 1 + math.Abs(want.Objective)
+		if diff := math.Abs(got.Objective - want.Objective); diff > 1e-9*scale {
+			t.Fatalf("%s: objective %v, want %v (diff %v)", label, got.Objective, want.Objective, diff)
 		}
 	}
 }

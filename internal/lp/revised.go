@@ -1,17 +1,16 @@
 package lp
 
-// This file implements the sparse revised simplex engine (lp.Revised), the
-// default solve path. The constraint matrix is held in compressed
-// sparse-column form built directly from the Problem's Term lists; the basis
-// is factorized with a sparse LU (internal/linalg) and updated with
-// product-form etas, refactorizing every few dozen pivots; pricing runs over
-// sparse reduced costs — Devex reference weights by default, rotating partial
-// pricing as the cheap alternative, Bland's rule after a stall or a long
+// This file implements the sparse revised simplex engine, the package's one
+// solve path. The constraint matrix is held in compressed sparse-column form
+// built directly from the Problem's Term lists; the basis is factorized with
+// a sparse LU (internal/linalg) and updated with product-form etas,
+// refactorizing every few dozen pivots; pricing runs over sparse reduced
+// costs — Devex reference weights, Bland's rule after a stall or a long
 // degenerate streak — and ratio tests work on FTRAN/BTRAN images of sparse
 // vectors instead of full tableau rows. Gavel's allocation programs are
-// structurally sparse (an allocation column touches exactly two rows), so
-// per-iteration cost drops from the dense tableau's O(m·n) to O(nnz + m),
-// and memory from O(m·n) to O(nnz).
+// structurally sparse (an allocation column touches exactly two rows), so an
+// iteration costs O(nnz + m) and the problem O(nnz) memory, where a dense
+// tableau would pay O(m·n) for both.
 //
 // The engine is a bounded-variable simplex: presolve extracts singleton cap
 // rows (x_j <= u_j) into the per-column bound vector p.ub, and the engine
@@ -21,17 +20,18 @@ package lp
 // column's own opposite bound becomes a bound flip — no pivot, no basis
 // change, strict objective progress.
 //
-// Seeding mirrors the dense paths in spirit: a same-shape Basis is
-// factorized directly (SolveFrom), a MappedBasis is re-assembled from its
-// row-pinned projection with unit-column repair for dependent columns
-// (SolveFromMapped), and lost primal feasibility is restored either by the
-// dual simplex (dual.go, when the seed is still dual feasible — the common
-// shape-preserving drift case) or by a composite phase 1 that minimizes the
-// sum of infeasibilities, so repair work scales with the damage. Any
-// numerical trouble — a singular factorization that repair cannot fix, a
-// stuck pivot, a verification loop that does not converge — abandons the
-// engine and falls back to the dense tableau oracle, so the revised engine
-// can change only speed, never correctness.
+// Seeding: a same-shape Basis is factorized directly (SolveFrom), a
+// MappedBasis is re-assembled from its row-pinned projection with
+// unit-column repair for dependent columns (SolveFromMapped), and lost
+// primal feasibility is restored either by the dual simplex (dual.go, when
+// the seed is still dual feasible — the common shape-preserving drift case)
+// or by a composite phase 1 that minimizes the sum of infeasibilities, so
+// repair work scales with the damage. An optimum is returned only after
+// optimize() has refactorized the final basis and re-checked feasibility and
+// reduced-cost signs on the fresh factors; any numerical trouble — a singular
+// factorization that repair cannot fix, a stuck pivot, a verification loop
+// that does not converge — is reported as ok=false, never as an answer
+// (Problem.solve then re-solves raw and cold).
 
 import (
 	"math"
@@ -44,7 +44,7 @@ const (
 	// feasTol is the primal feasibility tolerance on basic values.
 	feasTol = 1e-7
 	// pivotTol is the minimum acceptable pivot magnitude |w[leave]|; a
-	// smaller pivot forces a refresh (and, if fresh, a bailout to dense).
+	// smaller pivot forces a refresh (and, if fresh, abandons the attempt).
 	pivotTol = 1e-7
 	// verifyRounds bounds the refresh-and-reverify loop at optimality.
 	verifyRounds = 6
@@ -68,7 +68,7 @@ type revEngine struct {
 	nTotal int // structural + slack columns; >= nTotal means artificial e_i
 
 	cols    [][]colEntry // CSC over the n structural + slack columns
-	ops     []Op         // normalized (rhs >= 0) ops, dense-path compatible
+	ops     []Op         // normalized (rhs >= 0) ops, the shape a Basis records
 	rhs     []float64
 	obj     []float64 // minimize-sense structural costs; slacks 0
 	slackOf []int     // row -> its slack column, -1 for EQ rows
@@ -82,15 +82,15 @@ type revEngine struct {
 	ub      []float64 // structural upper bounds (+Inf = none); nil without bounds
 	atUpper []bool    // structural nonbasic-at-upper flags; nil without bounds
 
-	devex  []float64 // Devex reference weights (nil under partial pricing)
+	devex  []float64 // Devex reference weights; nil on the polish clone (priceWindow)
 	seeded bool      // solve started from a previous basis (warm or remapped)
 
 	iterations    int
 	pivots        int
-	dualIters     int // dual-simplex pivots and flips (included in iterations)
-	refactors     int // refresh() calls: LU refactorizations after the first
-	degenStreak   int // consecutive zero-step pivots; triggers Bland early
-	priceStart    int
+	dualIters     int       // dual-simplex pivots and flips (included in iterations)
+	refactors     int       // refresh() calls: LU refactorizations after the first
+	degenStreak   int       // consecutive zero-step pivots; triggers Bland early
+	priceStart    int       // where priceWindow's next scan begins
 	polishedX     []float64 // canonical structural values from polishVertex
 	polished      bool      // a vertex polish ran; basis factors may be stale
 	seedCanonical bool      // the seed basis came from a polished snapshot
@@ -105,14 +105,11 @@ type revEngine struct {
 // newRevEngine normalizes the problem into CSC form in bank 0 of the
 // problem's arena: the engine struct, every per-solve array and the
 // factorization live there, and the CSC entries go into one slab sized by a
-// counting pass. ok=false hands the solve to the dense path (degenerate
-// shapes the engine does not model).
-func newRevEngine(p *Problem) (*revEngine, bool) {
+// counting pass. The problem has at least one row (Problem.solve answers the
+// rowless one itself).
+func newRevEngine(p *Problem) *revEngine {
 	n := len(p.obj)
 	m := len(p.cons)
-	if m == 0 {
-		return nil, false
-	}
 	ar := &p.ws.eng[0]
 	e := &ar.engine
 	*e = revEngine{p: p, m: m, n: n, ws: p.ws, arena: ar, factor: &ar.factor}
@@ -207,12 +204,10 @@ func newRevEngine(p *Problem) (*revEngine, bool) {
 		}
 		copy(e.ub, p.ub)
 	}
-	if p.resolvePricing() == PricingDevex {
-		e.devex = ar.floats(wsF64Devex, e.nTotal)
-		e.devexInit()
-	}
+	e.devex = ar.floats(wsF64Devex, e.nTotal)
+	e.devexInit()
 	e.protectRow = -1
-	return e, true
+	return e
 }
 
 // bind points the engine's per-solve vectors (everything sized by its m, n
@@ -370,11 +365,11 @@ func (e *revEngine) effCost(j int, y []float64, phase1 bool) float64 {
 	return d
 }
 
-// priceEnter picks the entering column. Under Devex (the default) every
-// nonbasic column is scored d_j²/γ_j against the reference weights; under
-// partial pricing the Dantzig rule runs inside a rotating window; Bland's
-// rule (first eligible in fixed order, required for anti-cycling) takes over
-// after the stall threshold or a long degenerate streak.
+// priceEnter picks the entering column: every nonbasic column is scored
+// d_j²/γ_j against the Devex reference weights; Bland's rule (first eligible
+// in fixed order, required for anti-cycling) takes over after the stall
+// threshold or a long degenerate streak. The polish clone carries no weights
+// and prices with priceWindow.
 func (e *revEngine) priceEnter(y []float64, bland, phase1 bool) int {
 	total := e.nTotal
 	if bland {
@@ -385,22 +380,33 @@ func (e *revEngine) priceEnter(y []float64, bland, phase1 bool) int {
 		}
 		return -1
 	}
-	if e.devex != nil {
-		best, bestJ := 0.0, -1
-		for j := 0; j < total; j++ {
-			if e.inBasis[j] {
-				continue
-			}
-			d := e.effCost(j, y, phase1)
-			if d >= -eps {
-				continue
-			}
-			if score := d * d / e.devex[j]; score > best {
-				best, bestJ = score, j
-			}
-		}
-		return bestJ
+	if e.devex == nil {
+		return e.priceWindow(y, phase1)
 	}
+	best, bestJ := 0.0, -1
+	for j := 0; j < total; j++ {
+		if e.inBasis[j] {
+			continue
+		}
+		d := e.effCost(j, y, phase1)
+		if d >= -eps {
+			continue
+		}
+		if score := d * d / e.devex[j]; score > best {
+			best, bestJ = score, j
+		}
+	}
+	return bestJ
+}
+
+// priceWindow is the vertex polish's pricing: Dantzig's rule (most negative
+// reduced cost) inside a window of columns that rotates from one call to the
+// next. The polish clone has never carried reference weights, and which of
+// the face's equally optimal bases it stops on — hence every iteration count
+// the goldens pin — follows from this scan order; pricing it with Devex would
+// be a change of behaviour that re-records them.
+func (e *revEngine) priceWindow(y []float64, phase1 bool) int {
+	total := e.nTotal
 	seg := total / 8
 	if seg < 64 {
 		seg = 64
@@ -1010,7 +1016,7 @@ func (e *revEngine) optimize() (Status, bool) {
 			// Success is always followed by phase 2, so a dual-infeasible
 			// start costs nothing in correctness, and the stall guard bounds
 			// the damage when the repair goes nowhere.
-			if round == 0 && e.seeded && e.p.resolveDual() == DualOn {
+			if round == 0 && e.seeded && !e.p.noDual {
 				budget := 0
 				attempt := e.dualFeasible()
 				if !attempt {
@@ -1300,9 +1306,8 @@ func (e *revEngine) polishVertex() {
 // driveOutArtificials pivots zero-valued basic artificials onto real columns
 // where possible (a degenerate pivot), so the snapshot basis stays portable;
 // rows whose artificial cannot move host a truly redundant constraint and
-// snapshot as -1, exactly like the dense path's dropped rows. Columns
-// resting at their upper bound are not candidates: a zero-step entry would
-// teleport them to zero.
+// snapshot as -1, which seeding rejects. Columns resting at their upper bound
+// are not candidates: a zero-step entry would teleport them to zero.
 func (e *revEngine) driveOutArtificials() bool {
 	for i, c := range e.basis {
 		if c < e.nTotal {
@@ -1384,7 +1389,7 @@ func (e *revEngine) finish(warm, remapped bool) *Result {
 		if c < e.nTotal {
 			cols[i] = c
 		} else {
-			cols[i] = -1 // redundant row, dense-path compatible
+			cols[i] = -1 // redundant row: its artificial never left
 		}
 	}
 	atUpper := snap.atUpper[:0]
@@ -1435,7 +1440,7 @@ func (e *revEngine) statusResult(st Status, warm, remapped bool) *Result {
 }
 
 // solveCold runs the two-phase revised simplex from the slack/artificial
-// starting basis. ok=false falls back to the dense path.
+// starting basis. ok=false: no verified answer.
 func (e *revEngine) solveCold() (*Result, bool) {
 	for i := 0; i < e.m; i++ {
 		col := e.slackOf[i]
@@ -1601,24 +1606,21 @@ func (e *revEngine) solveMapped(mb *MappedBasis) (*Result, bool) {
 	return e.finish(true, true), true
 }
 
-// solveRevised is the revised-engine entry point, mirroring the dense
-// dispatch: try the positional seed, then the mapped seed, then cold.
-// ok=false sends the whole solve to the dense tableau.
+// solveRevised is the engine's entry point: try the positional seed, then
+// the mapped seed, then cold. The Result is arena-backed (see finish);
+// ok=false means the engine could not verify an answer.
 func (p *Problem) solveRevised(prev *Basis, mapped *MappedBasis) (*Result, bool) {
-	e, ok := newRevEngine(p)
-	if !ok {
-		return nil, false
-	}
+	e := newRevEngine(p)
 	if prev.compatible(e.n, e.ops) {
 		if res, ok := e.solveSeeded(prev); ok {
 			return res, true
 		}
-		e, _ = newRevEngine(p)
+		e = newRevEngine(p)
 	} else if mapped != nil && mapped.numVars == e.n && (len(mapped.cands) > 0 || len(mapped.uppers) > 0) {
 		if res, ok := e.solveMapped(mapped); ok {
 			return res, true
 		}
-		e, _ = newRevEngine(p)
+		e = newRevEngine(p)
 	}
 	return e.solveCold()
 }

@@ -28,6 +28,11 @@ type Workspace struct {
 	eng  [2]engineArena // 0: the solve's engine, 1: its polish clone
 	ps   presolveState
 	seed seedArena
+	// failNext makes the arena's next failNext engine attempts report
+	// failure. Set only from _test.go files: no well-conditioned problem
+	// reaches the recovery path on its own. It lives here and not on the
+	// Problem because a policy rebuilds its Problem on every reset.
+	failNext int
 }
 
 // engineArena is one engine's bank of reusable storage.

@@ -6,8 +6,7 @@ import (
 )
 
 // Options are the observability knobs shared by every daemon. Flags default
-// from the environment (OptionsFromEnv), mirroring how lp.Options handles
-// the GAVEL_LP_* family:
+// from the environment (OptionsFromEnv), read once at startup:
 //
 //	GAVEL_OBS_LISTEN  default for -obs-listen (e.g. "127.0.0.1:9090"; empty = off)
 //	GAVEL_OBS_TRACE   default for -obs-trace (JSONL span log path; empty = ring only)

@@ -38,23 +38,6 @@ type SolveContext struct {
 	// solve runs the cold two-phase path. Used to measure the cold
 	// baseline's iteration counts in benchmarks.
 	NoWarm bool
-	// Engine selects the simplex implementation for every LP issued
-	// through this context: lp.Revised (the sparse revised engine),
-	// lp.Dense (the tableau oracle), or lp.EngineAuto (the default) to
-	// follow lp.DefaultEngine.
-	Engine lp.Engine
-	// Pricing selects the entering-column rule for every LP issued through
-	// this context: lp.Devex, lp.PartialPricing, or lp.PricingAuto (the
-	// default) to follow lp.DefaultPricing (GAVEL_LP_PRICING).
-	Pricing lp.Pricing
-	// Dual selects whether seeded solves may repair primal infeasibility
-	// with the dual simplex: lp.DualOn, lp.DualOff, or lp.DualAuto (the
-	// default) to follow lp.DefaultDual (GAVEL_LP_DUAL).
-	Dual lp.DualMode
-	// Presolve selects whether solves run the LP presolve pass:
-	// lp.PresolveOn, lp.PresolveOff, or lp.PresolveAuto (the default) to
-	// follow lp.DefaultPresolve (GAVEL_LP_PRESOLVE).
-	Presolve lp.PresolveMode
 	// Metrics, when non-nil, receives every solve as live telemetry series
 	// (obs.LPMetrics) in addition to the Stats aggregates. The bundle's
 	// instruments are atomic, so shard contexts running in parallel
@@ -106,10 +89,8 @@ type SolveStats struct {
 	RemapAttempts int // solves seeded from a basis remapped across shapes
 	RemapHits     int // remapped seeds that actually ran warm
 	Iterations    int // simplex iterations across all solves
-	Pivots        int // tableau pivots across all solves
-	RevisedSolves int // solves completed by the sparse revised engine
-	DenseSolves   int // solves completed by the dense tableau
-	Fallbacks     int // revised-engine solves that fell back to dense
+	Pivots        int // basis changes across all solves
+	Fallbacks     int // solves answered by the raw cold recovery re-solve (lp.Result.Recovered)
 
 	PresolveReductions int // presolve row/column/bound reductions across all solves
 	DualIterations     int // dual-simplex repair iterations across all solves
@@ -213,27 +194,10 @@ type buildTimer struct {
 	solved float64 // the context's solveSeconds when the Allocate began
 }
 
-// NewSolveContextWith returns an empty context carrying the given solver
-// options (the typed replacement for setting Engine/Pricing/Dual/Presolve
-// individually).
-func NewSolveContextWith(opts lp.Options) *SolveContext {
-	c := NewSolveContext()
-	c.SetOptions(opts)
-	return c
-}
-
-// SetOptions installs all four solver knobs from one lp.Options value.
-func (c *SolveContext) SetOptions(opts lp.Options) {
-	c.Engine = opts.Engine
-	c.Pricing = opts.Pricing
-	c.Presolve = opts.Presolve
-	c.Dual = opts.Dual
-}
-
-// Options returns the context's solver knobs as one lp.Options value.
-func (c *SolveContext) Options() lp.Options {
-	return lp.Options{Engine: c.Engine, Pricing: c.Pricing, Presolve: c.Presolve, Dual: c.Dual}
-}
+// NewSolveContextWith is NewSolveContext; the options are not read.
+//
+// Deprecated: inert. Pinned by bench/solve.go:114.
+func NewSolveContextWith(lp.Options) *SolveContext { return NewSolveContext() }
 
 // Seed is one exported warm-start entry: a cached simplex basis together
 // with the column identities it was built over, keyed by the solve label it
@@ -354,7 +318,6 @@ func (c *SolveContext) record(key string, ids []lp.ColumnID, res *lp.Result) {
 	c.Stats.Iterations += res.Iterations
 	c.Stats.Pivots += res.Pivots
 	c.recordCounters(key, res)
-	c.recordEngine(res)
 	if res.Status == lp.Optimal && res.Basis != nil {
 		// ids is typically the program's own slice, rewritten by the next
 		// build: the cache keeps a copy, in the entry's storage.
@@ -384,27 +347,25 @@ func solveKind(res *lp.Result) string {
 }
 
 // emit feeds one completed solve into the live metrics bundle (no-op when
-// Metrics is nil). Dense fallbacks additionally count under kind=fallback.
+// Metrics is nil). A solve the recovery re-solve answered additionally counts
+// under kind=fallback.
 func (c *SolveContext) emit(key string, res *lp.Result, start time.Time) {
 	if c.Metrics == nil || res == nil {
 		return
 	}
 	c.solveSeconds += c.Metrics.RecordSolve(solveKind(res), key, res.Iterations, res.DualIterations,
 		res.PresolveReductions, res.Refactorizations, start)
-	if res.Engine == lp.Dense {
-		selected := c.Engine
-		if selected == lp.EngineAuto {
-			selected = lp.DefaultEngine
-		}
-		if selected == lp.Revised {
-			c.Metrics.Solves.With("fallback").Inc()
-		}
+	if res.Recovered {
+		c.Metrics.Solves.With("fallback").Inc()
 	}
 }
 
-// recordCounters folds the presolve/dual accounting of one result into the
-// aggregate and per-label stats.
+// recordCounters folds the presolve/dual/recovery accounting of one result
+// into the aggregate and per-label stats.
 func (c *SolveContext) recordCounters(key string, res *lp.Result) {
+	if res.Recovered {
+		c.Stats.Fallbacks++
+	}
 	c.Stats.PresolveReductions += res.PresolveReductions
 	c.Stats.DualIterations += res.DualIterations
 	c.Stats.Refactorizations += res.Refactorizations
@@ -419,33 +380,6 @@ func (c *SolveContext) recordCounters(key string, res *lp.Result) {
 	c.Stats.Labels[key] = ls
 }
 
-// apply pushes the context's engine/pricing/dual knobs and scratch arena
-// onto a problem about to be solved.
-func (c *SolveContext) apply(p *lp.Problem) {
-	p.SetEngine(c.Engine)
-	p.SetPricing(c.Pricing)
-	p.SetPresolve(c.Presolve)
-	p.SetDual(c.Dual)
-	p.SetWorkspace(&c.ws)
-}
-
-// recordEngine buckets a solve by the engine that completed it, counting
-// revised-to-dense fallbacks separately.
-func (c *SolveContext) recordEngine(res *lp.Result) {
-	if res.Engine == lp.Dense {
-		c.Stats.DenseSolves++
-		selected := c.Engine
-		if selected == lp.EngineAuto {
-			selected = lp.DefaultEngine
-		}
-		if selected == lp.Revised {
-			c.Stats.Fallbacks++
-		}
-		return
-	}
-	c.Stats.RevisedSolves++
-}
-
 // Solve solves p, seeding from the basis cached under key — positionally
 // when the column IDs and row count match, remapped across shapes otherwise
 // — and caches the new optimal basis (with ids) for the next call with the
@@ -457,7 +391,7 @@ func (c *SolveContext) Solve(key string, p *lp.Problem, ids []lp.ColumnID) (*lp.
 		return p.Solve()
 	}
 	c.Stats.Solves++
-	c.apply(p)
+	p.SetWorkspace(&c.ws)
 	prev, mapped := c.seed(key, ids, p.NumConstraints())
 	start := c.Metrics.Start()
 	var res *lp.Result
@@ -494,7 +428,7 @@ func (c *SolveContext) SolveCold(p *lp.Problem) (*lp.Result, error) {
 		return p.Solve()
 	}
 	c.Stats.Solves++
-	c.apply(p)
+	p.SetWorkspace(&c.ws)
 	start := c.Metrics.Start()
 	res, err := p.Solve()
 	if err != nil {
@@ -503,7 +437,6 @@ func (c *SolveContext) SolveCold(p *lp.Problem) (*lp.Result, error) {
 	c.Stats.Iterations += res.Iterations
 	c.Stats.Pivots += res.Pivots
 	c.recordCounters("cold", res)
-	c.recordEngine(res)
 	c.emit("cold", res, start)
 	return res, nil
 }

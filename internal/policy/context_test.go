@@ -1,10 +1,15 @@
 package policy
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"gavel/internal/core"
+	"gavel/internal/lp"
+	"gavel/internal/obs"
 	"gavel/internal/workload"
 )
 
@@ -248,5 +253,53 @@ func TestSolveContextIterationSavingsUnderChurn(t *testing.T) {
 	t.Logf("iterations warm=%d cold=%d (%.0f%% saved; %+v)", warm.Iterations, cold.Iterations, 100*saving, warm)
 	if saving < 0.5 {
 		t.Errorf("churned warm pipeline saved only %.0f%% of iterations (want >= 50%%)", 100*saving)
+	}
+}
+
+// failNextAttempts makes the next n engine attempts in ctx's arena report
+// failure. lp.Workspace keeps that counter unexported on purpose — nothing
+// outside a test may set it — and a policy builds its own lp.Problem, so this
+// test reaches through the one door there is.
+func failNextAttempts(ctx *SolveContext, n int) {
+	f := reflect.ValueOf(&ctx.ws).Elem().FieldByName("failNext")
+	*(*int)(unsafe.Pointer(f.UnsafeAddr())) = n
+}
+
+// TestRecoveryResolve follows an engine failure up through the policy layer.
+// One failed attempt is answered by the raw cold re-solve: same allocation,
+// counted once in SolveStats.Fallbacks and once under kind="fallback". Two
+// reach the policy's caller as lp.ErrNumerical — an error, not an allocation
+// of zeros.
+func TestRecoveryResolve(t *testing.T) {
+	workers := []float64{4, 4, 4}
+	in := churnInput([]int{1, 2, 3, 4, 5}, workers)
+	pol := &MaxMinFairness{}
+	want, err := pol.Allocate(in, NewSolveContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := NewSolveContext()
+	ctx.Metrics = obs.NewLPMetrics(obs.NewRegistry())
+	failNextAttempts(ctx, 1)
+	got, err := pol.Allocate(in, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareThroughputs(t, 0, in, got, want)
+	if ctx.Stats.Fallbacks != 1 {
+		t.Fatalf("Fallbacks = %d after one recovered solve, want 1 (%+v)", ctx.Stats.Fallbacks, ctx.Stats)
+	}
+	if n := ctx.Metrics.Solves.With("fallback").Value(); n != 1 {
+		t.Fatalf(`gavel_lp_solves_total{kind="fallback"} = %d, want 1`, n)
+	}
+
+	failNextAttempts(ctx, 2)
+	got, err = pol.Allocate(in, ctx)
+	if !errors.Is(err, lp.ErrNumerical) || got != nil {
+		t.Fatalf("want (nil, lp.ErrNumerical), got (%v, %v)", got, err)
+	}
+	if ctx.Stats.Fallbacks != 1 {
+		t.Fatalf("a solve with no answer counted as a fallback: %+v", ctx.Stats)
 	}
 }

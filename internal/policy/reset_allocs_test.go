@@ -27,7 +27,7 @@ func measureResetAllocs(t testing.TB, sc resetScenario, warmup, resets int) (obj
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := newResetStream(sc, 20260926)
 	pol := sc.policy()
-	ctx := NewSolveContextWith(resetGoldenOptions)
+	ctx := NewSolveContext()
 	var before, after runtime.MemStats
 	var mallocs, total uint64
 	for r := 0; r < warmup+resets; r++ {

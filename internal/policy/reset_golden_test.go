@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"gavel/internal/core"
-	"gavel/internal/lp"
 	"gavel/internal/workload"
 )
 
@@ -28,10 +27,6 @@ import (
 // multiply-adds); regenerate with GAVEL_RESET_GOLDEN_WRITE=1.
 
 const resetGoldenPath = "testdata/reset_golden.json"
-
-// resetGoldenOptions pins every solver knob so GAVEL_LP_* cannot move the
-// pivots.
-var resetGoldenOptions = lp.Options{Engine: lp.Revised, Pricing: lp.PricingDevex, Presolve: lp.PresolveOn, Dual: lp.DualOn}
 
 type resetGoldenStep struct {
 	X                  string `json:"x"` // sha256 of the reset's X bits, first 16 hex digits
@@ -204,7 +199,7 @@ func hashX(h interface{ Write([]byte) (int, error) }, alloc *core.Allocation) {
 func runResetScenario(t testing.TB, sc resetScenario) resetGoldenScenario {
 	s := newResetStream(sc, 20260926)
 	pol := sc.policy()
-	ctx := NewSolveContextWith(resetGoldenOptions)
+	ctx := NewSolveContext()
 	all := sha256.New()
 	var out resetGoldenScenario
 	prev := ctx.Stats

@@ -72,7 +72,6 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 		&ShardConfig{
 			Index: 1, WorkerInts: []int{4, 2, 2}, PerServer: []int{4},
 			Prices: []float64{3.1, 0.9, 0.7}, Policy: PolicySpec{Name: "max_min_fairness"},
-			LP:                lp.Options{Engine: lp.Revised},
 			PairGainThreshold: 1.25, MaxPairsPerJob: 8,
 		},
 		&InstallArgs{

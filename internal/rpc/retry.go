@@ -3,9 +3,9 @@ package rpc
 // This file is the client-side fault policy of the control plane: per-call
 // deadlines (a hung daemon must not block the round fan-out forever) and
 // retry with jittered exponential backoff for transient failures. Both are
-// typed configuration in the lp.Options style — resolve a CallPolicy once at
-// startup (CallPolicyFromEnv, then flags) and thread it through DialShardWith
-// or WithRetry — instead of ad-hoc getenv reads at call sites.
+// typed configuration: resolve a CallPolicy once at startup
+// (CallPolicyFromEnv, then flags) and thread it through DialShardWith or
+// WithRetry, instead of ad-hoc getenv reads at call sites.
 //
 // Retries are safe because the shard surface is idempotent at-least-once:
 // Install/Remove no-op on repeats, Allocate/AssignRound dedup by round

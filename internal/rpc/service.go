@@ -21,16 +21,16 @@ type PairSource func(a, b int) (ta, tb []float64)
 
 // ServiceConfig parameterizes the coordinator: the cluster to split across
 // the shards, routing, the space-sharing pair knobs, and what every shard is
-// configured with (policy by name, resolved LP options).
+// configured with (policy by name).
 type ServiceConfig struct {
 	// Cluster is the global cluster; its per-type device counts are split
 	// across the shard daemons with cluster.SplitWorkerCounts.
 	Cluster cluster.Spec
 	// Policy names the scheduling policy every daemon instantiates.
 	Policy PolicySpec
-	// LP carries the solver knobs. NewService resolves Auto fields against
-	// this process's defaults before pushing, so daemons solve with the
-	// coordinator's settings regardless of their local environment.
+	// LP is not read: the solver has nothing to select.
+	//
+	// Deprecated: inert. Pinned by bench/svc.go:311.
 	LP lp.Options
 	// ColdSolves disables the daemons' solve contexts (benchmark baseline).
 	ColdSolves bool
@@ -222,9 +222,6 @@ func NewService(cfg ServiceConfig, clients []ShardClient) (*Service, error) {
 	}
 	prices := cfg.Cluster.Prices()
 	split := cluster.SplitWorkerCounts(counts, len(clients))
-	// Resolve Auto knobs here so every daemon solves with this process's
-	// settings, not its own environment's.
-	lpOpts := cfg.LP.Resolve()
 
 	s := &Service{
 		cfg:        cfg,
@@ -253,7 +250,6 @@ func NewService(cfg ServiceConfig, clients []ShardClient) (*Service, error) {
 			PerServer:         perServer,
 			Prices:            prices,
 			Policy:            cfg.Policy,
-			LP:                lpOpts,
 			ColdSolves:        cfg.ColdSolves,
 			PairGainThreshold: cfg.PairGainThreshold,
 			MaxPairsPerJob:    cfg.MaxPairsPerJob,

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"gavel/internal/core"
-	"gavel/internal/lp"
 	"gavel/internal/policy"
 	"gavel/internal/scheduler"
 )
@@ -87,10 +86,6 @@ type ShardConfig struct {
 	PerServer  []int
 	Prices     []float64
 	Policy     PolicySpec
-	// LP carries the solver knobs, resolved once coordinator-side so every
-	// daemon solves with identical settings regardless of its local
-	// environment.
-	LP lp.Options
 	// ColdSolves disables the daemon's solve context (benchmark baseline).
 	ColdSolves bool
 	// PairGainThreshold / MaxPairsPerJob parameterize space-sharing pair

@@ -15,8 +15,8 @@ import (
 // ShardServer is one shard daemon's engine: a cluster.Shard (solve context,
 // throughput cache, round mechanism over its device slice) behind the
 // coordinator <-> shard protocol. A daemon starts bare — NewShardServer,
-// then Serve — and receives its identity (device slice, policy, LP options)
-// from the coordinator's Configure push. Every exported method below is a
+// then Serve — and receives its identity (device slice, policy) from the
+// coordinator's Configure push. Every exported method below is a
 // net/rpc handler; LocalShardClient calls the same methods directly, so the
 // in-memory transport exercises the identical code path minus the sockets.
 //
@@ -210,7 +210,7 @@ func (s *ShardServer) Configure(cfg ShardConfig, _ *Ack) error {
 	}
 	var ctx *policy.SolveContext
 	if !cfg.ColdSolves {
-		ctx = policy.NewSolveContextWith(cfg.LP)
+		ctx = policy.NewSolveContext()
 		ctx.Metrics = s.lpm
 	}
 	s.shard = cluster.NewShard(cfg.Index, cfg.WorkerInts, cfg.PerServer, cfg.Prices, ctx)

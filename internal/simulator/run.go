@@ -164,7 +164,6 @@ func Run(cfg Config) (*Result, error) {
 	svc, err := rpc.NewService(rpc.ServiceConfig{
 		Cluster:           cfg.Cluster,
 		Policy:            spec,
-		LP:                cfg.LPOptions,
 		ColdSolves:        cfg.ColdSolves,
 		Route:             cfg.ShardRoute,
 		PairGainThreshold: pairGainThreshold,
