@@ -1,15 +1,13 @@
-// gavel-sched is the scheduler daemon for physical deployments. It serves
-// the worker lease plane (internal/rpc) on a TCP port and runs in one of two
-// modes:
-//
-//   - Coordinator (-shards addr,addr): the daemon drives remote gavel-shard
-//     processes through the versioned coordinator <-> shard control plane —
-//     round-synchronized allocation, warm-basis rebalance migrations,
-//     periodic recovery snapshots — and leases the merged round assignments
-//     to workers. This is the paper's scheduler architecture as separate
-//     processes: policy on the shards, mechanism merged at the coordinator.
-//   - Standalone (no -shards): the seed's single-process scheduler, leasing
-//     by least attained service.
+// gavel-sched is the scheduler daemon for physical deployments: the
+// coordinator (rpc.Service) driving its shards through the round protocol
+// (rpc.RunRound), and the worker lease plane (internal/rpc) on a TCP port,
+// leasing each sealed round's merged assignments to workers. With -shards
+// addr,addr the shards are remote gavel-shard processes behind the versioned
+// control plane — the paper's scheduler architecture as separate processes:
+// policy on the shards, mechanism merged at the coordinator, warm-basis
+// rebalance migrations, periodic recovery snapshots. Without -shards there is
+// one shard, in this process: the same coordinator, the same policy, no
+// sockets (what NumShards = 0 is to the simulator).
 //
 // With -submit-listen, the coordinator also serves the client submission
 // plane (protocol v3): tenants stream jobs through gavel-submit, admission is
@@ -25,10 +23,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,81 +42,66 @@ import (
 	"gavel/internal/workload"
 )
 
+// config is the daemon's whole configuration; main parses flags straight
+// into it.
+type config struct {
+	listen string
+	shards string // comma-separated gavel-shard addresses; empty = one in-memory shard
+	jobs   int
+	round  float64
+	steps  float64
+
+	policy    string
+	gpus      string
+	rebalance int
+	realloc   int
+	snapshot  int
+
+	submitListen string
+	decisionLog  string
+	drainRounds  int
+
+	journal   string
+	chaos     string
+	rpc       rpc.CallPolicy
+	telemetry obs.Options
+
+	// leases, when set, wraps the lease plane's source (tests assert on what
+	// leaves the process, and when).
+	leases func(*planSource) rpc.LeaseSource
+}
+
 func main() {
-	var (
-		listen = flag.String("listen", "127.0.0.1:8642", "address to serve the worker lease plane on")
-		shards = flag.String("shards", "", "comma-separated gavel-shard addresses (empty = standalone mode)")
-		jobs   = flag.Int("jobs", 4, "number of synthetic jobs to run")
-		round  = flag.Float64("round", 10, "round duration in seconds")
-		steps  = flag.Float64("steps", 2000, "training steps per job")
+	cfg := config{rpc: rpc.CallPolicyFromEnv(), telemetry: obs.OptionsFromEnv()}
+	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:8642", "address to serve the worker lease plane on")
+	flag.StringVar(&cfg.shards, "shards", "", "comma-separated gavel-shard addresses (empty = one in-memory shard)")
+	flag.IntVar(&cfg.jobs, "jobs", 4, "number of synthetic jobs to run")
+	flag.Float64Var(&cfg.round, "round", 10, "round duration in seconds")
+	flag.Float64Var(&cfg.steps, "steps", 2000, "training steps per job")
 
-		policyName = flag.String("policy", "max_min_fairness", "allocation policy (coordinator mode)")
-		gpus       = flag.String("gpus", "v100:4,p100:4,k80:8", "cluster spec: name:count[:perServer],...")
-		rebalance  = flag.Int("rebalance-every", 10, "rounds between shard rebalances (0 = off)")
-		realloc    = flag.Int("realloc-every", 4, "rounds between forced reallocations (0 = off)")
-		snapshot   = flag.Int("snapshot-every", 1, "rounds between recovery snapshots")
+	flag.StringVar(&cfg.policy, "policy", "max_min_fairness", "allocation policy")
+	flag.StringVar(&cfg.gpus, "gpus", "v100:4,p100:4,k80:8", "cluster spec: name:count[:perServer],...")
+	flag.IntVar(&cfg.rebalance, "rebalance-every", 10, "rounds between shard rebalances (0 = off)")
+	flag.IntVar(&cfg.realloc, "realloc-every", 4, "rounds a shard goes without reallocating before one is forced (0 = off)")
+	flag.IntVar(&cfg.snapshot, "snapshot-every", 1, "rounds between recovery snapshots")
 
-		submitListen = flag.String("submit-listen", "", "address to serve the client submission plane on (coordinator mode; empty = off)")
-		decisionLog  = flag.String("decision-log", "", "file rewritten each round with the admission decision log (shed/quarantine/abandon)")
-		drainRounds  = flag.Int("drain-rounds", 3, "with -submit-listen, idle rounds with no resident or queued submissions before exiting")
+	flag.StringVar(&cfg.submitListen, "submit-listen", "", "address to serve the client submission plane on (empty = off)")
+	flag.StringVar(&cfg.decisionLog, "decision-log", "", "file rewritten each round with the admission decision log (shed/quarantine/abandon)")
+	flag.IntVar(&cfg.drainRounds, "drain-rounds", 3, "with -submit-listen, idle rounds with no resident or queued submissions before exiting")
 
-		obsDefaults = obs.OptionsFromEnv()
-		obsListen   = flag.String("obs-listen", obsDefaults.Listen, "address to serve /metrics, /statusz, /debug/trace, and pprof on (default GAVEL_OBS_LISTEN; empty = off)")
-		obsTrace    = flag.String("obs-trace", obsDefaults.TracePath, "JSONL span-log path (default GAVEL_OBS_TRACE; empty = ring buffer only)")
+	flag.StringVar(&cfg.telemetry.Listen, "obs-listen", cfg.telemetry.Listen, "address to serve /metrics, /statusz, /debug/trace, and pprof on (default GAVEL_OBS_LISTEN; empty = off)")
+	flag.StringVar(&cfg.telemetry.TracePath, "obs-trace", cfg.telemetry.TracePath, "JSONL span-log path (default GAVEL_OBS_TRACE; empty = ring buffer only)")
 
-		journal    = flag.String("journal", "", "coordinator write-ahead-log path (empty = not durable; an existing journal resumes the run)")
-		chaosSpec  = flag.String("chaos", "", "fault-injection spec, e.g. seed=42,drop=0.05,dup=0.01,delay=0.1,maxdelay=20ms,partition=40+10,crash=200")
-		rpcTimeout = flag.Duration("rpc-timeout", 0, "per-call shard RPC deadline (0 = GAVEL_RPC_TIMEOUT or default)")
-		rpcRetries = flag.Int("rpc-retries", -1, "transient-failure retries per shard call (-1 = GAVEL_RPC_RETRIES or default)")
-		rpcBackoff = flag.Duration("rpc-backoff", 0, "base retry backoff (0 = GAVEL_RPC_BACKOFF or default)")
-	)
+	flag.StringVar(&cfg.journal, "journal", "", "coordinator write-ahead-log path (empty = not durable; an existing journal resumes the run)")
+	flag.StringVar(&cfg.chaos, "chaos", "", "fault-injection spec, e.g. seed=42,drop=0.05,dup=0.01,delay=0.1,maxdelay=20ms,partition=40+10,crash=200")
+	flag.DurationVar(&cfg.rpc.Timeout, "rpc-timeout", cfg.rpc.Timeout, "per-call shard RPC deadline (default GAVEL_RPC_TIMEOUT; 0 = none)")
+	flag.IntVar(&cfg.rpc.Retries, "rpc-retries", cfg.rpc.Retries, "transient-failure retries per shard call (default GAVEL_RPC_RETRIES)")
+	flag.DurationVar(&cfg.rpc.Backoff, "rpc-backoff", cfg.rpc.Backoff, "base retry backoff (default GAVEL_RPC_BACKOFF)")
 	flag.Parse()
 
-	telemetry := obsDefaults
-	telemetry.Listen = *obsListen
-	telemetry.TracePath = *obsTrace
-
-	if *shards == "" {
-		if *submitListen != "" {
-			log.Fatalf("gavel-sched: -submit-listen requires coordinator mode (-shards)")
-		}
-		runStandalone(*listen, *jobs, *round, *steps, telemetry)
-		return
-	}
-	faults, err := chaos.ParseSpec(*chaosSpec)
-	if err != nil {
-		log.Fatalf("gavel-sched: %v", err)
-	}
-	pol := rpc.CallPolicyFromEnv()
-	if *rpcTimeout > 0 {
-		pol.Timeout = *rpcTimeout
-	}
-	if *rpcRetries >= 0 {
-		pol.Retries = *rpcRetries
-	}
-	if *rpcBackoff > 0 {
-		pol.Backoff = *rpcBackoff
-	}
-	cfg := coordinatorConfig{
-		listen:       *listen,
-		shardAddrs:   strings.Split(*shards, ","),
-		jobs:         *jobs,
-		round:        *round,
-		steps:        *steps,
-		policy:       *policyName,
-		gpus:         *gpus,
-		rebalance:    *rebalance,
-		realloc:      *realloc,
-		snapshot:     *snapshot,
-		journal:      *journal,
-		chaos:        faults,
-		rpcPolicy:    pol,
-		submitListen: *submitListen,
-		decisionLog:  *decisionLog,
-		drainRounds:  *drainRounds,
-		telemetry:    telemetry,
-	}
-	if err := runCoordinator(cfg); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, cfg); err != nil {
 		log.Fatalf("gavel-sched: %v", err)
 	}
 }
@@ -151,11 +136,12 @@ func parseCluster(s string) (cluster.Spec, error) {
 }
 
 // planSource leases the coordinator's merged round assignments to workers:
-// one queue of job IDs per accelerator type, refilled each round, popped per
-// lease request. It implements rpc.LeaseSource (called under the scheduler's
-// lock; it only takes its own).
+// one queue of job IDs per accelerator type, replaced after each round's seal,
+// popped per lease request. It implements rpc.LeaseSource (called under the
+// scheduler's lock; it only takes its own).
 type planSource struct {
 	mu    sync.Mutex
+	round int64 // the sealed round the queues came from
 	queue map[string][]int
 }
 
@@ -170,38 +156,16 @@ func (p *planSource) NextLease(_ int, accType, _ string) []int {
 	return []int{q[0]}
 }
 
-func (p *planSource) set(plan map[string][]int) {
+func (p *planSource) set(round int64, plan map[string][]int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.queue = plan
+	p.round, p.queue = round, plan
 }
 
-type coordinatorConfig struct {
-	listen     string
-	shardAddrs []string
-	jobs       int
-	round      float64
-	steps      float64
-	policy     string
-	gpus       string
-	rebalance  int
-	realloc    int
-	snapshot   int
-	journal    string
-	chaos      chaos.Config
-	rpcPolicy  rpc.CallPolicy
-
-	submitListen string
-	decisionLog  string
-	drainRounds  int
-
-	telemetry obs.Options
-}
-
-// runCoordinator drives remote shard daemons through the control plane and
-// leases the merged assignments to workers, round by round, until the
-// synthetic batch completes.
-func runCoordinator(cfg coordinatorConfig) error {
+// run drives the shards through the round protocol and leases each sealed
+// round's merged assignments to workers, until the synthetic batch completes
+// (and the submission plane has drained) or ctx is cancelled.
+func run(ctx context.Context, cfg config) error {
 	spec, err := parseCluster(cfg.gpus)
 	if err != nil {
 		return err
@@ -219,6 +183,10 @@ func runCoordinator(cfg coordinatorConfig) error {
 			return fmt.Errorf("accelerator type %q has no oracle throughputs (known: %v)", t.Name, workload.TypeNames)
 		}
 	}
+	faults, err := chaos.ParseSpec(cfg.chaos)
+	if err != nil {
+		return err
+	}
 
 	// The telemetry plane: one registry + trace ring shared by everything in
 	// this process — the coordinator, the lease plane, the retry layer, and
@@ -234,20 +202,28 @@ func runCoordinator(cfg coordinatorConfig) error {
 	if traceFile != nil {
 		defer traceFile.Close()
 	}
-	cfg.rpcPolicy.Obs = plane
+	cfg.rpc.Obs = plane
 
-	// Dial with the deadline only (it lives on the socket); retries and call
-	// metrics belong to the fault-plane stack's outer layer.
-	dial := rpc.CallPolicy{Timeout: cfg.rpcPolicy.Timeout}
-	clients := make([]rpc.ShardClient, len(cfg.shardAddrs))
-	var transports []*chaos.Transport
-	for i, addr := range cfg.shardAddrs {
-		c, err := rpc.DialShardWith(strings.TrimSpace(addr), dial)
-		if err != nil {
-			return fmt.Errorf("shard %s: %w", addr, err)
+	var clients []rpc.ShardClient
+	if cfg.shards == "" {
+		srv, c := rpc.NewLocalShard()
+		srv.SetObs(plane)
+		clients = []rpc.ShardClient{c}
+	} else {
+		// Dial with the deadline only (it lives on the socket); retries and
+		// call metrics belong to the fault-plane stack's outer layer.
+		for _, addr := range strings.Split(cfg.shards, ",") {
+			c, err := rpc.DialShardWith(strings.TrimSpace(addr), rpc.CallPolicy{Timeout: cfg.rpc.Timeout})
+			if err != nil {
+				return fmt.Errorf("shard %s: %w", addr, err)
+			}
+			clients = append(clients, c)
 		}
+	}
+	var transports []*chaos.Transport
+	for i, c := range clients {
 		var tr *chaos.Transport
-		if clients[i], tr = chaos.Stack(c, cfg.chaos, i, cfg.rpcPolicy); tr != nil {
+		if clients[i], tr = chaos.Stack(c, faults, i, cfg.rpc); tr != nil {
 			transports = append(transports, tr)
 		}
 	}
@@ -267,10 +243,6 @@ func runCoordinator(cfg coordinatorConfig) error {
 		return err
 	}
 	defer svc.Close()
-	// The loop counts sealed rounds (0 on a fresh start, the journal's last
-	// sealed round on a resume) and numbers the round it is building one past
-	// that — the numbering the Service's trace IDs follow.
-	startRound := int(svc.Round())
 	if svc.Resumed() {
 		log.Printf("gavel-sched: resumed from journal (round %d, %d jobs resident, %d recoveries so far)",
 			svc.Round(), svc.NumJobs(), svc.Recoveries())
@@ -278,8 +250,12 @@ func runCoordinator(cfg coordinatorConfig) error {
 
 	sched := rpc.NewScheduler(cfg.round)
 	sched.SetObs(plane)
-	plan := &planSource{}
-	sched.SetLeaseSource(plan)
+	leases := &planSource{}
+	if cfg.leases != nil {
+		sched.SetLeaseSource(cfg.leases(leases))
+	} else {
+		sched.SetLeaseSource(leases)
+	}
 	addr, err := sched.Serve(cfg.listen)
 	if err != nil {
 		return err
@@ -292,12 +268,21 @@ func runCoordinator(cfg coordinatorConfig) error {
 			obsSrv.AddStatus("tenants", svc.TenantStatusText)
 		}
 	}
-	log.Printf("gavel-sched: coordinator mode, protocol v%d, lease plane on %s, %d shards, policy %s",
+	log.Printf("gavel-sched: protocol v%d, lease plane on %s, %d shards, policy %s",
 		rpc.ProtocolVersion, addr, len(clients), cfg.policy)
 
 	// jobSteps is every lease-plane job's training length — the synthetic
 	// batch at cfg.steps plus each streamed submission at its declared length.
 	jobSteps := map[int]float64{}
+	// lease enters a streamed submission into the lease plane.
+	lease := func(si rpc.SubmissionInfo, how string) {
+		sched.Submit(rpc.JobSpec{
+			JobID: si.JobID, Name: si.Name, TotalSteps: si.TotalSteps,
+			ThroughputHint: hintFor(spec, si.Tput),
+		})
+		jobSteps[si.JobID] = si.TotalSteps
+		log.Printf("gavel-sched: %s submission job %d (%s/%s) -> shard %d", how, si.JobID, si.Tenant, si.Key, si.Shard)
+	}
 	if submission {
 		sub := rpc.NewSubmitServer(svc)
 		subAddr, err := sub.Serve(cfg.submitListen)
@@ -310,16 +295,9 @@ func runCoordinator(cfg coordinatorConfig) error {
 		// for every submission that was admitted when the coordinator died.
 		// Queued submissions stay queued and re-enter through AdmitPending.
 		for _, si := range svc.Submissions() {
-			if si.State != rpc.SubmissionAdmitted {
-				continue
+			if si.State == rpc.SubmissionAdmitted {
+				lease(si, "resumed (journal)")
 			}
-			sched.Submit(rpc.JobSpec{
-				JobID: si.JobID, Name: si.Name, TotalSteps: si.TotalSteps,
-				ThroughputHint: hintFor(spec, si.Tput),
-			})
-			jobSteps[si.JobID] = si.TotalSteps
-			log.Printf("gavel-sched: submission job %d (%s/%s) resumed on shard %d (journal)",
-				si.JobID, si.Tenant, si.Key, si.Shard)
 		}
 	}
 
@@ -327,7 +305,6 @@ func runCoordinator(cfg coordinatorConfig) error {
 	// need throughput rows over the spec's accelerator types.
 	zoo := workload.Zoo()
 	submitted := time.Now()
-	resident := map[int]bool{}
 	for i := 0; i < cfg.jobs; i++ {
 		model := zoo[(i*7)%len(zoo)]
 		hint := map[string]float64{}
@@ -340,33 +317,83 @@ func runCoordinator(cfg coordinatorConfig) error {
 		}
 		sched.Submit(rpc.JobSpec{JobID: i, Name: model.Name(), TotalSteps: cfg.steps, ThroughputHint: hint})
 		jobSteps[i] = cfg.steps
+		// A job already resident from the replayed journal keeps its placement
+		// and its shard's warm state (Admit is idempotent); only the lease
+		// plane's progress restarts, because leases are in-memory.
+		how := "->"
 		if svc.HasJob(i) {
-			// Already resident from the replayed journal; the lease plane's
-			// progress restarts (leases are in-memory) but the placement and
-			// the shard's warm state carry over.
-			resident[i] = true
-			log.Printf("gavel-sched: job %d (%s) already on shard %d (journal)", i, model.Name(), svc.JobShards()[i])
-			continue
+			how = "already on"
 		}
 		shard, err := svc.Admit(i, 1, tput)
 		if err != nil {
 			return fmt.Errorf("admit job %d: %w", i, err)
 		}
-		resident[i] = true
-		log.Printf("gavel-sched: job %d (%s) -> shard %d", i, model.Name(), shard)
+		log.Printf("gavel-sched: job %d (%s) %s shard %d", i, model.Name(), how, shard)
 	}
 
-	info := func(id int) policy.JobInfo {
-		total := jobSteps[id]
-		return policy.JobInfo{
-			Weight:         1,
-			RemainingSteps: total - sched.Steps(id),
-			TotalSteps:     total,
-			Elapsed:        time.Since(submitted).Seconds(),
-			ArrivalSeq:     id,
+	// The daemon's side of the round protocol (rpc.RunRound owns the order).
+	// Arrivals come through the submission plane on its own goroutines, and
+	// with nothing resident a round still passes, so there is no Arrive or
+	// Idle; rows are pushed once, at admission, so there is no Refresh.
+	var rates []rpc.MeasuredSample
+	plan := &rpc.RoundPlan{
+		RoundSeconds:   cfg.round,
+		RebalanceEvery: cfg.rebalance,
+		ReallocEvery:   cfg.realloc,
+		SnapshotEvery:  cfg.snapshot,
+		Done:           sched.JobDone,
+		Info: func(id int) policy.JobInfo {
+			total := jobSteps[id]
+			return policy.JobInfo{
+				Weight:         1,
+				RemainingSteps: total - sched.Steps(id),
+				TotalSteps:     total,
+				Elapsed:        time.Since(submitted).Seconds(),
+				ArrivalSeq:     id,
+			}
+		},
+		// Newly admitted submissions enter the lease plane here — the journal
+		// already holds them, so a crash between admit and the seal replays to
+		// the same placement.
+		Admitted: func(ids []int) error {
+			for _, si := range svc.Submissions() {
+				for _, id := range ids {
+					if si.JobID == id {
+						lease(si, "admitted")
+					}
+				}
+			}
+			return nil
+		},
+		Migrated: func(migs []cluster.Migration, recovery bool) {
+			how := "rebalanced"
+			if recovery {
+				how = "recovered"
+				log.Printf("gavel-sched: shard daemon lost; recovered %d jobs onto survivors (warm from last snapshot)", len(migs))
+			}
+			for _, m := range migs {
+				log.Printf("gavel-sched: %s job %d: shard %d -> %d (warm basis shipped)", how, m.Job, m.From, m.To)
+			}
+		},
+	}
+	if submission {
+		// The workers' measured throughputs feed the trust review: what each
+		// job of the shard's allocation last achieved, keyed back to the
+		// cluster's accelerator-type indices (samples for the synthetic batch
+		// are dropped by the coordinator: it reviews submissions only).
+		plan.Progress = func(sh rpc.ShardRound) (bool, []rpc.PairObservation, []rpc.MeasuredSample) {
+			rates = rates[:0]
+			for _, id := range sh.IDs {
+				measured := sched.Measured(id)
+				for t, at := range spec.Types {
+					if rate := measured[at.Name]; rate > 0 {
+						rates = append(rates, rpc.MeasuredSample{JobID: id, Type: t, Rate: rate})
+					}
+				}
+			}
+			return false, nil, rates
 		}
 	}
-	done := func(id int) bool { return sched.JobDone(id) }
 
 	// drained counts consecutive rounds the submission plane was idle (no
 	// queued or resident submissions); the coordinator exits once the
@@ -374,95 +401,26 @@ func runCoordinator(cfg coordinatorConfig) error {
 	// rounds. loggedDecisions marks how much of the decision log has been
 	// printed already.
 	drained, loggedDecisions := 0, 0
-
-	for r := startRound; ; r++ {
-		// Retire completed jobs from the shards.
+	for {
 		completed := 0
-		for id := range resident {
-			if !sched.JobDone(id) {
-				continue
-			}
-			if err := svc.Remove(id); err != nil {
-				return err
-			}
-			delete(resident, id)
-		}
 		for i := 0; i < cfg.jobs; i++ {
 			if sched.JobDone(i) {
 				completed++
 			}
 		}
-		log.Printf("gavel-sched: round %d, %d/%d jobs complete", r, completed, cfg.jobs)
+		log.Printf("gavel-sched: round %d, %d/%d jobs complete", svc.Round(), completed, cfg.jobs)
 		if completed == cfg.jobs && (!submission || drained >= cfg.drainRounds) {
 			break
 		}
-
-		if submission {
-			// Retire completed streamed jobs, sweep abandoned tenants, then
-			// admit from the ingress queue under the round's quota budget.
-			// Newly admitted submissions enter the lease plane here — the
-			// journal already holds them, so a crash between admit and
-			// EndRound replays to the same placement.
-			for _, si := range svc.Submissions() {
-				if si.State == rpc.SubmissionAdmitted && sched.JobDone(si.JobID) {
-					if err := svc.Remove(si.JobID); err != nil {
-						return err
-					}
-					log.Printf("gavel-sched: submission job %d (%s/%s) complete", si.JobID, si.Tenant, si.Key)
-				}
-			}
-			if err := svc.ExpireAbandoned(int64(r)); err != nil {
-				return err
-			}
-			admitted, err := svc.AdmitPending(int64(r))
-			if err != nil {
-				return err
-			}
-			if len(admitted) > 0 {
-				byID := map[int]rpc.SubmissionInfo{}
-				for _, si := range svc.Submissions() {
-					byID[si.JobID] = si
-				}
-				for _, id := range admitted {
-					si := byID[id]
-					sched.Submit(rpc.JobSpec{
-						JobID: id, Name: si.Name, TotalSteps: si.TotalSteps,
-						ThroughputHint: hintFor(spec, si.Tput),
-					})
-					jobSteps[id] = si.TotalSteps
-					log.Printf("gavel-sched: admitted submission job %d (%s/%s) -> shard %d",
-						id, si.Tenant, si.Key, si.Shard)
-				}
-			}
-		}
-
-		if cfg.rebalance > 0 && r > 0 && r%cfg.rebalance == 0 {
-			migs, err := svc.Rebalance()
-			if err != nil {
-				return err
-			}
-			for _, m := range migs {
-				log.Printf("gavel-sched: rebalanced job %d: shard %d -> %d (warm basis shipped)", m.Job, m.From, m.To)
-			}
-		}
-		if cfg.realloc > 0 && r > 0 && r%cfg.realloc == 0 {
-			for k := 0; k < svc.NumShards(); k++ {
-				if err := svc.MarkDirty(k); err != nil {
-					return err
-				}
-			}
-		}
-
-		if err := svc.AllocateAll(int64(r)+1, info, false); err != nil {
-			return err
-		}
-		perShard, err := svc.AssignRound(int64(r)+1, cfg.round, done)
+		out, err := svc.RunRound(plan)
 		if err != nil {
 			return err
 		}
-		// Merge the shards' assignments into per-type lease queues.
+		// The round is sealed — with -journal, fsynced: the point a killed
+		// coordinator replays back to. Only now may its effects leave the
+		// process: merge the shards' assignments into per-type lease queues.
 		queues := map[string][]int{}
-		for k, assigns := range perShard {
+		for k, assigns := range out.Assigns {
 			alloc, ids := svc.Alloc(k)
 			if alloc == nil {
 				continue
@@ -474,45 +432,13 @@ func runCoordinator(cfg coordinatorConfig) error {
 				}
 			}
 		}
-		plan.set(queues)
+		leases.set(svc.Round(), queues)
 
-		if cfg.snapshot > 0 && r%cfg.snapshot == 0 {
-			if err := svc.SnapshotAll(); err != nil {
-				return err
-			}
-		}
-		if svc.AnyDown() {
-			migs, err := svc.Recover()
-			if err != nil {
-				return err
-			}
-			log.Printf("gavel-sched: shard daemon lost; recovered %d jobs onto survivors (warm from last snapshot)", len(migs))
-			for _, m := range migs {
-				log.Printf("gavel-sched: recovered job %d: shard %d -> %d", m.Job, m.From, m.To)
-			}
-		}
 		if submission {
-			// Feed the workers' measured throughputs into the trust review:
-			// what each streamed job actually achieved this round, keyed back
-			// to the cluster's accelerator-type indices.
 			outstanding := 0
 			for _, si := range svc.Submissions() {
-				switch si.State {
-				case rpc.SubmissionQueued:
+				if si.State == rpc.SubmissionQueued || si.State == rpc.SubmissionAdmitted {
 					outstanding++
-					continue
-				case rpc.SubmissionAdmitted:
-					outstanding++
-				default:
-					continue
-				}
-				measured := sched.Measured(si.JobID)
-				for t, at := range spec.Types {
-					if rate, ok := measured[at.Name]; ok && rate > 0 {
-						if err := svc.ObserveMeasured(si.JobID, t, rate); err != nil {
-							return err
-						}
-					}
 				}
 			}
 			if outstanding == 0 {
@@ -520,15 +446,6 @@ func runCoordinator(cfg coordinatorConfig) error {
 			} else {
 				drained = 0
 			}
-		}
-
-		// Seal the round: with -journal this fsyncs the round's records, the
-		// point a killed coordinator replays back to.
-		if err := svc.EndRound(int64(r) + 1); err != nil {
-			return err
-		}
-
-		if submission {
 			decisions := svc.Decisions()
 			for _, d := range decisions[loggedDecisions:] {
 				log.Printf("gavel-sched: admission decision round=%d action=%s tenant=%s key=%s detail=%q",
@@ -542,7 +459,17 @@ func runCoordinator(cfg coordinatorConfig) error {
 			}
 		}
 
-		time.Sleep(time.Duration(cfg.round * float64(time.Second)))
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Duration(cfg.round * float64(time.Second))):
+		}
+	}
+	// The loop exits as the last job completes, before the next round's
+	// retire would remove it: resolve the stragglers so the journal and the
+	// tenant accounting are terminal.
+	if err := svc.Retire(plan.Done); err != nil {
+		return err
 	}
 
 	stats, err := svc.Stats()
@@ -602,63 +529,4 @@ func writeDecisionLog(path string, decisions []rpc.AdmissionDecision) error {
 			d.Round, d.Action, d.Tenant, d.Key, d.Detail)
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// runStandalone is the single-process mode: the lease plane alone, leasing
-// by least attained service.
-func runStandalone(listen string, jobs int, round, steps float64, telemetry obs.Options) {
-	sched := rpc.NewScheduler(round)
-	plane, obsSrv, traceFile, err := telemetry.Build()
-	if err != nil {
-		log.Fatalf("gavel-sched: %v", err)
-	}
-	sched.SetObs(plane)
-	if obsSrv != nil {
-		obsSrv.AddStatus("leases", sched.StatusText)
-		defer obsSrv.Close()
-		log.Printf("gavel-sched: telemetry on %s", obsSrv.Addr())
-	}
-	if traceFile != nil {
-		defer traceFile.Close()
-	}
-	addr, err := sched.Serve(listen)
-	if err != nil {
-		log.Fatalf("gavel-sched: %v", err)
-	}
-	defer sched.Close()
-	log.Printf("gavel-sched: standalone mode, protocol v%d, serving on %s, %d jobs, %gs rounds",
-		rpc.ProtocolVersion, addr, jobs, round)
-
-	zoo := workload.Zoo()
-	for i := 0; i < jobs; i++ {
-		cfg := zoo[(i*7)%len(zoo)]
-		hint := map[string]float64{}
-		for t, name := range workload.TypeNames {
-			if workload.Fits(cfg, t) {
-				hint[name] = workload.Throughput(cfg, t)
-			}
-		}
-		sched.Submit(rpc.JobSpec{
-			JobID:          i,
-			Name:           cfg.Name(),
-			TotalSteps:     steps,
-			ThroughputHint: hint,
-		})
-		log.Printf("gavel-sched: submitted job %d (%s, %.0f steps)", i, cfg.Name(), steps)
-	}
-
-	for {
-		done := 0
-		for i := 0; i < jobs; i++ {
-			if sched.JobDone(i) {
-				done++
-			}
-		}
-		fmt.Printf("gavel-sched: %d/%d jobs complete\n", done, jobs)
-		if done == jobs {
-			log.Printf("gavel-sched: batch complete")
-			return
-		}
-		time.Sleep(time.Duration(round) * time.Second / 2)
-	}
 }

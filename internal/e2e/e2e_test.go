@@ -156,52 +156,43 @@ func TestMultiProcessMatchesLocal(t *testing.T) {
 	}
 }
 
-// restartDriver drives one manual coordinator round against a Service over
-// live daemon processes: admissions (two jobs at rounds 0..2, one at round 5),
-// a dirty sweep every third round, allocation, round assignment, a snapshot
-// every other round, and the sealing EndRound. Returns the post-allocation
-// mirror fingerprint.
+// restartDriver runs the round protocol once against a Service over live
+// daemon processes that has sealed r rounds: admissions keyed on r (two jobs
+// at r = 0..2, one at r = 5), a forced reallocation of any shard three rounds
+// past its last one, a snapshot every other round. Returns the
+// post-allocation mirror fingerprint.
 func restartDriver(t *testing.T, svc *rpc.Service, r int) string {
 	t.Helper()
-	tput := func(id int) []float64 {
-		return []float64{1 + float64(id%5)*0.25, 0.5 + float64(id%3)*0.125}
+	if svc.Round() != int64(r) {
+		t.Fatalf("service has sealed %d rounds, driver expected %d", svc.Round(), r)
 	}
-	info := func(id int) policy.JobInfo {
-		return policy.JobInfo{Weight: 1, RemainingSteps: 1000 + float64(id), TotalSteps: 2000, ArrivalSeq: id}
+	admit := func(id, sf int) error {
+		_, err := svc.Admit(id, sf, []float64{1 + float64(id%5)*0.25, 0.5 + float64(id%3)*0.125})
+		return err
 	}
-	switch {
-	case r < 3:
-		for i := 0; i < 2; i++ {
-			id := r*2 + i
-			if _, err := svc.Admit(id, 1+id%2, tput(id)); err != nil {
-				t.Fatalf("round %d: admit %d: %v", r, id, err)
+	_, err := svc.RunRound(&rpc.RoundPlan{
+		RoundSeconds:  10,
+		ReallocEvery:  3,
+		SnapshotEvery: 2,
+		Done:          func(int) bool { return false },
+		Info: func(id int) policy.JobInfo {
+			return policy.JobInfo{Weight: 1, RemainingSteps: 1000 + float64(id), TotalSteps: 2000, ArrivalSeq: id}
+		},
+		Arrive: func() error {
+			switch {
+			case r < 3:
+				if err := admit(r*2, 1); err != nil {
+					return err
+				}
+				return admit(r*2+1, 2)
+			case r == 5:
+				return admit(11, 1)
 			}
-		}
-	case r == 5:
-		if _, err := svc.Admit(11, 1, tput(11)); err != nil {
-			t.Fatalf("round %d: admit: %v", r, err)
-		}
-	}
-	if r > 0 && r%3 == 0 {
-		for k := 0; k < svc.NumShards(); k++ {
-			if err := svc.MarkDirty(k); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := svc.AllocateAll(int64(r), info, false); err != nil {
-		t.Fatalf("round %d: AllocateAll: %v", r, err)
-	}
-	if _, err := svc.AssignRound(int64(r), 10, nil); err != nil {
-		t.Fatalf("round %d: AssignRound: %v", r, err)
-	}
-	if r%2 == 0 {
-		if err := svc.SnapshotAll(); err != nil {
-			t.Fatalf("round %d: SnapshotAll: %v", r, err)
-		}
-	}
-	if err := svc.EndRound(int64(r)); err != nil {
-		t.Fatalf("round %d: EndRound: %v", r, err)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("round %d: %v", r+1, err)
 	}
 	var s strings.Builder
 	for k := 0; k < svc.NumShards(); k++ {
@@ -261,7 +252,7 @@ func TestCoordinatorRestartReplaysJournal(t *testing.T) {
 		}
 	}
 
-	// Interrupted: same schedule, coordinator dies after sealing round 4.
+	// Interrupted: same schedule, coordinator dies after sealing round 5.
 	journal := t.TempDir() + "/crash.wal"
 	d0, d1 := startShardDaemon(t), startShardDaemon(t)
 	c0, c1 := dial(d0), dial(d1)
@@ -286,8 +277,8 @@ func TestCoordinatorRestartReplaysJournal(t *testing.T) {
 		t.Fatalf("restart over journal: %v", err)
 	}
 	defer resumed.Close()
-	if !resumed.Resumed() || resumed.Round() != 4 {
-		t.Fatalf("resumed=%v round=%d, want resumed at round 4", resumed.Resumed(), resumed.Round())
+	if !resumed.Resumed() || resumed.Round() != 5 {
+		t.Fatalf("resumed=%v round=%d, want resumed at round 5", resumed.Resumed(), resumed.Round())
 	}
 	for r := 5; r < rounds; r++ {
 		if got := restartDriver(t, resumed, r); got != want[r] {

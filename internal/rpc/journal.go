@@ -252,6 +252,29 @@ func openJournal(path string, apply func(i int, rec *journalRecord) error) (_ *j
 	return j, st, j.startEpoch()
 }
 
+// SealedRound reads the journal file at path without touching it and returns
+// the last round whose seal is on disk (0 before any): where a coordinator
+// started over the file now would resume, and the latest round whose effects
+// may have left the process.
+func SealedRound(path string) (sealed int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	_, err = readJournal(f, fi.Size(), func(_ int, rec *journalRecord) error {
+		if rec.Kind == recRound {
+			sealed = rec.Round
+		}
+		return nil
+	})
+	return sealed, err
+}
+
 // readJournal decodes the size-byte log in r until EOF or the first damaged
 // frame, handing each record to apply: rec is reused, what it points to is
 // not. It holds one payload buffer and one decoder at a time, never the log.

@@ -99,6 +99,11 @@ type shardMirror struct {
 	// SkipJobs): a client has consumed its arguments by the time it returns.
 	infos []policy.JobInfo
 	skip  []int
+	// RunRound's per-shard state: stale going into this round's allocation,
+	// and rounds since the last one (rebuilt on replay from recAlloc,
+	// recDegrade and recRound, so a resumed run keeps the realloc cadence).
+	fresh      bool
+	sinceAlloc int
 
 	seeds  []policy.Seed // last snapshot's warm seeds
 	status ShardStatus   // last known accounting (survives the daemon)
@@ -175,7 +180,7 @@ type Service struct {
 	globalInts []int
 	split      [][]int
 	shards     []*shardMirror
-	fan        []int // shard indices of the fan-out in progress (scratch)
+	fan        []int // scratch: shard indices of the fan-out in progress, or Retire's job IDs
 	shardOf    map[int]int
 	migrations int
 	rebalances int
@@ -359,7 +364,7 @@ func (s *Service) replay(i int, rec *journalRecord) error {
 		m.alloc = &core.Allocation{Units: al.Units, X: al.X}
 		m.allocIDs = al.IDs
 		m.dirty = false
-		m.staleRounds = 0
+		m.staleRounds, m.sinceAlloc = 0, 0
 	case recSnapshot:
 		sn := rec.Snapshot
 		if sn == nil || bad(sn.Shard) {
@@ -377,8 +382,14 @@ func (s *Service) replay(i int, rec *journalRecord) error {
 		m := s.shards[rec.Shard]
 		m.staleRounds++
 		m.staleAllocs++
+		m.sinceAlloc = 0
 	case recRound:
 		s.round = rec.Round
+		if len(s.shardOf) > 0 { // an empty round counts toward no cadence
+			for _, m := range s.shards {
+				m.sinceAlloc++
+			}
+		}
 		if rec.Degraded {
 			s.degradedRounds++
 		}
@@ -471,6 +482,7 @@ func (s *Service) reconcile() error {
 				}
 				break
 			}
+			m.dirty = true // a bare daemon lost its allocation with its jobs
 		}
 		if m.down {
 			continue
@@ -879,6 +891,24 @@ func (s *Service) Remove(id int) error {
 	}
 	s.applyRemove(k, id)
 	return s.record(&journalRecord{Kind: recRemove, Remove: &journalRemove{Shard: k, JobID: id}})
+}
+
+// Retire removes every finished job: shards ascending, admission order within.
+func (s *Service) Retire(done func(id int) bool) error {
+	s.fan = s.fan[:0] // Remove fans nothing out, so the scratch is free
+	for _, m := range s.shards {
+		for _, id := range m.jobs {
+			if done(id) {
+				s.fan = append(s.fan, id)
+			}
+		}
+	}
+	for _, id := range s.fan {
+		if err := s.Remove(id); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // migrate moves one resident job between live shards, carrying the source's

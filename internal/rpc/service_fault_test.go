@@ -60,47 +60,42 @@ func allocFingerprint(svc *Service) string {
 	return s
 }
 
-// driveRound runs one manual coordinator round r against svc: admissions for
-// r (two jobs land at rounds 0..2, one more at rounds 5 and 7), a dirty-mark
-// sweep every third round, allocation, round assignment, a snapshot every
-// other round, and the sealing EndRound. Returns the post-allocation
-// fingerprint.
+// driveRound runs the round protocol once against svc, which must have sealed
+// exactly r rounds (so the round built is r+1, on a fresh and on a resumed
+// service alike): admissions keyed on r (two jobs land at r = 0..2, one more
+// at r = 5 and 7), a forced reallocation of any shard that has gone three
+// rounds without one, a snapshot every other round. Returns the
+// post-allocation fingerprint.
 func driveRound(t *testing.T, svc *Service, r int) string {
 	t.Helper()
-	switch {
-	case r < 3:
-		for i := 0; i < 2; i++ {
-			id := r*2 + i
-			if _, err := svc.Admit(id, 1+id%2, testTput(id)); err != nil {
-				t.Fatalf("round %d: admit %d: %v", r, id, err)
+	if svc.Round() != int64(r) {
+		t.Fatalf("service has sealed %d rounds, driver expected %d", svc.Round(), r)
+	}
+	admit := func(id, sf int) error {
+		_, err := svc.Admit(id, sf, testTput(id))
+		return err
+	}
+	_, err := svc.RunRound(&RoundPlan{
+		RoundSeconds:  10,
+		ReallocEvery:  3,
+		SnapshotEvery: 2,
+		Done:          func(int) bool { return false },
+		Info:          testJobInfo,
+		Arrive: func() error {
+			switch {
+			case r < 3:
+				if err := admit(r*2, 1); err != nil {
+					return err
+				}
+				return admit(r*2+1, 2)
+			case r == 5 || r == 7:
+				return admit(6+r, 1)
 			}
-		}
-	case r == 5 || r == 7:
-		id := 6 + r
-		if _, err := svc.Admit(id, 1, testTput(id)); err != nil {
-			t.Fatalf("round %d: admit %d: %v", r, id, err)
-		}
-	}
-	if r > 0 && r%3 == 0 {
-		for k := 0; k < svc.NumShards(); k++ {
-			if err := svc.MarkDirty(k); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := svc.AllocateAll(int64(r), testJobInfo, false); err != nil {
-		t.Fatalf("round %d: AllocateAll: %v", r, err)
-	}
-	if _, err := svc.AssignRound(int64(r), 10, nil); err != nil {
-		t.Fatalf("round %d: AssignRound: %v", r, err)
-	}
-	if r%2 == 0 {
-		if err := svc.SnapshotAll(); err != nil {
-			t.Fatalf("round %d: SnapshotAll: %v", r, err)
-		}
-	}
-	if err := svc.EndRound(int64(r)); err != nil {
-		t.Fatalf("round %d: EndRound: %v", r, err)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("round %d: %v", r+1, err)
 	}
 	return allocFingerprint(svc)
 }
@@ -159,8 +154,8 @@ func TestServiceRestartReplaysByteIdentical(t *testing.T) {
 	if !resumed.Resumed() {
 		t.Fatal("restarted service did not detect the journal")
 	}
-	if resumed.Round() != 5 {
-		t.Fatalf("resumed at round %d, want 5", resumed.Round())
+	if resumed.Round() != 6 {
+		t.Fatalf("resumed at round %d, want 6", resumed.Round())
 	}
 	if got := allocFingerprint(resumed); got != want[5] {
 		t.Fatalf("replayed mirror allocation differs from pre-crash state:\n got %s\nwant %s", got, want[5])
@@ -554,12 +549,16 @@ func ingressFingerprint(svc *Service) string {
 		svc.Submissions(), svc.TenantStats(), svc.Decisions())
 }
 
-// driveSubmitRound runs one coordinator round with the submission plane in
-// the loop: scripted submissions and a withdrawal land by round, the queue
-// drains under the token bucket, admitted jobs get measured samples, and the
-// round seals. Identical in the reference and crash runs.
+// driveSubmitRound runs the round protocol once with the submission plane in
+// the loop, against a svc that has sealed r rounds: scripted submissions and a
+// withdrawal land by r, the queue drains under the token bucket, admitted jobs
+// get measured samples, and the round seals. Identical in the reference and
+// crash runs.
 func driveSubmitRound(t *testing.T, svc *Service, r int) string {
 	t.Helper()
+	if svc.Round() != int64(r) {
+		t.Fatalf("service has sealed %d rounds, driver expected %d", svc.Round(), r)
+	}
 	submitAt := map[int][]SubmitArgs{
 		0: {
 			{Tenant: "a", Key: "k0", Name: "m0", TotalSteps: 900, ScaleFactor: 1, Tput: testTput(0)},
@@ -571,42 +570,35 @@ func driveSubmitRound(t *testing.T, svc *Service, r int) string {
 			{Tenant: "b", Key: "k1", Name: "m4", TotalSteps: 900, ScaleFactor: 1, Tput: testTput(4)},
 		},
 	}
-	for _, a := range submitAt[r] {
-		if _, err := svc.Submit(a); err != nil {
-			t.Fatalf("round %d: submit %s/%s: %v", r, a.Tenant, a.Key, err)
-		}
-	}
-	if r == 2 {
-		if _, err := svc.Withdraw(WithdrawArgs{Tenant: "a", Key: "k2"}); err != nil {
-			t.Fatalf("round %d: withdraw: %v", r, err)
-		}
-	}
-	if err := svc.ExpireAbandoned(int64(r)); err != nil {
-		t.Fatalf("round %d: ExpireAbandoned: %v", r, err)
-	}
-	if _, err := svc.AdmitPending(int64(r)); err != nil {
-		t.Fatalf("round %d: AdmitPending: %v", r, err)
-	}
-	if err := svc.AllocateAll(int64(r), testJobInfo, false); err != nil {
-		t.Fatalf("round %d: AllocateAll: %v", r, err)
-	}
-	if _, err := svc.AssignRound(int64(r), 10, nil); err != nil {
-		t.Fatalf("round %d: AssignRound: %v", r, err)
-	}
-	for _, si := range svc.Submissions() {
-		if si.State == SubmissionAdmitted {
-			if err := svc.ObserveMeasured(si.JobID, 0, 0.5+float64(si.JobID%3)*0.25); err != nil {
-				t.Fatalf("round %d: ObserveMeasured(%d): %v", r, si.JobID, err)
+	var rates []MeasuredSample
+	_, err := svc.RunRound(&RoundPlan{
+		RoundSeconds:  10,
+		SnapshotEvery: 2,
+		Done:          func(int) bool { return false },
+		Info:          testJobInfo,
+		Arrive: func() error {
+			for _, a := range submitAt[r] {
+				if _, err := svc.Submit(a); err != nil {
+					return fmt.Errorf("submit %s/%s: %w", a.Tenant, a.Key, err)
+				}
 			}
-		}
-	}
-	if r%2 == 0 {
-		if err := svc.SnapshotAll(); err != nil {
-			t.Fatalf("round %d: SnapshotAll: %v", r, err)
-		}
-	}
-	if err := svc.EndRound(int64(r)); err != nil {
-		t.Fatalf("round %d: EndRound: %v", r, err)
+			if r == 2 {
+				if _, err := svc.Withdraw(WithdrawArgs{Tenant: "a", Key: "k2"}); err != nil {
+					return fmt.Errorf("withdraw: %w", err)
+				}
+			}
+			return nil
+		},
+		Progress: func(sh ShardRound) (bool, []PairObservation, []MeasuredSample) {
+			rates = rates[:0]
+			for _, id := range sh.IDs {
+				rates = append(rates, MeasuredSample{JobID: id, Type: 0, Rate: 0.5 + float64(id%3)*0.25})
+			}
+			return false, nil, rates
+		},
+	})
+	if err != nil {
+		t.Fatalf("round %d: %v", r+1, err)
 	}
 	return allocFingerprint(svc) + ingressFingerprint(svc)
 }

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"gavel/internal/chaos"
+	"gavel/internal/cluster"
 	"gavel/internal/policy"
 	"gavel/internal/rpc"
-	"gavel/internal/scheduler"
 	"gavel/internal/workload"
 )
 
@@ -31,12 +30,7 @@ type batchObserver struct {
 	wire    func(int) int // trace job ID -> coordinator job ID
 	measure bool
 	obs     []rpc.PairObservation
-	meas    []measuredSample
-}
-
-type measuredSample struct {
-	id, typ int
-	rate    float64
+	meas    []rpc.MeasuredSample
 }
 
 func (b *batchObserver) reset() { b.obs, b.meas = b.obs[:0], b.meas[:0] }
@@ -47,13 +41,14 @@ func (b *batchObserver) observePair(aID, bID, typ int, ta, tb float64) {
 
 func (b *batchObserver) observeJob(id, typ int, rate float64) {
 	if b.measure {
-		b.meas = append(b.meas, measuredSample{id: b.wire(id), typ: typ, rate: rate})
+		b.meas = append(b.meas, rpc.MeasuredSample{JobID: b.wire(id), Type: typ, Rate: rate})
 	}
 }
 
-// Run executes the simulation — on the one round loop there is: an rpc.Service
-// coordinating K shards (the default Config is K = 1: one in-memory shard
-// owning the whole cluster), jobs and devices partitioned, each shard with
+// Run executes the simulation as a caller of the one round protocol there is
+// (rpc.Service.RunRound, which owns the order of a round's steps): an
+// rpc.Service coordinating K shards (the default Config is K = 1: one in-memory
+// shard owning the whole cluster), jobs and devices partitioned, each shard with
 // its own solve context, throughput cache, and round mechanism behind its
 // ShardClient. Per round, every stale shard recomputes its allocation and
 // every shard runs its mechanism concurrently; arrivals, departures,
@@ -232,22 +227,6 @@ func Run(cfg Config) (*Result, error) {
 		return svc.Observe(k, batch.obs)
 	}
 
-	allocStates := make([][]int, numShards) // per shard: state indices parallel to AllocIDs
-	shardRounds := make([]int, numShards)   // rounds since the shard's last allocation
-	reallocated := make([]bool, numShards)
-
-	// retire removes shard k's finished jobs from the service.
-	retire := func(k int) error {
-		for _, id := range svc.ShardJobs(k) {
-			if states[stateOf[id]].done {
-				if err := svc.Remove(id); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
 	// Submission-plane bookkeeping: trace jobs submitted but not yet
 	// admitted (keyed by coordinator job ID), and submissions refused with
 	// CodeOverload, resubmitted next round — the simulator's stand-in for a
@@ -299,42 +278,45 @@ func Run(cfg Config) (*Result, error) {
 
 	now := 0.0
 	nextArrival := 0
+	allocStates := make([][]int, numShards) // per shard: state indices parallel to the allocation's IDs
 
-	for e.completed < len(trace) && now < e.maxSec {
-		// Retire finished jobs. Only stale shards can hold one: a finishing
-		// job marks its shard dirty.
-		for k := 0; k < numShards; k++ {
-			if svc.IsDirty(k) {
-				if err := retire(k); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// Admit arrivals up to now: directly through the coordinator's
-		// router, or — under the submission plane — streamed as tenant
-		// submissions that the AdmitPending pass below admits under the
-		// per-tenant quotas.
-		if admission {
+	// The simulator's side of the round protocol (rpc.RunRound owns the order).
+	plan := &rpc.RoundPlan{
+		RoundSeconds:   e.round,
+		RebalanceEvery: cfg.RebalanceEveryRounds,
+		ReallocEvery:   cfg.ReallocEveryRounds,
+		Ideal:          cfg.IdealExecution,
+		Done:           func(id int) bool { return states[stateOf[id]].done },
+		Info:           func(id int) policy.JobInfo { return states[stateOf[id]].jobInfo(now) },
+		// Arrivals up to now: directly through the coordinator's router, or —
+		// under the submission plane — streamed as tenant submissions
+		// (backpressured ones first) for the driver's AdmitPending pass to
+		// admit under the per-tenant quotas.
+		Arrive: func() error {
 			retry := deferred
 			deferred = nil
 			for _, si := range retry {
 				if err := submit(si); err != nil {
-					return nil, err
+					return err
 				}
 			}
-			for nextArrival < len(trace) && trace[nextArrival].Arrival <= now {
-				if err := submit(nextArrival); err != nil {
-					return nil, err
+			for ; nextArrival < len(trace) && trace[nextArrival].Arrival <= now; nextArrival++ {
+				if admission {
+					if err := submit(nextArrival); err != nil {
+						return err
+					}
+					continue
 				}
-				nextArrival++
+				st := states[nextArrival]
+				st.arrivalN = svc.NumJobs() + 1
+				stateOf[st.job.ID] = nextArrival
+				if _, err := svc.Admit(st.job.ID, st.job.ScaleFactor, e.isolatedRow(st.job)); err != nil {
+					return err
+				}
 			}
-			if err := svc.ExpireAbandoned(int64(res.Rounds)); err != nil {
-				return nil, err
-			}
-			admitted, err := svc.AdmitPending(int64(res.Rounds))
-			if err != nil {
-				return nil, err
-			}
+			return nil
+		},
+		Admitted: func(admitted []int) error {
 			base := svc.NumJobs() - len(admitted)
 			for i, id := range admitted {
 				states[stateOf[id]].arrivalN = base + i + 1
@@ -352,188 +334,80 @@ func Run(cfg Config) (*Result, error) {
 				j := states[pending[id]].job
 				rep, err := svc.Poll(rpc.PollArgs{Tenant: tenantName(j), Key: submitKey(j)})
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if rep.State == rpc.SubmissionRejected || rep.State == rpc.SubmissionWithdrawn {
 					delete(pending, id)
 				}
 			}
-		} else {
-			for nextArrival < len(trace) && trace[nextArrival].Arrival <= now {
-				st := states[nextArrival]
-				st.arrivalN = svc.NumJobs() + 1
-				stateOf[st.job.ID] = nextArrival
-				if _, err := svc.Admit(st.job.ID, st.job.ScaleFactor, e.isolatedRow(st.job)); err != nil {
-					return nil, err
-				}
-				nextArrival++
-			}
-		}
-		if svc.NumJobs() == 0 {
-			if len(pending) == 0 && len(deferred) == 0 {
-				// Fast-forward to the next arrival boundary.
-				if nextArrival >= len(trace) {
-					break
-				}
-				steps := math.Ceil((trace[nextArrival].Arrival - now) / e.round)
-				if steps < 1 {
-					steps = 1
-				}
-				now += steps * e.round
-				continue
-			}
-			// Nothing resident but submissions are waiting on quota or
-			// backpressure: advance one full round so tokens refill and the
-			// deferred resubmissions fire.
-			now += e.round
-			res.Rounds++
-			if err := svc.EndRound(int64(res.Rounds)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-
-		// Periodic rebalance: migrate jobs from the most to the least
-		// loaded shard; their warm LP bases travel in the Extract/Install
-		// payloads. A migration is a physical placement change.
-		if cfg.RebalanceEveryRounds > 0 && res.Rounds > 0 && res.Rounds%cfg.RebalanceEveryRounds == 0 {
-			migs, err := svc.Rebalance()
-			if err != nil {
-				return nil, err
-			}
+			return nil
+		},
+		// Nothing resident: with a submission waiting on quota or backpressure
+		// a full round passes (tokens refill, deferred resubmissions fire);
+		// with none the loop below fast-forwards and no round is counted.
+		Idle: func() bool { return len(pending) == 0 && len(deferred) == 0 },
+		// A migration is a physical placement change.
+		Migrated: func(migs []cluster.Migration, _ bool) {
 			for _, m := range migs {
 				states[stateOf[m.Job]].forgetPlacement()
 			}
-		}
-
-		// Recompute every stale shard's allocation concurrently. The round
-		// being built is the one after the last sealed: res.Rounds+1.
-		building := int64(res.Rounds) + 1
-		info := func(id int) policy.JobInfo { return states[stateOf[id]].jobInfo(now) }
-		anyStale := false
-		for k := range reallocated {
-			alloc, _ := svc.Alloc(k)
-			reallocated[k] = svc.IsDirty(k) || alloc == nil
-			anyStale = anyStale || reallocated[k]
-			if reallocated[k] && !stable && !svc.Down(k) {
-				if err := refreshRows(k); err != nil {
-					return nil, err
+		},
+		// Progress, cost, and completion of one shard's round. Ideal execution
+		// has no assignments: every job advances exactly per the allocation.
+		Progress: func(sh rpc.ShardRound) (finished bool, _ []rpc.PairObservation, _ []rpc.MeasuredSample) {
+			active := allocStates[sh.Shard]
+			if sh.Fresh {
+				active = active[:0]
+				for _, id := range sh.IDs {
+					active = append(active, stateOf[id])
 				}
+				allocStates[sh.Shard] = active
 			}
+			batch.reset()
+			if cfg.IdealExecution {
+				return e.advanceIdeal(active, sh.Alloc, now), nil, nil
+			}
+			if cfg.OnRound != nil {
+				cfg.OnRound(now, sh.Alloc, active, sh.Assigns)
+			}
+			finished = e.applyAssignments(batch, active, sh.Alloc, sh.Assigns, now)
+			return finished, batch.obs, batch.meas
+		},
+	}
+	if snapshots {
+		plan.SnapshotEvery = snapEvery
+	}
+	if !stable {
+		plan.Refresh = refreshRows
+	}
+
+	for e.completed < len(trace) && now < e.maxSec {
+		out, err := svc.RunRound(plan)
+		if err != nil {
+			return nil, err
+		}
+		if !out.Sealed {
+			// Fast-forward to the next arrival boundary.
+			if nextArrival >= len(trace) {
+				break
+			}
+			now += math.Max(1, math.Ceil((trace[nextArrival].Arrival-now)/e.round)) * e.round
+			continue
 		}
 		// PolicyTime is the wall-clock of the concurrent allocation phase —
 		// what a caller actually waits for — not the sum of per-shard solve
 		// times, which would overstate it by up to min(K, cores).
-		allocStart := time.Now()
-		if err := svc.AllocateAll(building, info, false); err != nil {
-			return nil, fmt.Errorf("policy %s: %w", cfg.Policy.Name(), err)
-		}
-		if anyStale {
-			res.PolicyTime += time.Since(allocStart)
-		}
-		for k, did := range reallocated {
-			if !did {
-				continue
-			}
-			_, ids := svc.Alloc(k)
-			shardRounds[k] = 0
-			allocStates[k] = allocStates[k][:0]
-			for _, id := range ids {
-				allocStates[k] = append(allocStates[k], stateOf[id])
-			}
-		}
-
-		// Round assignment fans out to the shards; the merge validates the
-		// per-shard and global budget invariants on the mirror. Progress,
-		// cost, and completion apply serially in shard order, with each
-		// shard's pair observations flushed back before the next shard.
-		// Ideal execution skips the mechanism: every job advances exactly per
-		// its shard's mirrored allocation.
-		var perShard [][]scheduler.Assignment
-		if !cfg.IdealExecution {
-			skip := func(id int) bool { return states[stateOf[id]].done }
-			if perShard, err = svc.AssignRound(building, e.round, skip); err != nil {
-				return nil, err
-			}
-		}
-		for k := 0; k < numShards; k++ {
-			alloc, _ := svc.Alloc(k)
-			if alloc == nil || len(alloc.Units) == 0 {
-				continue
-			}
-			batch.reset()
-			var finished bool
-			if cfg.IdealExecution {
-				finished = e.advanceIdeal(allocStates[k], alloc, now)
-			} else {
-				if cfg.OnRound != nil {
-					cfg.OnRound(now, alloc, allocStates[k], perShard[k])
-				}
-				finished = e.applyAssignments(batch, allocStates[k], alloc, perShard[k], now)
-			}
-			if finished {
-				if err := svc.MarkDirty(k); err != nil {
-					return nil, err
-				}
-			}
-			if err := svc.Observe(k, batch.obs); err != nil {
-				return nil, err
-			}
-			// Worker-measured isolated rates flow back to the trust review,
-			// journaled so a resumed coordinator re-derives the same EWMAs.
-			for _, ms := range batch.meas {
-				if err := svc.ObserveMeasured(ms.id, ms.typ, ms.rate); err != nil {
-					return nil, err
-				}
-			}
-		}
-
+		res.PolicyTime += out.PolicyTime
 		now += e.round
 		res.Rounds++
-		for k := range shardRounds {
-			shardRounds[k]++
-			if cfg.ReallocEveryRounds > 0 && shardRounds[k] >= cfg.ReallocEveryRounds {
-				if err := svc.MarkDirty(k); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// Periodic recovery snapshot: pull every daemon's warm seeds and
-		// accounting. Read-only — results are unaffected by the cadence.
-		if snapshots && res.Rounds%snapEvery == 0 {
-			if err := svc.SnapshotAll(); err != nil {
-				return nil, err
-			}
-		}
-		// A daemon died this round (any call above marks it down on a
-		// transport failure): re-route its jobs onto the survivors with the
-		// last snapshot's seeds. The destinations turn dirty and reallocate
-		// next round — remapped solves, not cold ones.
-		if svc.AnyDown() {
-			migs, err := svc.Recover()
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range migs {
-				states[stateOf[m.Job]].forgetPlacement()
-			}
-		}
-		// Seal the round: the journal's fsync batch point. Without a journal
-		// this only advances the service's round counter.
-		if err := svc.EndRound(int64(res.Rounds)); err != nil {
-			return nil, err
-		}
 	}
 
 	// Final retire pass under the submission plane: the loop exits as the
-	// last job completes, before the next iteration's retire would remove it
-	// — resolve those submissions to Done so the tenant accounting is
-	// terminal.
+	// last job completes, before the next round's retire would remove it —
+	// resolve those submissions to Done so the tenant accounting is terminal.
 	if admission {
-		for k := 0; k < numShards; k++ {
-			if err := retire(k); err != nil {
-				return nil, err
-			}
+		if err := svc.Retire(plan.Done); err != nil {
+			return nil, err
 		}
 	}
 
