@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gavel/internal/core"
@@ -60,6 +61,13 @@ type Shard struct {
 
 	jobs   []int // resident job IDs in admission order (deterministic)
 	jobPos map[int]int
+
+	// Round scratch: unitJobIDs' result (valid until its next call) and
+	// AssignRound's masked allocation, whose masked rows share one read-only
+	// zero row. Both belong to the shard and never leave AssignRound.
+	unitIDs []int
+	masked  core.Allocation
+	zeroRow []float64
 }
 
 // NewShard builds an empty shard over the given per-type worker slice — one
@@ -80,6 +88,7 @@ func NewShard(index int, workerInts, perServer []int, prices []float64, ctx *pol
 		Cache:      core.NewThroughputCache(numTypes),
 		Mech:       scheduler.New(numTypes, perServer),
 		jobPos:     map[int]int{},
+		zeroRow:    make([]float64, numTypes),
 	}
 }
 
@@ -190,14 +199,14 @@ func (s *Shard) Allocate(pol policy.Policy, minGain float64, maxPairs int, info 
 	return nil
 }
 
-// unitJobIDs maps unit u's member positions to external job IDs.
+// unitJobIDs maps unit u's member positions to external job IDs, in a
+// buffer the next call overwrites.
 func (s *Shard) unitJobIDs(u int) []int {
-	members := s.Alloc.Units[u].Jobs
-	ids := make([]int, len(members))
-	for k, local := range members {
-		ids[k] = s.AllocIDs[local]
+	s.unitIDs = s.unitIDs[:0]
+	for _, local := range s.Alloc.Units[u].Jobs {
+		s.unitIDs = append(s.unitIDs, s.AllocIDs[local])
 	}
-	return ids
+	return s.unitIDs
 }
 
 // unitScaleFactor is the max member scale factor of unit u.
@@ -221,23 +230,15 @@ func (s *Shard) AssignRound(roundSeconds float64, skip func(id int) bool) ([]sch
 	}
 	alloc := s.Alloc
 	if skip != nil {
-		filtered := &core.Allocation{Units: alloc.Units, X: make([][]float64, len(alloc.X))}
-		numTypes := len(s.WorkerInts)
-		for u := range alloc.X {
-			masked := false
-			for _, local := range alloc.Units[u].Jobs {
-				if skip(s.AllocIDs[local]) {
-					masked = true
-					break
-				}
+		s.masked.Units = alloc.Units
+		s.masked.X = slices.Grow(s.masked.X[:0], len(alloc.X))
+		for u, row := range alloc.X {
+			if slices.ContainsFunc(alloc.Units[u].Jobs, func(local int) bool { return skip(s.AllocIDs[local]) }) {
+				row = s.zeroRow
 			}
-			if masked {
-				filtered.X[u] = make([]float64, numTypes)
-			} else {
-				filtered.X[u] = alloc.X[u]
-			}
+			s.masked.X = append(s.masked.X, row)
 		}
-		alloc = filtered
+		alloc = &s.masked
 	}
 	assigns, err := s.Mech.Assign(alloc, scheduler.Workers{Free: s.WorkerInts}, s.unitScaleFactor, s.unitJobIDs)
 	if err != nil {

@@ -404,13 +404,14 @@ func (pr *Program) Build(sense lp.Sense, units []Unit, scaleFactors []int, worke
 }
 
 // BuildHomogeneous lays out the skeleton of a Charnes-Cooper transformed
-// linear-fractional program (lp.Fractional) over the same columns and rows:
-// with y = t·X and t = 1/(denominator), every row a·X op b becomes
-// a·y − b·t op 0. The homogenizing column t (identity lp.CharnesCooperID)
-// follows the allocation columns, the skeleton rows carry their −b·t term,
-// and AddRow homogenizes every row a policy adds. The caller supplies the
-// numerator as the objective and closes the program with the normalization
-// row (AddNormalization); a solution's allocation is y/t (ExtractRatio).
+// linear-fractional program over the same columns and rows: with y = t·X
+// and t = 1/(denominator), every row a·X op b becomes a·y − b·t op 0. The
+// homogenizing column t (identity lp.CharnesCooperID, whose doc states the
+// transformation) follows the allocation columns, the skeleton rows carry
+// their −b·t term, and AddRow homogenizes every row a policy adds. The
+// caller supplies the numerator as the objective and closes the program with
+// the normalization row (AddNormalization); a solution's allocation is y/t
+// (ExtractRatio).
 func (pr *Program) BuildHomogeneous(sense lp.Sense, units []Unit, scaleFactors []int, workers []float64) {
 	pr.build(sense, units, scaleFactors, workers, true)
 }

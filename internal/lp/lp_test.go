@@ -288,30 +288,6 @@ func TestPropertyLPDualityGap(t *testing.T) {
 	}
 }
 
-func TestSolveFractional(t *testing.T) {
-	// maximize (2x + y) / (x + y + 1) s.t. x + y <= 4.
-	// At (4, 0): 8/5 = 1.6. Increasing x dominates, so optimum is 1.6.
-	f := &Fractional{
-		NumVars: 2,
-		Num:     []float64{2, 1},
-		Den:     []float64{1, 1},
-		DenC:    1,
-		Cons: []FractionalConstraint{
-			{Terms: []Term{{0, 1}, {1, 1}}, Op: LE, RHS: 4},
-		},
-	}
-	x, ratio, err := SolveFractional(f)
-	if err != nil {
-		t.Fatalf("SolveFractional: %v", err)
-	}
-	if !near(ratio, 1.6, 1e-6) {
-		t.Fatalf("ratio = %v, want 1.6", ratio)
-	}
-	if !near(x[0], 4, 1e-6) {
-		t.Fatalf("x = %v, want [4 0]", x)
-	}
-}
-
 // TestEmptyProblem covers the closed form of a problem without rows: every
 // variable rests at zero, unless a cost rewards growing one without limit.
 func TestEmptyProblem(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 //	       sum_u sum_j cost_j * X_uj
 //
 // a linear-fractional program solved exactly with the Charnes-Cooper
-// transformation (lp.Fractional), built directly on core.Program's
+// transformation (lp.CharnesCooperID), built directly on core.Program's
 // homogenized layout so it shares the reset path. Pair units are charged
 // once, so space sharing is not double-billed. With EnforceSLOs set, the
 // constraint throughput(m, X) >= steps_m / SLO_remaining_m is added for
@@ -75,7 +75,7 @@ func (p *MinCost) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, erro
 		sort.Slice(slos, func(a, b int) bool { return slos[a].tightness < slos[b].tightness })
 	}
 
-	// The Charnes-Cooper transformed LP (lp.Fractional documents the
+	// The Charnes-Cooper transformed LP (lp.CharnesCooperID documents the
 	// reduction), written straight onto the shared allocation layout: the
 	// program's columns are y = t·X over the usable (unit, type) pairs plus
 	// the homogenizing t, its skeleton the budget and capacity rows

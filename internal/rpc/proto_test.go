@@ -193,6 +193,65 @@ func TestTypedErrorsCrossTheWire(t *testing.T) {
 	}
 }
 
+// TestConfigureRefusesMalformedShape: a config whose per-server device count
+// is not positive, or whose worker slice holds a negative count, is refused
+// with CodeBadRequest over a real socket — either would otherwise panic the
+// daemon on its first round — and the same daemon then accepts a valid
+// config and assigns rounds, each skip mask replacing the last.
+func TestConfigureRefusesMalformedShape(t *testing.T) {
+	srv := NewShardServer()
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	c, err := DialShard(addr)
+	if err != nil {
+		t.Fatalf("DialShard: %v", err)
+	}
+	defer c.Close()
+
+	valid := ShardConfig{
+		WorkerInts: []int{2, 2, 2}, PerServer: []int{8, 8, 8}, Prices: []float64{3, 2, 1},
+		Policy: PolicySpec{Name: "max_min_fairness"},
+	}
+	for _, bad := range []ShardConfig{
+		{WorkerInts: []int{8, 8, 8}, PerServer: []int{8, 0, 8}},
+		{WorkerInts: []int{8, 8, 8}, PerServer: []int{8, -4, 8}},
+		{WorkerInts: []int{4, -1, 4}, PerServer: []int{8, 8, 8}},
+	} {
+		bad.Prices, bad.Policy = valid.Prices, valid.Policy
+		if err := c.Configure(bad); CodeOf(err) != CodeBadRequest {
+			t.Fatalf("Configure(%v / %v): err = %v (code %v), want CodeBadRequest", bad.WorkerInts, bad.PerServer, err, CodeOf(err))
+		}
+	}
+	if err := c.Configure(valid); err != nil {
+		t.Fatalf("valid Configure after refusals: %v", err)
+	}
+	for id := 0; id < 2; id++ {
+		if err := c.Install(InstallArgs{JobID: id, ScaleFactor: 1, Tput: []float64{1, 1, 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alloc, err := c.Allocate(AllocateArgs{Round: 1, Infos: []policy.JobInfo{{ID: 0, Weight: 1}, {ID: 1, Weight: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, skip := range [][]int{{0}, {1}} {
+		rep, err := c.AssignRound(AssignRoundArgs{Round: int64(round + 1), RoundSeconds: 360, SkipJobs: skip})
+		if err != nil {
+			t.Fatalf("round %d: %v", round+1, err)
+		}
+		ran := map[int]bool{}
+		for _, a := range rep.Assigns {
+			ran[alloc.IDs[alloc.Units[a.UnitIdx].Jobs[0]]] = true
+		}
+		if ran[skip[0]] || !ran[1-skip[0]] {
+			t.Fatalf("round %d, skipping job %d: ran %v", round+1, skip[0], ran)
+		}
+	}
+}
+
 // TestLeaseHandshakeRejectsUnversionedWorker: a v1 worker (no Version field,
 // decodes as 0) must be turned away at registration, not garbled later.
 func TestLeaseHandshakeRejectsUnversionedWorker(t *testing.T) {

@@ -41,6 +41,8 @@ type ShardServer struct {
 	lastAssignRound int64
 	lastAssign      AssignRoundReply
 
+	skipSet map[int]bool // AssignRound's skip mask, cleared and refilled per call
+
 	// Telemetry (SetObs). Server-side spans are recorded only on work that
 	// actually runs: a duplicated or retried Allocate/AssignRound hits the
 	// reply cache above and records a cache-hit counter, never a second
@@ -58,7 +60,7 @@ type ShardServer struct {
 const noRound = int64(-1) << 62
 
 // NewShardServer returns an unconfigured shard daemon engine.
-func NewShardServer() *ShardServer { return &ShardServer{} }
+func NewShardServer() *ShardServer { return &ShardServer{skipSet: map[int]bool{}} }
 
 // UsePolicy hands an in-memory shard server the policy instance to run, in
 // place of the one Configure would build from ShardConfig.Policy. It is how a
@@ -200,6 +202,16 @@ func (s *ShardServer) Configure(cfg ShardConfig, _ *Ack) error {
 	}
 	if len(cfg.WorkerInts) == 0 {
 		return Errorf(CodeBadRequest, "empty worker slice")
+	}
+	for j, w := range cfg.WorkerInts {
+		if w < 0 {
+			return Errorf(CodeBadRequest, "type %d has %d workers", j, w)
+		}
+	}
+	for j, per := range cfg.PerServer {
+		if per < 1 {
+			return Errorf(CodeBadRequest, "type %d has %d devices per server", j, per)
+		}
 	}
 	pol := s.pol // set by UsePolicy on an in-memory server
 	if pol == nil {
@@ -357,11 +369,11 @@ func (s *ShardServer) AssignRound(args AssignRoundArgs, reply *AssignRoundReply)
 	sp := s.tr.Begin(args.Trace, "shard.assign").OnShard(s.cfg.Index).AttrInt("skip", int64(len(args.SkipJobs)))
 	var skip func(id int) bool
 	if len(args.SkipJobs) > 0 {
-		set := make(map[int]bool, len(args.SkipJobs))
+		clear(s.skipSet)
 		for _, id := range args.SkipJobs {
-			set[id] = true
+			s.skipSet[id] = true
 		}
-		skip = func(id int) bool { return set[id] }
+		skip = func(id int) bool { return s.skipSet[id] }
 	}
 	assigns, err := sh.AssignRound(args.RoundSeconds, skip)
 	if err != nil {

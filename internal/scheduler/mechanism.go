@@ -15,8 +15,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,14 +71,38 @@ type Assignment struct {
 	Server int
 }
 
-// Mechanism carries received-time state across rounds.
+// Mechanism carries received-time state across rounds, and the scratch a
+// round reuses: in steady state Assign allocates only the []Assignment it
+// returns, and ResetReceived allocates nothing. A Mechanism is not safe for
+// concurrent use; each shard owns one.
 type Mechanism struct {
 	numTypes  int
 	perServer []int // devices per server, per type
 
-	timeOn    map[UnitKey][]float64 // seconds received per type
-	totalTime []float64             // total seconds handed out per type
+	// Seconds received per type since the last reset: a unit's numTypes
+	// entries start at recv[recvAt[key]].
+	recvAt    map[UnitKey]int
+	recv      []float64
+	totalTime []float64 // total seconds handed out per type
+
+	// Round scratch, overwritten by every Assign.
+	cands  []cand
+	free   []int
+	busy   map[int]bool
+	placed []placed // picked assignments in pick order
+	slots  []int    // free devices per server; type j's are slots[slotAt[j]:slotAt[j+1]]
+	slotAt []int
 }
+
+// cand is one schedulable (unit, type) pair with its priority.
+type cand struct {
+	u, j int
+	p, x float64
+}
+
+// placed is a picked assignment's index in Assign's result and its unit's
+// scale factor as the callback reported it.
+type placed struct{ i, sf int }
 
 // New constructs a mechanism for a cluster with the given per-type device
 // counts per server (used for consolidation decisions).
@@ -88,8 +114,10 @@ func New(numTypes int, perServer []int) *Mechanism {
 	return &Mechanism{
 		numTypes:  numTypes,
 		perServer: ps,
-		timeOn:    map[UnitKey][]float64{},
+		recvAt:    map[UnitKey]int{},
 		totalTime: make([]float64, numTypes),
+		busy:      map[int]bool{},
+		slotAt:    make([]int, numTypes+1),
 	}
 }
 
@@ -97,36 +125,9 @@ func New(numTypes int, perServer []int) *Mechanism {
 // is computed (the mechanism tracks fractions between recomputations,
 // Figure 3).
 func (m *Mechanism) ResetReceived() {
-	m.timeOn = map[UnitKey][]float64{}
-	m.totalTime = make([]float64, m.numTypes)
-}
-
-// Priorities returns the priority matrix for the given allocation:
-// X[u][j] / f[u][j], with +Inf where the unit has received nothing and
-// X > 0, and 0 where X == 0.
-func (m *Mechanism) Priorities(alloc *core.Allocation, jobIDs func(u int) []int) [][]float64 {
-	pri := make([][]float64, len(alloc.Units))
-	for ui := range alloc.Units {
-		pri[ui] = make([]float64, m.numTypes)
-		key := unitKey(alloc, ui, jobIDs)
-		recv := m.timeOn[key]
-		for j := 0; j < m.numTypes; j++ {
-			x := alloc.X[ui][j]
-			if x <= 0 {
-				continue
-			}
-			var f float64
-			if recv != nil && m.totalTime[j] > 0 {
-				f = recv[j] / m.totalTime[j]
-			}
-			if f <= 0 {
-				pri[ui][j] = math.Inf(1)
-			} else {
-				pri[ui][j] = x / f
-			}
-		}
-	}
-	return pri
+	clear(m.recvAt)
+	m.recv = m.recv[:0]
+	clear(m.totalTime)
 }
 
 // Workers describes per-type free device counts for a round.
@@ -137,71 +138,83 @@ type Workers struct {
 // Assign implements Algorithm 1: greedily schedule the highest-priority
 // (unit, type) pairs, skipping units that no longer fit, until no workers
 // remain or no schedulable unit has positive priority. scaleFactor gives
-// each unit's device demand; jobIDs its member job IDs.
+// each unit's device demand; jobIDs its member job IDs, which Assign reads
+// before its next call, so the callback may return a reused buffer. The
+// returned slice is freshly allocated (nil when nothing runs).
 func (m *Mechanism) Assign(alloc *core.Allocation, workers Workers, scaleFactor func(u int) int, jobIDs func(u int) []int) ([]Assignment, error) {
 	if len(workers.Free) != m.numTypes {
 		return nil, fmt.Errorf("scheduler: %d worker counts for %d types", len(workers.Free), m.numTypes)
 	}
-	pri := m.Priorities(alloc, jobIDs)
-
-	type cand struct {
-		u, j int
-		p    float64
-		x    float64
-	}
-	var cands []cand
-	for u := range pri {
+	// priority[u][j] = X[u][j] / f[u][j], +Inf where the unit has received
+	// nothing and X > 0. Only positive priorities become candidates.
+	m.cands = m.cands[:0]
+	for u := range alloc.Units {
+		off, seen := m.recvAt[unitKey(alloc, u, jobIDs)]
 		for j := 0; j < m.numTypes; j++ {
-			if pri[u][j] > 0 {
-				cands = append(cands, cand{u: u, j: j, p: pri[u][j], x: alloc.X[u][j]})
+			x := alloc.X[u][j]
+			if x <= 0 {
+				continue
+			}
+			var f float64
+			if seen && m.totalTime[j] > 0 {
+				f = m.recv[off+j] / m.totalTime[j]
+			}
+			var p float64
+			if f <= 0 {
+				p = math.Inf(1)
+			} else {
+				p = x / f
+			}
+			if p > 0 {
+				m.cands = append(m.cands, cand{u: u, j: j, p: p, x: x})
 			}
 		}
 	}
 	// Highest priority first; among infinite priorities prefer larger
-	// target allocation; final tie-break on unit index for determinism.
-	sort.Slice(cands, func(a, b int) bool {
-		ca, cb := cands[a], cands[b]
-		if ca.p != cb.p {
-			return ca.p > cb.p
+	// target allocation; final tie-break on unit and type. That is a total
+	// order (no priority is NaN), so the sort algorithm cannot change it.
+	slices.SortFunc(m.cands, func(a, b cand) int {
+		switch {
+		case a.p != b.p:
+			return cmp.Compare(b.p, a.p)
+		case a.x != b.x:
+			return cmp.Compare(b.x, a.x)
+		case a.u != b.u:
+			return a.u - b.u
 		}
-		if ca.x != cb.x {
-			return ca.x > cb.x
-		}
-		if ca.u != cb.u {
-			return ca.u < cb.u
-		}
-		return ca.j < cb.j
+		return a.j - b.j
 	})
 
-	free := append([]int(nil), workers.Free...)
-	jobBusy := map[int]bool{}
+	m.free = append(m.free[:0], workers.Free...)
+	bound := 0 // every assignment takes at least one free device
+	for _, f := range m.free {
+		bound += max(f, 0)
+	}
+	clear(m.busy)
+	m.placed = m.placed[:0]
 	var out []Assignment
-	for _, c := range cands {
-		sf := scaleFactor(c.u)
-		if sf <= 0 {
-			sf = 1
-		}
-		if free[c.j] < sf {
+	for _, c := range m.cands {
+		raw := scaleFactor(c.u)
+		sf := max(raw, 1)
+		if m.free[c.j] < sf {
 			continue // cannot fit this round; keeps high priority for later
 		}
-		conflict := false
-		for _, id := range jobIDs(c.u) {
-			if jobBusy[id] {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
+		ids := jobIDs(c.u)
+		if slices.ContainsFunc(ids, func(id int) bool { return m.busy[id] }) {
 			continue
 		}
-		for _, id := range jobIDs(c.u) {
-			jobBusy[id] = true
+		for _, id := range ids {
+			m.busy[id] = true
 		}
-		free[c.j] -= sf
+		m.free[c.j] -= sf
+		if out == nil {
+			out = make([]Assignment, 0, min(len(m.cands), bound))
+		}
+		m.placed = append(m.placed, placed{i: len(out), sf: raw})
 		out = append(out, Assignment{UnitIdx: c.u, Type: c.j})
 	}
 
-	m.placeOnServers(out, workers, scaleFactor)
+	m.placeOnServers(out, workers)
 	return out, nil
 }
 
@@ -209,46 +222,36 @@ func (m *Mechanism) Assign(alloc *core.Allocation, workers Workers, scaleFactor 
 // preferring to consolidate multi-worker jobs onto a single server
 // (placement sensitivity, §3.1/§5: jobs are placed in decreasing order of
 // requested workers to minimize fragmentation).
-func (m *Mechanism) placeOnServers(out []Assignment, workers Workers, scaleFactor func(u int) int) {
+func (m *Mechanism) placeOnServers(out []Assignment, workers Workers) {
 	// Free slots per server, per type, reconstructed fresh each round.
-	serverFree := make([][]int, m.numTypes)
+	m.slots = m.slots[:0]
 	for j := 0; j < m.numTypes; j++ {
-		per := m.perServer[j]
-		nServers := (workers.Free[j] + per - 1) / per
-		serverFree[j] = make([]int, nServers)
-		remaining := workers.Free[j]
-		for s := range serverFree[j] {
-			if remaining >= per {
-				serverFree[j][s] = per
-				remaining -= per
-			} else {
-				serverFree[j][s] = remaining
-				remaining = 0
-			}
+		m.slotAt[j] = len(m.slots)
+		per, remaining := m.perServer[j], workers.Free[j]
+		for n := (remaining + per - 1) / per; n > 0; n-- {
+			s := min(remaining, per)
+			m.slots = append(m.slots, s)
+			remaining -= s
 		}
 	}
-	order := make([]int, len(out))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return scaleFactor(out[order[a]].UnitIdx) > scaleFactor(out[order[b]].UnitIdx)
-	})
-	for _, i := range order {
-		a := &out[i]
-		sf := scaleFactor(a.UnitIdx)
-		if sf <= 0 {
-			sf = 1
-		}
+	m.slotAt[m.numTypes] = len(m.slots)
+	// Ties on scale factor must compare equal and the sort must stay
+	// unstable: placement is pinned to pdqsort's order among equal scale
+	// factors (TestAssignMatchesReference).
+	slices.SortFunc(m.placed, func(a, b placed) int { return cmp.Compare(b.sf, a.sf) })
+	for _, p := range m.placed {
+		a := &out[p.i]
+		sf := max(p.sf, 1)
+		servers := m.slots[m.slotAt[a.Type]:m.slotAt[a.Type+1]]
 		// Best fit: smallest server slot that holds the whole job.
 		best, bestFree := -1, math.MaxInt
-		for s, f := range serverFree[a.Type] {
+		for s, f := range servers {
 			if f >= sf && f < bestFree {
 				best, bestFree = s, f
 			}
 		}
 		if best >= 0 {
-			serverFree[a.Type][best] -= sf
+			servers[best] -= sf
 			a.Server = best
 			a.Consolidated = true
 			continue
@@ -256,15 +259,12 @@ func (m *Mechanism) placeOnServers(out []Assignment, workers Workers, scaleFacto
 		// Spread across servers: unconsolidated placement.
 		a.Consolidated = sf == 1
 		need := sf
-		for s := range serverFree[a.Type] {
+		for s := range servers {
 			if need == 0 {
 				break
 			}
-			take := serverFree[a.Type][s]
-			if take > need {
-				take = need
-			}
-			serverFree[a.Type][s] -= take
+			take := min(servers[s], need)
+			servers[s] -= take
 			need -= take
 			a.Server = s
 		}
@@ -275,12 +275,14 @@ func (m *Mechanism) placeOnServers(out []Assignment, workers Workers, scaleFacto
 func (m *Mechanism) RecordRound(alloc *core.Allocation, ran []Assignment, roundSeconds float64, jobIDs func(u int) []int) {
 	for _, a := range ran {
 		key := unitKey(alloc, a.UnitIdx, jobIDs)
-		recv := m.timeOn[key]
-		if recv == nil {
-			recv = make([]float64, m.numTypes)
-			m.timeOn[key] = recv
+		off, ok := m.recvAt[key]
+		if !ok {
+			off = len(m.recv)
+			m.recv = slices.Grow(m.recv, m.numTypes)[:off+m.numTypes]
+			clear(m.recv[off:])
+			m.recvAt[key] = off
 		}
-		recv[a.Type] += roundSeconds
+		m.recv[off+a.Type] += roundSeconds
 		m.totalTime[a.Type] += roundSeconds
 	}
 }
@@ -288,9 +290,9 @@ func (m *Mechanism) RecordRound(alloc *core.Allocation, ran []Assignment, roundS
 // ReceivedSeconds returns the time unit key has received per type since the
 // last reset (for tests and introspection).
 func (m *Mechanism) ReceivedSeconds(key UnitKey) []float64 {
-	recv := m.timeOn[key]
-	if recv == nil {
-		return make([]float64, m.numTypes)
+	out := make([]float64, m.numTypes)
+	if off, ok := m.recvAt[key]; ok {
+		copy(out, m.recv[off:])
 	}
-	return append([]float64(nil), recv...)
+	return out
 }
