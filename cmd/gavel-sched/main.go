@@ -170,7 +170,7 @@ func run(ctx context.Context, cfg config) error {
 	if err != nil {
 		return err
 	}
-	// Map spec types onto the model zoo's oracle indices for throughput hints.
+	// Map spec types onto the model zoo's oracle indices for throughput rows.
 	wIdx := make([]int, len(spec.Types))
 	for i, t := range spec.Types {
 		wIdx[i] = -1
@@ -248,14 +248,13 @@ func run(ctx context.Context, cfg config) error {
 			svc.Round(), svc.NumJobs(), svc.Recoveries())
 	}
 
-	sched := rpc.NewScheduler(cfg.round)
-	sched.SetObs(plane)
 	leases := &planSource{}
+	var src rpc.LeaseSource = leases
 	if cfg.leases != nil {
-		sched.SetLeaseSource(cfg.leases(leases))
-	} else {
-		sched.SetLeaseSource(leases)
+		src = cfg.leases(leases)
 	}
+	sched := rpc.NewScheduler(cfg.round, src)
+	sched.SetObs(plane)
 	addr, err := sched.Serve(cfg.listen)
 	if err != nil {
 		return err
@@ -271,16 +270,9 @@ func run(ctx context.Context, cfg config) error {
 	log.Printf("gavel-sched: protocol v%d, lease plane on %s, %d shards, policy %s",
 		rpc.ProtocolVersion, addr, len(clients), cfg.policy)
 
-	// jobSteps is every lease-plane job's training length — the synthetic
-	// batch at cfg.steps plus each streamed submission at its declared length.
-	jobSteps := map[int]float64{}
 	// lease enters a streamed submission into the lease plane.
 	lease := func(si rpc.SubmissionInfo, how string) {
-		sched.Submit(rpc.JobSpec{
-			JobID: si.JobID, Name: si.Name, TotalSteps: si.TotalSteps,
-			ThroughputHint: hintFor(spec, si.Tput),
-		})
-		jobSteps[si.JobID] = si.TotalSteps
+		sched.Submit(rpc.JobSpec{JobID: si.JobID, TotalSteps: si.TotalSteps})
 		log.Printf("gavel-sched: %s submission job %d (%s/%s) -> shard %d", how, si.JobID, si.Tenant, si.Key, si.Shard)
 	}
 	if submission {
@@ -301,22 +293,19 @@ func run(ctx context.Context, cfg config) error {
 		}
 	}
 
-	// Submit the synthetic batch to both planes: leases need specs, shards
-	// need throughput rows over the spec's accelerator types.
+	// Submit the synthetic batch to both planes: leases need step counts,
+	// shards need throughput rows over the spec's accelerator types.
 	zoo := workload.Zoo()
 	submitted := time.Now()
 	for i := 0; i < cfg.jobs; i++ {
 		model := zoo[(i*7)%len(zoo)]
-		hint := map[string]float64{}
 		tput := make([]float64, len(spec.Types))
-		for t, at := range spec.Types {
+		for t := range spec.Types {
 			if workload.Fits(model, wIdx[t]) {
-				hint[at.Name] = workload.Throughput(model, wIdx[t])
-				tput[t] = hint[at.Name]
+				tput[t] = workload.Throughput(model, wIdx[t])
 			}
 		}
-		sched.Submit(rpc.JobSpec{JobID: i, Name: model.Name(), TotalSteps: cfg.steps, ThroughputHint: hint})
-		jobSteps[i] = cfg.steps
+		sched.Submit(rpc.JobSpec{JobID: i, TotalSteps: cfg.steps})
 		// A job already resident from the replayed journal keeps its placement
 		// and its shard's warm state (Admit is idempotent); only the lease
 		// plane's progress restarts, because leases are in-memory.
@@ -343,10 +332,10 @@ func run(ctx context.Context, cfg config) error {
 		SnapshotEvery:  cfg.snapshot,
 		Done:           sched.JobDone,
 		Info: func(id int) policy.JobInfo {
-			total := jobSteps[id]
+			done, total := sched.Steps(id)
 			return policy.JobInfo{
 				Weight:         1,
-				RemainingSteps: total - sched.Steps(id),
+				RemainingSteps: total - done,
 				TotalSteps:     total,
 				Elapsed:        time.Since(submitted).Seconds(),
 				ArrivalSeq:     id,
@@ -505,18 +494,6 @@ func run(ctx context.Context, cfg config) error {
 	log.Printf("gavel-sched: batch complete (%d migrations, %d rebalance passes, %d recoveries, %d degraded rounds)",
 		svc.Migrations(), svc.Rebalances(), svc.Recoveries(), svc.DegradedRounds())
 	return nil
-}
-
-// hintFor maps a submission's throughput row (indexed by cluster type) into
-// the lease plane's name-keyed hint.
-func hintFor(spec cluster.Spec, tput []float64) map[string]float64 {
-	hint := map[string]float64{}
-	for t, at := range spec.Types {
-		if t < len(tput) && tput[t] > 0 {
-			hint[at.Name] = tput[t]
-		}
-	}
-	return hint
 }
 
 // writeDecisionLog rewrites the admission decision log, one decision per

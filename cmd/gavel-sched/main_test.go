@@ -218,3 +218,57 @@ func TestNoShardsRunsOneInMemoryShard(t *testing.T) {
 		}
 	}
 }
+
+// TestNoDoubleLeaseAcrossWorkers: the lease plane leases only what planSource
+// queued, over a real socket. With two same-type workers and a job queued
+// once, the job is leased once; set for the next round replaces the queue,
+// dropping whatever the last round left unleased.
+func TestNoDoubleLeaseAcrossWorkers(t *testing.T) {
+	plan := &planSource{}
+	sched := rpc.NewScheduler(1, plan)
+	addr, err := sched.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+	var workers []*rpc.Client
+	for i := 0; i < 2; i++ {
+		c, err := rpc.Dial(addr, rpc.RegisterArgs{AcceleratorType: "v100"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		workers = append(workers, c)
+	}
+	// leases has each worker ask in turn and returns what it got (-1 = idle).
+	leases := func(ws ...*rpc.Client) []int {
+		t.Helper()
+		var got []int
+		for _, c := range ws {
+			l, err := c.Lease()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Empty {
+				got = append(got, -1)
+			} else {
+				got = append(got, l.JobIDs[0])
+			}
+		}
+		return got
+	}
+	w0, w1 := workers[0], workers[1]
+
+	plan.set(1, map[string][]int{"v100": {7}})
+	if got := leases(w0, w1, w0); fmt.Sprint(got) != "[7 -1 -1]" {
+		t.Fatalf("job queued once, leases %v, want [7 -1 -1]", got)
+	}
+	plan.set(2, map[string][]int{"v100": {9, 3}})
+	if got := leases(w0); fmt.Sprint(got) != "[9]" {
+		t.Fatalf("round 2 lease %v, want [9]", got)
+	}
+	plan.set(3, map[string][]int{"v100": {4}})
+	if got := leases(w1, w0); fmt.Sprint(got) != "[4 -1]" {
+		t.Fatalf("round 3 leases %v, want [4 -1] (round 2's job 3 dropped)", got)
+	}
+}

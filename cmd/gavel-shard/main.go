@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
 	"os"
@@ -21,19 +22,33 @@ import (
 	"gavel/internal/rpc"
 )
 
+// config is the daemon's whole configuration; main parses flags straight
+// into it.
+type config struct {
+	listen    string
+	telemetry obs.Options
+}
+
 func main() {
-	obsDefaults := obs.OptionsFromEnv()
-	listen := flag.String("listen", "127.0.0.1:8650", "address to serve the shard control plane on")
-	obsListen := flag.String("obs-listen", obsDefaults.Listen, "address to serve /metrics, /statusz, /debug/trace, and pprof on (default GAVEL_OBS_LISTEN; empty = off)")
-	obsTrace := flag.String("obs-trace", obsDefaults.TracePath, "JSONL span-log path (default GAVEL_OBS_TRACE; empty = ring buffer only)")
+	cfg := config{telemetry: obs.OptionsFromEnv()}
+	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:8650", "address to serve the shard control plane on")
+	flag.StringVar(&cfg.telemetry.Listen, "obs-listen", cfg.telemetry.Listen, "address to serve /metrics, /statusz, /debug/trace, and pprof on (default GAVEL_OBS_LISTEN; empty = off)")
+	flag.StringVar(&cfg.telemetry.TracePath, "obs-trace", cfg.telemetry.TracePath, "JSONL span-log path (default GAVEL_OBS_TRACE; empty = ring buffer only)")
 	flag.Parse()
 
-	telemetry := obsDefaults
-	telemetry.Listen = *obsListen
-	telemetry.TracePath = *obsTrace
-	plane, obsSrv, traceFile, err := telemetry.Build()
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, cfg); err != nil {
 		log.Fatalf("gavel-shard: %v", err)
+	}
+}
+
+// run serves the shard control plane until ctx is cancelled, then closes the
+// listener and every connection.
+func run(ctx context.Context, cfg config) error {
+	plane, obsSrv, traceFile, err := cfg.telemetry.Build()
+	if err != nil {
+		return err
 	}
 	if traceFile != nil {
 		defer traceFile.Close()
@@ -46,15 +61,13 @@ func main() {
 		defer obsSrv.Close()
 		log.Printf("gavel-shard: telemetry on %s (/metrics /statusz /debug/trace /debug/pprof)", obsSrv.Addr())
 	}
-	addr, err := srv.Serve(*listen)
+	addr, err := srv.Serve(cfg.listen)
 	if err != nil {
-		log.Fatalf("gavel-shard: %v", err)
+		return err
 	}
 	log.Printf("gavel-shard: protocol v%d, serving on %s, awaiting Configure", rpc.ProtocolVersion, addr)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	<-ctx.Done()
 	log.Printf("gavel-shard: shutting down")
-	srv.Close()
+	return srv.Close()
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"time"
@@ -25,25 +26,42 @@ import (
 	"gavel/internal/rpc"
 )
 
+// config is the worker's whole configuration; main parses flags straight
+// into it.
+type config struct {
+	scheduler   string
+	accType     string
+	server      string
+	ckptDir     string
+	stepsPerSec float64
+	telemetry   obs.Options
+}
+
 func main() {
-	obsDefaults := obs.OptionsFromEnv()
-	var (
-		schedAddr = flag.String("scheduler", "127.0.0.1:8642", "scheduler control-plane address")
-		accType   = flag.String("type", "v100", "accelerator type this worker exposes (v100|p100|k80)")
-		server    = flag.String("server", "srv0", "physical server id (consolidation unit)")
-		ckptDir   = flag.String("ckpt", os.TempDir(), "checkpoint directory")
-		stepsSec  = flag.Float64("steps-per-sec", 50, "synthetic training speed on this device")
-		obsListen = flag.String("obs-listen", obsDefaults.Listen, "address to serve /metrics, /statusz, and pprof on (default GAVEL_OBS_LISTEN; empty = off)")
-		obsTrace  = flag.String("obs-trace", obsDefaults.TracePath, "JSONL span-log path (default GAVEL_OBS_TRACE; empty = ring buffer only)")
-	)
+	cfg := config{telemetry: obs.OptionsFromEnv()}
+	flag.StringVar(&cfg.scheduler, "scheduler", "127.0.0.1:8642", "scheduler control-plane address")
+	flag.StringVar(&cfg.accType, "type", "v100", "accelerator type this worker exposes (v100|p100|k80)")
+	flag.StringVar(&cfg.server, "server", "srv0", "physical server id (consolidation unit)")
+	flag.StringVar(&cfg.ckptDir, "ckpt", os.TempDir(), "checkpoint directory")
+	flag.Float64Var(&cfg.stepsPerSec, "steps-per-sec", 50, "synthetic training speed on this device")
+	flag.StringVar(&cfg.telemetry.Listen, "obs-listen", cfg.telemetry.Listen, "address to serve /metrics, /statusz, and pprof on (default GAVEL_OBS_LISTEN; empty = off)")
+	flag.StringVar(&cfg.telemetry.TracePath, "obs-trace", cfg.telemetry.TracePath, "JSONL span-log path (default GAVEL_OBS_TRACE; empty = ring buffer only)")
 	flag.Parse()
 
-	telemetry := obsDefaults
-	telemetry.Listen = *obsListen
-	telemetry.TracePath = *obsTrace
-	plane, obsSrv, traceFile, err := telemetry.Build()
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, cfg); err != nil {
 		log.Fatalf("gavel-worker: %v", err)
+	}
+}
+
+// run registers with the scheduler and runs leased micro-tasks until no work
+// has come for 20 rounds, the scheduler goes away (an error), or ctx is
+// cancelled.
+func run(ctx context.Context, cfg config) error {
+	plane, obsSrv, traceFile, err := cfg.telemetry.Build()
+	if err != nil {
+		return err
 	}
 	if obsSrv != nil {
 		defer obsSrv.Close()
@@ -59,36 +77,44 @@ func main() {
 		leasesRun.With(o)
 	}
 
-	client, err := rpc.Dial(*schedAddr, rpc.RegisterArgs{
-		AcceleratorType: *accType,
-		Server:          *server,
+	client, err := rpc.Dial(cfg.scheduler, rpc.RegisterArgs{
+		AcceleratorType: cfg.accType,
+		Server:          cfg.server,
 	})
 	if err != nil {
-		log.Fatalf("gavel-worker: %v", err)
+		return err
 	}
 	defer client.Close()
 	log.Printf("gavel-worker: protocol v%d, registered as worker %d (%s), %s rounds",
-		rpc.ProtocolVersion, client.WorkerID, *accType, client.Round)
+		rpc.ProtocolVersion, client.WorkerID, cfg.accType, client.Round)
 
 	idle := 0
 	for {
 		lease, err := client.Lease()
 		if err != nil {
-			log.Fatalf("gavel-worker: lease: %v", err)
+			return fmt.Errorf("lease: %w", err)
 		}
 		if lease.Empty {
 			leasesRun.With("empty").Inc()
 			idle++
 			if idle > 20 {
 				log.Printf("gavel-worker: no work for %d rounds, exiting", idle)
-				return
+				return nil
 			}
-			time.Sleep(500 * time.Millisecond)
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(500 * time.Millisecond):
+			}
 			continue
 		}
 		idle = 0
 		jobID := lease.JobIDs[0]
-		if err := runLease(client, lease, jobID, *ckptDir, *stepsSec, ckpts); err != nil {
+		err = runLease(ctx, client, lease, jobID, cfg.ckptDir, cfg.stepsPerSec, ckpts)
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if err != nil {
 			leasesRun.With("error").Inc()
 			log.Printf("gavel-worker: job %d: %v", jobID, err)
 		} else {
@@ -99,7 +125,7 @@ func main() {
 
 // runLease executes one micro-task: a synthetic training loop under the
 // iterator, bounded by a scaled-down wall-clock round.
-func runLease(client *rpc.Client, lease *rpc.Lease, jobID int, ckptDir string, stepsPerSec float64, ckpts *obs.Counter) error {
+func runLease(ctx context.Context, client *rpc.Client, lease *rpc.Lease, jobID int, ckptDir string, stepsPerSec float64, ckpts *obs.Counter) error {
 	ckptPath := fmt.Sprintf("%s/gavel-job-%d.ckpt", ckptDir, jobID)
 	ck := iterator.Funcs{
 		Load: func() (int64, error) {
@@ -129,7 +155,7 @@ func runLease(client *rpc.Client, lease *rpc.Lease, jobID int, ckptDir string, s
 		time.Sleep(stepDur) // the "GPU"
 		return nil
 	})
-	err := it.RunRound(context.Background())
+	err := it.RunRound(ctx)
 	if errors.Is(err, iterator.ErrLeaseExpired) {
 		ckpts.Inc()
 		log.Printf("gavel-worker: job %d checkpointed at step %d", jobID, it.CurrentStep())

@@ -171,7 +171,7 @@ func TestShardServerAbortedConnectionsLeakNothing(t *testing.T) {
 // live worker connection attached.
 func TestSchedulerCloseLeaksNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	sched := NewScheduler(1)
+	sched := NewScheduler(1, fixedSource{})
 	addr, err := sched.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

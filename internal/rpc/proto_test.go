@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 	gorpc "net/rpc"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"gavel/internal/core"
 	"gavel/internal/lp"
+	"gavel/internal/obs"
 	"gavel/internal/policy"
 	"gavel/internal/scheduler"
 )
@@ -68,7 +70,7 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 		&LeaseArgs{WorkerID: 3},
 		&Lease{JobIDs: []int{7, 9}, RoundSeconds: 360, Renewed: true},
 		&ThroughputReport{WorkerID: 3, JobID: 7, StepsPerSecond: 41.25},
-		&JobSpec{JobID: 7, Name: "resnet", TotalSteps: 5e4, ThroughputHint: map[string]float64{"v100": 40}},
+		&JobSpec{JobID: 7, TotalSteps: 5e4},
 		&ShardConfig{
 			Index: 1, WorkerInts: []int{4, 2, 2}, PerServer: []int{4},
 			Prices: []float64{3.1, 0.9, 0.7}, Policy: PolicySpec{Name: "max_min_fairness"},
@@ -255,7 +257,7 @@ func TestConfigureRefusesMalformedShape(t *testing.T) {
 // TestLeaseHandshakeRejectsUnversionedWorker: a v1 worker (no Version field,
 // decodes as 0) must be turned away at registration, not garbled later.
 func TestLeaseHandshakeRejectsUnversionedWorker(t *testing.T) {
-	s := NewScheduler(1)
+	s := NewScheduler(1, fixedSource{})
 	addr, err := s.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
@@ -274,84 +276,83 @@ func TestLeaseHandshakeRejectsUnversionedWorker(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiry: a worker that stops calling loses its lease one round
-// after it was granted, so its job returns to the runnable set instead of
-// being stranded (the crashed-worker bug).
-func TestLeaseExpiry(t *testing.T) {
-	s := NewScheduler(1) // 1-second rounds -> 1-second TTL
+// leaseScheduler is a scheduler on a stub clock, leasing job 1 to worker 0
+// by plan, with two registered v100 workers and live telemetry.
+func leaseScheduler(t *testing.T) (*Scheduler, *schedulerRPC, *time.Time) {
+	t.Helper()
+	s := NewScheduler(1, fixedSource{0: {1}}) // 1-second rounds -> 1-second TTL
+	s.SetObs(obs.NewPlane())
 	now := time.Unix(100, 0)
 	s.clock = func() time.Time { return now }
 	s.Submit(JobSpec{JobID: 1, TotalSteps: 1e9})
 	r := &schedulerRPC{s: s}
-
-	var w0, w1 RegisterReply
-	if err := r.RegisterWorker(RegisterArgs{Version: ProtocolVersion, AcceleratorType: "v100"}, &w0); err != nil {
-		t.Fatal(err)
+	for w := 0; w < 2; w++ {
+		var reply RegisterReply
+		if err := r.RegisterWorker(RegisterArgs{Version: ProtocolVersion, AcceleratorType: "v100", Server: "s0"}, &reply); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := r.RegisterWorker(RegisterArgs{Version: ProtocolVersion, AcceleratorType: "v100"}, &w1); err != nil {
-		t.Fatal(err)
-	}
+	return s, r, &now
+}
 
+// TestLeaseExpiry: a worker that stops calling loses its lease one round
+// after it was granted — the lease table frees it and the expiry counter
+// counts it — and when it returns, its next lease is not a renewal.
+func TestLeaseExpiry(t *testing.T) {
+	s, r, now := leaseScheduler(t)
 	var l Lease
-	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: w0.WorkerID}, &l); err != nil {
+	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: 0}, &l); err != nil {
 		t.Fatal(err)
 	}
 	if l.Empty || l.JobIDs[0] != 1 {
 		t.Fatalf("worker 0 lease = %+v, want job 1", l)
 	}
 
-	// While the lease is fresh, the other worker must not get the job.
-	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: w1.WorkerID}, &l); err != nil {
+	// Worker 0 goes silent past the TTL; worker 1's lease call expires it.
+	*now = now.Add(1500 * time.Millisecond)
+	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: 1}, &l); err != nil {
 		t.Fatal(err)
 	}
 	if !l.Empty {
-		t.Fatalf("job double-leased while held: %+v", l)
+		t.Fatalf("worker 1 leased %+v outside the plan", l)
 	}
-
-	// Worker 0 goes silent past the TTL: the lease expires and worker 1
-	// inherits the job.
-	now = now.Add(1500 * time.Millisecond)
-	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: w1.WorkerID}, &l); err != nil {
+	if st := s.StatusText(); !strings.Contains(st, "worker 0  type v100  server s0  leased job -1") {
+		t.Fatalf("expired lease still held:\n%s", st)
+	}
+	if got := s.expiries.Value(); got != 1 {
+		t.Fatalf("lease expiries = %d, want 1", got)
+	}
+	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: 0}, &l); err != nil {
 		t.Fatal(err)
 	}
-	if l.Empty || l.JobIDs[0] != 1 {
-		t.Fatalf("expired lease not reassigned: %+v", l)
+	if l.Empty || l.JobIDs[0] != 1 || l.Renewed {
+		t.Fatalf("returning worker's lease = %+v, want job 1, not renewed", l)
 	}
 }
 
 // TestReportRefreshesLease: progress reports are liveness signals — a worker
 // that reports within the TTL keeps its lease even without re-leasing.
 func TestReportRefreshesLease(t *testing.T) {
-	s := NewScheduler(1)
-	now := time.Unix(100, 0)
-	s.clock = func() time.Time { return now }
-	s.Submit(JobSpec{JobID: 1, TotalSteps: 1e9})
-	r := &schedulerRPC{s: s}
-
-	var w0, w1 RegisterReply
-	if err := r.RegisterWorker(RegisterArgs{Version: ProtocolVersion, AcceleratorType: "v100"}, &w0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RegisterWorker(RegisterArgs{Version: ProtocolVersion, AcceleratorType: "v100"}, &w1); err != nil {
-		t.Fatal(err)
-	}
-
+	s, r, now := leaseScheduler(t)
 	var l Lease
-	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: w0.WorkerID}, &l); err != nil {
+	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: 0}, &l); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(900 * time.Millisecond)
+	*now = now.Add(900 * time.Millisecond)
 	var ack Ack
-	if err := r.ReportThroughput(ThroughputReport{WorkerID: w0.WorkerID, JobID: 1, StepsPerSecond: 5}, &ack); err != nil {
+	if err := r.ReportThroughput(ThroughputReport{WorkerID: 0, JobID: 1, StepsPerSecond: 5}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	// 1.8s after grant but only 0.9s after the report: still held.
-	now = now.Add(900 * time.Millisecond)
-	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: w1.WorkerID}, &l); err != nil {
+	*now = now.Add(900 * time.Millisecond)
+	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: 1}, &l); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Empty {
-		t.Fatalf("lease expired despite liveness report: %+v", l)
+	if st := s.StatusText(); !strings.Contains(st, "worker 0  type v100  server s0  leased job 1\n") {
+		t.Fatalf("lease expired despite liveness report:\n%s", st)
+	}
+	if got := s.expiries.Value(); got != 0 {
+		t.Fatalf("lease expiries = %d, want 0", got)
 	}
 }
 
@@ -360,47 +361,46 @@ type fixedSource map[int][]int
 
 func (f fixedSource) NextLease(workerID int, _, _ string) []int { return f[workerID] }
 
-// TestLeaseSourceDrivesLeases: with a LeaseSource installed (the daemon
-// coordinator's round assignments), leases come from it instead of the
-// least-attained-service fallback, with renewal detection intact.
+// TestLeaseSourceDrivesLeases: leases come from the LeaseSource alone — a
+// worker the plan leaves out idles even with runnable jobs — with renewal
+// detection intact.
 func TestLeaseSourceDrivesLeases(t *testing.T) {
-	s := NewScheduler(1)
+	s := NewScheduler(1, fixedSource{0: {8}})
 	s.Submit(JobSpec{JobID: 5, TotalSteps: 1e9})
 	s.Submit(JobSpec{JobID: 8, TotalSteps: 1e9})
-	s.SetLeaseSource(fixedSource{0: {8}})
 	r := &schedulerRPC{s: s}
 
-	var w0 RegisterReply
-	if err := r.RegisterWorker(RegisterArgs{Version: ProtocolVersion, AcceleratorType: "v100"}, &w0); err != nil {
-		t.Fatal(err)
+	for w := 0; w < 2; w++ {
+		var reply RegisterReply
+		if err := r.RegisterWorker(RegisterArgs{Version: ProtocolVersion, AcceleratorType: "v100"}, &reply); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var l Lease
-	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: w0.WorkerID}, &l); err != nil {
+	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: 0}, &l); err != nil {
 		t.Fatal(err)
 	}
 	if l.Empty || l.JobIDs[0] != 8 {
-		t.Fatalf("lease = %+v, want job 8 from the source (fallback would pick 5)", l)
+		t.Fatalf("lease = %+v, want job 8 from the source", l)
 	}
-	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: w0.WorkerID}, &l); err != nil {
+	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: 0}, &l); err != nil {
 		t.Fatal(err)
 	}
 	if !l.Renewed {
 		t.Fatalf("same job from source not marked renewed: %+v", l)
 	}
-	// Removing the source restores the fallback.
-	s.SetLeaseSource(nil)
-	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: w0.WorkerID}, &l); err != nil {
+	if err := r.LeaseMicroTask(LeaseArgs{WorkerID: 1}, &l); err != nil {
 		t.Fatal(err)
 	}
-	if l.Empty {
-		t.Fatalf("fallback not restored: %+v", l)
+	if !l.Empty {
+		t.Fatalf("unplanned worker leased %+v", l)
 	}
 }
 
 // TestSchedulerCloseStopsServing: Close tears down live connections (joining
 // their ServeConn goroutines), so a held client errors instead of hanging.
 func TestSchedulerCloseStopsServing(t *testing.T) {
-	s := NewScheduler(1)
+	s := NewScheduler(1, fixedSource{})
 	addr, err := s.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Serve: %v", err)

@@ -63,38 +63,23 @@ type ThroughputReport struct {
 // JobSpec is the unit of work submitted to the scheduler daemon.
 type JobSpec struct {
 	JobID      int
-	Name       string
 	TotalSteps float64
-	// ThroughputHint maps accelerator type -> steps/sec; measured values
-	// override hints as rounds complete.
-	ThroughputHint map[string]float64
 }
 
-// WorkerInfo is one registered worker's identity, for daemons that build
-// their cluster view from registrations.
-type WorkerInfo struct {
-	ID              int
-	AcceleratorType string
-	Server          string
-}
-
-// LeaseSource supplies leases for registered workers, letting a daemon drive
-// the wire surface from real policy output — the coordinator's merged round
-// assignments — instead of the built-in least-attained-service fallback.
-// NextLease returns the job IDs the worker should run this round (empty =
-// idle). Implementations are called under the scheduler's lock and must not
-// call back into it.
+// LeaseSource is the lease plane's lease policy: the coordinator's merged
+// round assignments, so workers run policy output. NextLease returns the job
+// IDs the worker should run this round (empty = idle). Implementations are
+// called under the scheduler's lock and must not call back into it.
 type LeaseSource interface {
 	NextLease(workerID int, accType, server string) []int
 }
 
-// Scheduler is the lease-plane server: it tracks workers and runnable jobs
-// and hands out leases per round. Leases expire: a worker that stops calling
-// (crashed, partitioned) loses its lease one round after it was granted, and
-// the job returns to the runnable set — without this, a dead worker strands
-// its job forever. The built-in lease policy is least attained service; a
-// daemon with a real coordinator installs a LeaseSource and drives the same
-// wire surface from policy output.
+// Scheduler is the lease-plane server: it tracks workers and job progress
+// and hands out the leases its LeaseSource plans, round by round. A lease
+// that is neither renewed nor reported on within one round expires: the
+// worker's lease-table entry is freed and gavel_lease_expiries_total counts
+// it. Expiry is bookkeeping only — a silent worker's job is not stranded,
+// because the next sealed round's plan queues it again.
 type Scheduler struct {
 	mu           sync.Mutex
 	roundSeconds float64
@@ -128,13 +113,13 @@ type workerState struct {
 type jobClientState struct {
 	spec     JobSpec
 	steps    float64
-	received map[string]float64 // seconds per accelerator type
 	measured map[string]float64 // steps/sec per accelerator type
 	done     bool
 }
 
-// NewScheduler creates a scheduler with the given round length.
-func NewScheduler(roundSeconds float64) *Scheduler {
+// NewScheduler creates a scheduler with the given round length that leases
+// what src plans.
+func NewScheduler(roundSeconds float64, src LeaseSource) *Scheduler {
 	if roundSeconds <= 0 {
 		roundSeconds = 360
 	}
@@ -142,6 +127,7 @@ func NewScheduler(roundSeconds float64) *Scheduler {
 		roundSeconds: roundSeconds,
 		workers:      map[int]*workerState{},
 		jobs:         map[int]*jobClientState{},
+		source:       src,
 		clock:        time.Now,
 	}
 }
@@ -206,14 +192,6 @@ func (s *Scheduler) StatusText() string {
 	return b.String()
 }
 
-// SetLeaseSource installs a lease policy, replacing the built-in
-// least-attained-service fallback. Pass nil to restore the fallback.
-func (s *Scheduler) SetLeaseSource(src LeaseSource) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.source = src
-}
-
 // leaseServiceName is the net/rpc service name of the lease plane.
 const leaseServiceName = "Gavel"
 
@@ -250,11 +228,7 @@ func (s *Scheduler) Close() error {
 func (s *Scheduler) Submit(spec JobSpec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobs[spec.JobID] = &jobClientState{
-		spec:     spec,
-		received: map[string]float64{},
-		measured: map[string]float64{},
-	}
+	s.jobs[spec.JobID] = &jobClientState{spec: spec, measured: map[string]float64{}}
 }
 
 // JobDone reports whether the job has completed all steps.
@@ -265,30 +239,16 @@ func (s *Scheduler) JobDone(jobID int) bool {
 	return ok && j.done
 }
 
-// Steps returns the job's accumulated training steps.
-func (s *Scheduler) Steps(jobID int) float64 {
+// Steps returns the job's accumulated and total training steps (both 0 for
+// a job never submitted).
+func (s *Scheduler) Steps(jobID int) (done, total float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[jobID]
 	if !ok {
-		return 0
+		return 0, 0
 	}
-	return j.steps
-}
-
-// Throughput returns the scheduler's current steps/sec belief for a job on
-// an accelerator type (measurement if present, else hint).
-func (s *Scheduler) Throughput(jobID int, accType string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[jobID]
-	if !ok {
-		return 0
-	}
-	if v, ok := j.measured[accType]; ok {
-		return v
-	}
-	return j.spec.ThroughputHint[accType]
+	return j.steps, j.spec.TotalSteps
 }
 
 // Measured returns a copy of the job's measured steps/sec per accelerator
@@ -309,21 +269,9 @@ func (s *Scheduler) Measured(jobID int) map[string]float64 {
 	return out
 }
 
-// Workers returns the registered workers sorted by ID.
-func (s *Scheduler) Workers() []WorkerInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]WorkerInfo, 0, len(s.workers))
-	for _, w := range s.workers {
-		out = append(out, WorkerInfo{ID: w.id, AcceleratorType: w.accType, Server: w.server})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
 // leaseTTL is how long a granted lease is honored without renewal: one round
 // (the lease's own duration). A worker that neither renews nor reports
-// within it is presumed dead and its job returns to the runnable set.
+// within it is presumed dead and its lease-table entry is freed.
 func (s *Scheduler) leaseTTL() time.Duration {
 	return time.Duration(s.roundSeconds * float64(time.Second))
 }
@@ -369,11 +317,9 @@ func (r *schedulerRPC) RegisterWorker(args RegisterArgs, reply *RegisterReply) e
 	return nil
 }
 
-// LeaseMicroTask hands the next micro-task to a worker. With a LeaseSource
-// installed, the lease comes from it (the coordinator's round assignments);
-// otherwise the fallback picks the runnable job with the least attained
-// service on the worker's accelerator type. Either way, unrenewed leases
-// expire after one round so crashed workers cannot strand jobs.
+// LeaseMicroTask hands a worker the micro-task its LeaseSource plans for this
+// round, after freeing the worker's previous lease and expiring any lease
+// whose holder went silent.
 func (r *schedulerRPC) LeaseMicroTask(args LeaseArgs, reply *Lease) error {
 	s := r.s
 	s.mu.Lock()
@@ -382,79 +328,35 @@ func (r *schedulerRPC) LeaseMicroTask(args LeaseArgs, reply *Lease) error {
 	if !ok {
 		return Errorf(CodeUnknownWorker, "unknown worker %d", args.WorkerID)
 	}
-	// Free the previous lease and any lease whose holder went silent.
 	prev := w.current
 	w.current = -1
 	s.expireLeases()
 
-	if s.source != nil {
-		ids := s.source.NextLease(w.id, w.accType, w.server)
-		if len(ids) == 0 {
-			s.empties.Inc()
-			*reply = Lease{Empty: true, RoundSeconds: s.roundSeconds}
-			return nil
-		}
-		s.leases.Inc()
-		w.current = ids[0]
-		w.leaseAt = s.clock()
-		if j, ok := s.jobs[ids[0]]; ok {
-			j.received[w.accType] += s.roundSeconds
-		}
-		*reply = Lease{
-			JobIDs:       append([]int(nil), ids...),
-			RoundSeconds: s.roundSeconds,
-			Renewed:      prev == ids[0],
-		}
-		return nil
-	}
-
-	leased := map[int]bool{}
-	for _, ws := range s.workers {
-		if ws.current >= 0 {
-			leased[ws.current] = true
-		}
-	}
-	type cand struct {
-		id   int
-		recv float64
-	}
-	var cands []cand
-	for id, j := range s.jobs {
-		if j.done || leased[id] {
-			continue
-		}
-		total := 0.0
-		for _, v := range j.received {
-			total += v
-		}
-		cands = append(cands, cand{id: id, recv: total})
-	}
-	if len(cands) == 0 {
+	ids := s.source.NextLease(w.id, w.accType, w.server)
+	if len(ids) == 0 {
 		s.empties.Inc()
 		*reply = Lease{Empty: true, RoundSeconds: s.roundSeconds}
 		return nil
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].recv != cands[b].recv {
-			return cands[a].recv < cands[b].recv
-		}
-		return cands[a].id < cands[b].id
-	})
-	pick := cands[0].id
 	s.leases.Inc()
-	w.current = pick
+	w.current = ids[0]
 	w.leaseAt = s.clock()
-	s.jobs[pick].received[w.accType] += s.roundSeconds
 	*reply = Lease{
-		JobIDs:       []int{pick},
+		JobIDs:       append([]int(nil), ids...),
 		RoundSeconds: s.roundSeconds,
-		Renewed:      pick == prev,
+		Renewed:      prev == ids[0],
 	}
 	return nil
 }
 
-// ReportThroughput records a measured throughput and job progress.
+// ReportThroughput records a measured throughput and job progress. A rate
+// that is negative or not finite is refused and changes nothing: +Inf would
+// complete the job at once, NaN would strand it, a negative rate would move
+// it backwards.
 func (r *schedulerRPC) ReportThroughput(rep ThroughputReport, _ *Ack) error {
+	if err := ValidateTput(1, []float64{rep.StepsPerSecond}); err != nil {
+		return err
+	}
 	s := r.s
 	s.mu.Lock()
 	defer s.mu.Unlock()

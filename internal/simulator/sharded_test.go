@@ -31,18 +31,16 @@ func shardedTestConfig(numShards int, jobs int) Config {
 	}
 }
 
-// fingerprint serializes everything deterministic about a Result. PolicyTime
-// is wall-clock and inherently run-local, so it is zeroed; every other field — per-job outcomes, float cost sums,
-// solve buckets, per-shard stats — must be byte-identical.
+// fingerprint serializes everything deterministic about a Result, in the
+// golden digests' legacy layout (legacyJSON). PolicyTime is wall-clock and
+// inherently run-local, so it is zeroed; every other field — per-job
+// outcomes, float cost sums, solve buckets, per-shard stats — must be
+// byte-identical.
 func fingerprint(t *testing.T, r *Result) string {
 	t.Helper()
 	c := *r
 	c.PolicyTime = 0
-	b, err := json.Marshal(&c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	return string(legacyJSON(t, &c))
 }
 
 // TestShardedMatchesParentGolden pins the NumShards path — rpc.Service over
