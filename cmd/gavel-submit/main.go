@@ -21,77 +21,113 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"time"
 
 	"gavel/internal/chaos"
 	"gavel/internal/rpc"
 )
 
+// config is the client's whole configuration; main parses flags straight
+// into it.
+type config struct {
+	scheduler                     string
+	client, submit, withdraw      string
+	roundHint, pollEvery, timeout time.Duration
+	noWait                        bool
+}
+
 func main() {
-	var (
-		scheduler  = flag.String("scheduler", "127.0.0.1:8643", "coordinator submission-plane address (gavel-sched -submit-listen)")
-		clientSpec = flag.String("client", "", "synthetic tenant spec, e.g. tenant=flood,jobs=12,seed=7,lie=3,steps=0.01")
-		submitSpec = flag.String("submit", "", "one submission, e.g. tenant=acme,key=job-7,name=resnet50,steps=5000,tput=120;80;30")
-		withdraw   = flag.String("withdraw", "", "withdraw a submission by tenant=...,key=... and exit")
-		roundHint  = flag.Duration("round", time.Second, "what one round of a retry-after hint is worth in wall time")
-		pollEvery  = flag.Duration("poll-every", time.Second, "poll interval while waiting for terminal states")
-		timeout    = flag.Duration("timeout", 10*time.Minute, "overall deadline for the stream to reach terminal states")
-		noWait     = flag.Bool("no-wait", false, "exit after submitting instead of polling to terminal states")
-	)
+	var cfg config
+	flag.StringVar(&cfg.scheduler, "scheduler", "127.0.0.1:8643", "coordinator submission-plane address (gavel-sched -submit-listen)")
+	flag.StringVar(&cfg.client, "client", "", "synthetic tenant spec, e.g. tenant=flood,jobs=12,seed=7,lie=3,steps=0.01")
+	flag.StringVar(&cfg.submit, "submit", "", "one submission, e.g. tenant=acme,key=job-7,name=resnet50,steps=5000,tput=120;80;30")
+	flag.StringVar(&cfg.withdraw, "withdraw", "", "withdraw a submission by tenant=...,key=... and exit")
+	flag.DurationVar(&cfg.roundHint, "round", time.Second, "what one round of a retry-after hint is worth in wall time")
+	flag.DurationVar(&cfg.pollEvery, "poll-every", time.Second, "poll interval while waiting for terminal states")
+	flag.DurationVar(&cfg.timeout, "timeout", 10*time.Minute, "overall deadline for the stream to reach terminal states")
+	flag.BoolVar(&cfg.noWait, "no-wait", false, "exit after submitting instead of polling to terminal states")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	sum, err := run(ctx, cfg)
+	if sum != nil {
+		fmt.Println(sum)
+	}
+	if err != nil {
+		log.Fatalf("gavel-submit: %v", err)
+	}
+}
+
+// summary counts one stream's final states — the greppable last line.
+type summary struct {
+	tenant                                              string
+	submitted, done, rejected, withdrawn, backpressured int
+}
+
+func (s *summary) String() string {
+	return fmt.Sprintf("gavel-submit: tenant=%s summary submitted=%d done=%d rejected=%d withdrawn=%d backpressured=%d",
+		s.tenant, s.submitted, s.done, s.rejected, s.withdrawn, s.backpressured)
+}
+
+// run withdraws, or streams and (unless noWait) polls to terminal states.
+// The summary is nil unless the stream was polled; it comes with an error
+// when the deadline passed with submissions still pending.
+func run(ctx context.Context, cfg config) (*summary, error) {
 	modes := 0
-	for _, s := range []string{*clientSpec, *submitSpec, *withdraw} {
+	for _, s := range []string{cfg.client, cfg.submit, cfg.withdraw} {
 		if s != "" {
 			modes++
 		}
 	}
 	if modes != 1 {
-		log.Fatalf("gavel-submit: exactly one of -client, -submit, or -withdraw is required")
+		return nil, errors.New("exactly one of -client, -submit, or -withdraw is required")
 	}
 
-	c, err := rpc.DialSubmit(*scheduler)
+	c, err := rpc.DialSubmit(cfg.scheduler)
 	if err != nil {
-		log.Fatalf("gavel-submit: %v", err)
+		return nil, err
 	}
 	defer c.Close()
 
-	if *withdraw != "" {
-		args, err := rpc.ParseSubmitSpec(*withdraw)
+	if cfg.withdraw != "" {
+		args, err := rpc.ParseSubmitSpec(cfg.withdraw)
 		if err != nil {
-			log.Fatalf("gavel-submit: %v", err)
+			return nil, err
 		}
 		rep, err := c.Withdraw(rpc.WithdrawArgs{Tenant: args.Tenant, Key: args.Key})
 		if err != nil {
-			log.Fatalf("gavel-submit: withdraw %s/%s: %v", args.Tenant, args.Key, err)
+			return nil, fmt.Errorf("withdraw %s/%s: %w", args.Tenant, args.Key, err)
 		}
 		log.Printf("gavel-submit: withdrew %s/%s (state %s)", args.Tenant, args.Key, rep.State)
-		return
+		return nil, nil
 	}
 
 	var stream []rpc.SubmitArgs
-	if *clientSpec != "" {
-		cs, err := chaos.ParseClientSpec(*clientSpec)
+	if cfg.client != "" {
+		cs, err := chaos.ParseClientSpec(cfg.client)
 		if err != nil {
-			log.Fatalf("gavel-submit: %v", err)
+			return nil, err
 		}
 		stream = cs.Submissions()
 		log.Printf("gavel-submit: tenant=%s expanding spec %q into %d submissions", cs.Tenant, cs.String(), len(stream))
 	} else {
-		args, err := rpc.ParseSubmitSpec(*submitSpec)
+		args, err := rpc.ParseSubmitSpec(cfg.submit)
 		if err != nil {
-			log.Fatalf("gavel-submit: %v", err)
+			return nil, err
 		}
 		stream = []rpc.SubmitArgs{args}
 	}
-	tenant := stream[0].Tenant
+	sum := &summary{tenant: stream[0].Tenant, submitted: len(stream)}
 
-	deadline := time.Now().Add(*timeout)
-	backpressured := 0
+	deadline := time.Now().Add(cfg.timeout)
 	for _, a := range stream {
 		for {
 			rep, err := c.Submit(a)
@@ -102,56 +138,65 @@ func main() {
 			// Backpressure is ours to honor: sleep out the hint and retry the
 			// same key — the server dedupes, so a refusal-then-accept cannot
 			// double-submit.
-			if ra := rpc.RetryAfter(err); ra > 0 {
-				backpressured++
-				log.Printf("gavel-submit: %s/%s refused (retry-after=%d rounds): %v", a.Tenant, a.Key, ra, err)
-				if time.Now().After(deadline) {
-					log.Fatalf("gavel-submit: gave up on %s/%s: still refused at deadline", a.Tenant, a.Key)
-				}
-				time.Sleep(time.Duration(ra) * *roundHint)
-				continue
+			ra := rpc.RetryAfter(err)
+			if ra <= 0 {
+				return nil, fmt.Errorf("submit %s/%s: %w", a.Tenant, a.Key, err)
 			}
-			log.Fatalf("gavel-submit: submit %s/%s: %v", a.Tenant, a.Key, err)
+			sum.backpressured++
+			log.Printf("gavel-submit: %s/%s refused (retry-after=%d rounds): %v", a.Tenant, a.Key, ra, err)
+			if time.Now().After(deadline) {
+				return nil, fmt.Errorf("gave up on %s/%s: still refused at deadline", a.Tenant, a.Key)
+			}
+			if err := sleep(ctx, time.Duration(ra)*cfg.roundHint); err != nil {
+				return nil, err
+			}
 		}
 	}
 	log.Printf("gavel-submit: tenant=%s streamed %d submissions (%d backpressure refusals honored)",
-		tenant, len(stream), backpressured)
-	if *noWait {
-		return
+		sum.tenant, len(stream), sum.backpressured)
+	if cfg.noWait {
+		return nil, nil
 	}
 
 	// Poll every key until the whole stream is terminal. Each poll refreshes
 	// the tenant's liveness clock server-side.
-	counts := map[rpc.SubmissionState]int{}
 	for {
-		counts = map[rpc.SubmissionState]int{}
+		sum.done, sum.rejected, sum.withdrawn = 0, 0, 0
 		pending := 0
 		for _, a := range stream {
 			rep, err := c.Poll(rpc.PollArgs{Tenant: a.Tenant, Key: a.Key})
 			if err != nil {
-				log.Fatalf("gavel-submit: poll %s/%s: %v", a.Tenant, a.Key, err)
+				return nil, fmt.Errorf("poll %s/%s: %w", a.Tenant, a.Key, err)
 			}
-			counts[rep.State]++
 			switch rep.State {
 			case rpc.SubmissionQueued, rpc.SubmissionAdmitted:
 				pending++
+			case rpc.SubmissionDone:
+				sum.done++
+			case rpc.SubmissionRejected:
+				sum.rejected++
+			case rpc.SubmissionWithdrawn:
+				sum.withdrawn++
 			}
 		}
 		if pending == 0 {
-			break
+			return sum, nil
 		}
 		if time.Now().After(deadline) {
-			log.Printf("gavel-submit: tenant=%s timed out with %d submissions still pending", tenant, pending)
-			summarize(tenant, len(stream), counts, backpressured)
-			os.Exit(1)
+			return sum, fmt.Errorf("tenant=%s timed out with %d submissions still pending", sum.tenant, pending)
 		}
-		time.Sleep(*pollEvery)
+		if err := sleep(ctx, cfg.pollEvery); err != nil {
+			return nil, err
+		}
 	}
-	summarize(tenant, len(stream), counts, backpressured)
 }
 
-func summarize(tenant string, n int, counts map[rpc.SubmissionState]int, backpressured int) {
-	fmt.Printf("gavel-submit: tenant=%s summary submitted=%d done=%d rejected=%d withdrawn=%d backpressured=%d\n",
-		tenant, n, counts[rpc.SubmissionDone], counts[rpc.SubmissionRejected],
-		counts[rpc.SubmissionWithdrawn], backpressured)
+// sleep waits d or until ctx is cancelled, returning ctx's error then.
+func sleep(ctx context.Context, d time.Duration) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(d):
+		return nil
+	}
 }

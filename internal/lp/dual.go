@@ -67,6 +67,9 @@ func (e *revEngine) dualSimplex(budget int) bool {
 		cap = budget
 	}
 	stallCap := 64 + e.m/2
+	// alpha_j of every nonbasic column, kept for the Devex update of the
+	// pivot that follows (the scratch slot is free once the CSC is built).
+	row := e.arena.floats(wsF64Scratch, e.nTotal)
 	bestTotal := math.Inf(1)
 	stall := 0
 	for it := 0; it < cap; it++ {
@@ -111,12 +114,7 @@ func (e *revEngine) dualSimplex(budget int) bool {
 			}
 		}
 		// rho = B^-T e_leave gives the pivot row; alpha_j = rho . a_j.
-		rho := e.wsZ
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[leave] = 1
-		e.factor.btran(rho)
+		rho := e.btranRow(leave)
 		// Current duals for the ratio test.
 		y := e.wsY
 		for i, c := range e.basis {
@@ -141,6 +139,7 @@ func (e *revEngine) dualSimplex(budget int) bool {
 			for _, en := range e.cols[j] {
 				a += rho[en.row] * en.val
 			}
+			row[j] = a
 			atUp := e.nbAtUpper(j)
 			// Below its bound (v < 0): xB[leave] must increase, so the
 			// entering change -alpha_j * dx_j must be positive; above its
@@ -206,7 +205,7 @@ func (e *revEngine) dualSimplex(budget int) bool {
 			return false
 		}
 		enterVal := base + delta
-		if !e.applyPivotB(enter, leave, delta, enterVal, w, leaveToUpper) {
+		if !e.applyPivotB(enter, leave, delta, enterVal, w, row, leaveToUpper) {
 			return false
 		}
 		e.dualIters++

@@ -21,6 +21,18 @@ func (e *revEngine) devexInit() {
 	}
 }
 
+// btranRow returns rho = B^-T e_r in wsZ: the pivot row of basis position r,
+// whose entry for column j is alpha_j = rho . a_j.
+func (e *revEngine) btranRow(r int) []float64 {
+	rho := e.wsZ
+	for i := range rho {
+		rho[i] = 0
+	}
+	rho[r] = 1
+	e.factor.btran(rho)
+	return rho
+}
+
 // devexUpdate folds one pivot into the reference weights. It must run
 // BEFORE the basis arrays and factors absorb the pivot: the pivot is about to
 // replace basis position r with column enter, whose FTRAN image under the
@@ -28,8 +40,10 @@ func (e *revEngine) devexInit() {
 // rho = B^-T e_r gives every nonbasic column's alpha_j = rho . a_j, and the
 // textbook Devex update is gamma_j = max(gamma_j, (alpha_j/alpha_q)^2 *
 // gamma_q). The leaving variable re-enters the nonbasic set with weight
-// max(gamma_q/alpha_q^2, 1).
-func (e *revEngine) devexUpdate(enter, r int, w []float64) {
+// max(gamma_q/alpha_q^2, 1). A dual pivot passes the alpha_j its ratio test
+// already computed under the same factors, in the same summation order, as
+// row; a primal one passes nil and the row is computed here.
+func (e *revEngine) devexUpdate(enter, r int, w, row []float64) {
 	if e.devex == nil {
 		return // the polish clone keeps no weights
 	}
@@ -38,12 +52,10 @@ func (e *revEngine) devexUpdate(enter, r int, w []float64) {
 		return
 	}
 	gammaQ := e.devex[enter]
-	rho := e.wsZ
-	for i := range rho {
-		rho[i] = 0
+	var rho []float64
+	if row == nil {
+		rho = e.btranRow(r)
 	}
-	rho[r] = 1
-	e.factor.btran(rho)
 	scale := gammaQ / (alphaQ * alphaQ)
 	reset := false
 	for j := 0; j < e.nTotal; j++ {
@@ -51,8 +63,12 @@ func (e *revEngine) devexUpdate(enter, r int, w []float64) {
 			continue
 		}
 		var a float64
-		for _, en := range e.cols[j] {
-			a += rho[en.row] * en.val
+		if row != nil {
+			a = row[j]
+		} else {
+			for _, en := range e.cols[j] {
+				a += rho[en.row] * en.val
+			}
 		}
 		if a == 0 {
 			continue

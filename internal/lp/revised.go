@@ -461,17 +461,18 @@ func (e *revEngine) boundFlip(enter int, s float64, w []float64) {
 // known to move from zero and the leaving one lands at zero (artificial
 // drive-out): step and value coincide.
 func (e *revEngine) applyPivot(enter, leave int, theta float64, w []float64) bool {
-	return e.applyPivotB(enter, leave, theta, theta, w, false)
+	return e.applyPivotB(enter, leave, theta, theta, w, nil, false)
 }
 
 // applyPivotB replaces basis position leave with column enter. delta is the
 // entering column's signed displacement from its current bound (negative when
 // it descends from its upper bound), enterVal its resulting value, and
 // leaveToUpper tells which bound the leaving variable lands on. Devex weights
-// absorb the pivot before the factors do, the eta is recorded, and the
+// absorb the pivot (from row, the pivot row's alpha_j, when the caller has
+// it) before the factors do, the eta is recorded, and the
 // degenerate-streak counter feeds the early-Bland anti-cycling switch.
-func (e *revEngine) applyPivotB(enter, leave int, delta, enterVal float64, w []float64, leaveToUpper bool) bool {
-	e.devexUpdate(enter, leave, w)
+func (e *revEngine) applyPivotB(enter, leave int, delta, enterVal float64, w, row []float64, leaveToUpper bool) bool {
+	e.devexUpdate(enter, leave, w, row)
 	if delta != 0 {
 		for i := range e.xB {
 			e.xB[i] -= delta * w[i]
@@ -664,7 +665,7 @@ func (e *revEngine) phase1() (Status, bool) {
 			base = e.ub[enter]
 		}
 		delta := s * theta
-		if !e.applyPivotB(enter, leave, delta, base+delta, w, toUpper) {
+		if !e.applyPivotB(enter, leave, delta, base+delta, w, nil, toUpper) {
 			return 0, false
 		}
 	}
@@ -887,7 +888,7 @@ func (e *revEngine) phase2() (Status, bool) {
 			base = e.ub[enter]
 		}
 		delta := s * theta
-		if !e.applyPivotB(enter, leave, delta, base+delta, w, toUpper) {
+		if !e.applyPivotB(enter, leave, delta, base+delta, w, nil, toUpper) {
 			return 0, false
 		}
 	}

@@ -81,7 +81,7 @@ const (
 	wsF64Obj
 	wsF64UB
 	wsF64Devex
-	wsF64Scratch
+	wsF64Scratch // the CSC build's row accumulator, the dual's pivot row, the polish's x
 	wsF64Count
 )
 

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	gorpc "net/rpc"
 	"reflect"
 	"strings"
@@ -251,6 +252,68 @@ func TestConfigureRefusesMalformedShape(t *testing.T) {
 		if ran[skip[0]] || !ran[1-skip[0]] {
 			t.Fatalf("round %d, skipping job %d: ran %v", round+1, skip[0], ran)
 		}
+	}
+}
+
+// TestShardRefusesMalformedRows: over a real socket, a throughput row with
+// the wrong entry count or a NaN, negative or infinite rate is refused with
+// CodeBadRequest by Install (the job's row or a pair's) and by ObserveJob,
+// and the shard is left as it was: the refused install is not resident, and
+// the job whose push was refused keeps its row, so the next Allocate solves
+// and gives it a share.
+func TestShardRefusesMalformedRows(t *testing.T) {
+	srv := NewShardServer()
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	c, err := DialShard(addr)
+	if err != nil {
+		t.Fatalf("DialShard: %v", err)
+	}
+	defer c.Close()
+	err = c.Configure(ShardConfig{
+		WorkerInts: []int{2, 2, 2}, PerServer: []int{8, 8, 8}, Prices: []float64{3, 2, 1},
+		Policy: PolicySpec{Name: "max_min_fairness"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []float64{3, 2, 1}
+	if err := c.Install(InstallArgs{JobID: 0, ScaleFactor: 1, Tput: good}); err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]float64{{1}, {1, 1, 1, 1}, {1, math.NaN(), 1}, {1, -5, 1}, {math.Inf(1), 1, 1}}
+	for _, row := range bad {
+		if err := c.ObserveJob(ObserveJobArgs{JobID: 0, Tput: row}); CodeOf(err) != CodeBadRequest {
+			t.Errorf("ObserveJob(%v): err = %v (code %v), want CodeBadRequest", row, err, CodeOf(err))
+		}
+		if err := c.Install(InstallArgs{JobID: 1, ScaleFactor: 1, Tput: row}); CodeOf(err) != CodeBadRequest {
+			t.Errorf("Install(%v): err = %v (code %v), want CodeBadRequest", row, err, CodeOf(err))
+		}
+		pair := InstallArgs{JobID: 1, ScaleFactor: 1, Tput: good, Pairs: []PairRows{{A: 1, B: 0, Ta: good, Tb: row}}}
+		if err := c.Install(pair); CodeOf(err) != CodeBadRequest {
+			t.Errorf("Install with pair row %v: err = %v (code %v), want CodeBadRequest", row, err, CodeOf(err))
+		}
+	}
+	st, err := c.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.Jobs, []int{0}) || st.Admitted != 1 {
+		t.Fatalf("refused installs changed the shard: jobs %v, admitted %d", st.Jobs, st.Admitted)
+	}
+	alloc, err := c.Allocate(AllocateArgs{Round: 1, Infos: []policy.JobInfo{{ID: 0, Weight: 1}}})
+	if err != nil {
+		t.Fatalf("Allocate after refused pushes: %v", err)
+	}
+	share := 0.0
+	for _, x := range alloc.X[0] {
+		share += x
+	}
+	if !(share > 0) {
+		t.Fatalf("job 0's allocation row %v is empty after refused pushes", alloc.X[0])
 	}
 }
 

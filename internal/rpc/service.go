@@ -96,9 +96,15 @@ type shardMirror struct {
 	alloc    *core.Allocation // last AllocateReply, rebuilt coordinator-side
 	allocIDs []int
 	// Argument scratch of the fan-out calls (AllocateAll's Infos, AssignRound's
-	// SkipJobs): a client has consumed its arguments by the time it returns.
-	infos []policy.JobInfo
-	skip  []int
+	// SkipJobs, EndRound's clamp pushes): a client has consumed its arguments
+	// by the time it returns.
+	infos  []policy.JobInfo
+	skip   []int
+	pushes []ObserveJobArgs
+	// Outcome of this shard's clamp-push chain: some push failed transiently,
+	// and the error (shard down or a protocol failure) that ended it early.
+	pushDegraded bool
+	pushErr      error
 	// RunRound's per-shard state: stale going into this round's allocation,
 	// and rounds since the last one (rebuilt on replay from recAlloc,
 	// recDegrade and recRound, so a resumed run keeps the realloc cadence).

@@ -299,7 +299,16 @@ func (s *Service) ObserveMeasured(jobID, accType int, rate float64) error {
 // live path, pushes them to the owning daemons via ObserveJob. Pushes repeat
 // every review round while a tenant stays quarantined — the overwrite is
 // idempotent, and repetition heals a push a degraded round lost.
+//
+// The mirror absorbs every clamp first, in clamp order; then each live
+// shard's pushes run as one chain, the chains concurrently. A shard sees
+// exactly the calls, in exactly the order, the one-at-a-time loop would make:
+// a transient failure degrades the round and the chain goes on, anything else
+// ends that shard's chain. Outcomes land after the join, shards ascending.
 func (s *Service) applyClamps(clamps []jobClamp, push bool) error {
+	for _, m := range s.shards {
+		m.pushes = m.pushes[:0]
+	}
 	for _, cl := range clamps {
 		k, ok := s.shardOf[cl.jobID]
 		if !ok {
@@ -316,9 +325,39 @@ func (s *Service) applyClamps(clamps []jobClamp, push bool) error {
 			m.dirty = true
 		}
 		if push && !m.down {
-			if err := s.degradeOrErr(m, m.client.ObserveJob(ObserveJobArgs{JobID: cl.jobID, Tput: cl.tput, Trace: s.curTrace})); err != nil {
-				return err
+			m.pushes = append(m.pushes, ObserveJobArgs{JobID: cl.jobID, Tput: cl.tput, Trace: s.curTrace})
+		}
+	}
+	s.fan = s.fan[:0]
+	for k, m := range s.shards {
+		if len(m.pushes) > 0 {
+			s.fan = append(s.fan, k)
+		}
+	}
+	if len(s.fan) == 0 {
+		return nil // replay, or no live shard holds a clamped job
+	}
+	fanOut(s.fan, func(k int) {
+		m := s.shards[k]
+		m.pushDegraded, m.pushErr = false, nil
+		for _, a := range m.pushes {
+			if err := m.client.ObserveJob(a); err != nil {
+				if IsTransient(CodeOf(err)) {
+					m.pushDegraded = true
+					continue
+				}
+				m.pushErr = err
+				return
 			}
+		}
+	})
+	for _, k := range s.fan {
+		m := s.shards[k]
+		if m.pushDegraded {
+			s.roundDegraded = true
+		}
+		if err := s.degradeOrErr(m, m.pushErr); err != nil {
+			return err
 		}
 	}
 	return nil

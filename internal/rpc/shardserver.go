@@ -255,6 +255,14 @@ func (s *ShardServer) Install(args InstallArgs, _ *Ack) error {
 		s.cached.With("Install").Inc()
 		return nil
 	}
+	if err := s.validRows(args.Tput); err != nil {
+		return err
+	}
+	for _, p := range args.Pairs {
+		if err := s.validRows(p.Ta, p.Tb); err != nil {
+			return err
+		}
+	}
 	s.calls.With("Install").Inc()
 	sp := s.tr.Begin(args.Trace, "shard.install").OnShard(s.cfg.Index).AttrInt("job", int64(args.JobID))
 	defer sp.End(nil)
@@ -411,7 +419,23 @@ func (s *ShardServer) ObserveJob(args ObserveJobArgs, _ *Ack) error {
 	if err != nil {
 		return err
 	}
+	if err := s.validRows(args.Tput); err != nil {
+		return err
+	}
 	sh.ObserveJob(args.JobID, args.Tput)
+	return nil
+}
+
+// validRows refuses throughput rows the shard's policy input cannot hold: one
+// entry per accelerator type of the configured slice, each finite and
+// non-negative. Stored unchecked, a short row fails every later Allocate and a
+// NaN silently zeroes the job's allocation.
+func (s *ShardServer) validRows(rows ...[]float64) error {
+	for _, r := range rows {
+		if err := ValidateTput(len(s.cfg.WorkerInts), r); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
