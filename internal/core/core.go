@@ -344,8 +344,9 @@ func (a *Allocation) Validate(scaleFactors []int, workers []float64) error {
 // the column identities, the membership index), and Rewind drops everything
 // a policy added on top of the skeleton, so a policy that solves a sequence
 // of LPs over one input — max-min's refinement pass, the fairness binary
-// search, water filling — builds the skeleton once. policy.SolveContext owns
-// one Program per context for exactly that.
+// search, water filling — builds the skeleton once. What a Program built
+// before never changes what Build lays out, so policy.SolveContext lends each
+// Allocate one, next to its lp.Workspace, from a process-wide free list.
 type Program struct {
 	P     *lp.Problem
 	Units []Unit

@@ -19,9 +19,11 @@ import "gavel/internal/linalg"
 // allocation, the warm-start cache) past the next solve.
 //
 // Buffers grow monotonically to the largest problem seen. Attach one arena
-// to every problem solved in a loop (SetWorkspace; policy.SolveContext does)
-// and a steady-state solve allocates only its Result; a problem without one
-// gets a private arena for the single solve. A Workspace is not safe for
+// to every problem solved in a loop (SetWorkspace) and a steady-state solve
+// allocates only its Result; a problem without one gets a private arena for
+// the single solve. No solve reads what an earlier one left behind, so any
+// caller may reuse an arena another grew: policy.SolveContext borrows one
+// from a process-wide free list per Allocate. A Workspace is not safe for
 // concurrent solves.
 type Workspace struct {
 	lin  linalg.Scratch

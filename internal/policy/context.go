@@ -3,6 +3,7 @@ package policy
 import (
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"gavel/internal/core"
@@ -44,15 +45,7 @@ type SolveContext struct {
 	// goroutines may share one.
 	Metrics *obs.LPMetrics
 
-	// ws is the arena every solve issued through this context runs in (see
-	// lp.Workspace for what it owns), and prog the one Program every policy
-	// builds its LPs on. Both grow to the largest reset seen and are reused
-	// verbatim, so a steady-state reset allocates only what it returns: the
-	// Allocation, the solve's Result.X and the cached Basis. Allocate calls
-	// through a context are serial and build one program at a time, so one
-	// of each suffices.
-	ws   lp.Workspace
-	prog core.Program
+	scratch *solveScratch // lent to the Allocate in progress; nil between calls
 	// scale is the per-job scale-factor scratch handed to the program build;
 	// f64 a policy's per-variable scratch (floats).
 	scale []int
@@ -95,20 +88,6 @@ type SolveStats struct {
 	PresolveReductions int // presolve row/column/bound reductions across all solves
 	DualIterations     int // dual-simplex repair iterations across all solves
 	Refactorizations   int // revised-engine basis LU refactorizations across all solves
-
-	// Labels breaks Iterations/DualIterations/PresolveReductions down by the
-	// policy-chosen solve label, so multi-LP policies (e.g. the fairness
-	// binary search plus its refine pass) can be attributed separately. Keys
-	// are the labels passed to Solve.
-	Labels map[string]LabelStats
-}
-
-// LabelStats is the per-label slice of SolveStats.
-type LabelStats struct {
-	Solves             int
-	Iterations         int
-	DualIterations     int
-	PresolveReductions int
 }
 
 // NewSolveContext returns an empty context.
@@ -116,11 +95,64 @@ func NewSolveContext() *SolveContext {
 	return &SolveContext{bases: map[string]*cachedBasis{}, rowIDs: map[rowIDKey]string{}}
 }
 
+// solveScratch is the arena set one Allocate runs in: the lp.Workspace its
+// solves run in and the core.Program its policy builds LPs on. Both grow to
+// the largest problem they have served and are reused verbatim, so a
+// steady-state reset allocates only what it returns. Nothing in a scratch
+// reaches a result, so which context grew it never shows in an answer.
+type solveScratch struct {
+	ws   lp.Workspace
+	prog core.Program
+}
+
+// scratches is the process-wide free list of solve scratches, LIFO so a
+// serial caller gets back the scratch it just grew. It holds no more
+// scratches than were ever borrowed at once, one per concurrent Allocate,
+// and contexts taking turns grow each to the largest problem among them:
+// arena memory is bounded by concurrent Allocates times the largest problem,
+// not by the number of contexts ever created. Not a sync.Pool: every GC
+// empties one, and the runtime forces a GC at least every two minutes, so a
+// scheduler whose rounds are minutes apart would regrow its arenas each round.
+var scratches struct {
+	mu   sync.Mutex
+	free []*solveScratch
+}
+
+// lend borrows a scratch for the context unless it already holds one, and
+// reports whether it did; the borrower then calls giveBack.
+func (c *SolveContext) lend() bool {
+	if c.scratch != nil {
+		return false
+	}
+	scratches.mu.Lock()
+	if n := len(scratches.free); n > 0 {
+		c.scratch, scratches.free = scratches.free[n-1], scratches.free[:n-1]
+	} else {
+		c.scratch = new(solveScratch)
+	}
+	scratches.mu.Unlock()
+	return true
+}
+
+// giveBack returns the context's scratch to the free list, first detaching p
+// (if non-nil) from it: a caller's problem must not point into a scratch
+// another context may hold next.
+func (c *SolveContext) giveBack(p *lp.Problem) {
+	if p != nil {
+		p.SetWorkspace(nil)
+	}
+	scratches.mu.Lock()
+	scratches.free = append(scratches.free, c.scratch)
+	scratches.mu.Unlock()
+	c.scratch = nil
+}
+
 // program builds the LP skeleton for in (core.NewProgram's layout, or its
-// Charnes-Cooper homogenization) on the context's reusable Program. The
-// program is valid until the next call; a policy solving several LPs over
-// one input rewinds it (Program.Rewind) instead of asking again. A nil
-// context builds a fresh program.
+// Charnes-Cooper homogenization) on the Program of the scratch lent to the
+// Allocate in progress. The program is valid until the next call or the end
+// of the Allocate; a policy solving several LPs over one input rewinds it
+// (Program.Rewind) instead of asking again. A nil context builds a fresh
+// program.
 func (c *SolveContext) program(sense lp.Sense, in *Input, homogeneous bool) *core.Program {
 	var pr *core.Program
 	var scale []int
@@ -132,7 +164,7 @@ func (c *SolveContext) program(sense lp.Sense, in *Input, homogeneous bool) *cor
 			clear(c.rowIDs)
 		}
 		c.scale = in.scaleFactorsInto(c.scale)
-		pr, scale = &c.prog, c.scale
+		pr, scale = &c.scratch.prog, c.scale
 	}
 	if homogeneous {
 		pr.BuildHomogeneous(sense, in.Units, scale, in.Workers)
@@ -170,26 +202,36 @@ func (c *SolveContext) rowID(prefix string, id int) string {
 	return s
 }
 
-// startBuild and observeBuild bracket one Allocate: together they observe
-// the wall-clock the call spent outside its LP solves — program build,
-// basis remapping, extraction — as gavel_policy_build_seconds. Without
-// Metrics neither reads the clock.
+// startBuild and observeBuild bracket one Allocate. The outermost bracket
+// borrows the context's scratch and gives it back (an Allocate calling
+// another policy's Allocate on the same context shares its borrow).
+// Together they observe the wall-clock the call spent outside its LP solves —
+// program build, basis remapping, extraction — as
+// gavel_policy_build_seconds; without Metrics neither reads the clock.
 func (c *SolveContext) startBuild() buildTimer {
-	if c == nil || c.Metrics == nil {
-		return buildTimer{}
+	var t buildTimer
+	if c == nil {
+		return t
 	}
-	return buildTimer{start: c.Metrics.Start(), solved: c.solveSeconds}
+	t.lent = c.lend()
+	if c.Metrics != nil {
+		t.start, t.solved = c.Metrics.Start(), c.solveSeconds
+	}
+	return t
 }
 
 func (c *SolveContext) observeBuild(t buildTimer) {
-	if t.start.IsZero() {
-		return
+	if t.lent {
+		c.giveBack(nil)
 	}
-	c.Metrics.ObserveBuild(t.start, c.solveSeconds-t.solved)
+	if !t.start.IsZero() {
+		c.Metrics.ObserveBuild(t.start, c.solveSeconds-t.solved)
+	}
 }
 
 // buildTimer is the state startBuild hands observeBuild.
 type buildTimer struct {
+	lent   bool // this bracket borrowed the context's scratch
 	start  time.Time
 	solved float64 // the context's solveSeconds when the Allocate began
 }
@@ -284,7 +326,7 @@ func (c *SolveContext) seed(key string, ids []lp.ColumnID, numRows int) (*lp.Bas
 	if sameIDs(ent.ids, ids) && ent.basis.NumRows() == numRows {
 		return ent.basis, nil
 	}
-	return nil, ent.basis.RemapIn(&c.ws, ent.ids, ids)
+	return nil, ent.basis.RemapIn(&c.scratch.ws, ent.ids, ids)
 }
 
 // HasSeeds reports whether the context holds any cached basis. A context
@@ -317,7 +359,7 @@ func (c *SolveContext) record(key string, ids []lp.ColumnID, res *lp.Result) {
 	}
 	c.Stats.Iterations += res.Iterations
 	c.Stats.Pivots += res.Pivots
-	c.recordCounters(key, res)
+	c.recordCounters(res)
 	if res.Status == lp.Optimal && res.Basis != nil {
 		// ids is typically the program's own slice, rewritten by the next
 		// build: the cache keeps a copy, in the entry's storage.
@@ -361,23 +403,14 @@ func (c *SolveContext) emit(key string, res *lp.Result, start time.Time) {
 }
 
 // recordCounters folds the presolve/dual/recovery accounting of one result
-// into the aggregate and per-label stats.
-func (c *SolveContext) recordCounters(key string, res *lp.Result) {
+// into the stats.
+func (c *SolveContext) recordCounters(res *lp.Result) {
 	if res.Recovered {
 		c.Stats.Fallbacks++
 	}
 	c.Stats.PresolveReductions += res.PresolveReductions
 	c.Stats.DualIterations += res.DualIterations
 	c.Stats.Refactorizations += res.Refactorizations
-	if c.Stats.Labels == nil {
-		c.Stats.Labels = map[string]LabelStats{}
-	}
-	ls := c.Stats.Labels[key]
-	ls.Solves++
-	ls.Iterations += res.Iterations
-	ls.DualIterations += res.DualIterations
-	ls.PresolveReductions += res.PresolveReductions
-	c.Stats.Labels[key] = ls
 }
 
 // Solve solves p, seeding from the basis cached under key — positionally
@@ -390,8 +423,11 @@ func (c *SolveContext) Solve(key string, p *lp.Problem, ids []lp.ColumnID) (*lp.
 	if c == nil {
 		return p.Solve()
 	}
+	if c.lend() { // outside any Allocate: lent for this call alone
+		defer c.giveBack(p)
+	}
+	p.SetWorkspace(&c.scratch.ws)
 	c.Stats.Solves++
-	p.SetWorkspace(&c.ws)
 	prev, mapped := c.seed(key, ids, p.NumConstraints())
 	start := c.Metrics.Start()
 	var res *lp.Result
@@ -427,8 +463,11 @@ func (c *SolveContext) SolveCold(p *lp.Problem) (*lp.Result, error) {
 	if c == nil {
 		return p.Solve()
 	}
+	if c.lend() { // outside any Allocate: lent for this call alone
+		defer c.giveBack(p)
+	}
+	p.SetWorkspace(&c.scratch.ws)
 	c.Stats.Solves++
-	p.SetWorkspace(&c.ws)
 	start := c.Metrics.Start()
 	res, err := p.Solve()
 	if err != nil {
@@ -436,7 +475,7 @@ func (c *SolveContext) SolveCold(p *lp.Problem) (*lp.Result, error) {
 	}
 	c.Stats.Iterations += res.Iterations
 	c.Stats.Pivots += res.Pivots
-	c.recordCounters("cold", res)
+	c.recordCounters(res)
 	c.emit("cold", res, start)
 	return res, nil
 }

@@ -256,13 +256,44 @@ func TestSolveContextIterationSavingsUnderChurn(t *testing.T) {
 	}
 }
 
-// failNextAttempts makes the next n engine attempts in ctx's arena report
-// failure. lp.Workspace keeps that counter unexported on purpose — nothing
-// outside a test may set it — and a policy builds its own lp.Problem, so this
-// test reaches through the one door there is.
-func failNextAttempts(ctx *SolveContext, n int) {
-	f := reflect.ValueOf(&ctx.ws).Elem().FieldByName("failNext")
+// failNextAttempts makes the next n engine attempts in the scratch the next
+// Allocate borrows report failure: the free list is LIFO, so the scratch
+// returned here is the one handed out next (the package's tests are serial).
+// lp.Workspace keeps that counter unexported on purpose — nothing outside a
+// test may set it — and a policy builds its own lp.Problem, so this test
+// reaches through the one door there is.
+func failNextAttempts(n int) {
+	c := new(SolveContext)
+	c.lend()
+	f := reflect.ValueOf(&c.scratch.ws).Elem().FieldByName("failNext")
 	*(*int)(unsafe.Pointer(f.UnsafeAddr())) = n
+	c.giveBack(nil)
+}
+
+// TestSolveOutsideAllocateGivesBack: a Solve or SolveCold issued outside any
+// Allocate borrows a scratch for the call alone, and the caller's problem
+// does not keep pointing into it once it is back on the free list.
+func TestSolveOutsideAllocateGivesBack(t *testing.T) {
+	ctx := NewSolveContext()
+	for _, cold := range []bool{false, true} {
+		p := lp.NewProblem(lp.Maximize)
+		x := p.AddVar(1, "x")
+		p.AddConstraintRow([]lp.Term{{Var: x, Coeff: 1}}, lp.LE, 3, "cap")
+		solve := func() (*lp.Result, error) { return ctx.Solve("bare", p, nil) }
+		if cold {
+			solve = func() (*lp.Result, error) { return ctx.SolveCold(p) }
+		}
+		res, err := solve()
+		if err != nil || res.Status != lp.Optimal || res.X[x] != 3 {
+			t.Fatalf("cold=%v: got (%+v, %v), want x = 3", cold, res, err)
+		}
+		if ctx.scratch != nil {
+			t.Fatalf("cold=%v: the context kept its scratch after the call", cold)
+		}
+		if !reflect.ValueOf(p).Elem().FieldByName("ws").IsNil() {
+			t.Fatalf("cold=%v: the problem still points into a returned workspace", cold)
+		}
+	}
 }
 
 // TestRecoveryResolve follows an engine failure up through the policy layer.
@@ -281,7 +312,7 @@ func TestRecoveryResolve(t *testing.T) {
 
 	ctx := NewSolveContext()
 	ctx.Metrics = obs.NewLPMetrics(obs.NewRegistry())
-	failNextAttempts(ctx, 1)
+	failNextAttempts(1)
 	got, err := pol.Allocate(in, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +325,7 @@ func TestRecoveryResolve(t *testing.T) {
 		t.Fatalf(`gavel_lp_solves_total{kind="fallback"} = %d, want 1`, n)
 	}
 
-	failNextAttempts(ctx, 2)
+	failNextAttempts(2)
 	got, err = pol.Allocate(in, ctx)
 	if !errors.Is(err, lp.ErrNumerical) || got != nil {
 		t.Fatalf("want (nil, lp.ErrNumerical), got (%v, %v)", got, err)

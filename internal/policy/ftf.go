@@ -69,9 +69,10 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 	}
 
 	// Every probe of the search solves over the same skeleton, built once
-	// and rewound per probe.
+	// and rewound per probe; only the last feasible probe's solution is
+	// extracted, after the search (Extract reads only the skeleton).
 	pr := ctx.program(lp.Maximize, in, false)
-	feasible := func(r float64) (*core.Allocation, bool) {
+	feasible := func(r float64) ([]float64, bool) {
 		pr.Rewind()
 		for m := range in.Jobs {
 			if d[m] == 0 {
@@ -96,15 +97,15 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 		if err != nil || res.Status != lp.Optimal {
 			return nil, false
 		}
-		return pr.Extract(res.X), true
+		return res.X, true
 	}
 
 	lo, hi := 0.0, 1.0
-	var best *core.Allocation
+	var best []float64
 	// Grow hi until feasible (rho can exceed 1 under heavy load).
 	for i := 0; i < 40; i++ {
-		if a, ok := feasible(hi); ok {
-			best = a
+		if x, ok := feasible(hi); ok {
+			best = x
 			break
 		}
 		lo = hi
@@ -115,13 +116,13 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 	}
 	for hi-lo > tol*hi {
 		mid := (lo + hi) / 2
-		if a, ok := feasible(mid); ok {
-			best, hi = a, mid
+		if x, ok := feasible(mid); ok {
+			best, hi = x, mid
 		} else {
 			lo = mid
 		}
 	}
-	return best, nil
+	return pr.Extract(best), nil
 }
 
 // RhoValue returns the finish-time-fairness ratio of job m under alloc,

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -70,5 +71,74 @@ func TestResetPathAllocs(t *testing.T) {
 				t.Errorf("%.0f bytes per reset, ceiling %.0f", bytes, ceil.bytes)
 			}
 		})
+	}
+}
+
+// TestScratchPoolConcurrentAllocate runs K reset streams at once, each on
+// its own context, so the pool lends and takes back scratches across
+// goroutines (and, under -race, checks that hand-over). Every stream must
+// land on the bits its serial replay produces, and the free list may end
+// with no more scratches than there were concurrent Allocates.
+func TestScratchPoolConcurrentAllocate(t *testing.T) {
+	const resets = 5
+	var streams []resetScenario
+	for _, sc := range resetScenarios {
+		// The two slowest streams add little under -race but its run time.
+		if sc.name != "hier_perturb" && sc.name != "cost_slo_perturb" {
+			sc.resets = resets
+			streams = append(streams, sc)
+		}
+	}
+	K := len(streams)
+	want := make([]resetGoldenScenario, K)
+	for i, sc := range streams {
+		want[i] = runResetScenario(t, sc)
+	}
+	got := make([]resetGoldenScenario, K)
+	errs := make([]error, K)
+	var wg sync.WaitGroup
+	for i, sc := range streams {
+		wg.Add(1)
+		go func(i int, sc resetScenario) {
+			defer wg.Done()
+			p := newResetReplay(sc)
+			for r := 0; r < resets && errs[i] == nil; r++ {
+				errs[i] = p.step(false)
+			}
+			got[i] = p.result()
+		}(i, sc)
+	}
+	wg.Wait()
+	for i, sc := range streams {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i].Digest != want[i].Digest {
+			t.Errorf("%s: concurrent digest %s, serial %s", sc.name, got[i].Digest, want[i].Digest)
+		}
+	}
+	scratches.mu.Lock()
+	n := len(scratches.free)
+	scratches.mu.Unlock()
+	if n > K {
+		t.Fatalf("free list holds %d scratches after %d concurrent streams", n, K)
+	}
+}
+
+// BenchmarkFreshContextAllocate is the first Allocate of a new context: a
+// 256-job max-min reset, a fresh SolveContext per op. What it allocates
+// beyond a warm reset is the context's own state, not the solve arenas.
+func BenchmarkFreshContextAllocate(b *testing.B) {
+	ids := make([]int, 256)
+	for i := range ids {
+		ids[i] = i
+	}
+	in := churnInput(ids, []float64{64, 64, 64})
+	pol := &MaxMinFairness{}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := pol.Allocate(in, NewSolveContext()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

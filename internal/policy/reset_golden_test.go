@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"hash"
 	"math"
 	"math/rand"
 	"os"
@@ -195,51 +197,122 @@ func hashX(h interface{ Write([]byte) (int, error) }, alloc *core.Allocation) {
 	}
 }
 
-// runResetScenario replays one scenario and returns what the golden pins.
-func runResetScenario(t testing.TB, sc resetScenario) resetGoldenScenario {
-	s := newResetStream(sc, 20260926)
-	pol := sc.policy()
-	ctx := NewSolveContext()
-	all := sha256.New()
-	var out resetGoldenScenario
-	prev := ctx.Stats
-	for r := 0; r < sc.resets; r++ {
-		if r > 0 {
-			s.disturb()
-			if sc.disturb == resetDrift && r%4 == 3 {
-				// Drift alone re-solves in a handful of dual pivots; an
-				// occasional arrival/departure makes the stream remap too.
-				s.sc.disturb = resetChurn
-				s.disturb()
-				s.sc.disturb = resetDrift
-			}
+// resetReplay replays one scenario's reset stream a reset at a time,
+// accumulating what the golden pins.
+type resetReplay struct {
+	sc   resetScenario
+	s    *resetStream
+	pol  Policy
+	ctx  *SolveContext
+	all  hash.Hash
+	out  resetGoldenScenario
+	prev SolveStats
+}
+
+func newResetReplay(sc resetScenario) *resetReplay {
+	return &resetReplay{sc: sc, s: newResetStream(sc, 20260926), pol: sc.policy(), ctx: NewSolveContext(), all: sha256.New()}
+}
+
+// step runs the next reset. With fresh set it runs on a new context that
+// carries over only the old one's warm-start seeds and accounting, so the
+// Allocate borrows a scratch some other context grew.
+func (p *resetReplay) step(fresh bool) error {
+	r := len(p.out.Steps)
+	if r > 0 {
+		p.s.disturb()
+		if p.sc.disturb == resetDrift && r%4 == 3 {
+			// Drift alone re-solves in a handful of dual pivots; an
+			// occasional arrival/departure makes the stream remap too.
+			p.s.sc.disturb = resetChurn
+			p.s.disturb()
+			p.s.sc.disturb = resetDrift
 		}
-		in := s.input()
-		if sc.pairs > 0 && numPairs(in) == 0 {
-			t.Fatalf("%s reset %d: no space-sharing units in the input", sc.name, r)
-		}
-		alloc, err := pol.Allocate(in, ctx)
-		if err != nil {
-			t.Fatalf("%s reset %d: %v", sc.name, r, err)
-		}
-		one := sha256.New()
-		hashX(one, alloc)
-		hashX(all, alloc)
-		st := ctx.Stats
-		out.Steps = append(out.Steps, resetGoldenStep{
-			X:                  hex.EncodeToString(one.Sum(nil))[:16],
-			Solves:             st.Solves - prev.Solves,
-			Warm:               st.WarmHits - prev.WarmHits,
-			Remap:              st.RemapHits - prev.RemapHits,
-			Iterations:         st.Iterations - prev.Iterations,
-			DualIterations:     st.DualIterations - prev.DualIterations,
-			Refactorizations:   st.Refactorizations - prev.Refactorizations,
-			PresolveReductions: st.PresolveReductions - prev.PresolveReductions,
-		})
-		prev = st
 	}
-	out.Digest = hex.EncodeToString(all.Sum(nil))
+	in := p.s.input()
+	if p.sc.pairs > 0 && numPairs(in) == 0 {
+		return fmt.Errorf("%s reset %d: no space-sharing units in the input", p.sc.name, r)
+	}
+	if fresh {
+		ctx := NewSolveContext()
+		ctx.ImportSeeds(p.ctx.ExportSeeds())
+		ctx.Stats = p.ctx.Stats
+		p.ctx = ctx
+	}
+	alloc, err := p.pol.Allocate(in, p.ctx)
+	if err != nil {
+		return fmt.Errorf("%s reset %d: %v", p.sc.name, r, err)
+	}
+	one := sha256.New()
+	hashX(one, alloc)
+	hashX(p.all, alloc)
+	st := p.ctx.Stats
+	p.out.Steps = append(p.out.Steps, resetGoldenStep{
+		X:                  hex.EncodeToString(one.Sum(nil))[:16],
+		Solves:             st.Solves - p.prev.Solves,
+		Warm:               st.WarmHits - p.prev.WarmHits,
+		Remap:              st.RemapHits - p.prev.RemapHits,
+		Iterations:         st.Iterations - p.prev.Iterations,
+		DualIterations:     st.DualIterations - p.prev.DualIterations,
+		Refactorizations:   st.Refactorizations - p.prev.Refactorizations,
+		PresolveReductions: st.PresolveReductions - p.prev.PresolveReductions,
+	})
+	p.prev = st
+	return nil
+}
+
+func (p *resetReplay) result() resetGoldenScenario {
+	out := p.out
+	out.Digest = hex.EncodeToString(p.all.Sum(nil))
 	return out
+}
+
+// runResetScenario replays one scenario through one context and returns
+// what the golden pins.
+func runResetScenario(t testing.TB, sc resetScenario) resetGoldenScenario {
+	p := newResetReplay(sc)
+	for r := 0; r < sc.resets; r++ {
+		if err := p.step(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p.result()
+}
+
+// loadResetGolden reads the recorded streams, skipping off amd64.
+func loadResetGolden(t *testing.T) resetGoldenFile {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("reset golden is recorded for amd64, running on %s", runtime.GOARCH)
+	}
+	b, err := os.ReadFile(resetGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g resetGoldenFile
+	if err := json.Unmarshal(b, &g); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// checkResetGolden compares one replayed stream with its recorded entry.
+func checkResetGolden(t *testing.T, g resetGoldenFile, name string, got resetGoldenScenario) {
+	t.Helper()
+	want, ok := g.Scenarios[name]
+	if !ok {
+		t.Fatalf("no golden entry for %s", name)
+	}
+	if len(got.Steps) != len(want.Steps) {
+		t.Fatalf("%s: %d resets, golden has %d", name, len(got.Steps), len(want.Steps))
+	}
+	for r := range got.Steps {
+		if got.Steps[r] != want.Steps[r] {
+			t.Fatalf("%s: reset %d diverges from the parent commit:\n got  %+v\n want %+v", name, r, got.Steps[r], want.Steps[r])
+		}
+	}
+	if got.Digest != want.Digest {
+		t.Fatalf("%s: digest %s, want %s", name, got.Digest, want.Digest)
+	}
 }
 
 func TestResetPathMatchesParentGolden(t *testing.T) {
@@ -261,32 +334,46 @@ func TestResetPathMatchesParentGolden(t *testing.T) {
 		t.Logf("wrote %s", resetGoldenPath)
 		return
 	}
-	b, err := os.ReadFile(resetGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g resetGoldenFile
-	if err := json.Unmarshal(b, &g); err != nil {
-		t.Fatal(err)
-	}
+	g := loadResetGolden(t)
 	for _, sc := range resetScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			want, ok := g.Scenarios[sc.name]
-			if !ok {
-				t.Fatalf("no golden entry for %s", sc.name)
+			checkResetGolden(t, g, sc.name, runResetScenario(t, sc))
+		})
+	}
+}
+
+// TestResetGoldenAcrossLentScratches replays the golden streams with the
+// solve scratches changing hands: once with every scenario's resets
+// interleaved, each scenario on its own context, so every Allocate borrows
+// the scratch another policy at another size just grew; then the same with
+// a fresh context per reset. Both must land on the recorded bits and counts.
+func TestResetGoldenAcrossLentScratches(t *testing.T) {
+	g := loadResetGolden(t)
+	for _, fresh := range []bool{false, true} {
+		name := "interleaved"
+		if fresh {
+			name = "fresh_context_per_reset"
+		}
+		t.Run(name, func(t *testing.T) {
+			replays := make([]*resetReplay, len(resetScenarios))
+			for i, sc := range resetScenarios {
+				replays[i] = newResetReplay(sc)
 			}
-			got := runResetScenario(t, sc)
-			if len(got.Steps) != len(want.Steps) {
-				t.Fatalf("%d resets, golden has %d", len(got.Steps), len(want.Steps))
-			}
-			for r := range got.Steps {
-				if got.Steps[r] != want.Steps[r] {
-					t.Fatalf("reset %d diverges from the parent commit:\n got  %+v\n want %+v", r, got.Steps[r], want.Steps[r])
+			for busy := true; busy; {
+				busy = false
+				for _, p := range replays {
+					if len(p.out.Steps) == p.sc.resets {
+						continue
+					}
+					if err := p.step(fresh); err != nil {
+						t.Fatal(err)
+					}
+					busy = true
 				}
 			}
-			if got.Digest != want.Digest {
-				t.Fatalf("digest %s, want %s", got.Digest, want.Digest)
+			for _, p := range replays {
+				checkResetGolden(t, g, p.sc.name, p.result())
 			}
 		})
 	}

@@ -204,6 +204,11 @@ type Service struct {
 	// ingress has its own mutex: Submit/Withdraw/Poll are the one
 	// concurrent-safe surface of the Service.
 	ing *ingress
+	// measure and measureRec are ObserveMeasured's record, reused for every
+	// sample under ing.mu: the journal has encoded it by the time append
+	// returns, and applyMeasureLocked keeps no pointer.
+	measure    journalMeasure
+	measureRec journalRecord
 
 	// Telemetry plane (all-nil instruments when ServiceConfig.Obs is nil;
 	// see serviceobs.go). curTrace is the one trace ID of the round currently

@@ -286,11 +286,12 @@ func (s *Service) ObserveMeasured(jobID, accType int, rate float64) error {
 	if sub == nil || sub.state != SubmissionAdmitted {
 		return nil
 	}
-	m := &journalMeasure{JobID: jobID, Type: accType, Rate: rate}
-	if err := s.record(&journalRecord{Kind: recMeasure, Measure: m}); err != nil {
+	s.measure = journalMeasure{JobID: jobID, Type: accType, Rate: rate}
+	s.measureRec = journalRecord{Kind: recMeasure, Measure: &s.measure}
+	if err := s.record(&s.measureRec); err != nil {
 		return err
 	}
-	ing.applyMeasureLocked(m)
+	ing.applyMeasureLocked(&s.measure)
 	return nil
 }
 

@@ -9,6 +9,7 @@ package rpc
 
 import (
 	"math"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -468,5 +469,40 @@ func TestMeasuredSamplesIgnoreGarbage(t *testing.T) {
 	}
 	if ts := svc.TenantStats()[0]; ts.Quarantined {
 		t.Fatalf("garbage samples moved trust state: %+v", ts)
+	}
+}
+
+// TestObserveMeasuredAllocs: journaling a measured sample reuses the
+// Service's record, so a sample costs no heap allocation.
+func TestObserveMeasuredAllocs(t *testing.T) {
+	path := t.TempDir() + "/measure.wal"
+	svc := newSubmitService(t, path, AdmissionConfig{})
+	rep := mustSubmit(t, svc, subArgs("acme", "k0", 0, []float64{1, 1}))
+	if _, err := svc.AdmitPending(1); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		if err := svc.j.commit(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := size()
+	rate := 1.0
+	allocs := testing.AllocsPerRun(100, func() {
+		rate += 0.25
+		if err := svc.ObserveMeasured(rep.JobID, 1, rate); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if size() == before {
+		t.Fatal("no sample reached the journal")
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per journaled sample, want 0", allocs)
 	}
 }

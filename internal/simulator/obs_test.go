@@ -9,7 +9,9 @@ package simulator
 // the reply cache do not double-count server-side spans.
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -101,6 +103,18 @@ func TestObsSnapshotReproducible(t *testing.T) {
 	}
 	if d1 != d2 {
 		t.Fatalf("same seed produced different metric snapshots:\n--- run 1\n%s--- run 2\n%s", d1, d2)
+	}
+	// The journals themselves are byte-identical: nothing on the wire may
+	// depend on map iteration order.
+	digest := func(path string) [sha256.Size]byte {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(b)
+	}
+	if h1, h2 := digest(j1), digest(j2); h1 != h2 {
+		t.Fatalf("same seed wrote different journals: sha256 %x vs %x", h1, h2)
 	}
 
 	resume := func(journal string) (dump, statusz string) {
