@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -20,14 +22,25 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "gavel-sim: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// run parses args and writes the selected experiments' reports to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gavel-sim", flag.ContinueOnError)
 	var (
-		exp   = flag.String("exp", "all", "experiment id (fig1, table2, table3, fig8..fig21, cost, sharded, all)")
-		jobs  = flag.Int("jobs", 120, "jobs per trace")
-		seeds = flag.Int("seeds", 1, "seeds per data point")
-		full  = flag.Bool("full", false, "paper-scale runs (long): 600 jobs, 3 seeds")
-		list  = flag.Bool("list", false, "list experiment ids and exit")
+		exp   = fs.String("exp", "all", "experiment id (fig1, table2, table3, fig8..fig21, cost, sharded, all)")
+		jobs  = fs.Int("jobs", 120, "jobs per trace")
+		seeds = fs.Int("seeds", 1, "seeds per data point")
+		full  = fs.Bool("full", false, "paper-scale runs (long): 600 jobs, 3 seeds")
+		list  = fs.Bool("list", false, "list experiment ids and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	opt := experiments.Options{Jobs: *jobs, Seeds: *seeds, Warmup: 10}
 	if *full {
@@ -115,28 +128,25 @@ func main() {
 	sort.Strings(ids)
 
 	if *list {
-		fmt.Println(strings.Join(ids, "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(ids, "\n"))
+		return nil
 	}
 
-	var selected []string
-	if *exp == "all" {
-		selected = ids
-	} else {
+	selected := ids
+	if *exp != "all" {
 		if _, ok := runners[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "gavel-sim: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
+			return fmt.Errorf("unknown experiment %q (use -list)", *exp)
 		}
 		selected = []string{*exp}
 	}
 	for _, id := range selected {
 		rep, err := runners[id]()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gavel-sim: %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Printf("===== %s =====\n%s\n", id, rep)
+		fmt.Fprintf(stdout, "===== %s =====\n%s\n", id, rep)
 	}
+	return nil
 }
 
 // reportOf extracts the Report field shared by all experiment outcomes.

@@ -1,8 +1,8 @@
 // Package chaos is the fault-injection plane of the cluster service: a
-// deterministic transport wrapper that subjects the coordinator <-> shard
+// deterministic rpc.Intercept hook that subjects the coordinator <-> shard
 // control plane to seeded drops, delays, duplicates, partitions, and crashes.
 //
-// The transport wraps an rpc.ShardClient — below the retry layer, above the
+// The hook sits on an rpc.ShardClient — below the retry layer, above the
 // wire — so every injected fault exercises exactly the production error path:
 // a dropped call surfaces as CodeUnavailable (transient, retried), a crashed
 // shard as CodeShardDown (escalates to Recover), a duplicate re-sends the
@@ -102,6 +102,14 @@ func ParseSpec(spec string) (Config, error) {
 			return c, fmt.Errorf("chaos: bad value for %q: %v", k, err)
 		}
 	}
+	for _, p := range []float64{c.Drop, c.Dup, c.Delay} {
+		if !(p >= 0 && p <= 1) { // also refuses NaN
+			return c, fmt.Errorf("chaos: probability %v outside [0, 1] in %q", p, spec)
+		}
+	}
+	if c.MaxDelay < 0 || c.PartitionStart < 0 || c.PartitionCalls < 0 || c.CrashAfter < 0 {
+		return c, fmt.Errorf("chaos: negative count or duration in %q", spec)
+	}
 	return c, nil
 }
 
@@ -124,11 +132,10 @@ type Event struct {
 	Kind   FaultKind
 }
 
-// Transport is a fault-injecting rpc.ShardClient wrapping another. It belongs
-// below rpc.WithRetry so injected transients exercise the retry path; Stack
-// builds exactly that layering.
+// Transport is one shard's fault schedule: the rpc.Intercept hook Stack
+// installs below rpc.WithRetry, so injected transients exercise the retry
+// path.
 type Transport struct {
-	inner rpc.ShardClient
 	cfg   Config
 	shard int
 
@@ -138,31 +145,15 @@ type Transport struct {
 	crashed bool
 	events  []Event
 
-	// faults counts injected faults by kind (SetObs). The counter bumps where
-	// the event log appends — under the mutex, after the variate draws — so
-	// enabling it cannot shift the rand stream or the schedule.
+	// faults counts injected faults by kind (gavel_chaos_faults_total, when
+	// Stack's policy carries Obs). The counter bumps where the event log
+	// appends — under the mutex, after the variate draws — so enabling it
+	// cannot shift the rand stream or the schedule.
 	faults *obs.CounterVec
 }
 
-// Wrap layers the fault schedule over a shard client. A disabled config
-// returns the client unchanged.
-func Wrap(inner rpc.ShardClient, cfg Config, shard int) rpc.ShardClient {
-	if !cfg.Enabled() {
-		return inner
-	}
-	if cfg.Delay > 0 && cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 10 * time.Millisecond
-	}
-	return &Transport{
-		inner: inner,
-		cfg:   cfg,
-		shard: shard,
-		rng:   rand.New(rand.NewSource(cfg.Seed*31 + int64(shard))),
-	}
-}
-
 // Stack layers the whole client-side fault plane over one shard client: the
-// chaos transport at the bottom, so every injected transient exercises the
+// chaos hook at the bottom, so every injected transient exercises the
 // production retry/degrade/recover path of the retry loop above it, and
 // pol.Obs on both — retry outcome counters above, injected-fault counters
 // below, neither touching a rand stream. inner should carry no retries or Obs
@@ -172,26 +163,17 @@ func Stack(inner rpc.ShardClient, cfg Config, shard int, pol rpc.CallPolicy) (rp
 	if !cfg.Enabled() {
 		return rpc.WithRetry(inner, pol), nil
 	}
-	tr := Wrap(inner, cfg, shard).(*Transport)
-	tr.SetObs(pol.Obs)
-	return rpc.WithRetry(tr, pol), tr
-}
-
-// SetObs registers the injected-fault counter
-// (gavel_chaos_faults_total{kind}) on the plane's registry. Metrics are
-// recorded strictly after the fault decision, so they never perturb the
-// seeded schedule.
-func (t *Transport) SetObs(p *obs.Plane) {
-	if t == nil || p == nil {
-		return
+	if cfg.Delay > 0 && cfg.MaxDelay <= 0 {
+		cfg.MaxDelay = 10 * time.Millisecond
 	}
-	fv := p.Registry().CounterVec("gavel_chaos_faults_total", "Faults injected by the chaos transport, by kind.", "kind")
-	for _, k := range []FaultKind{FaultDrop, FaultDup, FaultDelay, FaultPartition, FaultCrash} {
-		fv.With(string(k))
+	t := &Transport{cfg: cfg, shard: shard, rng: rand.New(rand.NewSource(cfg.Seed*31 + int64(shard)))}
+	if pol.Obs != nil {
+		t.faults = pol.Obs.Registry().CounterVec("gavel_chaos_faults_total", "Faults injected by the chaos transport, by kind.", "kind")
+		for _, k := range []FaultKind{FaultDrop, FaultDup, FaultDelay, FaultPartition, FaultCrash} {
+			t.faults.With(string(k))
+		}
 	}
-	t.mu.Lock()
-	t.faults = fv
-	t.mu.Unlock()
+	return rpc.WithRetry(rpc.Intercept(inner, t.do), pol), t
 }
 
 // inject logs one fault in the schedule and its counter (callers hold mu).
@@ -266,11 +248,14 @@ func (t *Transport) plan(method string, idempotent bool) plan {
 	return p
 }
 
-// do runs one call through the fault plan. Hello and Configure are exempt
-// (passed through by the methods below): they are setup-plane, and failing
-// them would fail construction rather than exercise the round plane.
-func (t *Transport) do(method string, idempotent bool, op func() error) error {
-	p := t.plan(method, idempotent)
+// do runs one call through the fault plan. Hello and Configure are exempt:
+// they are setup-plane, and failing them would fail construction rather than
+// exercise the round plane.
+func (t *Transport) do(method string, op func() error) error {
+	if method == "Hello" || method == "Configure" {
+		return op()
+	}
+	p := t.plan(method, rpc.Idempotent(method))
 	if p.err != nil {
 		return p.err
 	}
@@ -284,79 +269,3 @@ func (t *Transport) do(method string, idempotent bool, op func() error) error {
 	}
 	return op()
 }
-
-func (t *Transport) Hello(args rpc.HelloArgs) (rpc.HelloReply, error) { return t.inner.Hello(args) }
-func (t *Transport) Configure(cfg rpc.ShardConfig) error              { return t.inner.Configure(cfg) }
-
-func (t *Transport) Install(args rpc.InstallArgs) error {
-	return t.do("Install", true, func() error { return t.inner.Install(args) })
-}
-
-func (t *Transport) Remove(args rpc.RemoveArgs) error {
-	return t.do("Remove", true, func() error { return t.inner.Remove(args) })
-}
-
-// Extract is never duplicated: it is the surface's one non-idempotent call.
-func (t *Transport) Extract(args rpc.ExtractArgs) (rpc.ExtractReply, error) {
-	var reply rpc.ExtractReply
-	err := t.do("Extract", false, func() error {
-		var e error
-		reply, e = t.inner.Extract(args)
-		return e
-	})
-	return reply, err
-}
-
-func (t *Transport) Allocate(args rpc.AllocateArgs) (rpc.AllocateReply, error) {
-	var reply rpc.AllocateReply
-	err := t.do("Allocate", true, func() error {
-		var e error
-		reply, e = t.inner.Allocate(args)
-		return e
-	})
-	return reply, err
-}
-
-func (t *Transport) AssignRound(args rpc.AssignRoundArgs) (rpc.AssignRoundReply, error) {
-	var reply rpc.AssignRoundReply
-	err := t.do("AssignRound", true, func() error {
-		var e error
-		reply, e = t.inner.AssignRound(args)
-		return e
-	})
-	return reply, err
-}
-
-func (t *Transport) Observe(args rpc.ObserveArgs) error {
-	return t.do("Observe", true, func() error { return t.inner.Observe(args) })
-}
-
-func (t *Transport) ObserveJob(args rpc.ObserveJobArgs) error {
-	return t.do("ObserveJob", true, func() error { return t.inner.ObserveJob(args) })
-}
-
-func (t *Transport) Snapshot() (rpc.SnapshotReply, error) {
-	var reply rpc.SnapshotReply
-	err := t.do("Snapshot", true, func() error {
-		var e error
-		reply, e = t.inner.Snapshot()
-		return e
-	})
-	return reply, err
-}
-
-func (t *Transport) Status() (rpc.ShardStatus, error) {
-	var reply rpc.ShardStatus
-	err := t.do("Status", true, func() error {
-		var e error
-		reply, e = t.inner.Status()
-		return e
-	})
-	return reply, err
-}
-
-func (t *Transport) Ping() error {
-	return t.do("Ping", true, func() error { return t.inner.Ping() })
-}
-
-func (t *Transport) Close() error { return t.inner.Close() }

@@ -83,6 +83,14 @@ func TestParseSpec(t *testing.T) {
 		"partition=40",      // missing +calls
 		"partition=x+10",    // bad start
 		"maxdelay=20lustra", // bad duration
+		"drop=2",            // probability above 1
+		"delay=1.5",         // probability above 1
+		"dup=NaN",           // NaN probability
+		"drop=-0.1",         // negative probability
+		"crash=-1",          // negative count
+		"partition=3+-5",    // negative window length
+		"partition=-3+5",    // negative window start
+		"maxdelay=-5ms",     // negative duration
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
@@ -114,8 +122,8 @@ func drive(c rpc.ShardClient, calls int) {
 func TestScheduleDeterministic(t *testing.T) {
 	cfg := Config{Seed: 7, Drop: 0.2, Dup: 0.2, Delay: 0.1, MaxDelay: time.Microsecond}
 	run := func(cfg Config) string {
-		tr := Wrap(newNopClient(), cfg, 3).(*Transport)
-		drive(tr, 200)
+		c, tr := Stack(newNopClient(), cfg, 3, rpc.CallPolicy{})
+		drive(c, 200)
 		return tr.ScheduleString()
 	}
 
@@ -139,8 +147,8 @@ func TestScheduleDeterministic(t *testing.T) {
 func TestShardStreamsIndependent(t *testing.T) {
 	cfg := Config{Seed: 7, Drop: 0.3}
 	run := func(shard int) string {
-		tr := Wrap(newNopClient(), cfg, shard).(*Transport)
-		drive(tr, 200)
+		c, tr := Stack(newNopClient(), cfg, shard, rpc.CallPolicy{})
+		drive(c, 200)
 		return tr.ScheduleString()
 	}
 	if run(0) == run(1) {
@@ -152,14 +160,14 @@ func TestShardStreamsIndependent(t *testing.T) {
 // every later call fails with CodeShardDown and exactly one crash is logged.
 func TestCrashPermanent(t *testing.T) {
 	inner := newNopClient()
-	tr := Wrap(inner, Config{Seed: 1, CrashAfter: 5}, 0).(*Transport)
+	c, tr := Stack(inner, Config{Seed: 1, CrashAfter: 5}, 0, rpc.CallPolicy{})
 	for i := 0; i < 5; i++ {
-		if err := tr.Ping(); err != nil {
+		if err := c.Ping(); err != nil {
 			t.Fatalf("call %d before crash failed: %v", i+1, err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		err := tr.Ping()
+		err := c.Ping()
 		if rpc.CodeOf(err) != rpc.CodeShardDown {
 			t.Fatalf("post-crash call %d returned %v, want CodeShardDown", i+1, err)
 		}
@@ -181,9 +189,9 @@ func TestCrashPermanent(t *testing.T) {
 // TestPartitionWindow: calls inside [start, start+calls) fail with
 // CodeUnavailable; calls on either side of the window go through.
 func TestPartitionWindow(t *testing.T) {
-	tr := Wrap(newNopClient(), Config{Seed: 1, PartitionStart: 3, PartitionCalls: 2}, 0).(*Transport)
+	c, tr := Stack(newNopClient(), Config{Seed: 1, PartitionStart: 3, PartitionCalls: 2}, 0, rpc.CallPolicy{})
 	for i := 1; i <= 6; i++ {
-		err := tr.Ping()
+		err := c.Ping()
 		inWindow := i >= 3 && i < 5
 		if inWindow && rpc.CodeOf(err) != rpc.CodeUnavailable {
 			t.Fatalf("call %d inside partition returned %v, want CodeUnavailable", i, err)
@@ -203,10 +211,10 @@ func TestPartitionWindow(t *testing.T) {
 // but Extract — the one non-idempotent call — is always delivered exactly once.
 func TestDupSparesExtract(t *testing.T) {
 	inner := newNopClient()
-	tr := Wrap(inner, Config{Seed: 1, Dup: 1.0}, 0).(*Transport)
-	tr.Install(rpc.InstallArgs{JobID: 1})
-	tr.Ping()
-	if _, err := tr.Extract(rpc.ExtractArgs{JobID: 1}); err != nil {
+	c, tr := Stack(inner, Config{Seed: 1, Dup: 1.0}, 0, rpc.CallPolicy{})
+	c.Install(rpc.InstallArgs{JobID: 1})
+	c.Ping()
+	if _, err := c.Extract(rpc.ExtractArgs{JobID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if inner.delivered["Install"] != 2 || inner.delivered["Ping"] != 2 {
@@ -226,23 +234,15 @@ func TestDupSparesExtract(t *testing.T) {
 // config that drops everything still lets the handshake through.
 func TestSetupPlaneExempt(t *testing.T) {
 	inner := newNopClient()
-	tr := Wrap(inner, Config{Seed: 1, Drop: 1.0}, 0)
-	if _, err := tr.Hello(rpc.HelloArgs{Version: rpc.ProtocolVersion}); err != nil {
+	c, _ := Stack(inner, Config{Seed: 1, Drop: 1.0}, 0, rpc.CallPolicy{})
+	if _, err := c.Hello(rpc.HelloArgs{Version: rpc.ProtocolVersion}); err != nil {
 		t.Fatalf("Hello blocked by chaos: %v", err)
 	}
-	if err := tr.Configure(rpc.ShardConfig{}); err != nil {
+	if err := c.Configure(rpc.ShardConfig{}); err != nil {
 		t.Fatalf("Configure blocked by chaos: %v", err)
 	}
-	if err := tr.Ping(); rpc.CodeOf(err) != rpc.CodeUnavailable {
+	if err := c.Ping(); rpc.CodeOf(err) != rpc.CodeUnavailable {
 		t.Fatalf("round-plane call at drop=1.0 returned %v, want CodeUnavailable", err)
-	}
-}
-
-// TestWrapDisabled: a zero config is a no-op wrapper, not a transport.
-func TestWrapDisabled(t *testing.T) {
-	inner := newNopClient()
-	if got := Wrap(inner, Config{}, 0); got != rpc.ShardClient(inner) {
-		t.Fatal("disabled config did not return the inner client unchanged")
 	}
 }
 

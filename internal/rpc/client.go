@@ -27,6 +27,13 @@ type ShardClient interface {
 	Close() error
 }
 
+// Idempotent reports whether a control-plane call may be delivered more than
+// once: whether the retry loop may re-send it and the chaos plane duplicate
+// it. Every call may except Extract, which removes the job daemon-side and
+// returns it — a lost reply leaves it extracted, and the Service's migrate
+// path owns the recovery of that ambiguity.
+func Idempotent(method string) bool { return method != "Extract" }
+
 // localShardClient drives a ShardServer by direct method call: the
 // in-memory transport the simulator and tests use. Identical code path,
 // no sockets, no serialization.
@@ -143,15 +150,20 @@ func DialShardWith(addr string, pol CallPolicy) (ShardClient, error) {
 	return nc, nil
 }
 
-// call wraps net/rpc Call under the per-call deadline, folding
-// transport-level failures (closed connection, EOF: the daemon died) into
-// typed CodeShardDown errors and deadline expiry into CodeTimeout, while
-// passing server-side typed errors through for ParseError.
 func (c *netShardClient) call(method string, args, reply any) error {
+	return callWithin(c.c, shardServiceName+"."+method, c.timeout, CodeShardDown, args, reply)
+}
+
+// callWithin is every control-plane client's one net/rpc call: bounded by
+// timeout (0 waits forever), with deadline expiry folded into CodeTimeout
+// and transport-level failures (closed connection, EOF: the peer died) into
+// downCode — CodeShardDown for a shard, CodeUnavailable for the submit and
+// lease planes. Server-side typed errors pass through for ParseError.
+func callWithin(c *gorpc.Client, method string, timeout time.Duration, downCode ErrorCode, args, reply any) error {
 	var err error
-	if c.timeout > 0 {
-		done := c.c.Go(shardServiceName+"."+method, args, reply, make(chan *gorpc.Call, 1))
-		timer := time.NewTimer(c.timeout)
+	if timeout > 0 {
+		done := c.Go(method, args, reply, make(chan *gorpc.Call, 1))
+		timer := time.NewTimer(timeout)
 		select {
 		case call := <-done.Done:
 			timer.Stop()
@@ -159,20 +171,20 @@ func (c *netShardClient) call(method string, args, reply any) error {
 		case <-timer.C:
 			// The reply, if it ever arrives, is discarded by net/rpc's read
 			// loop; the pending-call entry is reclaimed when the connection
-			// closes. A daemon that stays hung is escalated by the caller
+			// closes. A peer that stays hung is escalated by the caller
 			// (retries, then the coordinator's degrade/recover ladder).
-			return Errorf(CodeTimeout, "%s: no reply within %v", method, c.timeout)
+			return Errorf(CodeTimeout, "%s: no reply within %v", method, timeout)
 		}
 	} else {
-		err = c.c.Call(shardServiceName+"."+method, args, reply)
+		err = c.Call(method, args, reply)
 	}
 	if err == nil {
 		return nil
 	}
 	if _, isServer := err.(gorpc.ServerError); isServer {
-		return err // server-side error string; ParseError recovers the code
+		return err
 	}
-	return Errorf(CodeShardDown, "%s: %v", method, err)
+	return Errorf(downCode, "%s: %v", method, err)
 }
 
 func (c *netShardClient) Hello(args HelloArgs) (HelloReply, error) {
@@ -242,3 +254,72 @@ func (c *netShardClient) Ping() error {
 }
 
 func (c *netShardClient) Close() error { return c.c.Close() }
+
+// Intercept returns a ShardClient that runs every call on inner through
+// hook, named by its method. op makes the call on inner and fills the reply;
+// hook may run it zero, one or more times — the retry loop (WithRetry) and
+// the chaos plane's fault injector are both hooks. Close bypasses the hook.
+func Intercept(inner ShardClient, hook func(method string, op func() error) error) ShardClient {
+	return &intercepted{inner: inner, hook: hook}
+}
+
+type intercepted struct {
+	inner ShardClient
+	hook  func(method string, op func() error) error
+}
+
+func (c *intercepted) Hello(args HelloArgs) (reply HelloReply, err error) {
+	err = c.hook("Hello", func() (e error) { reply, e = c.inner.Hello(args); return })
+	return
+}
+
+func (c *intercepted) Configure(cfg ShardConfig) error {
+	return c.hook("Configure", func() error { return c.inner.Configure(cfg) })
+}
+
+func (c *intercepted) Install(args InstallArgs) error {
+	return c.hook("Install", func() error { return c.inner.Install(args) })
+}
+
+func (c *intercepted) Remove(args RemoveArgs) error {
+	return c.hook("Remove", func() error { return c.inner.Remove(args) })
+}
+
+func (c *intercepted) Extract(args ExtractArgs) (reply ExtractReply, err error) {
+	err = c.hook("Extract", func() (e error) { reply, e = c.inner.Extract(args); return })
+	return
+}
+
+func (c *intercepted) Allocate(args AllocateArgs) (reply AllocateReply, err error) {
+	err = c.hook("Allocate", func() (e error) { reply, e = c.inner.Allocate(args); return })
+	return
+}
+
+func (c *intercepted) AssignRound(args AssignRoundArgs) (reply AssignRoundReply, err error) {
+	err = c.hook("AssignRound", func() (e error) { reply, e = c.inner.AssignRound(args); return })
+	return
+}
+
+func (c *intercepted) Observe(args ObserveArgs) error {
+	return c.hook("Observe", func() error { return c.inner.Observe(args) })
+}
+
+func (c *intercepted) ObserveJob(args ObserveJobArgs) error {
+	return c.hook("ObserveJob", func() error { return c.inner.ObserveJob(args) })
+}
+
+func (c *intercepted) Snapshot() (reply SnapshotReply, err error) {
+	err = c.hook("Snapshot", func() (e error) { reply, e = c.inner.Snapshot(); return })
+	return
+}
+
+func (c *intercepted) Status() (reply ShardStatus, err error) {
+	err = c.hook("Status", func() (e error) { reply, e = c.inner.Status(); return })
+	return
+}
+
+func (c *intercepted) Ping() error {
+	return c.hook("Ping", c.inner.Ping)
+}
+
+func (c *intercepted) Close() error { return c.inner.Close() }

@@ -7,20 +7,20 @@ package rpc
 
 import (
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// TestCallTimeoutAgainstHungServer dials a raw TCP listener that accepts
-// connections but never speaks net/rpc: without a deadline the handshake
-// would block forever; with one it must fail fast with CodeTimeout.
-func TestCallTimeoutAgainstHungServer(t *testing.T) {
+// hungListener accepts TCP connections and never says a word on them: a
+// peer that hangs after connect. Closed with the test.
+func hungListener(t *testing.T) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -30,10 +30,17 @@ func TestCallTimeoutAgainstHungServer(t *testing.T) {
 			defer conn.Close() // hold the connection open, say nothing
 		}
 	}()
+	return ln.Addr().String()
+}
 
+// TestCallTimeoutAgainstHungServer dials a raw TCP listener that accepts
+// connections but never speaks net/rpc: without a deadline the handshake
+// would block forever; with one it must fail fast with CodeTimeout.
+func TestCallTimeoutAgainstHungServer(t *testing.T) {
+	addr := hungListener(t)
 	pol := CallPolicy{Timeout: 50 * time.Millisecond, Retries: 1, Backoff: time.Millisecond}
 	start := time.Now()
-	_, err = DialShardWith(ln.Addr().String(), pol)
+	_, err := DialShardWith(addr, pol)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dial against a hung server succeeded")
@@ -50,18 +57,19 @@ func TestCallTimeoutAgainstHungServer(t *testing.T) {
 
 // TestRetryRecoversTransient: a call that fails transiently recovers within
 // the retry budget; a call that keeps failing surfaces the transient error;
-// non-transient errors are never retried.
+// non-transient errors, and any error from Extract, are never retried.
 func TestRetryRecoversTransient(t *testing.T) {
 	_, inner := NewLocalShard()
 	calls := 0
 	var inject func() error
-	f := &flakyClient{ShardClient: inner, fail: func(method string) error {
-		if method != "Ping" {
+	f := newFlakyClient(inner)
+	f.fail = func(method string) error {
+		if method != "Ping" && method != "Extract" {
 			return nil
 		}
 		calls++
 		return inject()
-	}}
+	}
 	c := WithRetry(f, CallPolicy{Retries: 2, Backoff: time.Microsecond})
 
 	inject = func() error {
@@ -91,6 +99,92 @@ func TestRetryRecoversTransient(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("non-transient error was retried (%d attempts)", calls)
+	}
+
+	// Extract is not Idempotent: a transient failure is sent once and
+	// surfaces, whatever the retry budget.
+	calls, inject = 0, func() error { return Errorf(CodeUnavailable, "reply lost") }
+	if _, err := c.Extract(ExtractArgs{JobID: 1}); CodeOf(err) != CodeUnavailable {
+		t.Fatalf("transient Extract returned %v, want CodeUnavailable", err)
+	}
+	if calls != 1 {
+		t.Fatalf("Extract sent %d times, want exactly 1", calls)
+	}
+}
+
+// TestWorkerDialAgainstHungScheduler: the lease plane's worker client runs
+// under the same per-call deadline, so a scheduler that accepts and never
+// answers fails the worker's handshake with CodeTimeout instead of blocking
+// it forever.
+func TestWorkerDialAgainstHungScheduler(t *testing.T) {
+	addr := hungListener(t)
+	t.Setenv("GAVEL_RPC_TIMEOUT", "50ms")
+	done := make(chan error, 1)
+	go func() {
+		c, err := Dial(addr, RegisterArgs{AcceleratorType: "v100"})
+		if err == nil {
+			c.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if CodeOf(err) != CodeTimeout {
+			t.Fatalf("dial against a hung scheduler returned %v, want CodeTimeout", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("worker dial still blocked after 3s against a hung scheduler")
+	}
+}
+
+// closeCounter counts Close calls; every other method goes to the embedded
+// client.
+type closeCounter struct {
+	ShardClient
+	closes int
+}
+
+func (c *closeCounter) Close() error { c.closes++; return nil }
+
+// TestInterceptRoutesEveryMethod walks the ShardClient method set by
+// reflection, so a method added later is covered without editing the test:
+// each call reaches the hook once under its own name and the inner client
+// once per run of op (the hook here runs it twice); Close skips the hook.
+func TestInterceptRoutesEveryMethod(t *testing.T) {
+	_, local := NewLocalShard()
+	reached := map[string]int{}
+	inner := &closeCounter{ShardClient: Intercept(local, func(method string, op func() error) error {
+		reached[method]++
+		return op()
+	})}
+	var hooked []string
+	c := Intercept(inner, func(method string, op func() error) error {
+		hooked = append(hooked, method)
+		op()
+		return op()
+	})
+
+	typ := reflect.TypeOf((*ShardClient)(nil)).Elem()
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		in := make([]reflect.Value, m.Type.NumIn())
+		for j := range in {
+			in[j] = reflect.Zero(m.Type.In(j))
+		}
+		hooked, reached = nil, map[string]int{}
+		reflect.ValueOf(c).MethodByName(m.Name).Call(in)
+		if m.Name == "Close" {
+			if len(hooked) != 0 || inner.closes != 1 {
+				t.Fatalf("Close: hooked as %v, inner closed %d times; want no hook and 1 close", hooked, inner.closes)
+			}
+			continue
+		}
+		if len(hooked) != 1 || hooked[0] != m.Name {
+			t.Fatalf("%s: hook saw %v, want [%s]", m.Name, hooked, m.Name)
+		}
+		if len(reached) != 1 || reached[m.Name] != 2 {
+			t.Fatalf("%s: inner reached %v, want %s twice", m.Name, reached, m.Name)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func TestRoundOrderIsJournalOrder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	_, c0 := NewLocalShard()
 	_, inner1 := NewLocalShard()
-	f1 := &flakyClient{ShardClient: inner1}
+	f1 := newFlakyClient(inner1)
 	cfg := testServiceConfig(path)
 	const first = 100 // even: hash routing puts it on shard 0, the next on shard 1, ...
 	cfg.Admission = &AdmissionConfig{MaxQueuePerTenant: 16, JobIDBase: first}

@@ -8,7 +8,6 @@ package rpc
 
 import (
 	"fmt"
-	"net"
 	gorpc "net/rpc"
 	"sort"
 	"strings"
@@ -198,18 +197,11 @@ const leaseServiceName = "Gavel"
 // Serve starts listening on addr ("host:port"); it returns the bound
 // address (useful with ":0").
 func (s *Scheduler) Serve(addr string) (string, error) {
-	srv := gorpc.NewServer()
-	if err := srv.RegisterName(leaseServiceName, &schedulerRPC{s: s}); err != nil {
-		return "", err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
+	srv, bound, err := serveTCP(addr, leaseServiceName, &schedulerRPC{s: s})
 	s.mu.Lock()
-	s.srv = newTCPServer(ln, srv)
+	s.srv = srv
 	s.mu.Unlock()
-	return ln.Addr().String(), nil
+	return bound, err
 }
 
 // Close stops the listener and tears down every in-flight connection,
@@ -218,9 +210,6 @@ func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	srv := s.srv
 	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
 	return srv.close()
 }
 
@@ -288,15 +277,9 @@ func (s *Scheduler) expireLeases() {
 }
 
 // schedulerRPC is the exported RPC surface.
-type schedulerRPC struct{ s *Scheduler }
-
-// Hello is the protocol handshake.
-func (r *schedulerRPC) Hello(args HelloArgs, reply *HelloReply) error {
-	if err := CheckVersion(args.Version); err != nil {
-		return err
-	}
-	*reply = HelloReply{Version: ProtocolVersion}
-	return nil
+type schedulerRPC struct {
+	handshake
+	s *Scheduler
 }
 
 // RegisterWorker implements the worker-registration RPC.
@@ -381,9 +364,12 @@ func (r *schedulerRPC) ReportThroughput(rep ThroughputReport, _ *Ack) error {
 	return nil
 }
 
-// Client is the worker-side handle.
+// Client is the worker-side handle. Every call is bounded by the
+// environment's per-call deadline (GAVEL_RPC_TIMEOUT), so a hung scheduler
+// surfaces as CodeTimeout instead of blocking the worker forever.
 type Client struct {
 	c        *gorpc.Client
+	timeout  time.Duration
 	WorkerID int
 	Round    time.Duration
 }
@@ -395,28 +381,31 @@ func Dial(addr string, reg RegisterArgs) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	cl := &Client{c: c, timeout: CallPolicyFromEnv().Timeout}
 	var hello HelloReply
-	if err := c.Call(leaseServiceName+".Hello", HelloArgs{Version: ProtocolVersion, Role: "worker"}, &hello); err != nil {
+	if err := cl.call("Hello", HelloArgs{Version: ProtocolVersion, Role: "worker"}, &hello); err != nil {
 		c.Close()
 		return nil, err
 	}
 	reg.Version = ProtocolVersion
 	var reply RegisterReply
-	if err := c.Call(leaseServiceName+".RegisterWorker", reg, &reply); err != nil {
+	if err := cl.call("RegisterWorker", reg, &reply); err != nil {
 		c.Close()
 		return nil, err
 	}
-	return &Client{
-		c:        c,
-		WorkerID: reply.WorkerID,
-		Round:    time.Duration(reply.RoundSeconds * float64(time.Second)),
-	}, nil
+	cl.WorkerID = reply.WorkerID
+	cl.Round = time.Duration(reply.RoundSeconds * float64(time.Second))
+	return cl, nil
+}
+
+func (c *Client) call(method string, args, reply any) error {
+	return callWithin(c.c, leaseServiceName+"."+method, c.timeout, CodeUnavailable, args, reply)
 }
 
 // Lease requests the next micro-task.
 func (c *Client) Lease() (*Lease, error) {
 	var l Lease
-	if err := c.c.Call(leaseServiceName+".LeaseMicroTask", LeaseArgs{WorkerID: c.WorkerID}, &l); err != nil {
+	if err := c.call("LeaseMicroTask", LeaseArgs{WorkerID: c.WorkerID}, &l); err != nil {
 		return nil, err
 	}
 	return &l, nil
@@ -425,8 +414,7 @@ func (c *Client) Lease() (*Lease, error) {
 // Report sends a measured throughput.
 func (c *Client) Report(jobID int, stepsPerSecond float64) error {
 	var ack Ack
-	return c.c.Call(leaseServiceName+".ReportThroughput",
-		ThroughputReport{WorkerID: c.WorkerID, JobID: jobID, StepsPerSecond: stepsPerSecond}, &ack)
+	return c.call("ReportThroughput", ThroughputReport{WorkerID: c.WorkerID, JobID: jobID, StepsPerSecond: stepsPerSecond}, &ack)
 }
 
 // Close tears down the connection.

@@ -280,67 +280,25 @@ func TestServiceRestartReconcilesBareDaemons(t *testing.T) {
 	}
 }
 
-// flakyClient wraps a ShardClient with an injectable per-method fault,
-// simulating a slow or dead daemon without sockets.
+// flakyClient runs a ShardClient's calls through an Intercept hook with an
+// injectable per-method fault, simulating a slow or dead daemon without
+// sockets: a non-nil error from fail replaces the call.
 type flakyClient struct {
 	ShardClient
 	fail func(method string) error
 }
 
-func (c *flakyClient) check(method string) error {
-	if c.fail == nil {
-		return nil
-	}
-	return c.fail(method)
-}
-
-func (c *flakyClient) Install(args InstallArgs) error {
-	if err := c.check("Install"); err != nil {
-		return err
-	}
-	return c.ShardClient.Install(args)
-}
-
-func (c *flakyClient) Remove(args RemoveArgs) error {
-	if err := c.check("Remove"); err != nil {
-		return err
-	}
-	return c.ShardClient.Remove(args)
-}
-
-func (c *flakyClient) Allocate(args AllocateArgs) (AllocateReply, error) {
-	if err := c.check("Allocate"); err != nil {
-		return AllocateReply{}, err
-	}
-	return c.ShardClient.Allocate(args)
-}
-
-func (c *flakyClient) AssignRound(args AssignRoundArgs) (AssignRoundReply, error) {
-	if err := c.check("AssignRound"); err != nil {
-		return AssignRoundReply{}, err
-	}
-	return c.ShardClient.AssignRound(args)
-}
-
-func (c *flakyClient) Snapshot() (SnapshotReply, error) {
-	if err := c.check("Snapshot"); err != nil {
-		return SnapshotReply{}, err
-	}
-	return c.ShardClient.Snapshot()
-}
-
-func (c *flakyClient) Status() (ShardStatus, error) {
-	if err := c.check("Status"); err != nil {
-		return ShardStatus{}, err
-	}
-	return c.ShardClient.Status()
-}
-
-func (c *flakyClient) Ping() error {
-	if err := c.check("Ping"); err != nil {
-		return err
-	}
-	return c.ShardClient.Ping()
+func newFlakyClient(inner ShardClient) *flakyClient {
+	f := &flakyClient{}
+	f.ShardClient = Intercept(inner, func(method string, op func() error) error {
+		if f.fail != nil {
+			if err := f.fail(method); err != nil {
+				return err
+			}
+		}
+		return op()
+	})
+	return f
 }
 
 // TestServiceDegradesThenEscalates drives the degradation ladder: a shard
@@ -350,7 +308,7 @@ func (c *flakyClient) Ping() error {
 func TestServiceDegradesThenEscalates(t *testing.T) {
 	_, inner0 := NewLocalShard()
 	_, inner1 := NewLocalShard()
-	f1 := &flakyClient{ShardClient: inner1}
+	f1 := newFlakyClient(inner1)
 	cfg := testServiceConfig("")
 	cfg.StaleAfterRounds = 3
 	svc, err := NewService(cfg, []ShardClient{inner0, f1})
@@ -440,8 +398,8 @@ func TestServiceRecoverConcurrentLoss(t *testing.T) {
 	_, inner0 := NewLocalShard()
 	_, inner1 := NewLocalShard()
 	_, inner2 := NewLocalShard()
-	f0 := &flakyClient{ShardClient: inner0}
-	f1 := &flakyClient{ShardClient: inner1}
+	f0 := newFlakyClient(inner0)
+	f1 := newFlakyClient(inner1)
 	svc, err := NewService(testServiceConfig(filepath.Join(t.TempDir(), "j.wal")),
 		[]ShardClient{f0, f1, inner2})
 	if err != nil {
@@ -510,7 +468,7 @@ func TestServiceRecoverConcurrentLoss(t *testing.T) {
 func TestServiceTransientMembershipFailureMarksDown(t *testing.T) {
 	_, inner0 := NewLocalShard()
 	_, inner1 := NewLocalShard()
-	f0 := &flakyClient{ShardClient: inner0}
+	f0 := newFlakyClient(inner0)
 	svc, err := NewService(testServiceConfig(""), []ShardClient{f0, inner1})
 	if err != nil {
 		t.Fatal(err)

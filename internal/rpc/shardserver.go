@@ -25,6 +25,7 @@ import (
 // serialization costs nothing and keeps the shard's state transitions
 // byte-deterministic.
 type ShardServer struct {
+	handshake
 	mu    sync.Mutex
 	shard *cluster.Shard
 	pol   policy.Policy
@@ -149,18 +150,11 @@ const shardServiceName = "GavelShard"
 // Serve starts the daemon's TCP listener on addr ("host:port"), returning
 // the bound address (useful with ":0").
 func (s *ShardServer) Serve(addr string) (string, error) {
-	srv := gorpc.NewServer()
-	if err := srv.RegisterName(shardServiceName, s); err != nil {
-		return "", err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
+	srv, bound, err := serveTCP(addr, shardServiceName, s)
 	s.mu.Lock()
-	s.srv = newTCPServer(ln, srv)
+	s.srv = srv
 	s.mu.Unlock()
-	return ln.Addr().String(), nil
+	return bound, err
 }
 
 // Close stops the listener and tears down every in-flight connection,
@@ -169,19 +163,7 @@ func (s *ShardServer) Close() error {
 	s.mu.Lock()
 	srv := s.srv
 	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
 	return srv.close()
-}
-
-// Hello is the protocol handshake.
-func (s *ShardServer) Hello(args HelloArgs, reply *HelloReply) error {
-	if err := CheckVersion(args.Version); err != nil {
-		return err
-	}
-	*reply = HelloReply{Version: ProtocolVersion}
-	return nil
 }
 
 // Ping is the liveness probe.
@@ -480,6 +462,18 @@ func (s *ShardServer) statusLocked(sh *cluster.Shard) ShardStatus {
 	return st
 }
 
+// handshake is the protocol Hello every served plane embeds.
+type handshake struct{}
+
+// Hello is the protocol handshake.
+func (handshake) Hello(args HelloArgs, reply *HelloReply) error {
+	if err := CheckVersion(args.Version); err != nil {
+		return err
+	}
+	*reply = HelloReply{Version: ProtocolVersion}
+	return nil
+}
+
 // tcpServer owns a listener and its per-connection goroutines so Close can
 // actually stop everything (the seed's lease server leaked its ServeConn
 // goroutines until process exit).
@@ -492,7 +486,17 @@ type tcpServer struct {
 	wg     sync.WaitGroup
 }
 
-func newTCPServer(ln net.Listener, srv *gorpc.Server) *tcpServer {
+// serveTCP is every plane's Serve: it registers rcvr's handlers under name
+// and serves them on a fresh listener at addr, returning the bound address.
+func serveTCP(addr, name string, rcvr any) (*tcpServer, string, error) {
+	srv := gorpc.NewServer()
+	if err := srv.RegisterName(name, rcvr); err != nil {
+		return nil, "", err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
 	t := &tcpServer{ln: ln, conns: map[net.Conn]struct{}{}}
 	t.wg.Add(1)
 	go func() {
@@ -521,7 +525,7 @@ func newTCPServer(ln net.Listener, srv *gorpc.Server) *tcpServer {
 			}()
 		}
 	}()
-	return t
+	return t, ln.Addr().String(), nil
 }
 
 // numConns reports the live connection count (the open-connections gauge).
@@ -531,7 +535,12 @@ func (t *tcpServer) numConns() int {
 	return len(t.conns)
 }
 
+// close stops the listener and joins every connection; a nil server (one
+// that never served) closes as a no-op.
 func (t *tcpServer) close() error {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

@@ -4,12 +4,12 @@ package rpc
 // coordinator and stream Submit / Withdraw / Poll. The surface is fully
 // idempotent (submissions dedupe by key, withdrawals and polls are safe to
 // repeat), so the client retries transient failures under the same call
-// policy the shard plane uses; CodeOverload is deliberately NOT retried here
-// — backpressure is the caller's to honor, via RetryAfter.
+// policy and the same retry loop the shard plane uses; CodeOverload is
+// deliberately NOT retried here — backpressure is the caller's to honor, via
+// RetryAfter.
 
 import (
 	"fmt"
-	"net"
 	gorpc "net/rpc"
 	"time"
 )
@@ -21,6 +21,7 @@ const submitServiceName = "GavelSubmit"
 // handlers call only the Service's concurrent-safe ingress methods, so the
 // server runs alongside the round loop without extra locking.
 type SubmitServer struct {
+	handshake
 	svc *Service
 	srv *tcpServer
 }
@@ -31,35 +32,13 @@ func NewSubmitServer(svc *Service) *SubmitServer { return &SubmitServer{svc: svc
 
 // Serve starts the TCP listener on addr ("host:port"), returning the bound
 // address (useful with ":0").
-func (s *SubmitServer) Serve(addr string) (string, error) {
-	srv := gorpc.NewServer()
-	if err := srv.RegisterName(submitServiceName, s); err != nil {
-		return "", err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.srv = newTCPServer(ln, srv)
-	return ln.Addr().String(), nil
+func (s *SubmitServer) Serve(addr string) (bound string, err error) {
+	s.srv, bound, err = serveTCP(addr, submitServiceName, s)
+	return bound, err
 }
 
 // Close stops the listener and tears down in-flight connections.
-func (s *SubmitServer) Close() error {
-	if s.srv == nil {
-		return nil
-	}
-	return s.srv.close()
-}
-
-// Hello is the protocol handshake.
-func (s *SubmitServer) Hello(args HelloArgs, reply *HelloReply) error {
-	if err := CheckVersion(args.Version); err != nil {
-		return err
-	}
-	*reply = HelloReply{Version: ProtocolVersion}
-	return nil
-}
+func (s *SubmitServer) Close() error { return s.srv.close() }
 
 // Submit handles one streamed submission.
 func (s *SubmitServer) Submit(args SubmitArgs, reply *SubmitReply) error {
@@ -84,8 +63,9 @@ func (s *SubmitServer) Poll(args PollArgs, reply *PollReply) error {
 
 // SubmitClient is a tenant's handle to the submission plane.
 type SubmitClient struct {
-	c   *gorpc.Client
-	pol CallPolicy
+	c       *gorpc.Client
+	timeout time.Duration
+	retry   *retrier
 }
 
 // DialSubmit connects to a coordinator's submission endpoint with the
@@ -100,7 +80,7 @@ func DialSubmitWith(addr string, pol CallPolicy) (*SubmitClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial submit %s: %w", addr, err)
 	}
-	sc := &SubmitClient{c: c, pol: pol}
+	sc := &SubmitClient{c: c, timeout: pol.Timeout, retry: newRetrier(pol)}
 	var hello HelloReply
 	if err := sc.call("Hello", HelloArgs{Version: ProtocolVersion, Role: "client"}, &hello); err != nil {
 		c.Close()
@@ -109,44 +89,13 @@ func DialSubmitWith(addr string, pol CallPolicy) (*SubmitClient, error) {
 	return sc, nil
 }
 
-// call is one deadline-bounded request with transparent retries on transient
-// failures — every submission-plane method is idempotent, so at-least-once
-// is safe by construction.
+// call is one deadline-bounded request under the policy's retry loop —
+// every submission-plane method is idempotent, so at-least-once is safe by
+// construction.
 func (c *SubmitClient) call(method string, args, reply any) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.callOnce(method, args, reply)
-		if err == nil || !IsTransient(CodeOf(err)) || attempt >= c.pol.Retries {
-			return err
-		}
-		if c.pol.Backoff > 0 {
-			time.Sleep(c.pol.Backoff << attempt)
-		}
-	}
-}
-
-func (c *SubmitClient) callOnce(method string, args, reply any) error {
-	var err error
-	if c.pol.Timeout > 0 {
-		done := c.c.Go(submitServiceName+"."+method, args, reply, make(chan *gorpc.Call, 1))
-		timer := time.NewTimer(c.pol.Timeout)
-		select {
-		case call := <-done.Done:
-			timer.Stop()
-			err = call.Error
-		case <-timer.C:
-			return Errorf(CodeTimeout, "%s: no reply within %v", method, c.pol.Timeout)
-		}
-	} else {
-		err = c.c.Call(submitServiceName+"."+method, args, reply)
-	}
-	if err == nil {
-		return nil
-	}
-	if _, isServer := err.(gorpc.ServerError); isServer {
-		return ParseError(err)
-	}
-	return Errorf(CodeUnavailable, "%s: %v", method, err)
+	return c.retry.do(method, func() error {
+		return callWithin(c.c, submitServiceName+"."+method, c.timeout, CodeUnavailable, args, reply)
+	})
 }
 
 // Submit streams one job submission.

@@ -17,7 +17,7 @@ import (
 // *chaos.Transport values and can read their schedules back.
 func chaosRun(t *testing.T, ccfg chaos.Config) (string, string) {
 	t.Helper()
-	pol := rpc.CallPolicy{Retries: 5, Backoff: time.Millisecond, JitterSeed: 1}
+	pol := rpc.CallPolicy{Retries: 5, Backoff: time.Millisecond}
 	var transports []*chaos.Transport
 	clients := make([]rpc.ShardClient, 2)
 	for k := range clients {

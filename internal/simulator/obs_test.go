@@ -45,7 +45,7 @@ func obsServiceRun(t *testing.T, plane *obs.Plane, journal string) string {
 	}
 	cfg := serviceTestConfig(16, clients)
 	cfg.Chaos = obsChaosConfig()
-	cfg.RPC = rpc.CallPolicy{Retries: 5, Backoff: time.Millisecond, JitterSeed: 1}
+	cfg.RPC = rpc.CallPolicy{Retries: 5, Backoff: time.Millisecond}
 	cfg.Obs = plane
 	cfg.Journal = journal
 	res, err := Run(cfg)
@@ -169,10 +169,8 @@ func TestObsTracePropagationUnderDup(t *testing.T) {
 		srv, inner := rpc.NewLocalShard()
 		shardPlanes[k] = stubPlane()
 		srv.SetObs(shardPlanes[k])
-		tr := chaos.Wrap(inner, chaos.Config{Seed: 7, Dup: 1.0}, k).(*chaos.Transport)
-		tr.SetObs(coordPlane)
-		pol := rpc.CallPolicy{Retries: 3, Backoff: time.Microsecond, JitterSeed: 1, Obs: coordPlane}
-		clients[k] = rpc.WithRetry(tr, pol)
+		pol := rpc.CallPolicy{Retries: 3, Backoff: time.Microsecond, Obs: coordPlane}
+		clients[k], _ = chaos.Stack(inner, chaos.Config{Seed: 7, Dup: 1.0}, k, pol)
 	}
 
 	svc, err := rpc.NewService(rpc.ServiceConfig{
