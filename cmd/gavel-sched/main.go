@@ -10,10 +10,11 @@
 // sockets (what NumShards = 0 is to the simulator).
 //
 // With -submit-listen, the coordinator also serves the client submission
-// plane (protocol v3): tenants stream jobs through gavel-submit, admission is
-// rationed by the GAVEL_SUBMIT_* quotas, and the declared-vs-measured trust
-// review runs between rounds; shed/quarantine decisions are logged and, with
-// -decision-log, rewritten to a file each round.
+// plane (added in protocol v3): tenants stream jobs through gavel-submit,
+// admission is rationed by the GAVEL_SUBMIT_* quotas, and the
+// declared-vs-measured trust review runs between rounds; shed/quarantine
+// decisions are logged and, with -decision-log, rewritten to a file each
+// round.
 //
 // Usage:
 //

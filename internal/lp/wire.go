@@ -1,68 +1,81 @@
 package lp
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-)
 
-// basisWire is the exported mirror of Basis used for gob encoding. Basis
-// itself keeps its fields unexported (callers must not reach into a
-// snapshot), so the wire form is an explicit, versioned projection: a new
-// field added to Basis must be added here and bumped below, or it silently
-// stops surviving the trip between shard daemons.
-type basisWire struct {
-	Version  int
-	NumVars  int
-	Ops      []Op
-	Cols     []int
-	RowIDs   []string
-	AtUpper  []int
-	Polished bool
-}
+	"gavel/internal/wire"
+)
 
 // basisWireVersion stamps the serialized form. Decode rejects versions it
 // does not understand rather than guessing: a stale basis is worthless (the
-// receiver just solves cold), a misdecoded one is wrong.
-const basisWireVersion = 1
+// receiver just solves cold), a misdecoded one is wrong. Version 2 replaced
+// version 1's gob struct with the package wire encoding.
+const basisWireVersion = 2
+
+// WriteWire appends b's wire form: the version, then every field in
+// declaration order. A field added to Basis must be added here and in
+// ReadWire, and the version bumped, or it silently stops surviving the trip
+// between processes (TestBasisWireCarriesEveryField fails first). The
+// coordinator's journal embeds this form as is.
+func (b *Basis) WriteWire(w *wire.Writer) {
+	w.Int(basisWireVersion)
+	w.Int(b.numVars)
+	w.Uint(uint64(len(b.ops)))
+	for _, op := range b.ops {
+		w.Int(int(op))
+	}
+	w.Ints(b.cols)
+	wire.PutStrings(w, b.rowIDs)
+	w.Ints(b.atUpper)
+	w.Bool(b.polished)
+}
+
+// ReadWire decodes what WriteWire wrote into b, leaving any error in r.
+func (b *Basis) ReadWire(r *wire.Reader) {
+	if v := r.Int(); v != basisWireVersion {
+		r.Fail(fmt.Errorf("lp: basis wire version %d, this build speaks %d", v, basisWireVersion))
+		return
+	}
+	b.numVars = r.Int()
+	if n := r.Count(); n > 0 {
+		b.ops = make([]Op, n)
+		for i := range b.ops {
+			b.ops[i] = Op(r.Int())
+		}
+	}
+	b.cols = r.Ints()
+	b.rowIDs = wire.Strings[string](r)
+	b.atUpper = r.Ints()
+	b.polished = r.Bool()
+	if len(b.cols) != len(b.ops) {
+		r.Fail(fmt.Errorf("lp: malformed basis wire: %d basic columns for %d rows", len(b.cols), len(b.ops)))
+	}
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler with WriteWire's form.
+func (b *Basis) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	b.WriteWire(&w)
+	return w, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It accepts exactly
+// the bytes MarshalBinary produces and leaves b untouched on error.
+func (b *Basis) UnmarshalBinary(data []byte) error {
+	var nb Basis
+	r := wire.NewReader(data)
+	nb.ReadWire(&r)
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	*b = nb
+	return nil
+}
 
 // GobEncode implements gob.GobEncoder, letting a *Basis ride inside any gob
 // message (the control plane's snapshot, migration, and warm-start
-// payloads) without exposing its internals.
-func (b *Basis) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	w := basisWire{
-		Version:  basisWireVersion,
-		NumVars:  b.numVars,
-		Ops:      b.ops,
-		Cols:     b.cols,
-		RowIDs:   b.rowIDs,
-		AtUpper:  b.atUpper,
-		Polished: b.polished,
-	}
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// payloads) in its one wire form without exposing its internals.
+func (b *Basis) GobEncode() ([]byte, error) { return b.MarshalBinary() }
 
 // GobDecode implements gob.GobDecoder.
-func (b *Basis) GobDecode(data []byte) error {
-	var w basisWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	if w.Version != basisWireVersion {
-		return fmt.Errorf("lp: basis wire version %d, this build speaks %d", w.Version, basisWireVersion)
-	}
-	if len(w.Cols) != len(w.Ops) {
-		return fmt.Errorf("lp: malformed basis wire: %d basic columns for %d rows", len(w.Cols), len(w.Ops))
-	}
-	b.numVars = w.NumVars
-	b.ops = w.Ops
-	b.cols = w.Cols
-	b.rowIDs = w.RowIDs
-	b.atUpper = w.AtUpper
-	b.polished = w.Polished
-	return nil
-}
+func (b *Basis) GobDecode(data []byte) error { return b.UnmarshalBinary(data) }

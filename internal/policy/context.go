@@ -245,9 +245,10 @@ func NewSolveContextWith(lp.Options) *SolveContext { return NewSolveContext() }
 // with the column identities it was built over, keyed by the solve label it
 // caches under. It is the unit of warm-start state the cluster service
 // ships between processes — periodic shard snapshots, and the
-// basis-carrying half of a job migration between shard daemons. Basis
-// serializes through gob (lp.Basis implements GobEncoder), so a Seed can
-// ride in any control-plane message as-is.
+// basis-carrying half of a job migration between shard daemons. Basis has
+// one binary wire form (lp.Basis.MarshalBinary, which its GobEncoder
+// delegates to), so a Seed rides in any control-plane message as is, and the
+// coordinator's journal writes the same bytes.
 type Seed struct {
 	Label string
 	IDs   []lp.ColumnID

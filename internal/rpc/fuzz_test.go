@@ -6,9 +6,9 @@ package rpc
 // -fuzz` explores further.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -118,14 +118,15 @@ func FuzzParseSubmitSpec(f *testing.F) {
 }
 
 // FuzzReadJournal: readJournal is total over arbitrary bytes — it never
-// panics, never claims more intact bytes than it was given, and the prefix
-// it calls intact is a log that replays to the same records on its own
-// (which is what openJournal's truncate-then-append relies on).
+// panics, never claims more intact bytes than it was given, the prefix it
+// calls intact is a log that replays to the same records on its own (which is
+// what openJournal's truncate-then-append relies on), and every frame it
+// accepts re-encodes to the very bytes it was read from.
 func FuzzReadJournal(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "seed.wal")
-	recs := epochTestRecords()
+	recs := mixedTestRecords()
 	for _, part := range [][]*journalRecord{recs[:11], recs[11:21], recs[21:]} {
-		appendEpoch(f, path, part...)
+		appendRecords(f, path, part...)
 	}
 	seed, err := os.ReadFile(path)
 	if err != nil {
@@ -149,22 +150,28 @@ func FuzzReadJournal(f *testing.F) {
 				off += 8 + n
 			}
 		}
-		// replayed reads a log and returns its records re-encoded as one gob
-		// stream: comparable byte for byte, NaNs included.
+		// replayed reads a log and returns its records framed again by the
+		// journal's own append.
 		replayed := func(log []byte) (replayStats, []byte) {
 			var out bytes.Buffer
-			enc := gob.NewEncoder(&out)
-			st, _ := readJournal(bytes.NewReader(log), int64(len(log)), func(_ int, rec *journalRecord) error {
-				return enc.Encode(rec)
+			j := &journal{w: bufio.NewWriter(&out)}
+			st, _ := readJournal(bytes.NewReader(log), int64(len(log)), func(i int, rec *journalRecord) error {
+				if err := j.append(rec); err != nil {
+					t.Fatalf("record %d decoded but does not encode: %v", i, err)
+				}
+				return nil
 			})
+			j.w.Flush()
 			return st, out.Bytes()
 		}
-		st, recs := replayed(data)
+		st, framed := replayed(data)
 		if st.bytes < 0 || st.bytes > int64(len(data)) {
 			t.Fatalf("%d intact bytes claimed of a %d-byte log", st.bytes, len(data))
 		}
-		again, recs2 := replayed(data[:st.bytes])
-		if again != st || !bytes.Equal(recs, recs2) {
+		if !bytes.Equal(framed, data[:st.bytes]) {
+			t.Fatalf("the %d intact bytes re-encode to %d different ones", st.bytes, len(framed))
+		}
+		if again, _ := replayed(data[:st.bytes]); again != st {
 			t.Fatalf("the intact prefix replays differently: %+v, then %+v", st, again)
 		}
 	})

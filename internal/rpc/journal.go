@@ -9,25 +9,19 @@ package rpc
 // Records are appended through a buffered writer and fsynced in batches at
 // round boundaries (Service.EndRound): the round is the durability unit,
 // matching the protocol's round-synchronous batching. Each record is one
-// frame, [4-byte length][4-byte crc32][gob payload], so a torn tail write —
-// the crash case — is detected by length or checksum, the log is truncated at
+// frame, [4-byte length][4-byte crc32][payload], so a torn tail write — the
+// crash case — is detected by length or checksum, the log is truncated at
 // the last intact frame, and replay proceeds from what was durably committed.
 //
-// The gob stream behind the payloads is scoped to an epoch: one process's
-// tenure on the file, from openJournal to crash or close. One encoder lives
-// for the epoch, so journalRecord's type dictionary is sent once, in the
-// frames that first need it, and later frames carry values only (a recMeasure
-// is ~30 bytes, not 1.6 KB). An epoch opens with a marker frame; the reader
-// starts a fresh decoder there, so the next encoder's re-sent descriptors
-// never reach a decoder that has seen them. Warm seeds ride the same
-// versioned gob wire forms as the control plane itself (lp.Basis's
-// basisWire), so a journaled snapshot is exactly as usable as a live one.
+// A payload is the record in the hand-written codec of journalcodec.go: no
+// frame depends on another, so any number of coordinators may take turns
+// appending to one file and a reader needs no state between frames. Warm
+// seeds are written in lp.Basis's one wire form, the same bytes the control
+// plane carries, so a journaled snapshot is exactly as usable as a live one.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -38,17 +32,14 @@ import (
 	"gavel/internal/core"
 	"gavel/internal/obs"
 	"gavel/internal/policy"
+	"gavel/internal/wire"
 )
 
 // JournalVersion stamps the log's record vocabulary. A journal written by an
 // incompatible build is rejected at open, not misreplayed. Version 2 added
 // the submission-plane records (recSubmit through recMeasure); version 3 made
-// the gob stream epoch-scoped (one type dictionary per epoch, not per frame).
-const JournalVersion = 3
-
-// epochMagic is the payload of the marker frame that opens every epoch. It
-// cannot be a record: gob never emits the zero-length message it starts with.
-var epochMagic = []byte("\x00gavel journal epoch")
+// the gob stream epoch-scoped; version 4 replaced gob with the record codec.
+const JournalVersion = 4
 
 // recordKind tags the journal's record union.
 type recordKind uint8
@@ -82,7 +73,7 @@ const (
 )
 
 // journalRecord is the tagged union written to the log. Exactly the fields
-// for the active Kind are set; gob omits the nil rest.
+// for the active Kind are set, and only those are written.
 type journalRecord struct {
 	Kind recordKind
 
@@ -183,11 +174,9 @@ type journal struct {
 	f  *os.File
 	w  *bufio.Writer
 
-	// The epoch's encoder writes into buf, which holds one record's payload
-	// at a time; buf and hdr are reused across appends.
-	enc *gob.Encoder
-	buf bytes.Buffer
-	hdr [8]byte
+	// buf holds one frame at a time, header first; it is reused across
+	// appends.
+	buf wire.Writer
 
 	// Telemetry (setObs): append/commit counters, appended bytes, and the
 	// fsync latency histogram — the signal that shows a slow disk stalling
@@ -217,14 +206,12 @@ func (j *journal) setObs(p *obs.Plane) {
 // replayStats is what one pass over the log found.
 type replayStats struct {
 	records int   // intact records handed to apply
-	epochs  int   // encoder tenures they were written in
 	bytes   int64 // offset of the last intact frame's end
 }
 
 // openJournal opens (or creates) the log at path, streams every intact
 // record through apply, truncates any torn tail so appends restart from a
-// clean frame boundary, and returns the journal positioned for appending a
-// new epoch.
+// clean frame boundary, and returns the journal positioned for appending.
 func openJournal(path string, apply func(i int, rec *journalRecord) error) (_ *journal, st replayStats, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -248,8 +235,7 @@ func openJournal(path string, apply func(i int, rec *journalRecord) error) (_ *j
 	if _, err = f.Seek(st.bytes, io.SeekStart); err != nil {
 		return nil, st, err
 	}
-	j := &journal{f: f, w: bufio.NewWriterSize(f, 1<<16)}
-	return j, st, j.startEpoch()
+	return &journal{f: f, w: bufio.NewWriterSize(f, 1<<16)}, st, nil
 }
 
 // SealedRound reads the journal file at path without touching it and returns
@@ -277,16 +263,15 @@ func SealedRound(path string) (sealed int64, err error) {
 
 // readJournal decodes the size-byte log in r until EOF or the first damaged
 // frame, handing each record to apply: rec is reused, what it points to is
-// not. It holds one payload buffer and one decoder at a time, never the log.
+// not. It holds one payload buffer at a time, never the log.
 func readJournal(r io.Reader, size int64, apply func(i int, rec *journalRecord) error) (replayStats, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var (
 		st      replayStats
 		hdr     [8]byte
 		payload []byte
-		frame   bytes.Reader // the current payload, as the decoder's source
-		dec     *gob.Decoder
 		rec     journalRecord
+		dec     recordReader
 	)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -311,28 +296,20 @@ func readJournal(r io.Reader, size int64, apply func(i int, rec *journalRecord) 
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
 			return st, nil // torn or bit-rotted frame
 		}
-		if bytes.Equal(payload, epochMagic) {
-			dec = gob.NewDecoder(&frame)
-			st.epochs++
-			st.bytes += 8 + n
-			continue
-		}
-		if dec == nil {
-			return st, fmt.Errorf("rpc: journal does not open with an epoch marker (written before version %d?)", JournalVersion)
-		}
-		frame.Reset(payload)
-		rec = journalRecord{} // gob leaves fields the frame omits as they were
-		if err := dec.Decode(&rec); err != nil {
-			return st, fmt.Errorf("rpc: decode journal record %d: %w", st.records, err)
-		}
+		err := dec.read(&rec, payload)
 		if st.records == 0 {
-			if rec.Kind != recConfig || rec.Config == nil {
-				return st, fmt.Errorf("rpc: journal does not start with a config record")
-			}
-			if rec.Config.Version != JournalVersion {
+			switch {
+			case payload[0] == 0: // no kind is 0: version 3's gob epoch marker
+				return st, fmt.Errorf("rpc: journal version 3, this build speaks %d", JournalVersion)
+			case err != nil || rec.Kind != recConfig:
+				return st, fmt.Errorf("rpc: journal does not start with a version-%d config record", JournalVersion)
+			case rec.Config.Version != JournalVersion:
 				return st, fmt.Errorf("rpc: journal version %d, this build speaks %d",
 					rec.Config.Version, JournalVersion)
 			}
+		}
+		if err != nil {
+			return st, fmt.Errorf("rpc: decode journal record %d: %w", st.records, err)
 		}
 		if err := apply(st.records, &rec); err != nil {
 			return st, err
@@ -342,41 +319,22 @@ func readJournal(r io.Reader, size int64, apply func(i int, rec *journalRecord) 
 	}
 }
 
-// startEpoch retires the encoder, if any, and writes the marker frame that
-// tells the reader to retire its decoder too.
-func (j *journal) startEpoch() error {
-	j.enc = gob.NewEncoder(&j.buf)
-	return j.writeFrame(epochMagic)
-}
-
-// writeFrame hands one checksummed frame to the write buffer.
-func (j *journal) writeFrame(payload []byte) error {
-	binary.BigEndian.PutUint32(j.hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(j.hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := j.w.Write(j.hdr[:]); err != nil {
-		return fmt.Errorf("rpc: append journal record: %w", err)
-	}
-	if _, err := j.w.Write(payload); err != nil {
-		return fmt.Errorf("rpc: append journal record: %w", err)
-	}
-	j.bytes.Add(8 + len(payload))
-	return nil
-}
-
 // append frames one record into the write buffer. Durability waits for the
 // next commit; ordering is already fixed here.
 func (j *journal) append(rec *journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.buf.Reset()
-	if err := j.enc.Encode(rec); err != nil {
-		// The encoder may count descriptors as sent that never reached the
-		// file, so nothing more may be written in its epoch.
-		return errors.Join(fmt.Errorf("rpc: encode journal record: %w", err), j.startEpoch())
-	}
-	if err := j.writeFrame(j.buf.Bytes()); err != nil {
+	j.buf = append(j.buf[:0], make([]byte, 8)...)
+	if err := putRecord(&j.buf, rec); err != nil {
 		return err
 	}
+	payload := j.buf[8:]
+	binary.BigEndian.PutUint32(j.buf[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(j.buf[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := j.w.Write(j.buf); err != nil {
+		return fmt.Errorf("rpc: append journal record: %w", err)
+	}
+	j.bytes.Add(len(j.buf))
 	j.appends.Inc()
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -23,9 +24,9 @@ func openCollect(path string) (*journal, []journalRecord, error) {
 	return j, recs, err
 }
 
-// appendEpoch opens the journal at path, appends recs as one more epoch,
-// closes it, and returns what the open replayed.
-func appendEpoch(t testing.TB, path string, recs ...*journalRecord) []journalRecord {
+// appendRecords opens the journal at path, appends recs, closes it, and
+// returns what the open replayed.
+func appendRecords(t testing.TB, path string, recs ...*journalRecord) []journalRecord {
 	t.Helper()
 	j, got, err := openCollect(path)
 	if err != nil {
@@ -44,7 +45,7 @@ func appendEpoch(t testing.TB, path string, recs ...*journalRecord) []journalRec
 
 func writeTestJournal(t *testing.T, path string, recs ...*journalRecord) {
 	t.Helper()
-	if got := appendEpoch(t, path, recs...); len(got) != 0 {
+	if got := appendRecords(t, path, recs...); len(got) != 0 {
 		t.Fatalf("fresh journal replayed %d records", len(got))
 	}
 }
@@ -174,9 +175,32 @@ func TestJournalVersionMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestJournalV2Refused: a version-2 log (standalone gob stream per frame, no
-// epoch marker) is refused at open and left as it was, not read as a torn
-// tail and truncated to nothing.
+// appendFrame frames payload the way every journal version has.
+func appendFrame(log, payload []byte) []byte {
+	log = binary.BigEndian.AppendUint32(log, uint32(len(payload)))
+	log = binary.BigEndian.AppendUint32(log, crc32.ChecksumIEEE(payload))
+	return append(log, payload...)
+}
+
+// openRefused writes log to a fresh file, requires open to fail with an
+// error containing want, and the file to be left as it was.
+func openRefused(t *testing.T, log []byte, want string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "j.wal")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openCollect(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("open = %v, want an error naming %q", err, want)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, log) {
+		t.Fatalf("refusing the journal rewrote it: %d bytes, was %d", len(after), len(log))
+	}
+}
+
+// TestJournalV2Refused: a version-2 log (standalone gob stream per frame) is
+// refused at open and left as it was, not read as a torn tail and truncated
+// to nothing.
 func TestJournalV2Refused(t *testing.T) {
 	var payload bytes.Buffer
 	rec := testConfigRecord()
@@ -184,19 +208,26 @@ func TestJournalV2Refused(t *testing.T) {
 	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
 		t.Fatal(err)
 	}
-	v2 := binary.BigEndian.AppendUint32(nil, uint32(payload.Len()))
-	v2 = binary.BigEndian.AppendUint32(v2, crc32.ChecksumIEEE(payload.Bytes()))
-	v2 = append(v2, payload.Bytes()...)
-	path := filepath.Join(t.TempDir(), "j.wal")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
-		t.Fatal(err)
+	openRefused(t, appendFrame(nil, payload.Bytes()), "config record")
+}
+
+// TestJournalV3Refused: a version-3 log (a gob epoch marker frame, then
+// records in one gob stream) is refused at open by version, and left as it
+// was.
+func TestJournalV3Refused(t *testing.T) {
+	v3 := appendFrame(nil, []byte("\x00gavel journal epoch"))
+	var payload bytes.Buffer
+	enc := gob.NewEncoder(&payload)
+	rec := testConfigRecord()
+	rec.Config.Version = 3
+	for _, r := range []*journalRecord{rec, {Kind: recRound, Round: 1}} {
+		payload.Reset()
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		v3 = appendFrame(v3, payload.Bytes())
 	}
-	if _, _, err := openCollect(path); err == nil {
-		t.Fatal("a version-2 journal opened without error")
-	}
-	if after, _ := os.ReadFile(path); !bytes.Equal(after, v2) {
-		t.Fatalf("refusing a version-2 journal rewrote it: %d bytes, was %d", len(after), len(v2))
-	}
+	openRefused(t, v3, "version 3")
 }
 
 // TestJournalBadHeaderRejected: a log not starting with a config record is
@@ -227,9 +258,9 @@ func frameOffsets(t *testing.T, data []byte) []int {
 	return offs
 }
 
-// epochTestRecords is a record stream touching every slice- and
-// pointer-carrying kind, so each epoch's dictionary has something to re-send.
-func epochTestRecords() []*journalRecord {
+// mixedTestRecords is a record stream touching every slice- and
+// pointer-carrying kind.
+func mixedTestRecords() []*journalRecord {
 	recs := []*journalRecord{testConfigRecord()}
 	for round := int64(1); round <= 6; round++ {
 		recs = append(recs,
@@ -243,11 +274,11 @@ func epochTestRecords() []*journalRecord {
 	return recs
 }
 
-// TestJournalEpochsReplayAsOne writes one record stream across three
+// TestJournalTenuresReplayAsOne writes one record stream across three
 // abandoned coordinators (a torn tail left between the second and the third)
-// and in a single epoch: both logs must replay record for record equal.
-func TestJournalEpochsReplayAsOne(t *testing.T) {
-	recs := epochTestRecords()
+// and with a single writer: both logs must replay record for record equal.
+func TestJournalTenuresReplayAsOne(t *testing.T) {
+	recs := mixedTestRecords()
 	dir := t.TempDir()
 	one := filepath.Join(dir, "one.wal")
 	writeTestJournal(t, one, recs...)
@@ -262,10 +293,10 @@ func TestJournalEpochsReplayAsOne(t *testing.T) {
 	for e := 0; e+1 < len(cuts); e++ {
 		j, got, err := openCollect(split)
 		if err != nil {
-			t.Fatalf("epoch %d: open: %v", e+1, err)
+			t.Fatalf("writer %d: open: %v", e+1, err)
 		}
 		if len(got) != cuts[e] || (e > 0 && !reflect.DeepEqual(got, want[:cuts[e]])) {
-			t.Fatalf("epoch %d: replayed %d records, want the first %d intact", e+1, len(got), cuts[e])
+			t.Fatalf("writer %d: replayed %d records, want the first %d intact", e+1, len(got), cuts[e])
 		}
 		for _, rec := range recs[cuts[e]:cuts[e+1]] {
 			if err := j.append(rec); err != nil {
@@ -303,32 +334,34 @@ func TestJournalEpochsReplayAsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.epochs != 3 || st.records != len(recs) || st.bytes != fi.Size() {
-		t.Fatalf("stats %+v, want 3 epochs, %d records, %d bytes", st, len(recs), fi.Size())
+	if st.records != len(recs) || st.bytes != fi.Size() {
+		t.Fatalf("stats %+v, want %d records, %d bytes", st, len(recs), fi.Size())
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("three epochs did not replay equal to the same records in one epoch")
+		t.Fatal("three writers did not replay equal to the same records from one")
+	}
+	// Frames are self-contained: three writers leave the very bytes one does.
+	a, _ := os.ReadFile(one)
+	b, _ := os.ReadFile(split)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("three writers wrote %d bytes, one writer %d, or the same length differently", len(b), len(a))
 	}
 }
 
-// TestJournalDamagedEpochHeadStopsReplay flips one bit in the second epoch's
-// marker and in its first record frame (the one carrying the epoch's type
-// dictionary): like any damaged frame, replay stops there — the rest of the
-// epoch is not decodable without its dictionary and must not be tried.
-func TestJournalDamagedEpochHeadStopsReplay(t *testing.T) {
+// TestJournalDamagedFrameTruncates flips one bit in the header and in the
+// payload of a frame in the middle of the log: replay stops at that frame,
+// keeps everything before it, and the log is truncated to where it began.
+func TestJournalDamagedFrameTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	recs := epochTestRecords()
-	appendEpoch(t, path, recs[:11]...)
-	appendEpoch(t, path, recs[11:]...)
+	recs := mixedTestRecords()
+	appendRecords(t, path, recs[:11]...)
+	appendRecords(t, path, recs[11:]...)
 	intact, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs := frameOffsets(t, intact)
-	// Frames: marker, 11 records, marker, then the second epoch's records.
-	marker, first := offs[12], offs[13]
-	for _, c := range [][2]int{{marker + 8, marker}, {first + 8, first}, {first + 20, first}} {
-		flip, cut := c[0], c[1]
+	at := frameOffsets(t, intact)[11] // the second writer's first record
+	for _, flip := range []int{at + 1, at + 5, at + 8, at + 12} {
 		data := append([]byte(nil), intact...)
 		data[flip] ^= 0x10
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -340,20 +373,18 @@ func TestJournalDamagedEpochHeadStopsReplay(t *testing.T) {
 		}
 		abandon(j)
 		if len(got) != 11 {
-			t.Fatalf("flip at %d: replayed %d records, want the first epoch's 11", flip, len(got))
+			t.Fatalf("flip at %d: replayed %d records, want the first writer's 11", flip, len(got))
 		}
-		// Reopening appended (but never flushed) a marker; the file itself
-		// must end where the damage began.
-		if fi, _ := os.Stat(path); fi.Size() != int64(cut) {
-			t.Fatalf("flip at %d: log truncated to %d, want %d", flip, fi.Size(), cut)
+		if fi, _ := os.Stat(path); fi.Size() != int64(at) {
+			t.Fatalf("flip at %d: log truncated to %d, want %d", flip, fi.Size(), at)
 		}
 	}
 }
 
-// TestJournalDictionaryIsPerEpoch fails if per-record gob streams come back:
-// past the first of its kind, a measurement sample is a few dozen bytes on
-// disk and appending it does not allocate.
-func TestJournalDictionaryIsPerEpoch(t *testing.T) {
+// TestJournalAppendAllocFree: appending a record allocates nothing, and a
+// measurement sample — most of a service round's records — is a frame of at
+// most 32 bytes.
+func TestJournalAppendAllocFree(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	j, _, err := openCollect(path)
 	if err != nil {
@@ -371,20 +402,20 @@ func TestJournalDictionaryIsPerEpoch(t *testing.T) {
 		}
 		return fi.Size()
 	}
-	for _, r := range []*journalRecord{testConfigRecord(), rec} {
-		if err := j.append(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := j.append(testConfigRecord()); err != nil {
+		t.Fatal(err)
 	}
 	before := size()
 	if err := j.append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if frame := size() - before; frame > 64 {
-		t.Fatalf("a non-first recMeasure frame is %d bytes, want <= 64", frame)
+	if frame := size() - before; frame > 32 {
+		t.Fatalf("a recMeasure frame is %d bytes, want <= 32", frame)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { j.append(rec) }); allocs > 2 {
-		t.Fatalf("journal.append allocates %.0f times per record, want <= 2", allocs)
+	for _, r := range append(benchRoundRecords(1), rec) {
+		if allocs := testing.AllocsPerRun(50, func() { j.append(r) }); allocs != 0 {
+			t.Fatalf("journal.append allocates %.0f times for a kind %d record, want 0", allocs, r.Kind)
+		}
 	}
 }
 
@@ -413,7 +444,7 @@ func TestJournalCorruptLengthBoundsAllocation(t *testing.T) {
 	if len(recs) != 2 || recs[1].Round != 1 {
 		t.Fatalf("replayed %d records ahead of the corrupt header, want 2", len(recs))
 	}
-	// Two 64 KB I/O buffers and gob's decoder state, not the claimed 1 GiB.
+	// Two 64 KB I/O buffers, not the claimed 1 GiB.
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("opening a %d-byte log allocated %d bytes", len(intact)+len(tail), got)
 	}

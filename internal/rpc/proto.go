@@ -32,14 +32,15 @@ import (
 // Version 1 was the seed's unversioned lease-only protocol; version 2 added
 // the handshake, typed errors, and the coordinator <-> shard surface;
 // version 3 added the client submission plane (Submit/Withdraw/Poll, the
-// CodeOverload backpressure class, and the shard ObserveJob row update).
-const ProtocolVersion = 3
+// CodeOverload backpressure class, and the shard ObserveJob row update);
+// version 4 changed lp.Basis's wire bytes (basis wire version 2).
+const ProtocolVersion = 4
 
-// MinProtocolVersion is the oldest peer version this build accepts. Version 3
-// changed the ShardClient surface (ObserveJob) and the error-code vocabulary,
-// so older peers are rejected — every peer in a deployment ships from the
-// same tree.
-const MinProtocolVersion = 3
+// MinProtocolVersion is the oldest peer version this build accepts. Version 4
+// changed the bytes of every basis a snapshot or migration carries, so older
+// peers are rejected at Hello rather than at their first Snapshot — every
+// peer in a deployment ships from the same tree.
+const MinProtocolVersion = 4
 
 // ErrorCode classifies control-plane failures so callers can branch on the
 // failure class instead of matching error strings.

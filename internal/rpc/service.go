@@ -1259,8 +1259,7 @@ func (s *Service) SnapshotAll() error {
 		m.seeds = rep.Seeds
 		m.status = rep.Status
 		// PolicyTime is a wall clock, which no replay can reproduce: the
-		// journal carries it zeroed (gob omits a zero field), the live mirror
-		// keeps the real value.
+		// journal carries it zeroed, the live mirror keeps the real value.
 		journaled := rep.Status
 		journaled.PolicyTime = 0
 		err = s.record(&journalRecord{Kind: recSnapshot, Snapshot: &journalSnapshot{

@@ -185,8 +185,7 @@ func TestServiceRestartReplaysByteIdentical(t *testing.T) {
 // the shard's status, whose PolicyTime is wall-clock: it must be journaled
 // zeroed (every other counter intact) while the live mirror keeps the
 // measured value, so two coordinators driven through the same schedule write
-// journals of the same length. (Not the same bytes: gob walks the status's
-// per-label map in Go's map order.)
+// journals of the same length.
 func TestJournalCarriesNoWallClock(t *testing.T) {
 	var sizes [2]int64
 	for i := range sizes {

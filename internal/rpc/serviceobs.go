@@ -95,8 +95,8 @@ func (s *Service) syncObs() {
 	fmt.Fprintf(&b, "round %d  shards %d/%d live  jobs %d  migrations %d  recoveries %d  rebalances %d  degraded rounds %d\n",
 		s.round, live, len(s.shards), len(s.shardOf), s.migrations, s.recoveries, s.rebalances, s.degradedRounds)
 	if st := s.tel.replayed; st.records > 0 {
-		fmt.Fprintf(&b, "resumed from journal: %d records, %d bytes, %d epochs, %.1f ms\n",
-			st.records, st.bytes, st.epochs, s.tel.replaySec*1e3)
+		fmt.Fprintf(&b, "resumed from journal: %d records, %d bytes, %.1f ms\n",
+			st.records, st.bytes, s.tel.replaySec*1e3)
 	}
 	fmt.Fprintf(&b, "%-6s %-6s %-5s %-6s %-6s %-11s %-10s\n",
 		"shard", "state", "jobs", "load", "dirty", "staleRounds", "staleTotal")

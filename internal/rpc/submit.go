@@ -1,10 +1,11 @@
 package rpc
 
 // This file is the wire vocabulary and configuration of the client
-// submission plane (protocol v3): the messages clients use to stream jobs
-// into a running coordinator — Submit, Withdraw, Poll — plus the admission
-// knobs that bound what a tenant may do to the cluster. The Service-side
-// engine lives in ingress.go; the net/rpc surface in submitserver.go.
+// submission plane (added in protocol v3): the messages clients use to
+// stream jobs into a running coordinator — Submit, Withdraw, Poll — plus the
+// admission knobs that bound what a tenant may do to the cluster. The
+// Service-side engine lives in ingress.go; the net/rpc surface in
+// submitserver.go.
 //
 // Submissions are identified by a client-chosen (tenant, key) pair, never by
 // job ID: the coordinator assigns job IDs, and a retried Submit with a key it

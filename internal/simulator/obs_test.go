@@ -149,7 +149,7 @@ func TestObsSnapshotReproducible(t *testing.T) {
 	if !strings.Contains(r1, "gavel_journal_replay_seconds 0\n") {
 		t.Fatalf("resumed dump is missing the stub-clock replay time:\n%s", r1)
 	}
-	if want := fmt.Sprintf("resumed from journal: %d records, ", records); !strings.Contains(s1, want) || !strings.Contains(s1, " 1 epochs, 0.0 ms\n") {
+	if want := fmt.Sprintf("resumed from journal: %d records, ", records); !strings.Contains(s1, want) || !strings.Contains(s1, " bytes, 0.0 ms\n") {
 		t.Fatalf("statusz does not report the resume (%q...):\n%s", want, s1)
 	}
 }
