@@ -16,12 +16,12 @@ import (
 // simplex bases, an incrementally maintained throughput cache, and a
 // round-based mechanism — over just that subset. A shard is the engine behind
 // one rpc.ShardServer; the coordinator (rpc.Service) drives it over the
-// control plane — by direct call in memory, by gob over TCP — and owns every
-// cross-shard decision (routing, rebalance, merge). Shards never share
-// mutable state, so the coordinator fans allocation and round assignment out
-// to all of them concurrently; the only cross-shard traffic is job migration,
-// which moves a job's throughput rows and warm LP seeds
-// (SolveContext.ExportSeeds / ImportSeeds) between shards.
+// control plane — by direct call in memory, by the control plane's codec over
+// TCP — and owns every cross-shard decision (routing, rebalance, merge).
+// Shards never share mutable state, so the coordinator fans allocation and
+// round assignment out to all of them concurrently; the only cross-shard
+// traffic is job migration, which moves a job's throughput rows and warm LP
+// seeds (SolveContext.ExportSeeds / ImportSeeds) between shards.
 type Shard struct {
 	// Index is the shard's position within the coordinator, fixed at
 	// construction. Routing, merging, and stats all iterate shards in index

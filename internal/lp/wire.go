@@ -16,7 +16,8 @@ const basisWireVersion = 2
 // declaration order. A field added to Basis must be added here and in
 // ReadWire, and the version bumped, or it silently stops surviving the trip
 // between processes (TestBasisWireCarriesEveryField fails first). The
-// coordinator's journal embeds this form as is.
+// control plane's snapshot and migration messages and the coordinator's
+// journal embed this form as is.
 func (b *Basis) WriteWire(w *wire.Writer) {
 	w.Int(basisWireVersion)
 	w.Int(b.numVars)
@@ -71,11 +72,3 @@ func (b *Basis) UnmarshalBinary(data []byte) error {
 	*b = nb
 	return nil
 }
-
-// GobEncode implements gob.GobEncoder, letting a *Basis ride inside any gob
-// message (the control plane's snapshot, migration, and warm-start
-// payloads) in its one wire form without exposing its internals.
-func (b *Basis) GobEncode() ([]byte, error) { return b.MarshalBinary() }
-
-// GobDecode implements gob.GobDecoder.
-func (b *Basis) GobDecode(data []byte) error { return b.UnmarshalBinary(data) }

@@ -246,9 +246,9 @@ func NewSolveContextWith(lp.Options) *SolveContext { return NewSolveContext() }
 // caches under. It is the unit of warm-start state the cluster service
 // ships between processes — periodic shard snapshots, and the
 // basis-carrying half of a job migration between shard daemons. Basis has
-// one binary wire form (lp.Basis.MarshalBinary, which its GobEncoder
-// delegates to), so a Seed rides in any control-plane message as is, and the
-// coordinator's journal writes the same bytes.
+// one binary wire form (lp.Basis.WriteWire, which MarshalBinary also writes):
+// the control plane's messages carry a Seed in it, and the coordinator's
+// journal writes the same bytes.
 type Seed struct {
 	Label string
 	IDs   []lp.ColumnID

@@ -7,7 +7,8 @@ import (
 )
 
 // ShardClient is the coordinator's handle to one shard daemon. Both
-// transports implement it — DialShard over TCP gob, NewLocalShard calling a
+// transports implement it — DialShard over TCP in the control plane's codec
+// (codec.go), NewLocalShard calling a
 // ShardServer in-process — so the Service, the simulator's sharded loop, and
 // the tests drive the identical shard code path regardless of whether
 // sockets are involved.
@@ -59,20 +60,11 @@ func (c *localShardClient) Hello(args HelloArgs) (HelloReply, error) {
 	return reply, err
 }
 
-func (c *localShardClient) Configure(cfg ShardConfig) error {
-	var ack Ack
-	return c.srv.Configure(cfg, &ack)
-}
+func (c *localShardClient) Configure(cfg ShardConfig) error { return c.srv.Configure(cfg, &Ack{}) }
 
-func (c *localShardClient) Install(args InstallArgs) error {
-	var ack Ack
-	return c.srv.Install(args, &ack)
-}
+func (c *localShardClient) Install(args InstallArgs) error { return c.srv.Install(args, &Ack{}) }
 
-func (c *localShardClient) Remove(args RemoveArgs) error {
-	var ack Ack
-	return c.srv.Remove(args, &ack)
-}
+func (c *localShardClient) Remove(args RemoveArgs) error { return c.srv.Remove(args, &Ack{}) }
 
 func (c *localShardClient) Extract(args ExtractArgs) (ExtractReply, error) {
 	var reply ExtractReply
@@ -92,14 +84,10 @@ func (c *localShardClient) AssignRound(args AssignRoundArgs) (AssignRoundReply, 
 	return reply, err
 }
 
-func (c *localShardClient) Observe(args ObserveArgs) error {
-	var ack Ack
-	return c.srv.Observe(args, &ack)
-}
+func (c *localShardClient) Observe(args ObserveArgs) error { return c.srv.Observe(args, &Ack{}) }
 
 func (c *localShardClient) ObserveJob(args ObserveJobArgs) error {
-	var ack Ack
-	return c.srv.ObserveJob(args, &ack)
+	return c.srv.ObserveJob(args, &Ack{})
 }
 
 func (c *localShardClient) Snapshot() (SnapshotReply, error) {
@@ -114,15 +102,12 @@ func (c *localShardClient) Status() (ShardStatus, error) {
 	return reply, err
 }
 
-func (c *localShardClient) Ping() error {
-	var ack Ack
-	return c.srv.Ping(StatusArgs{}, &ack)
-}
+func (c *localShardClient) Ping() error { return c.srv.Ping(StatusArgs{}, &Ack{}) }
 
 func (c *localShardClient) Close() error { return nil }
 
-// netShardClient speaks the shard protocol over TCP gob, bounding every call
-// by the policy's per-call deadline.
+// netShardClient speaks the shard protocol over TCP, bounding every call by
+// the policy's per-call deadline.
 type netShardClient struct {
 	c       *gorpc.Client
 	timeout time.Duration
@@ -138,7 +123,7 @@ func DialShard(addr string) (ShardClient, error) {
 
 // DialShardWith is DialShard under an explicit call policy.
 func DialShardWith(addr string, pol CallPolicy) (ShardClient, error) {
-	c, err := gorpc.Dial("tcp", addr)
+	c, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial shard %s: %w", addr, err)
 	}
@@ -150,7 +135,7 @@ func DialShardWith(addr string, pol CallPolicy) (ShardClient, error) {
 	return nc, nil
 }
 
-func (c *netShardClient) call(method string, args, reply any) error {
+func (c *netShardClient) call(method string, args, reply message) error {
 	return callWithin(c.c, shardServiceName+"."+method, c.timeout, CodeShardDown, args, reply)
 }
 
@@ -159,7 +144,7 @@ func (c *netShardClient) call(method string, args, reply any) error {
 // and transport-level failures (closed connection, EOF: the peer died) into
 // downCode — CodeShardDown for a shard, CodeUnavailable for the submit and
 // lease planes. Server-side typed errors pass through for ParseError.
-func callWithin(c *gorpc.Client, method string, timeout time.Duration, downCode ErrorCode, args, reply any) error {
+func callWithin(c *gorpc.Client, method string, timeout time.Duration, downCode ErrorCode, args, reply message) error {
 	var err error
 	if timeout > 0 {
 		done := c.Go(method, args, reply, make(chan *gorpc.Call, 1))
@@ -189,69 +174,53 @@ func callWithin(c *gorpc.Client, method string, timeout time.Duration, downCode 
 
 func (c *netShardClient) Hello(args HelloArgs) (HelloReply, error) {
 	var reply HelloReply
-	err := c.call("Hello", args, &reply)
+	err := c.call("Hello", &args, &reply)
 	return reply, err
 }
 
-func (c *netShardClient) Configure(cfg ShardConfig) error {
-	var ack Ack
-	return c.call("Configure", cfg, &ack)
-}
+func (c *netShardClient) Configure(cfg ShardConfig) error { return c.call("Configure", &cfg, &Ack{}) }
 
-func (c *netShardClient) Install(args InstallArgs) error {
-	var ack Ack
-	return c.call("Install", args, &ack)
-}
+func (c *netShardClient) Install(args InstallArgs) error { return c.call("Install", &args, &Ack{}) }
 
-func (c *netShardClient) Remove(args RemoveArgs) error {
-	var ack Ack
-	return c.call("Remove", args, &ack)
-}
+func (c *netShardClient) Remove(args RemoveArgs) error { return c.call("Remove", &args, &Ack{}) }
 
 func (c *netShardClient) Extract(args ExtractArgs) (ExtractReply, error) {
 	var reply ExtractReply
-	err := c.call("Extract", args, &reply)
+	err := c.call("Extract", &args, &reply)
 	return reply, err
 }
 
 func (c *netShardClient) Allocate(args AllocateArgs) (AllocateReply, error) {
 	var reply AllocateReply
-	err := c.call("Allocate", args, &reply)
+	err := c.call("Allocate", &args, &reply)
 	return reply, err
 }
 
 func (c *netShardClient) AssignRound(args AssignRoundArgs) (AssignRoundReply, error) {
 	var reply AssignRoundReply
-	err := c.call("AssignRound", args, &reply)
+	err := c.call("AssignRound", &args, &reply)
 	return reply, err
 }
 
-func (c *netShardClient) Observe(args ObserveArgs) error {
-	var ack Ack
-	return c.call("Observe", args, &ack)
-}
+func (c *netShardClient) Observe(args ObserveArgs) error { return c.call("Observe", &args, &Ack{}) }
 
 func (c *netShardClient) ObserveJob(args ObserveJobArgs) error {
-	var ack Ack
-	return c.call("ObserveJob", args, &ack)
+	return c.call("ObserveJob", &args, &Ack{})
 }
 
 func (c *netShardClient) Snapshot() (SnapshotReply, error) {
 	var reply SnapshotReply
-	err := c.call("Snapshot", SnapshotArgs{}, &reply)
+	err := c.call("Snapshot", &SnapshotArgs{}, &reply)
 	return reply, err
 }
 
 func (c *netShardClient) Status() (ShardStatus, error) {
 	var reply ShardStatus
-	err := c.call("Status", StatusArgs{}, &reply)
+	err := c.call("Status", &StatusArgs{}, &reply)
 	return reply, err
 }
 
-func (c *netShardClient) Ping() error {
-	var ack Ack
-	return c.call("Ping", StatusArgs{}, &ack)
-}
+func (c *netShardClient) Ping() error { return c.call("Ping", &StatusArgs{}, &Ack{}) }
 
 func (c *netShardClient) Close() error { return c.c.Close() }
 

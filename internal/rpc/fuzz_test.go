@@ -1,19 +1,23 @@
 package rpc
 
 // Chaos-seeded fuzzing of the protocol's parsing surfaces: the typed-error
-// wire format (which must survive net/rpc's error-string flattening) and the
-// version handshake. `go test` runs the seed corpus as unit tests; `go test
-// -fuzz` explores further.
+// wire format (which must survive net/rpc's error-string flattening), the
+// version handshake, the control plane's frame codec and the journal reader.
+// `go test` runs the seed corpus as unit tests; `go test -fuzz` explores
+// further.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"hash/crc32"
+	gorpc "net/rpc"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -46,6 +50,8 @@ func FuzzErrorRoundTrip(f *testing.F) {
 	f.Add(int64(3), "shard 1 is down")
 	f.Add(int64(0), "")
 	f.Add(int64(12), "msg with ]: brackets [7] inside")
+	f.Add(int64(10), "allocate: a\nb")
+	f.Add(int64(-9), "negative code")
 	f.Fuzz(func(t *testing.T, code int64, msg string) {
 		if strings.ContainsAny(msg, "\x00") {
 			return
@@ -58,6 +64,15 @@ func FuzzErrorRoundTrip(f *testing.F) {
 			t.Fatalf("code %d flattened to %q reparsed as %d", code, orig.Error(), CodeOf(parsed))
 		}
 	})
+}
+
+// TestTypedErrorWithNewlineKeepsItsCode: a message spanning lines (a shard
+// error wrapping a multi-line report) parses back to its code and message.
+func TestTypedErrorWithNewlineKeepsItsCode(t *testing.T) {
+	flattened := errors.New(Errorf(CodeInternal, "allocate: %s", "a\nb").Error())
+	if p := ParseError(flattened); p.Code != CodeInternal || p.Msg != "allocate: a\nb" {
+		t.Fatalf("parsed %+v, want code %v and the two-line message", p, CodeInternal)
+	}
 }
 
 // FuzzCheckVersion: the handshake must reject mismatches with a typed error
@@ -173,6 +188,72 @@ func FuzzReadJournal(f *testing.F) {
 		}
 		if again, _ := replayed(data[:st.bytes]); again != st {
 			t.Fatalf("the intact prefix replays differently: %+v, then %+v", st, again)
+		}
+	})
+}
+
+// fuzzConn serves a fixed input and swallows what is written back.
+type fuzzConn struct{ *bytes.Reader }
+
+func (fuzzConn) Write(b []byte) (int, error) { return len(b), nil }
+func (fuzzConn) Close() error                { return nil }
+
+// FuzzControlCodec: a server codec is total over arbitrary bytes — it never
+// panics, and every request body it decodes encodes again as a reply — and
+// what it allocates stays within a fixed multiple of the bytes it was given,
+// so a lying frame length or element count costs no more memory than the
+// bytes actually sent.
+func FuzzControlCodec(f *testing.F) {
+	methods := servedMethods()
+	var stream loopConn
+	cc := newCodec(&stream, nil)
+	for name, types := range methods {
+		m := reflect.New(types[0]).Interface()
+		n := 0
+		fillAll(f, reflect.ValueOf(m).Elem(), &n)
+		if err := cc.WriteRequest(&gorpc.Request{ServiceMethod: name, Seq: uint64(n)}, m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	all := stream.Bytes()
+	f.Add(all)
+	f.Add(all[:len(all)/2])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}) // a 2^56-byte frame, 3 bytes sent
+	var gobStream bytes.Buffer                                             // a protocol-4 peer's Hello
+	enc := gob.NewEncoder(&gobStream)
+	if err := enc.Encode(&gorpc.Request{ServiceMethod: "GavelShard.Hello"}); err != nil {
+		f.Fatal(err)
+	}
+	if err := enc.Encode(&HelloArgs{Version: 4, Role: "test"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gobStream.Bytes())
+	names := map[string]string{}
+	for name := range methods {
+		names[name] = name
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sc := newCodec(fuzzConn{bytes.NewReader(data)}, names)
+		for {
+			var req gorpc.Request
+			if err := sc.ReadRequestHeader(&req); err != nil {
+				break
+			}
+			var body any
+			if types, ok := methods[req.ServiceMethod]; ok {
+				body = reflect.New(types[0]).Interface()
+			}
+			if sc.ReadRequestBody(body) == nil && body != nil {
+				if err := sc.WriteResponse(&gorpc.Response{Seq: req.Seq}, body); err != nil {
+					t.Fatalf("%s decoded a body that does not encode: %v", req.ServiceMethod, err)
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+64<<10); got > limit {
+			t.Fatalf("%d bytes of input cost %d bytes of allocation, limit %d", len(data), got, limit)
 		}
 	})
 }

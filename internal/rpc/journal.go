@@ -29,9 +29,7 @@ import (
 	"os"
 	"sync"
 
-	"gavel/internal/core"
 	"gavel/internal/obs"
-	"gavel/internal/policy"
 	"gavel/internal/wire"
 )
 
@@ -112,17 +110,16 @@ type journalRemove struct {
 	JobID int
 }
 
+// journalAlloc and journalSnapshot are a shard's reply as the coordinator
+// received it, so each shape has one encoder.
 type journalAlloc struct {
 	Shard int
-	IDs   []int
-	Units []core.Unit
-	X     [][]float64
+	AllocateReply
 }
 
 type journalSnapshot struct {
-	Shard  int
-	Seeds  []policy.Seed
-	Status ShardStatus
+	Shard int
+	SnapshotReply
 }
 
 // journalSubmit is one accepted submission: everything needed to rebuild the
@@ -271,7 +268,6 @@ func readJournal(r io.Reader, size int64, apply func(i int, rec *journalRecord) 
 		hdr     [8]byte
 		payload []byte
 		rec     journalRecord
-		dec     recordReader
 	)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -296,7 +292,7 @@ func readJournal(r io.Reader, size int64, apply func(i int, rec *journalRecord) 
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
 			return st, nil // torn or bit-rotted frame
 		}
-		err := dec.read(&rec, payload)
+		err := readRecord(&rec, payload)
 		if st.records == 0 {
 			switch {
 			case payload[0] == 0: // no kind is 0: version 3's gob epoch marker

@@ -65,7 +65,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		testConfigRecord(),
 		&journalRecord{Kind: recInstall, Install: &journalInstall{Shard: 1, JobID: 7, ScaleFactor: 2, Tput: []float64{1.5, 0.25}, Reason: reasonMigrate}},
 		&journalRecord{Kind: recDirty, Shard: 1},
-		&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{Shard: 0, IDs: []int{7}, X: [][]float64{{0.5, 0.5}}}},
+		&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{Shard: 0, AllocateReply: AllocateReply{IDs: []int{7}, X: [][]float64{{0.5, 0.5}}}}},
 		&journalRecord{Kind: recDown, Shard: 0},
 		&journalRecord{Kind: recRemove, Remove: &journalRemove{Shard: 1, JobID: 7}},
 		&journalRecord{Kind: recDegrade, Shard: 1},
@@ -267,7 +267,7 @@ func mixedTestRecords() []*journalRecord {
 			&journalRecord{Kind: recSubmit, Submit: &journalSubmit{Tenant: "a", Key: "k", JobID: int(round), Tput: []float64{1, 2}, Round: round}},
 			&journalRecord{Kind: recInstall, Install: &journalInstall{Shard: 1, JobID: int(round), ScaleFactor: 1, Tput: []float64{1.5, 0.25}}},
 			&journalRecord{Kind: recMeasure, Measure: &journalMeasure{JobID: int(round), Type: 1, Rate: 0.75}},
-			&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{Shard: 1, IDs: []int{int(round)}, X: [][]float64{{0.5, 0.5}}}},
+			&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{Shard: 1, AllocateReply: AllocateReply{IDs: []int{int(round)}, X: [][]float64{{0.5, 0.5}}}}},
 			&journalRecord{Kind: recRound, Round: round},
 		)
 	}

@@ -32,7 +32,7 @@ var recordFields = map[recordKind][]string{
 // counter, strings from it, two elements per slice, a fresh value behind
 // every pointer. Unexported fields are set too (lp.Basis keeps its state in
 // them), so a field the codec forgets cannot hide behind a zero.
-func fillAll(t *testing.T, v reflect.Value, n *int) {
+func fillAll(t testing.TB, v reflect.Value, n *int) {
 	if !v.CanSet() {
 		v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 	}
@@ -94,7 +94,7 @@ func TestRecordCodecCarriesEveryField(t *testing.T) {
 			t.Fatalf("kind %d: %v", k, err)
 		}
 		var got journalRecord
-		if err := new(recordReader).read(&got, w); err != nil {
+		if err := readRecord(&got, w); err != nil {
 			t.Fatalf("kind %d: decode: %v", k, err)
 		}
 		// Nothing decoded may alias the payload, and slab-backed slices are

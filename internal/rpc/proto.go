@@ -14,7 +14,7 @@
 //     let a crashed daemon's jobs recover warm on the survivors.
 //
 // Both protocols are versioned: every connection opens with a handshake and
-// a version mismatch is a typed error, not a garbled gob stream. Round
+// a version mismatch is a typed error, not a garbled stream. Round
 // boundaries are the batching unit of the wire protocol (Obladi-style
 // epochs), which is what keeps a run byte-deterministic across transports:
 // everything inside a round is a pure function of the shard's state, and the
@@ -33,14 +33,15 @@ import (
 // the handshake, typed errors, and the coordinator <-> shard surface;
 // version 3 added the client submission plane (Submit/Withdraw/Poll, the
 // CodeOverload backpressure class, and the shard ObserveJob row update);
-// version 4 changed lp.Basis's wire bytes (basis wire version 2).
-const ProtocolVersion = 4
+// version 4 changed lp.Basis's wire bytes (basis wire version 2); version 5
+// replaced gob with the control plane's own codec (codec.go).
+const ProtocolVersion = 5
 
-// MinProtocolVersion is the oldest peer version this build accepts. Version 4
-// changed the bytes of every basis a snapshot or migration carries, so older
-// peers are rejected at Hello rather than at their first Snapshot — every
-// peer in a deployment ships from the same tree.
-const MinProtocolVersion = 4
+// MinProtocolVersion is the oldest peer version this build accepts. Every
+// peer in a deployment ships from the same tree, so it equals the current
+// version. A peer older than 5 speaks gob, which this build cannot read: it is
+// refused at its first frame, before a Hello could name its version.
+const MinProtocolVersion = 5
 
 // ErrorCode classifies control-plane failures so callers can branch on the
 // failure class instead of matching error strings.
@@ -148,7 +149,7 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("gavelrpc[%d]: %s", int(e.Code), e.Msg)
 }
 
-var wireErrRe = regexp.MustCompile(`^gavelrpc\[(\d+)\]: (.*)$`)
+var wireErrRe = regexp.MustCompile(`(?s)^gavelrpc\[(-?\d+)\]: (.*)$`)
 
 // ParseError recovers a typed Error from an error that crossed the wire as a
 // string. Errors without the wire prefix come back with CodeUnknown.

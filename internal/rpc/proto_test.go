@@ -1,10 +1,7 @@
 package rpc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
-	gorpc "net/rpc"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,26 +33,10 @@ func solveBasis(t *testing.T) *lp.Basis {
 	return res.Basis
 }
 
-// roundTrip gob-encodes v and decodes it into a fresh value of the same
-// type, exactly as net/rpc moves it, returning the decoded value.
-func roundTrip(t *testing.T, v any) any {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("encode %T: %v", v, err)
-	}
-	out := reflect.New(reflect.TypeOf(v).Elem())
-	if err := gob.NewDecoder(&buf).Decode(out.Interface()); err != nil {
-		t.Fatalf("decode %T: %v", v, err)
-	}
-	return out.Interface()
-}
-
-// TestWireRoundTripAllMessages pushes every control-plane message type
-// through a gob round trip with populated fields — including a real
-// serialized lp.Basis inside policy.Seed — and demands the decoded value be
-// deeply equal to the original. A field that stops surviving the trip (new
-// unexported state, a type gob cannot move) fails here, not in a daemon.
+// TestWireRoundTripAllMessages pushes control-plane messages with realistic
+// values — including a real lp.Basis inside policy.Seed — through the codec
+// both ways and demands the decoded value be deeply equal to the original.
+// TestMessageCodecCarriesEveryField covers every field of every message.
 func TestWireRoundTripAllMessages(t *testing.T) {
 	basis := solveBasis(t)
 	seeds := []policy.Seed{{
@@ -71,7 +52,6 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 		&LeaseArgs{WorkerID: 3},
 		&Lease{JobIDs: []int{7, 9}, RoundSeconds: 360, Renewed: true},
 		&ThroughputReport{WorkerID: 3, JobID: 7, StepsPerSecond: 41.25},
-		&JobSpec{JobID: 7, TotalSteps: 5e4},
 		&ShardConfig{
 			Index: 1, WorkerInts: []int{4, 2, 2}, PerServer: []int{4},
 			Prices: []float64{3.1, 0.9, 0.7}, Policy: PolicySpec{Name: "max_min_fairness"},
@@ -95,19 +75,19 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 		&ShardStatus{Index: 1, Jobs: []int{7}, Admitted: 3, MigratedIn: 1, MigratedOut: 2, PolicyCalls: 4},
 	}
 	for _, m := range msgs {
-		got := roundTrip(t, m)
-		if !reflect.DeepEqual(got, m) {
+		if got, _ := codecRoundTrip(t, m); !reflect.DeepEqual(got, m) {
 			t.Errorf("%T did not survive the wire:\n got %+v\nwant %+v", m, got, m)
 		}
 	}
 }
 
-// TestBasisSurvivesWire checks the serialized basis is not just equal but
-// usable: warm-starting from the decoded basis must behave exactly like
+// TestBasisSurvivesWire checks a basis carried in a migration payload is not
+// just equal but usable: warm-starting from the decoded basis must behave exactly like
 // warm-starting from the original.
 func TestBasisSurvivesWire(t *testing.T) {
 	orig := solveBasis(t)
-	decoded := roundTrip(t, orig).(*lp.Basis)
+	got, _ := codecRoundTrip(t, &ExtractReply{Seeds: []policy.Seed{{Label: "throughput", Basis: orig}}})
+	decoded := got.(*ExtractReply).Seeds[0].Basis
 	if !reflect.DeepEqual(decoded, orig) {
 		t.Fatalf("basis mutated in flight:\n got %+v\nwant %+v", decoded, orig)
 	}
@@ -149,21 +129,21 @@ func TestShardHandshake(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := gorpc.Dial("tcp", addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 
 	var reply HelloReply
-	if err := c.Call("GavelShard.Hello", HelloArgs{Version: ProtocolVersion, Role: "test"}, &reply); err != nil {
+	if err := c.Call("GavelShard.Hello", &HelloArgs{Version: ProtocolVersion, Role: "test"}, &reply); err != nil {
 		t.Fatalf("Hello at current version: %v", err)
 	}
 	if reply.Version != ProtocolVersion {
 		t.Fatalf("server version = %d, want %d", reply.Version, ProtocolVersion)
 	}
 
-	err = c.Call("GavelShard.Hello", HelloArgs{Version: 0}, &reply)
+	err = c.Call("GavelShard.Hello", &HelloArgs{Version: 0}, &reply)
 	if CodeOf(err) != CodeVersionMismatch {
 		t.Fatalf("Hello at version 0: err = %v (code %v), want CodeVersionMismatch", err, CodeOf(err))
 	}
@@ -327,13 +307,13 @@ func TestLeaseHandshakeRejectsUnversionedWorker(t *testing.T) {
 	}
 	defer s.Close()
 
-	c, err := gorpc.Dial("tcp", addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 	var reply RegisterReply
-	err = c.Call("Gavel.RegisterWorker", RegisterArgs{AcceleratorType: "v100"}, &reply)
+	err = c.Call("Gavel.RegisterWorker", &RegisterArgs{AcceleratorType: "v100"}, &reply)
 	if CodeOf(err) != CodeVersionMismatch {
 		t.Fatalf("unversioned register: err = %v (code %v), want CodeVersionMismatch", err, CodeOf(err))
 	}

@@ -377,19 +377,19 @@ type Client struct {
 // Dial connects a worker to the scheduler, performs the version handshake,
 // and registers it.
 func Dial(addr string, reg RegisterArgs) (*Client, error) {
-	c, err := gorpc.Dial("tcp", addr)
+	c, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	cl := &Client{c: c, timeout: CallPolicyFromEnv().Timeout}
 	var hello HelloReply
-	if err := cl.call("Hello", HelloArgs{Version: ProtocolVersion, Role: "worker"}, &hello); err != nil {
+	if err := cl.call("Hello", &HelloArgs{Version: ProtocolVersion, Role: "worker"}, &hello); err != nil {
 		c.Close()
 		return nil, err
 	}
 	reg.Version = ProtocolVersion
 	var reply RegisterReply
-	if err := cl.call("RegisterWorker", reg, &reply); err != nil {
+	if err := cl.call("RegisterWorker", &reg, &reply); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -398,14 +398,14 @@ func Dial(addr string, reg RegisterArgs) (*Client, error) {
 	return cl, nil
 }
 
-func (c *Client) call(method string, args, reply any) error {
+func (c *Client) call(method string, args, reply message) error {
 	return callWithin(c.c, leaseServiceName+"."+method, c.timeout, CodeUnavailable, args, reply)
 }
 
 // Lease requests the next micro-task.
 func (c *Client) Lease() (*Lease, error) {
 	var l Lease
-	if err := c.call("LeaseMicroTask", LeaseArgs{WorkerID: c.WorkerID}, &l); err != nil {
+	if err := c.call("LeaseMicroTask", &LeaseArgs{WorkerID: c.WorkerID}, &l); err != nil {
 		return nil, err
 	}
 	return &l, nil
@@ -413,8 +413,7 @@ func (c *Client) Lease() (*Lease, error) {
 
 // Report sends a measured throughput.
 func (c *Client) Report(jobID int, stepsPerSecond float64) error {
-	var ack Ack
-	return c.call("ReportThroughput", ThroughputReport{WorkerID: c.WorkerID, JobID: jobID, StepsPerSecond: stepsPerSecond}, &ack)
+	return c.call("ReportThroughput", &ThroughputReport{WorkerID: c.WorkerID, JobID: jobID, StepsPerSecond: stepsPerSecond}, &Ack{})
 }
 
 // Close tears down the connection.

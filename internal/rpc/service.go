@@ -1127,12 +1127,7 @@ func (s *Service) AllocateAll(round int64, info func(id int) policy.JobInfo, for
 		m.allocIDs = slots[k].rep.IDs
 		m.dirty = false
 		m.staleRounds = 0
-		err := s.record(&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{
-			Shard: k,
-			IDs:   slots[k].rep.IDs,
-			Units: slots[k].rep.Units,
-			X:     slots[k].rep.X,
-		}})
+		err := s.record(&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{Shard: k, AllocateReply: slots[k].rep}})
 		if err != nil {
 			return err
 		}
@@ -1260,13 +1255,9 @@ func (s *Service) SnapshotAll() error {
 		m.status = rep.Status
 		// PolicyTime is a wall clock, which no replay can reproduce: the
 		// journal carries it zeroed, the live mirror keeps the real value.
-		journaled := rep.Status
-		journaled.PolicyTime = 0
-		err = s.record(&journalRecord{Kind: recSnapshot, Snapshot: &journalSnapshot{
-			Shard:  m.index,
-			Seeds:  rep.Seeds,
-			Status: journaled,
-		}})
+		journaled := rep
+		journaled.Status.PolicyTime = 0
+		err = s.record(&journalRecord{Kind: recSnapshot, Snapshot: &journalSnapshot{Shard: m.index, SnapshotReply: journaled}})
 		if err != nil {
 			return err
 		}

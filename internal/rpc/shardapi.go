@@ -9,10 +9,13 @@ import (
 )
 
 // This file is the wire vocabulary of the coordinator <-> shard protocol.
-// Every message is a plain exported struct so it rides gob unchanged; floats
-// cross the wire bit-exactly (gob encodes float64 as its IEEE bits), which
-// is what makes a run over TCP byte-identical to one over the in-memory
-// transport.
+// Every message is a plain exported struct with a hand-written wire form
+// (codec.go); floats cross the wire bit-exactly (package wire writes a
+// float64 as its IEEE bits), which is what makes a run over TCP
+// byte-identical to one over the in-memory transport. An argument's Trace
+// field is the round trace ID minted by the coordinator (obs.RoundTrace):
+// shards tag their spans with it so per-round traces join across processes.
+// It is empty when observability is off.
 
 // PolicySpec names a policy by its catalog name so a coordinator can
 // configure remote shard daemons without shipping code. The names are the
@@ -108,9 +111,6 @@ type PairRows struct {
 // last snapshot of the dead shard); the daemon imports them only when its
 // own context has none, so the next solve lands remapped rather than cold.
 type InstallArgs struct {
-	// Trace is the round trace ID minted by the coordinator
-	// (obs.RoundTrace); shards tag their spans with it so per-round traces
-	// join across processes. Empty when observability is off.
 	Trace       string
 	JobID       int
 	ScaleFactor int
@@ -124,9 +124,6 @@ type InstallArgs struct {
 
 // RemoveArgs drops a completed job.
 type RemoveArgs struct {
-	// Trace is the round trace ID minted by the coordinator
-	// (obs.RoundTrace); shards tag their spans with it so per-round traces
-	// join across processes. Empty when observability is off.
 	Trace string
 	JobID int
 }
@@ -134,9 +131,6 @@ type RemoveArgs struct {
 // ExtractArgs removes one job for migration, returning its throughput row
 // and the source's warm seeds in the reply.
 type ExtractArgs struct {
-	// Trace is the round trace ID minted by the coordinator
-	// (obs.RoundTrace); shards tag their spans with it so per-round traces
-	// join across processes. Empty when observability is off.
 	Trace string
 	JobID int
 }
@@ -157,9 +151,6 @@ type ExtractReply struct {
 // cache: unique per round, so a retried or duplicated call is answered
 // without re-solving.
 type AllocateArgs struct {
-	// Trace is the round trace ID minted by the coordinator
-	// (obs.RoundTrace); shards tag their spans with it so per-round traces
-	// join across processes. Empty when observability is off.
 	Trace string
 	Round int64
 	Infos []policy.JobInfo
@@ -179,9 +170,6 @@ type AllocateReply struct {
 // allocation. SkipJobs lists job IDs that must not run (finished since the
 // allocation was computed).
 type AssignRoundArgs struct {
-	// Trace is the round trace ID minted by the coordinator
-	// (obs.RoundTrace); shards tag their spans with it so per-round traces
-	// join across processes. Empty when observability is off.
 	Trace        string
 	Round        int64
 	RoundSeconds float64
@@ -197,9 +185,6 @@ type AssignRoundReply struct {
 // ObserveArgs feeds measured pair throughputs back into the shard's cache
 // after a round executes, batched in observation order.
 type ObserveArgs struct {
-	// Trace is the round trace ID minted by the coordinator
-	// (obs.RoundTrace); shards tag their spans with it so per-round traces
-	// join across processes. Empty when observability is off.
 	Trace string
 	Obs   []PairObservation
 }
@@ -215,9 +200,6 @@ type PairObservation struct {
 // treat it as an advisory idempotent update: unknown job IDs are a no-op, so
 // a push racing a departure is harmless and retries are safe.
 type ObserveJobArgs struct {
-	// Trace is the round trace ID minted by the coordinator
-	// (obs.RoundTrace); shards tag their spans with it so per-round traces
-	// join across processes. Empty when observability is off.
 	Trace string
 	JobID int
 	Tput  []float64

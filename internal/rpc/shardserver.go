@@ -497,6 +497,7 @@ func serveTCP(addr, name string, rcvr any) (*tcpServer, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	names := methodNames(name, rcvr)
 	t := &tcpServer{ln: ln, conns: map[net.Conn]struct{}{}}
 	t.wg.Add(1)
 	go func() {
@@ -517,7 +518,7 @@ func serveTCP(addr, name string, rcvr any) (*tcpServer, string, error) {
 			t.wg.Add(1)
 			go func() {
 				defer t.wg.Done()
-				srv.ServeConn(conn)
+				srv.ServeCodec(newCodec(conn, names))
 				t.mu.Lock()
 				delete(t.conns, conn)
 				t.mu.Unlock()

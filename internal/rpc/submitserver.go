@@ -17,7 +17,7 @@ import (
 // submitServiceName is the net/rpc service name of the submission plane.
 const submitServiceName = "GavelSubmit"
 
-// SubmitServer exposes one Service's submission surface over TCP gob. The
+// SubmitServer exposes one Service's submission surface over TCP. The
 // handlers call only the Service's concurrent-safe ingress methods, so the
 // server runs alongside the round loop without extra locking.
 type SubmitServer struct {
@@ -76,13 +76,13 @@ func DialSubmit(addr string) (*SubmitClient, error) {
 
 // DialSubmitWith is DialSubmit under an explicit call policy.
 func DialSubmitWith(addr string, pol CallPolicy) (*SubmitClient, error) {
-	c, err := gorpc.Dial("tcp", addr)
+	c, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial submit %s: %w", addr, err)
 	}
 	sc := &SubmitClient{c: c, timeout: pol.Timeout, retry: newRetrier(pol)}
 	var hello HelloReply
-	if err := sc.call("Hello", HelloArgs{Version: ProtocolVersion, Role: "client"}, &hello); err != nil {
+	if err := sc.call("Hello", &HelloArgs{Version: ProtocolVersion, Role: "client"}, &hello); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func DialSubmitWith(addr string, pol CallPolicy) (*SubmitClient, error) {
 // call is one deadline-bounded request under the policy's retry loop —
 // every submission-plane method is idempotent, so at-least-once is safe by
 // construction.
-func (c *SubmitClient) call(method string, args, reply any) error {
+func (c *SubmitClient) call(method string, args, reply message) error {
 	return c.retry.do(method, func() error {
 		return callWithin(c.c, submitServiceName+"."+method, c.timeout, CodeUnavailable, args, reply)
 	})
@@ -101,14 +101,14 @@ func (c *SubmitClient) call(method string, args, reply any) error {
 // Submit streams one job submission.
 func (c *SubmitClient) Submit(args SubmitArgs) (SubmitReply, error) {
 	var reply SubmitReply
-	err := c.call("Submit", args, &reply)
+	err := c.call("Submit", &args, &reply)
 	return reply, err
 }
 
 // Withdraw withdraws a submission by key.
 func (c *SubmitClient) Withdraw(args WithdrawArgs) (WithdrawReply, error) {
 	var reply WithdrawReply
-	err := c.call("Withdraw", args, &reply)
+	err := c.call("Withdraw", &args, &reply)
 	return reply, err
 }
 
@@ -116,7 +116,7 @@ func (c *SubmitClient) Withdraw(args WithdrawArgs) (WithdrawReply, error) {
 // clock server-side).
 func (c *SubmitClient) Poll(args PollArgs) (PollReply, error) {
 	var reply PollReply
-	err := c.call("Poll", args, &reply)
+	err := c.call("Poll", &args, &reply)
 	return reply, err
 }
 

@@ -55,9 +55,9 @@ func (b *batchObserver) observeJob(id, typ int, rate float64) {
 // rebalancing migrations, and progress application are serialized in
 // deterministic (trace and shard) order, so the merged Result is a pure
 // function of the config — independent of GOMAXPROCS, goroutine scheduling,
-// and transport: gob moves floats bit-exactly, so K shard daemons over TCP
-// (Config.ShardClients) produce a byte-identical Result to the K in-memory
-// shard servers Config.NumShards builds. Shard daemons, unlike in-memory
+// and transport: the control plane moves floats bit-exactly, so K shard
+// daemons over TCP (Config.ShardClients) produce a byte-identical Result to
+// the K in-memory shard servers Config.NumShards builds. Shard daemons, unlike in-memory
 // shards, can die mid-run: the coordinator detects the loss on the next call,
 // re-routes the dead shard's jobs onto the survivors with its last snapshot's
 // warm seeds, and the recovered jobs' next solves land remapped, not cold.

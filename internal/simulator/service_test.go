@@ -61,9 +61,9 @@ func startShardDaemon(t *testing.T) (*rpc.ShardServer, rpc.ShardClient) {
 }
 
 // TestServiceTCPTransportMatchesLocal runs the same equivalence over real
-// loopback sockets against the in-memory transport: every message
-// gob-encoded, floats bit-exact, so the wire adds nothing and removes
-// nothing.
+// loopback sockets against the in-memory transport: every message encoded
+// by the control plane's codec, floats bit-exact, so the wire adds nothing
+// and removes nothing.
 func TestServiceTCPTransportMatchesLocal(t *testing.T) {
 	ref, err := Run(shardedTestConfig(2, 16))
 	if err != nil {

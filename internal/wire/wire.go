@@ -1,6 +1,7 @@
-// Package wire is the bounded binary encoding behind the coordinator's
-// journal records and lp.Basis's wire form. A message is its fields in a
-// fixed order, with no tags and no type descriptors:
+// Package wire is the bounded binary encoding behind the control plane's
+// messages, the coordinator's journal records and lp.Basis's wire form. A
+// message is its fields in a fixed order, with no tags and no type
+// descriptors:
 //
 //   - ints are zigzag varints;
 //   - counts and lengths are uvarints;
@@ -161,10 +162,14 @@ func (r *Reader) Float() float64 {
 }
 
 // Count reads a count or length, refusing one larger than the bytes left.
-func (r *Reader) Count() int {
+func (r *Reader) Count() int { return r.CountOf(1) }
+
+// CountOf reads a count of elements that each take at least size bytes
+// encoded, refusing one whose elements could not fit in the bytes left.
+func (r *Reader) CountOf(size int) int {
 	n := r.Uint()
-	if n > uint64(len(r.buf)) {
-		r.Fail(fmt.Errorf("wire: count %d with %d bytes left", n, len(r.buf)))
+	if n > uint64(len(r.buf)/size) {
+		r.Fail(fmt.Errorf("wire: count %d of %d-byte elements with %d bytes left", n, size, len(r.buf)))
 		return 0
 	}
 	return int(n)

@@ -51,6 +51,7 @@ func TestReaderRefusesWhatNoWriterWrites(t *testing.T) {
 		{"empty", nil, func(r *Reader) { r.Byte() }},
 		{"bool 2", []byte{2}, func(r *Reader) { r.Bool() }},
 		{"count past the end", []byte{3, 1, 2}, func(r *Reader) { r.Ints() }},
+		{"count of 3-byte elements past the end", []byte{2, 1, 2, 3, 4, 5}, func(r *Reader) { r.CountOf(3) }},
 		{"string past the end", []byte{3, 'a'}, func(r *Reader) { r.Str() }},
 		{"strings past the end", []byte{2, 1, 'a', 4}, func(r *Reader) { Strings[string](r) }},
 		{"trailing byte", []byte{1, 0}, func(r *Reader) { r.Uint() }},
