@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gavel/internal/core"
@@ -44,6 +45,12 @@ func (p *MinCost) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, erro
 	}
 	if len(in.Prices) != len(in.Workers) {
 		return nil, fmt.Errorf("min_cost: %d prices for %d types", len(in.Prices), len(in.Workers))
+	}
+	// A job that runs nowhere adds nothing to the numerator and has no column
+	// to charge; with no other job the normalization row has no term at all
+	// and the program is infeasible. Nothing is worth buying.
+	if !slices.ContainsFunc(in.Jobs, func(j JobInfo) bool { return core.Finite(core.MaxThroughput(j.Tput)) }) {
+		return emptyAllocation(in), nil
 	}
 
 	// SLO floor constraints. An SLO that cannot be met even on the job's

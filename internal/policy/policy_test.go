@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -390,34 +391,77 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestPropertyAllPoliciesProduceValidAllocations fuzzes every policy with
-// random inputs and checks allocation validity — the paper's constraint
-// set (§3.1) is a hard invariant.
-func TestPropertyAllPoliciesProduceValidAllocations(t *testing.T) {
+// allPoliciesValidOn reports whether every policy allocates the random input
+// seed generates, validly — the paper's constraint set (§3.1) is a hard
+// invariant.
+func allPoliciesValidOn(t *testing.T, seed int64) bool {
 	pols := []Policy{
 		&MaxMinFairness{}, FIFO{}, ShortestJobFirst{}, Makespan{},
-		&FinishTimeFairness{}, &MinCost{}, &MinCost{EnforceSLOs: false},
+		&FinishTimeFairness{}, &MinCost{}, &MinCost{EnforceSLOs: true},
 		MaxTotalThroughput{}, &Agnostic{Inner: &MaxMinFairness{}},
 		&Agnostic{Inner: FIFO{}}, &AlloX{}, &Hierarchical{},
 	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		in := randomInput(rng, 1+rng.Intn(7), 2+rng.Intn(2))
-		for _, p := range pols {
-			alloc, err := p.Allocate(in, nil)
-			if err != nil {
-				t.Logf("%s: %v", p.Name(), err)
-				return false
-			}
-			if err := alloc.Validate(in.scaleFactors(), in.Workers); err != nil {
-				t.Logf("%s invalid: %v", p.Name(), err)
-				return false
-			}
+	rng := rand.New(rand.NewSource(seed))
+	in := randomInput(rng, 1+rng.Intn(7), 2+rng.Intn(2))
+	for _, p := range pols {
+		alloc, err := p.Allocate(in, nil)
+		if err != nil {
+			t.Logf("seed %d, %s: %v", seed, p.Name(), err)
+			return false
 		}
-		return true
+		if err := alloc.Validate(in.scaleFactors(), in.Workers); err != nil {
+			t.Logf("seed %d, %s invalid: %v", seed, p.Name(), err)
+			return false
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	return true
+}
+
+// TestPropertyAllPoliciesProduceValidAllocations fuzzes every policy with
+// random inputs from a fixed stream of seeds.
+func TestPropertyAllPoliciesProduceValidAllocations(t *testing.T) {
+	f := func(seed int64) bool { return allPoliciesValidOn(t, seed) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllPoliciesOnAJobThatRunsNowhere pins the seeds whose input is one job
+// with throughput row [0 0]: MinCost used to fail them ("fractional program
+// not optimal: infeasible") where every other policy allocates nothing.
+func TestAllPoliciesOnAJobThatRunsNowhere(t *testing.T) {
+	for _, seed := range []int64{3333887962763584948, -1615417635801992902} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			if in := randomInput(rng, 1+rng.Intn(7), 2+rng.Intn(2)); len(in.Jobs) != 1 || core.Finite(core.MaxThroughput(in.Jobs[0].Tput)) {
+				t.Fatalf("seed %d no longer generates one job that runs nowhere: %v", seed, in.Jobs)
+			}
+			if !allPoliciesValidOn(t, seed) {
+				t.Fatal("a policy failed")
+			}
+		})
+	}
+}
+
+// TestMinCostIdlesAJobThatRunsNowhere: beside a job that runs somewhere, a
+// job with an all-zero row gets no time and the other job still does.
+func TestMinCostIdlesAJobThatRunsNowhere(t *testing.T) {
+	in := &Input{Workers: []float64{1, 1}, Prices: []float64{2.48, 0.45}}
+	for m, tp := range [][]float64{{0, 0}, {2, 1}} {
+		in.Jobs = append(in.Jobs, JobInfo{ID: m, Weight: 1, ScaleFactor: 1, Tput: tp,
+			RemainingSteps: 1000, TotalSteps: 1000, NumActiveJobs: 2})
+		in.Units = append(in.Units, core.Single(m, tp))
+	}
+	alloc, err := (&MinCost{}).Allocate(in, nil)
+	if err != nil {
+		t.Fatalf("Allocate: %v", err)
+	}
+	if err := alloc.Validate(in.scaleFactors(), in.Workers); err != nil {
+		t.Fatalf("invalid: %v", err)
+	}
+	if alloc.JobTimeFraction(0) != 0 || !(alloc.JobTimeFraction(1) > 0) {
+		t.Fatalf("time fractions %v and %v, want 0 for the job that runs nowhere and > 0 for the other (X=%v)",
+			alloc.JobTimeFraction(0), alloc.JobTimeFraction(1), alloc.X)
 	}
 }
 

@@ -1,10 +1,6 @@
 package rpc
 
-import (
-	"fmt"
-	gorpc "net/rpc"
-	"time"
-)
+import "fmt"
 
 // ShardClient is the coordinator's handle to one shard daemon. Both
 // transports implement it — DialShard over TCP in the control plane's codec
@@ -54,64 +50,51 @@ func NewLocalShardClient(srv *ShardServer) ShardClient {
 	return &localShardClient{srv: srv}
 }
 
-func (c *localShardClient) Hello(args HelloArgs) (HelloReply, error) {
-	var reply HelloReply
-	err := c.srv.Hello(args, &reply)
-	return reply, err
+func (c *localShardClient) Hello(args HelloArgs) (reply HelloReply, err error) {
+	err = c.srv.Hello(args, &reply)
+	return
 }
 
 func (c *localShardClient) Configure(cfg ShardConfig) error { return c.srv.Configure(cfg, &Ack{}) }
+func (c *localShardClient) Install(args InstallArgs) error  { return c.srv.Install(args, &Ack{}) }
+func (c *localShardClient) Remove(args RemoveArgs) error    { return c.srv.Remove(args, &Ack{}) }
 
-func (c *localShardClient) Install(args InstallArgs) error { return c.srv.Install(args, &Ack{}) }
-
-func (c *localShardClient) Remove(args RemoveArgs) error { return c.srv.Remove(args, &Ack{}) }
-
-func (c *localShardClient) Extract(args ExtractArgs) (ExtractReply, error) {
-	var reply ExtractReply
-	err := c.srv.Extract(args, &reply)
-	return reply, err
+func (c *localShardClient) Extract(args ExtractArgs) (reply ExtractReply, err error) {
+	err = c.srv.Extract(args, &reply)
+	return
 }
 
-func (c *localShardClient) Allocate(args AllocateArgs) (AllocateReply, error) {
-	var reply AllocateReply
-	err := c.srv.Allocate(args, &reply)
-	return reply, err
+func (c *localShardClient) Allocate(args AllocateArgs) (reply AllocateReply, err error) {
+	err = c.srv.Allocate(args, &reply)
+	return
 }
 
-func (c *localShardClient) AssignRound(args AssignRoundArgs) (AssignRoundReply, error) {
-	var reply AssignRoundReply
-	err := c.srv.AssignRound(args, &reply)
-	return reply, err
+func (c *localShardClient) AssignRound(args AssignRoundArgs) (reply AssignRoundReply, err error) {
+	err = c.srv.AssignRound(args, &reply)
+	return
 }
 
 func (c *localShardClient) Observe(args ObserveArgs) error { return c.srv.Observe(args, &Ack{}) }
-
 func (c *localShardClient) ObserveJob(args ObserveJobArgs) error {
 	return c.srv.ObserveJob(args, &Ack{})
 }
 
-func (c *localShardClient) Snapshot() (SnapshotReply, error) {
-	var reply SnapshotReply
-	err := c.srv.Snapshot(SnapshotArgs{}, &reply)
-	return reply, err
+func (c *localShardClient) Snapshot() (reply SnapshotReply, err error) {
+	err = c.srv.Snapshot(SnapshotArgs{}, &reply)
+	return
 }
 
-func (c *localShardClient) Status() (ShardStatus, error) {
-	var reply ShardStatus
-	err := c.srv.Status(StatusArgs{}, &reply)
-	return reply, err
+func (c *localShardClient) Status() (reply ShardStatus, err error) {
+	err = c.srv.Status(StatusArgs{}, &reply)
+	return
 }
 
-func (c *localShardClient) Ping() error { return c.srv.Ping(StatusArgs{}, &Ack{}) }
-
+func (c *localShardClient) Ping() error  { return c.srv.Ping(StatusArgs{}, &Ack{}) }
 func (c *localShardClient) Close() error { return nil }
 
 // netShardClient speaks the shard protocol over TCP, bounding every call by
 // the policy's per-call deadline.
-type netShardClient struct {
-	c       *gorpc.Client
-	timeout time.Duration
-}
+type netShardClient struct{ *conn }
 
 // DialShard connects to a shard daemon with the environment's call policy
 // (CallPolicyFromEnv: GAVEL_RPC_TIMEOUT deadline, retry-with-backoff on
@@ -123,11 +106,11 @@ func DialShard(addr string) (ShardClient, error) {
 
 // DialShardWith is DialShard under an explicit call policy.
 func DialShardWith(addr string, pol CallPolicy) (ShardClient, error) {
-	c, err := dial(addr)
+	c, err := dial(addr, shardServiceName, pol.Timeout, CodeShardDown)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial shard %s: %w", addr, err)
 	}
-	nc := WithRetry(&netShardClient{c: c, timeout: pol.Timeout}, pol)
+	nc := WithRetry(&netShardClient{c}, pol)
 	if _, err := nc.Hello(HelloArgs{Version: ProtocolVersion, Role: "coordinator"}); err != nil {
 		c.Close()
 		return nil, err
@@ -135,94 +118,46 @@ func DialShardWith(addr string, pol CallPolicy) (ShardClient, error) {
 	return nc, nil
 }
 
-func (c *netShardClient) call(method string, args, reply message) error {
-	return callWithin(c.c, shardServiceName+"."+method, c.timeout, CodeShardDown, args, reply)
-}
-
-// callWithin is every control-plane client's one net/rpc call: bounded by
-// timeout (0 waits forever), with deadline expiry folded into CodeTimeout
-// and transport-level failures (closed connection, EOF: the peer died) into
-// downCode — CodeShardDown for a shard, CodeUnavailable for the submit and
-// lease planes. Server-side typed errors pass through for ParseError.
-func callWithin(c *gorpc.Client, method string, timeout time.Duration, downCode ErrorCode, args, reply message) error {
-	var err error
-	if timeout > 0 {
-		done := c.Go(method, args, reply, make(chan *gorpc.Call, 1))
-		timer := time.NewTimer(timeout)
-		select {
-		case call := <-done.Done:
-			timer.Stop()
-			err = call.Error
-		case <-timer.C:
-			// The reply, if it ever arrives, is discarded by net/rpc's read
-			// loop; the pending-call entry is reclaimed when the connection
-			// closes. A peer that stays hung is escalated by the caller
-			// (retries, then the coordinator's degrade/recover ladder).
-			return Errorf(CodeTimeout, "%s: no reply within %v", method, timeout)
-		}
-	} else {
-		err = c.Call(method, args, reply)
-	}
-	if err == nil {
-		return nil
-	}
-	if _, isServer := err.(gorpc.ServerError); isServer {
-		return err
-	}
-	return Errorf(downCode, "%s: %v", method, err)
-}
-
-func (c *netShardClient) Hello(args HelloArgs) (HelloReply, error) {
-	var reply HelloReply
-	err := c.call("Hello", &args, &reply)
-	return reply, err
+func (c *netShardClient) Hello(args HelloArgs) (reply HelloReply, err error) {
+	err = c.call("Hello", &args, &reply)
+	return
 }
 
 func (c *netShardClient) Configure(cfg ShardConfig) error { return c.call("Configure", &cfg, &Ack{}) }
+func (c *netShardClient) Install(args InstallArgs) error  { return c.call("Install", &args, &Ack{}) }
+func (c *netShardClient) Remove(args RemoveArgs) error    { return c.call("Remove", &args, &Ack{}) }
 
-func (c *netShardClient) Install(args InstallArgs) error { return c.call("Install", &args, &Ack{}) }
-
-func (c *netShardClient) Remove(args RemoveArgs) error { return c.call("Remove", &args, &Ack{}) }
-
-func (c *netShardClient) Extract(args ExtractArgs) (ExtractReply, error) {
-	var reply ExtractReply
-	err := c.call("Extract", &args, &reply)
-	return reply, err
+func (c *netShardClient) Extract(args ExtractArgs) (reply ExtractReply, err error) {
+	err = c.call("Extract", &args, &reply)
+	return
 }
 
-func (c *netShardClient) Allocate(args AllocateArgs) (AllocateReply, error) {
-	var reply AllocateReply
-	err := c.call("Allocate", &args, &reply)
-	return reply, err
+func (c *netShardClient) Allocate(args AllocateArgs) (reply AllocateReply, err error) {
+	err = c.call("Allocate", &args, &reply)
+	return
 }
 
-func (c *netShardClient) AssignRound(args AssignRoundArgs) (AssignRoundReply, error) {
-	var reply AssignRoundReply
-	err := c.call("AssignRound", &args, &reply)
-	return reply, err
+func (c *netShardClient) AssignRound(args AssignRoundArgs) (reply AssignRoundReply, err error) {
+	err = c.call("AssignRound", &args, &reply)
+	return
 }
 
 func (c *netShardClient) Observe(args ObserveArgs) error { return c.call("Observe", &args, &Ack{}) }
-
 func (c *netShardClient) ObserveJob(args ObserveJobArgs) error {
 	return c.call("ObserveJob", &args, &Ack{})
 }
 
-func (c *netShardClient) Snapshot() (SnapshotReply, error) {
-	var reply SnapshotReply
-	err := c.call("Snapshot", &SnapshotArgs{}, &reply)
-	return reply, err
+func (c *netShardClient) Snapshot() (reply SnapshotReply, err error) {
+	err = c.call("Snapshot", &SnapshotArgs{}, &reply)
+	return
 }
 
-func (c *netShardClient) Status() (ShardStatus, error) {
-	var reply ShardStatus
-	err := c.call("Status", &StatusArgs{}, &reply)
-	return reply, err
+func (c *netShardClient) Status() (reply ShardStatus, err error) {
+	err = c.call("Status", &StatusArgs{}, &reply)
+	return
 }
 
 func (c *netShardClient) Ping() error { return c.call("Ping", &StatusArgs{}, &Ack{}) }
-
-func (c *netShardClient) Close() error { return c.c.Close() }
 
 // Intercept returns a ShardClient that runs every call on inner through
 // hook, named by its method. op makes the call on inner and fills the reply;

@@ -1,12 +1,12 @@
 package rpc
 
-// The control plane's net/rpc codec. Every request and response is one
-// frame: a uvarint length, then the header (method, seq, error string) and
-// the body, all in package wire's encoding. A body is its message's fields in
+// The control plane's frame codec. Every request and response is one frame:
+// a uvarint length, then the header (method, seq, error string) and the
+// body, all in package wire's encoding. A body is its message's fields in
 // declaration order with no type descriptors, so both ends must agree on each
 // method's argument and reply types; ProtocolVersion names that agreement. A
-// response leaves the method empty (net/rpc matches replies by seq), and an
-// error response carries no body. A field added to a message must be added
+// response leaves the method empty (the caller matches replies by seq), and
+// an error response carries no body. A field added to a message must be added
 // to its putWire and readWire: TestMessageCodecCarriesEveryField fills every
 // field of every message and fails otherwise.
 
@@ -14,11 +14,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"net"
-	gorpc "net/rpc"
-	"reflect"
 	"slices"
 	"strings"
 	"time"
@@ -38,139 +34,82 @@ type message interface {
 	readWire(r *wire.Reader)
 }
 
-// codec is one end of a control-plane connection: net/rpc's ClientCodec on
-// the dialing side, its ServerCodec on the serving side. net/rpc reads from
-// one goroutine and serializes writes, so the two buffers need no lock.
+// codec frames one end of a control-plane connection. Its owner reads and
+// writes from one goroutine at a time (a call holds the client's lock; a
+// server runs one goroutine per connection), so the buffers need no lock.
 type codec struct {
-	conn  io.ReadWriteCloser
 	br    *bufio.Reader
-	frame []byte      // the last frame read, reused
+	frame []byte      // the frame being read, or the last one read; reused
+	need  uint64      // bytes of the frame being read not yet read
+	shift uint        // bits of its length read so far, while sizing
+	sized bool        // its length is read and need counts its bytes
 	body  wire.Reader // what of frame follows its header
 	out   wire.Writer // the frame being written, reused
-	names map[string]string
 }
 
-// newCodec wraps conn. names interns request methods on a server: a method
-// found there costs the header no allocation.
-func newCodec(conn io.ReadWriteCloser, names map[string]string) *codec {
-	return &codec{conn: conn, br: bufio.NewReader(conn), names: names}
-}
-
-// dial connects to a control-plane server.
-func dial(addr string) (*gorpc.Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return gorpc.NewClientWithCodec(newCodec(conn, nil)), nil
-}
-
-// methodNames maps the net/rpc name of every exported method of rcvr, served
-// as service, to itself.
-func methodNames(service string, rcvr any) map[string]string {
-	t := reflect.TypeOf(rcvr)
-	names := make(map[string]string, t.NumMethod())
-	for i := range t.NumMethod() {
-		n := service + "." + t.Method(i).Name
-		names[n] = n
-	}
-	return names
-}
+func newCodec(r io.Reader) *codec { return &codec{br: bufio.NewReader(r)} }
 
 // readFrame reads the next frame and decodes its header; method and errMsg
-// alias the frame. The length is the peer's claim, so the buffer grows only
-// as bytes arrive, at most doubling per read: a lying length costs no more
-// memory than the bytes actually sent.
+// alias the frame. A read error (a deadline) keeps what was read, and the
+// next call resumes the frame there. The length is the peer's claim, so the
+// buffer grows only as bytes arrive, at most doubling per read: a lying
+// length costs no more memory than the bytes actually sent.
 func (c *codec) readFrame() (method []byte, seq uint64, errMsg []byte, err error) {
-	n, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return nil, 0, nil, err
+	for !c.sized {
+		b, err := c.br.ReadByte()
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if c.shift == 63 && b > 1 {
+			return nil, 0, nil, errors.New("rpc: frame length overflows 64 bits")
+		}
+		c.need |= uint64(b&0x7f) << c.shift
+		c.shift += 7
+		if b < 0x80 {
+			c.sized, c.frame = true, c.frame[:0]
+		}
 	}
-	buf := c.frame[:0]
-	for need := n; need > 0; {
+	for c.need > 0 {
+		buf := c.frame
 		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, int(min(need, uint64(max(len(buf), c.br.Size())))))
+			buf = slices.Grow(buf, int(min(c.need, uint64(max(len(buf), c.br.Size())))))
 		}
-		k := int(min(need, uint64(cap(buf)-len(buf))))
-		if _, err := io.ReadFull(c.br, buf[len(buf):len(buf)+k]); err != nil {
-			return nil, 0, nil, err // net/rpc reads EOF here as a dropped peer
+		k, err := c.br.Read(buf[len(buf):min(uint64(cap(buf)), uint64(len(buf))+c.need)])
+		c.frame, c.need = buf[:len(buf)+k], c.need-uint64(k)
+		if err != nil {
+			return nil, 0, nil, err
 		}
-		buf, need = buf[:len(buf)+k], need-uint64(k)
 	}
-	c.frame, c.body = buf, wire.NewReader(buf)
+	c.sized, c.shift = false, 0
+	c.body = wire.NewReader(c.frame)
 	method, seq, errMsg = c.body.Bytes(), c.body.Uint(), c.body.Bytes()
 	return method, seq, errMsg, c.body.Err()
 }
 
-// readBody decodes the frame's body into body; a nil body discards it.
-func (c *codec) readBody(body any) error {
-	if body == nil {
-		return nil
-	}
-	m, ok := body.(message)
-	if !ok {
-		return fmt.Errorf("rpc: %T has no wire form", body)
-	}
+// readBody decodes the frame's body into m.
+func (c *codec) readBody(m message) error {
 	m.readWire(&c.body)
 	return c.body.Finish()
 }
 
-// writeFrame encodes one frame behind room for its length and sends it with
-// one Write. An error response's body, net/rpc's placeholder, is not encoded.
-func (c *codec) writeFrame(method string, seq uint64, errMsg string, body any) error {
+// putFrame encodes one frame, its method written as prefix+method, behind
+// room for its length, and returns its bytes for one Write. An error
+// response carries no body.
+func (c *codec) putFrame(prefix, method string, seq uint64, errMsg string, body message) []byte {
 	var head [binary.MaxVarintLen64]byte
 	c.out = append(c.out[:0], head[:]...)
-	c.out.Str(method)
+	c.out.Uint(uint64(len(prefix) + len(method)))
+	c.out = append(append(c.out, prefix...), method...)
 	c.out.Uint(seq)
 	c.out.Str(errMsg)
 	if errMsg == "" {
-		m, ok := body.(message)
-		if !ok {
-			return fmt.Errorf("rpc: %T has no wire form", body)
-		}
-		m.putWire(&c.out)
+		body.putWire(&c.out)
 	}
 	k := binary.PutUvarint(head[:], uint64(len(c.out)-len(head)))
 	start := len(head) - k
 	copy(c.out[start:], head[:k])
-	_, err := c.conn.Write(c.out[start:])
-	return err
+	return c.out[start:]
 }
-
-func (c *codec) ReadRequestHeader(req *gorpc.Request) error {
-	method, seq, errMsg, err := c.readFrame()
-	switch {
-	case err != nil:
-		return err
-	case len(errMsg) > 0:
-		return errors.New("rpc: request frame carries an error")
-	}
-	req.Seq = seq
-	if req.ServiceMethod = c.names[string(method)]; req.ServiceMethod == "" {
-		req.ServiceMethod = string(method)
-	}
-	return nil
-}
-
-func (c *codec) ReadRequestBody(body any) error { return c.readBody(body) }
-
-func (c *codec) WriteResponse(resp *gorpc.Response, body any) error {
-	return c.writeFrame("", resp.Seq, resp.Error, body)
-}
-
-func (c *codec) WriteRequest(req *gorpc.Request, body any) error {
-	return c.writeFrame(req.ServiceMethod, req.Seq, "", body)
-}
-
-func (c *codec) ReadResponseHeader(resp *gorpc.Response) error {
-	_, seq, errMsg, err := c.readFrame()
-	resp.Seq, resp.Error = seq, string(errMsg)
-	return err
-}
-
-func (c *codec) ReadResponseBody(body any) error { return c.readBody(body) }
-
-func (c *codec) Close() error { return c.conn.Close() }
 
 // readSlice reads a count of elements that take at least size bytes each
 // encoded, then each element; a zero count reads as nil.

@@ -2,19 +2,15 @@ package rpc
 
 import (
 	"bytes"
+	"maps"
 	gorpc "net/rpc"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"gavel/internal/policy"
 )
-
-// loopConn is an in-memory connection: what one codec writes, the other
-// reads.
-type loopConn struct{ bytes.Buffer }
-
-func (*loopConn) Close() error { return nil }
 
 // codecRoundTrip sends m as a request from a client codec to a server codec
 // and back as the response, decoding each into a fresh value of m's type. It
@@ -22,28 +18,23 @@ func (*loopConn) Close() error { return nil }
 // fails unless the response decodes to the same value.
 func codecRoundTrip(t testing.TB, m any) (any, *codec) {
 	t.Helper()
-	var conn loopConn
-	cc, sc := newCodec(&conn, nil), newCodec(&conn, nil)
-	if err := cc.WriteRequest(&gorpc.Request{ServiceMethod: "GavelShard.Test", Seq: 9}, m); err != nil {
-		t.Fatalf("%T: write request: %v", m, err)
-	}
-	var req gorpc.Request
-	if err := sc.ReadRequestHeader(&req); err != nil || req.ServiceMethod != "GavelShard.Test" || req.Seq != 9 {
-		t.Fatalf("%T: request header %+v, err %v", m, req, err)
+	var conn bytes.Buffer // what one codec writes, the other reads
+	cc, sc := newCodec(&conn), newCodec(&conn)
+	conn.Write(cc.putFrame("GavelShard.", "Test", 9, "", m.(message)))
+	method, seq, errMsg, err := sc.readFrame()
+	if err != nil || string(method) != "GavelShard.Test" || seq != 9 || len(errMsg) > 0 {
+		t.Fatalf("%T: request header %q %d %q, err %v", m, method, seq, errMsg, err)
 	}
 	got := reflect.New(reflect.TypeOf(m).Elem()).Interface()
-	if err := sc.ReadRequestBody(got); err != nil {
+	if err := sc.readBody(got.(message)); err != nil {
 		t.Fatalf("%T: read request body: %v", m, err)
 	}
-	if err := sc.WriteResponse(&gorpc.Response{ServiceMethod: req.ServiceMethod, Seq: 9}, m); err != nil {
-		t.Fatalf("%T: write response: %v", m, err)
-	}
-	var resp gorpc.Response
-	if err := cc.ReadResponseHeader(&resp); err != nil || resp.Seq != 9 || resp.Error != "" {
-		t.Fatalf("%T: response header %+v, err %v", m, resp, err)
+	conn.Write(sc.putFrame("", "", 9, "", m.(message)))
+	if method, seq, errMsg, err := cc.readFrame(); err != nil || len(method) > 0 || seq != 9 || len(errMsg) > 0 {
+		t.Fatalf("%T: response header %q %d %q, err %v", m, method, seq, errMsg, err)
 	}
 	back := reflect.New(reflect.TypeOf(m).Elem()).Interface()
-	if err := cc.ReadResponseBody(back); err != nil {
+	if err := cc.readBody(back.(message)); err != nil {
 		t.Fatalf("%T: read response body: %v", m, err)
 	}
 	if !reflect.DeepEqual(back, got) {
@@ -55,20 +46,42 @@ func codecRoundTrip(t testing.TB, m any) (any, *codec) {
 	return got, sc
 }
 
-// servedMethods maps every net/rpc method of the three served planes to its
-// argument and reply types, found the way net/rpc finds them.
+// servedPlanes is each plane's service name and its (zero) receiver.
+var servedPlanes = map[string]interface{ handlers() map[string]handler }{
+	shardServiceName: &ShardServer{}, submitServiceName: &SubmitServer{}, leaseServiceName: &schedulerRPC{},
+}
+
+// servedMethods maps every method the three planes serve to its argument and
+// reply types, read off the receiver's method of the name its table serves.
 func servedMethods() map[string][2]reflect.Type {
 	out := map[string][2]reflect.Type{}
-	for name, rcvr := range map[string]any{shardServiceName: &ShardServer{}, submitServiceName: &SubmitServer{}, leaseServiceName: &schedulerRPC{}} {
-		t := reflect.TypeOf(rcvr)
-		for i := range t.NumMethod() {
-			m := t.Method(i)
-			if mt := m.Type; mt.NumIn() == 3 && mt.NumOut() == 1 && mt.Out(0) == reflect.TypeFor[error]() && mt.In(2).Kind() == reflect.Pointer {
-				out[name+"."+m.Name] = [2]reflect.Type{mt.In(1), mt.In(2).Elem()}
-			}
+	for service, rcvr := range servedPlanes {
+		for name := range rcvr.handlers() {
+			m, _ := reflect.TypeOf(rcvr).MethodByName(name)
+			out[service+"."+name] = [2]reflect.Type{m.Type.In(1), m.Type.In(2).Elem()}
 		}
 	}
 	return out
+}
+
+// TestEveryProtocolMethodIsServed: each plane's table serves exactly its
+// receiver's methods of the shape func(args, *reply) error, so a method added
+// to a plane without a table entry fails here rather than in a daemon.
+func TestEveryProtocolMethodIsServed(t *testing.T) {
+	for service, rcvr := range servedPlanes {
+		typ := reflect.TypeOf(rcvr)
+		var shaped []string
+		for i := range typ.NumMethod() {
+			m := typ.Method(i)
+			if mt := m.Type; mt.NumIn() == 3 && mt.NumOut() == 1 && mt.Out(0) == reflect.TypeFor[error]() && mt.In(2).Kind() == reflect.Pointer {
+				shaped = append(shaped, m.Name)
+			}
+		}
+		served := slices.Sorted(maps.Keys(rcvr.handlers()))
+		if !slices.Equal(served, shaped) {
+			t.Errorf("%s serves %v, its protocol methods are %v", service, served, shaped)
+		}
+	}
 }
 
 // wireMessages returns a fresh value of every argument and reply type the
@@ -152,9 +165,9 @@ func TestGobPeerRefusedAtFirstFrame(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a gob peer's Hello was neither answered nor refused within 5s")
 	}
-	for deadline := time.Now().Add(5 * time.Second); srv.srv.numConns() > 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); srv.tcp.numConns() > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d connections still served 5s after the refusal", srv.srv.numConns())
+			t.Fatalf("%d connections still served 5s after the refusal", srv.tcp.numConns())
 		}
 	}
 }
@@ -195,8 +208,9 @@ func loopbackShard(tb testing.TB) (ShardClient, AllocateArgs) {
 }
 
 // observeJobAllocCeiling holds a steady-state loopback ObserveJob, client and
-// server together, near what the codec measures (12 objects; gob: 19).
-const observeJobAllocCeiling = 14
+// server together, near what the synchronous transport measures (4 objects;
+// net/rpc over the same codec: 11; net/rpc over gob: 19).
+const observeJobAllocCeiling = 5
 
 // TestObserveJobAllocs holds one loopback ObserveJob round trip to its
 // allocation ceiling.

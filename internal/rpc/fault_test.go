@@ -34,7 +34,7 @@ func hungListener(t *testing.T) string {
 }
 
 // TestCallTimeoutAgainstHungServer dials a raw TCP listener that accepts
-// connections but never speaks net/rpc: without a deadline the handshake
+// connections but never says a word: without a deadline the handshake
 // would block forever; with one it must fail fast with CodeTimeout.
 func TestCallTimeoutAgainstHungServer(t *testing.T) {
 	addr := hungListener(t)
@@ -234,7 +234,7 @@ func TestShardServerCloseLeaksNothing(t *testing.T) {
 }
 
 // TestShardServerAbortedConnectionsLeakNothing: connections that die
-// mid-session (the chaos crash case) must not strand ServeConn goroutines.
+// mid-session (the chaos crash case) must not strand connection goroutines.
 func TestShardServerAbortedConnectionsLeakNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv := NewShardServer()

@@ -1,7 +1,7 @@
 package rpc
 
 // Chaos-seeded fuzzing of the protocol's parsing surfaces: the typed-error
-// wire format (which must survive net/rpc's error-string flattening), the
+// wire format (which must survive crossing the wire as a string), the
 // version handshake, the control plane's frame codec and the journal reader.
 // `go test` runs the seed corpus as unit tests; `go test -fuzz` explores
 // further.
@@ -20,6 +20,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"gavel/internal/wire"
 )
 
 // FuzzParseError: ParseError must be total — any string round-trips to some
@@ -57,7 +59,7 @@ func FuzzErrorRoundTrip(f *testing.F) {
 			return
 		}
 		orig := Errorf(ErrorCode(code), "%s", msg)
-		// net/rpc flattens server-side errors to their string.
+		// A server-side error crosses the wire as its string.
 		flattened := errors.New(orig.Error())
 		parsed := ParseError(flattened)
 		if CodeOf(parsed) != ErrorCode(code) {
@@ -196,24 +198,21 @@ func FuzzReadJournal(f *testing.F) {
 type fuzzConn struct{ *bytes.Reader }
 
 func (fuzzConn) Write(b []byte) (int, error) { return len(b), nil }
-func (fuzzConn) Close() error                { return nil }
 
-// FuzzControlCodec: a server codec is total over arbitrary bytes — it never
-// panics, and every request body it decodes encodes again as a reply — and
-// what it allocates stays within a fixed multiple of the bytes it was given,
-// so a lying frame length or element count costs no more memory than the
-// bytes actually sent.
+// FuzzControlCodec: a server connection is total over arbitrary bytes — it
+// never panics, and answers every request whose arguments decode with those
+// arguments encoded again as the reply — and what it allocates stays within a
+// fixed multiple of the bytes it was given, so a lying frame length or
+// element count costs no more memory than the bytes actually sent.
 func FuzzControlCodec(f *testing.F) {
 	methods := servedMethods()
-	var stream loopConn
-	cc := newCodec(&stream, nil)
+	var stream bytes.Buffer
+	cc := newCodec(&stream)
 	for name, types := range methods {
-		m := reflect.New(types[0]).Interface()
+		m := reflect.New(types[0]).Interface().(message)
 		n := 0
 		fillAll(f, reflect.ValueOf(m).Elem(), &n)
-		if err := cc.WriteRequest(&gorpc.Request{ServiceMethod: name, Seq: uint64(n)}, m); err != nil {
-			f.Fatal(err)
-		}
+		stream.Write(cc.putFrame("", name, uint64(n), "", m))
 	}
 	all := stream.Bytes()
 	f.Add(all)
@@ -228,29 +227,18 @@ func FuzzControlCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(gobStream.Bytes())
-	names := map[string]string{}
-	for name := range methods {
-		names[name] = name
+	echo := map[string]handler{}
+	for name, types := range methods {
+		echo[name] = func(r *wire.Reader) (message, error) {
+			m := reflect.New(types[0]).Interface().(message)
+			m.readWire(r)
+			return m, r.Finish()
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		sc := newCodec(fuzzConn{bytes.NewReader(data)}, names)
-		for {
-			var req gorpc.Request
-			if err := sc.ReadRequestHeader(&req); err != nil {
-				break
-			}
-			var body any
-			if types, ok := methods[req.ServiceMethod]; ok {
-				body = reflect.New(types[0]).Interface()
-			}
-			if sc.ReadRequestBody(body) == nil && body != nil {
-				if err := sc.WriteResponse(&gorpc.Response{Seq: req.Seq}, body); err != nil {
-					t.Fatalf("%s decoded a body that does not encode: %v", req.ServiceMethod, err)
-				}
-			}
-		}
+		serveConn(fuzzConn{bytes.NewReader(data)}, echo)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+64<<10); got > limit {
 			t.Fatalf("%d bytes of input cost %d bytes of allocation, limit %d", len(data), got, limit)

@@ -1,6 +1,6 @@
 // Package rpc is Gavel's control plane for physical deployments. It carries
-// two protocols over Go's net/rpc (the stdlib substitution for the paper's
-// gRPC; see DESIGN.md):
+// two protocols over its own synchronous TCP transport (transport.go; the
+// stand-in for the paper's gRPC, see DESIGN.md):
 //
 //   - the scheduler <-> worker lease protocol of §6 (rpc.go): workers
 //     register their accelerator type, lease micro-tasks round by round, and
@@ -130,10 +130,9 @@ func IsTransient(c ErrorCode) bool {
 	return c == CodeTimeout || c == CodeUnavailable
 }
 
-// Error is a typed control-plane error. net/rpc flattens server-side errors
-// to strings on the wire, so Error renders itself with a parsable prefix and
-// CodeOf recovers the code client-side — the standard trick for typed errors
-// over stdlib rpc.
+// Error is a typed control-plane error. A server-side error crosses the wire
+// as its string, so Error renders itself with a parsable prefix and CodeOf
+// recovers the code client-side.
 type Error struct {
 	Code ErrorCode
 	Msg  string

@@ -129,28 +129,28 @@ func TestShardHandshake(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := dial(addr)
+	c, err := dial(addr, shardServiceName, 0, CodeShardDown)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 
 	var reply HelloReply
-	if err := c.Call("GavelShard.Hello", &HelloArgs{Version: ProtocolVersion, Role: "test"}, &reply); err != nil {
+	if err := c.call("Hello", &HelloArgs{Version: ProtocolVersion, Role: "test"}, &reply); err != nil {
 		t.Fatalf("Hello at current version: %v", err)
 	}
 	if reply.Version != ProtocolVersion {
 		t.Fatalf("server version = %d, want %d", reply.Version, ProtocolVersion)
 	}
 
-	err = c.Call("GavelShard.Hello", &HelloArgs{Version: 0}, &reply)
+	err = c.call("Hello", &HelloArgs{Version: 0}, &reply)
 	if CodeOf(err) != CodeVersionMismatch {
 		t.Fatalf("Hello at version 0: err = %v (code %v), want CodeVersionMismatch", err, CodeOf(err))
 	}
 }
 
 // TestTypedErrorsCrossTheWire verifies the gavelrpc[N] prefix survives
-// net/rpc's error-to-string flattening: a typed server-side error comes back
+// crossing the wire as a string: a typed server-side error comes back
 // with its code recoverable via CodeOf.
 func TestTypedErrorsCrossTheWire(t *testing.T) {
 	srv := NewShardServer()
@@ -307,13 +307,13 @@ func TestLeaseHandshakeRejectsUnversionedWorker(t *testing.T) {
 	}
 	defer s.Close()
 
-	c, err := dial(addr)
+	c, err := dial(addr, leaseServiceName, 0, CodeUnavailable)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 	var reply RegisterReply
-	err = c.Call("Gavel.RegisterWorker", &RegisterArgs{AcceleratorType: "v100"}, &reply)
+	err = c.call("RegisterWorker", &RegisterArgs{AcceleratorType: "v100"}, &reply)
 	if CodeOf(err) != CodeVersionMismatch {
 		t.Fatalf("unversioned register: err = %v (code %v), want CodeVersionMismatch", err, CodeOf(err))
 	}
@@ -441,7 +441,7 @@ func TestLeaseSourceDrivesLeases(t *testing.T) {
 }
 
 // TestSchedulerCloseStopsServing: Close tears down live connections (joining
-// their ServeConn goroutines), so a held client errors instead of hanging.
+// their goroutines), so a held client errors instead of hanging.
 func TestSchedulerCloseStopsServing(t *testing.T) {
 	s := NewScheduler(1, fixedSource{})
 	addr, err := s.Serve("127.0.0.1:0")

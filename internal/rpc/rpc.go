@@ -8,7 +8,6 @@ package rpc
 
 import (
 	"fmt"
-	gorpc "net/rpc"
 	"sort"
 	"strings"
 	"sync"
@@ -92,7 +91,7 @@ type Scheduler struct {
 	// clock is injectable for lease-expiry tests.
 	clock func() time.Time
 
-	srv *tcpServer
+	tcp tcpServer
 
 	// Telemetry (SetObs; nil instruments no-op when observability is off).
 	leases   *obs.Counter // gavel_leases_granted_total
@@ -191,27 +190,18 @@ func (s *Scheduler) StatusText() string {
 	return b.String()
 }
 
-// leaseServiceName is the net/rpc service name of the lease plane.
+// leaseServiceName is the wire service name of the lease plane.
 const leaseServiceName = "Gavel"
 
 // Serve starts listening on addr ("host:port"); it returns the bound
 // address (useful with ":0").
 func (s *Scheduler) Serve(addr string) (string, error) {
-	srv, bound, err := serveTCP(addr, leaseServiceName, &schedulerRPC{s: s})
-	s.mu.Lock()
-	s.srv = srv
-	s.mu.Unlock()
-	return bound, err
+	return s.tcp.serve(addr, leaseServiceName, (&schedulerRPC{s: s}).handlers())
 }
 
 // Close stops the listener and tears down every in-flight connection,
-// joining their ServeConn goroutines.
-func (s *Scheduler) Close() error {
-	s.mu.Lock()
-	srv := s.srv
-	s.mu.Unlock()
-	return srv.close()
-}
+// joining their goroutines.
+func (s *Scheduler) Close() error { return s.tcp.close() }
 
 // Submit adds a job to the runnable set.
 func (s *Scheduler) Submit(spec JobSpec) {
@@ -280,6 +270,16 @@ func (s *Scheduler) expireLeases() {
 type schedulerRPC struct {
 	handshake
 	s *Scheduler
+}
+
+// handlers is the lease plane's method table.
+func (r *schedulerRPC) handlers() map[string]handler {
+	return map[string]handler{
+		"Hello":            handle(r.Hello),
+		"RegisterWorker":   handle(r.RegisterWorker),
+		"LeaseMicroTask":   handle(r.LeaseMicroTask),
+		"ReportThroughput": handle(r.ReportThroughput),
+	}
 }
 
 // RegisterWorker implements the worker-registration RPC.
@@ -368,8 +368,7 @@ func (r *schedulerRPC) ReportThroughput(rep ThroughputReport, _ *Ack) error {
 // environment's per-call deadline (GAVEL_RPC_TIMEOUT), so a hung scheduler
 // surfaces as CodeTimeout instead of blocking the worker forever.
 type Client struct {
-	c        *gorpc.Client
-	timeout  time.Duration
+	*conn
 	WorkerID int
 	Round    time.Duration
 }
@@ -377,29 +376,21 @@ type Client struct {
 // Dial connects a worker to the scheduler, performs the version handshake,
 // and registers it.
 func Dial(addr string, reg RegisterArgs) (*Client, error) {
-	c, err := dial(addr)
+	c, err := dial(addr, leaseServiceName, CallPolicyFromEnv().Timeout, CodeUnavailable)
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{c: c, timeout: CallPolicyFromEnv().Timeout}
-	var hello HelloReply
-	if err := cl.call("Hello", &HelloArgs{Version: ProtocolVersion, Role: "worker"}, &hello); err != nil {
+	if err := c.call("Hello", &HelloArgs{Version: ProtocolVersion, Role: "worker"}, &HelloReply{}); err != nil {
 		c.Close()
 		return nil, err
 	}
 	reg.Version = ProtocolVersion
 	var reply RegisterReply
-	if err := cl.call("RegisterWorker", &reg, &reply); err != nil {
+	if err := c.call("RegisterWorker", &reg, &reply); err != nil {
 		c.Close()
 		return nil, err
 	}
-	cl.WorkerID = reply.WorkerID
-	cl.Round = time.Duration(reply.RoundSeconds * float64(time.Second))
-	return cl, nil
-}
-
-func (c *Client) call(method string, args, reply message) error {
-	return callWithin(c.c, leaseServiceName+"."+method, c.timeout, CodeUnavailable, args, reply)
+	return &Client{conn: c, WorkerID: reply.WorkerID, Round: time.Duration(reply.RoundSeconds * float64(time.Second))}, nil
 }
 
 // Lease requests the next micro-task.
@@ -415,6 +406,3 @@ func (c *Client) Lease() (*Lease, error) {
 func (c *Client) Report(jobID int, stepsPerSecond float64) error {
 	return c.call("ReportThroughput", &ThroughputReport{WorkerID: c.WorkerID, JobID: jobID, StepsPerSecond: stepsPerSecond}, &Ack{})
 }
-
-// Close tears down the connection.
-func (c *Client) Close() error { return c.c.Close() }

@@ -2,8 +2,6 @@ package rpc
 
 import (
 	"fmt"
-	"net"
-	gorpc "net/rpc"
 	"strings"
 	"sync"
 
@@ -16,9 +14,10 @@ import (
 // throughput cache, round mechanism over its device slice) behind the
 // coordinator <-> shard protocol. A daemon starts bare — NewShardServer,
 // then Serve — and receives its identity (device slice, policy) from the
-// coordinator's Configure push. Every exported method below is a
-// net/rpc handler; LocalShardClient calls the same methods directly, so the
-// in-memory transport exercises the identical code path minus the sockets.
+// coordinator's Configure push. Its protocol methods, func(args, *reply)
+// error, are served from the table handlers builds; LocalShardClient calls
+// the same methods directly, so the in-memory transport exercises the
+// identical code path minus the sockets.
 //
 // Calls are serialized by a mutex: the control plane is round-synchronous by
 // design (one coordinator, one call in flight per shard per phase), so
@@ -54,7 +53,7 @@ type ShardServer struct {
 	calls  *obs.CounterVec // gavel_shard_calls_total{method}
 	cached *obs.CounterVec // gavel_shard_cached_replies_total{method}
 
-	srv *tcpServer
+	tcp tcpServer
 }
 
 // noRound is the reply caches' "nothing served yet" sentinel.
@@ -106,13 +105,7 @@ func (s *ShardServer) SetObs(p *obs.Plane) {
 		return float64(s.shard.NumJobs())
 	})
 	reg.GaugeFunc("gavel_open_connections", "Open control-plane TCP connections.", func() float64 {
-		s.mu.Lock()
-		srv := s.srv
-		s.mu.Unlock()
-		if srv == nil {
-			return 0
-		}
-		return float64(srv.numConns())
+		return float64(s.tcp.numConns())
 	})
 }
 
@@ -144,27 +137,36 @@ func (s *ShardServer) solveIters(sh *cluster.Shard) int64 {
 	return int64(sh.Ctx.Stats.Iterations)
 }
 
-// shardServiceName is the net/rpc service name of the shard surface.
+// shardServiceName is the wire service name of the shard surface.
 const shardServiceName = "GavelShard"
+
+// handlers is the shard surface's method table.
+func (s *ShardServer) handlers() map[string]handler {
+	return map[string]handler{
+		"Hello":       handle(s.Hello),
+		"Ping":        handle(s.Ping),
+		"Configure":   handle(s.Configure),
+		"Install":     handle(s.Install),
+		"Remove":      handle(s.Remove),
+		"Extract":     handle(s.Extract),
+		"Allocate":    handle(s.Allocate),
+		"AssignRound": handle(s.AssignRound),
+		"Observe":     handle(s.Observe),
+		"ObserveJob":  handle(s.ObserveJob),
+		"Snapshot":    handle(s.Snapshot),
+		"Status":      handle(s.Status),
+	}
+}
 
 // Serve starts the daemon's TCP listener on addr ("host:port"), returning
 // the bound address (useful with ":0").
 func (s *ShardServer) Serve(addr string) (string, error) {
-	srv, bound, err := serveTCP(addr, shardServiceName, s)
-	s.mu.Lock()
-	s.srv = srv
-	s.mu.Unlock()
-	return bound, err
+	return s.tcp.serve(addr, shardServiceName, s.handlers())
 }
 
 // Close stops the listener and tears down every in-flight connection,
-// joining their ServeConn goroutines.
-func (s *ShardServer) Close() error {
-	s.mu.Lock()
-	srv := s.srv
-	s.mu.Unlock()
-	return srv.close()
-}
+// joining their goroutines.
+func (s *ShardServer) Close() error { return s.tcp.close() }
 
 // Ping is the liveness probe.
 func (s *ShardServer) Ping(_ StatusArgs, _ *Ack) error { return nil }
@@ -472,87 +474,4 @@ func (handshake) Hello(args HelloArgs, reply *HelloReply) error {
 	}
 	*reply = HelloReply{Version: ProtocolVersion}
 	return nil
-}
-
-// tcpServer owns a listener and its per-connection goroutines so Close can
-// actually stop everything (the seed's lease server leaked its ServeConn
-// goroutines until process exit).
-type tcpServer struct {
-	ln net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-}
-
-// serveTCP is every plane's Serve: it registers rcvr's handlers under name
-// and serves them on a fresh listener at addr, returning the bound address.
-func serveTCP(addr, name string, rcvr any) (*tcpServer, string, error) {
-	srv := gorpc.NewServer()
-	if err := srv.RegisterName(name, rcvr); err != nil {
-		return nil, "", err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	names := methodNames(name, rcvr)
-	t := &tcpServer{ln: ln, conns: map[net.Conn]struct{}{}}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			t.mu.Lock()
-			if t.closed {
-				t.mu.Unlock()
-				conn.Close()
-				return
-			}
-			t.conns[conn] = struct{}{}
-			t.mu.Unlock()
-			t.wg.Add(1)
-			go func() {
-				defer t.wg.Done()
-				srv.ServeCodec(newCodec(conn, names))
-				t.mu.Lock()
-				delete(t.conns, conn)
-				t.mu.Unlock()
-				conn.Close()
-			}()
-		}
-	}()
-	return t, ln.Addr().String(), nil
-}
-
-// numConns reports the live connection count (the open-connections gauge).
-func (t *tcpServer) numConns() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.conns)
-}
-
-// close stops the listener and joins every connection; a nil server (one
-// that never served) closes as a no-op.
-func (t *tcpServer) close() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	err := t.ln.Close()
-	for conn := range t.conns {
-		conn.Close()
-	}
-	t.mu.Unlock()
-	t.wg.Wait()
-	return err
 }

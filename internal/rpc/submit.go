@@ -4,7 +4,7 @@ package rpc
 // submission plane (added in protocol v3): the messages clients use to
 // stream jobs into a running coordinator — Submit, Withdraw, Poll — plus the
 // admission knobs that bound what a tenant may do to the cluster. The
-// Service-side engine lives in ingress.go; the net/rpc surface in
+// Service-side engine lives in ingress.go; the network surface in
 // submitserver.go.
 //
 // Submissions are identified by a client-chosen (tenant, key) pair, never by
@@ -264,7 +264,7 @@ func ValidateTput(numTypes int, tput []float64) error {
 var retryAfterRe = regexp.MustCompile(`retry-after=(\d+)`)
 
 // Overloadf builds a CodeOverload error carrying a machine-readable
-// retry-after hint (in rounds) that survives net/rpc's string flattening.
+// retry-after hint (in rounds) that survives crossing the wire as a string.
 func Overloadf(retryAfter int, format string, args ...any) *Error {
 	if retryAfter < 1 {
 		retryAfter = 1

@@ -8,13 +8,9 @@ package rpc
 // deliberately NOT retried here — backpressure is the caller's to honor, via
 // RetryAfter.
 
-import (
-	"fmt"
-	gorpc "net/rpc"
-	"time"
-)
+import "fmt"
 
-// submitServiceName is the net/rpc service name of the submission plane.
+// submitServiceName is the wire service name of the submission plane.
 const submitServiceName = "GavelSubmit"
 
 // SubmitServer exposes one Service's submission surface over TCP. The
@@ -23,7 +19,7 @@ const submitServiceName = "GavelSubmit"
 type SubmitServer struct {
 	handshake
 	svc *Service
-	srv *tcpServer
+	tcp tcpServer
 }
 
 // NewSubmitServer wraps svc for serving. The Service must have been built
@@ -32,13 +28,22 @@ func NewSubmitServer(svc *Service) *SubmitServer { return &SubmitServer{svc: svc
 
 // Serve starts the TCP listener on addr ("host:port"), returning the bound
 // address (useful with ":0").
-func (s *SubmitServer) Serve(addr string) (bound string, err error) {
-	s.srv, bound, err = serveTCP(addr, submitServiceName, s)
-	return bound, err
+func (s *SubmitServer) Serve(addr string) (string, error) {
+	return s.tcp.serve(addr, submitServiceName, s.handlers())
+}
+
+// handlers is the submission plane's method table.
+func (s *SubmitServer) handlers() map[string]handler {
+	return map[string]handler{
+		"Hello":    handle(s.Hello),
+		"Submit":   handle(s.Submit),
+		"Withdraw": handle(s.Withdraw),
+		"Poll":     handle(s.Poll),
+	}
 }
 
 // Close stops the listener and tears down in-flight connections.
-func (s *SubmitServer) Close() error { return s.srv.close() }
+func (s *SubmitServer) Close() error { return s.tcp.close() }
 
 // Submit handles one streamed submission.
 func (s *SubmitServer) Submit(args SubmitArgs, reply *SubmitReply) error {
@@ -63,9 +68,8 @@ func (s *SubmitServer) Poll(args PollArgs, reply *PollReply) error {
 
 // SubmitClient is a tenant's handle to the submission plane.
 type SubmitClient struct {
-	c       *gorpc.Client
-	timeout time.Duration
-	retry   *retrier
+	c     *conn
+	retry *retrier
 }
 
 // DialSubmit connects to a coordinator's submission endpoint with the
@@ -76,13 +80,12 @@ func DialSubmit(addr string) (*SubmitClient, error) {
 
 // DialSubmitWith is DialSubmit under an explicit call policy.
 func DialSubmitWith(addr string, pol CallPolicy) (*SubmitClient, error) {
-	c, err := dial(addr)
+	c, err := dial(addr, submitServiceName, pol.Timeout, CodeUnavailable)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial submit %s: %w", addr, err)
 	}
-	sc := &SubmitClient{c: c, timeout: pol.Timeout, retry: newRetrier(pol)}
-	var hello HelloReply
-	if err := sc.call("Hello", &HelloArgs{Version: ProtocolVersion, Role: "client"}, &hello); err != nil {
+	sc := &SubmitClient{c: c, retry: newRetrier(pol)}
+	if err := sc.call("Hello", &HelloArgs{Version: ProtocolVersion, Role: "client"}, &HelloReply{}); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -94,7 +97,7 @@ func DialSubmitWith(addr string, pol CallPolicy) (*SubmitClient, error) {
 // construction.
 func (c *SubmitClient) call(method string, args, reply message) error {
 	return c.retry.do(method, func() error {
-		return callWithin(c.c, submitServiceName+"."+method, c.timeout, CodeUnavailable, args, reply)
+		return c.c.call(method, args, reply)
 	})
 }
 
