@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -107,6 +108,21 @@ func main() {
 	}
 }
 
+// check refuses the flags no run finishes with: a round not finite and > 0
+// never waits, a negative job count is never complete, a non-finite step
+// count is never reached (steps <= 0 complete at the first report).
+func (cfg *config) check() error {
+	switch {
+	case !(cfg.round > 0) || math.IsInf(cfg.round, 1):
+		return fmt.Errorf("-round %v: want a finite number of seconds > 0", cfg.round)
+	case cfg.jobs < 0:
+		return fmt.Errorf("-jobs %d: want a count >= 0", cfg.jobs)
+	case math.IsNaN(cfg.steps) || math.IsInf(cfg.steps, 0):
+		return fmt.Errorf("-steps %v: want a finite step count", cfg.steps)
+	}
+	return nil
+}
+
 // parseCluster reads "name:count[:perServer],..." into a cluster spec, with
 // on-demand prices filled from the standard price table.
 func parseCluster(s string) (cluster.Spec, error) {
@@ -167,6 +183,9 @@ func (p *planSource) set(round int64, plan map[string][]int) {
 // round's merged assignments to workers, until the synthetic batch completes
 // (and the submission plane has drained) or ctx is cancelled.
 func run(ctx context.Context, cfg config) error {
+	if err := cfg.check(); err != nil {
+		return err
+	}
 	spec, err := parseCluster(cfg.gpus)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -270,5 +271,57 @@ func TestNoDoubleLeaseAcrossWorkers(t *testing.T) {
 	plan.set(3, map[string][]int{"v100": {4}})
 	if got := leases(w1, w0); fmt.Sprint(got) != "[4 -1]" {
 		t.Fatalf("round 3 leases %v, want [4 -1] (round 2's job 3 dropped)", got)
+	}
+}
+
+// TestRefusesUnfinishableFlags: a round that is not finite and positive never
+// waits, a negative job count never completes, and a non-finite step count is
+// never reached. Each is refused before a shard is dialed or the journal
+// opened, so no round is sealed.
+func TestRefusesUnfinishableFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*config)
+	}{
+		{"round 0", func(c *config) { c.round = 0 }},
+		{"round negative", func(c *config) { c.round = -1 }},
+		{"round NaN", func(c *config) { c.round = math.NaN() }},
+		{"round +Inf", func(c *config) { c.round = math.Inf(1) }},
+		{"jobs -1", func(c *config) { c.jobs = -1 }},
+		{"steps NaN", func(c *config) { c.steps = math.NaN() }},
+		{"steps +Inf", func(c *config) { c.steps = math.Inf(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.journal = filepath.Join(t.TempDir(), "journal.wal")
+			cfg.shards = "127.0.0.1:1" // dialing it would fail differently
+			tc.set(&cfg)
+			out := &logCapture{}
+			log.SetOutput(out)
+			defer log.SetOutput(os.Stderr)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			err := run(ctx, cfg)
+			if err == nil || !strings.Contains(err.Error(), "want") {
+				t.Fatalf("run returned %v, want the flag refused", err)
+			}
+			if _, serr := os.Stat(cfg.journal); !os.IsNotExist(serr) {
+				t.Errorf("journal touched (%v)", serr)
+			}
+			if strings.Contains(out.String(), "round") {
+				t.Errorf("a round ran:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestZeroStepsFinish: -steps 0 (or below) is accepted because it can finish:
+// a job completes at its first progress report.
+func TestZeroStepsFinish(t *testing.T) {
+	cfg := testConfig()
+	cfg.jobs, cfg.steps = 2, 0
+	out, exited := start(t, context.Background(), cfg)
+	if err := <-exited; err != nil || !strings.Contains(out.String(), "batch complete") {
+		t.Fatalf("daemon: %v\n%s", err, out)
 	}
 }

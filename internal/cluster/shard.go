@@ -46,7 +46,8 @@ type Shard struct {
 
 	// Alloc is the current allocation (nil before the first Allocate);
 	// AllocIDs the external job IDs it was computed over, in unit order for
-	// the single-job prefix.
+	// the single-job prefix. Both stay valid until the second successful
+	// Allocate after the one that produced them.
 	Alloc    *core.Allocation
 	AllocIDs []int
 
@@ -61,6 +62,18 @@ type Shard struct {
 
 	jobs   []int // resident job IDs in admission order (deterministic)
 	jobPos map[int]int
+
+	// Allocate writes the IDs, units and X of an allocation into gens[next],
+	// the generation Alloc does not use, and flips next only when it
+	// succeeds: a failed reset never touches the live allocation. in is the
+	// policy input, reused every reset.
+	gens [2]struct {
+		ids   []int
+		units core.UnitSlab
+		alloc core.Allocation
+	}
+	next int
+	in   policy.Input
 
 	// Round scratch: unitJobIDs' result (valid until its next call) and
 	// AssignRound's masked allocation, whose masked rows share one read-only
@@ -171,30 +184,31 @@ func (s *Shard) Allocate(pol policy.Policy, minGain float64, maxPairs int, info 
 		s.Mech.ResetReceived()
 		return nil
 	}
-	ids := append([]int(nil), s.jobs...)
-	in := &policy.Input{
-		Workers: s.Workers,
-		Prices:  s.Prices,
-		Units:   s.Cache.Units(ids, minGain, maxPairs),
-		Jobs:    make([]policy.JobInfo, 0, len(ids)),
-	}
-	for _, id := range ids {
+	g := &s.gens[s.next]
+	g.ids = append(g.ids[:0], s.jobs...)
+	in := &s.in
+	in.Workers, in.Prices = s.Workers, s.Prices
+	in.Units = s.Cache.UnitsInto(&g.units, g.ids, minGain, maxPairs)
+	in.Jobs = in.Jobs[:0]
+	for _, id := range g.ids {
 		ji := info(id)
 		ji.ID = id
 		ji.Tput = s.Cache.JobTput(id)
 		ji.ScaleFactor = s.Cache.ScaleFactor(id)
-		ji.NumActiveJobs = len(ids)
+		ji.NumActiveJobs = len(g.ids)
 		in.Jobs = append(in.Jobs, ji)
 	}
 	start := time.Now()
+	s.Ctx.ExtractTo(&g.alloc)
 	alloc, err := pol.Allocate(in, s.Ctx)
+	s.Ctx.ExtractTo(nil)
 	s.PolicyTime += time.Since(start)
 	s.PolicyCalls++
 	if err != nil {
 		return fmt.Errorf("shard %d: %w", s.Index, err)
 	}
-	s.Alloc = alloc
-	s.AllocIDs = ids
+	s.Alloc, s.AllocIDs = alloc, g.ids
+	s.next ^= 1
 	s.Mech.ResetReceived()
 	return nil
 }

@@ -121,7 +121,7 @@ func (idx *MemberIndex) Build(units []Unit) {
 			}
 		}
 	}
-	idx.start = growInts(idx.start, numJobs+1)
+	idx.start = grow(idx.start, numJobs+1)
 	start := idx.start
 	for m := range start {
 		start[m] = 0
@@ -138,8 +138,8 @@ func (idx *MemberIndex) Build(units []Unit) {
 		start[m+1] += start[m]
 	}
 	total := start[numJobs]
-	idx.unit = growInts(idx.unit, total)
-	idx.slot = growInts(idx.slot, total)
+	idx.unit = grow(idx.unit, total)
+	idx.slot = grow(idx.slot, total)
 	// Fill by advancing each job's cursor, then shift the cursors back.
 	for ui := range units {
 		jobs := units[ui].Jobs
@@ -165,15 +165,6 @@ func repeated(jobs []int, k int) bool {
 		}
 	}
 	return false
-}
-
-// growInts resizes s to n elements, reallocating (with a quarter of
-// headroom) only when the capacity falls short. Contents are unspecified.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n, n+n/4)
-	}
-	return s[:n]
 }
 
 // NumJobs returns the number of jobs the index covers (one past the largest
@@ -203,6 +194,8 @@ func (idx *MemberIndex) Of(job int) (units, slots []int) {
 type Allocation struct {
 	Units []Unit
 	X     [][]float64
+
+	slab []float64 // X's rows, for ExtractInto to reuse
 }
 
 // slotOf returns job's member slot in the unit, or -1.
@@ -438,7 +431,7 @@ func (pr *Program) build(sense lp.Sense, units []Unit, scaleFactors []int, worke
 		pr.XVar = make([][]int, len(units), len(units)+len(units)/4)
 	}
 	pr.XVar = pr.XVar[:len(units)]
-	pr.xvars = growInts(pr.xvars, len(units)*numTypes)
+	pr.xvars = grow(pr.xvars, len(units)*numTypes)
 	xv := pr.XVar
 	colIDs := pr.colIDs[:0]
 	for ui := range units {
@@ -631,22 +624,38 @@ func (pr *Program) ThroughputTerms(job int, factor float64) []lp.Term {
 // negative noise to zero. The allocation owns its X (one slab, not shared
 // with the program), so it outlives the next Build.
 func (pr *Program) Extract(x []float64) *Allocation {
-	return pr.extract(x, 1)
+	return pr.extract(nil, x, 1)
 }
 
 // ExtractRatio converts the solution of a homogeneous program into an
 // Allocation: X = y / t with t the homogenizing column's value.
 func (pr *Program) ExtractRatio(x []float64) *Allocation {
-	return pr.extract(x, x[pr.hom])
+	return pr.extract(nil, x, x[pr.hom])
 }
 
-func (pr *Program) extract(x []float64, t float64) *Allocation {
+// ExtractInto is Extract (ExtractRatio on a homogeneous program) written
+// into dst, reusing its X storage, and returns dst. What dst held before is
+// overwritten, so its holder must be done with that allocation. A nil dst
+// allocates.
+func (pr *Program) ExtractInto(dst *Allocation, x []float64) *Allocation {
+	t := 1.0
+	if pr.hom >= 0 {
+		t = x[pr.hom]
+	}
+	return pr.extract(dst, x, t)
+}
+
+func (pr *Program) extract(dst *Allocation, x []float64, t float64) *Allocation {
 	numTypes := 0
 	if len(pr.XVar) > 0 {
 		numTypes = len(pr.XVar[0])
 	}
-	X := make([][]float64, len(pr.Units))
-	slab := make([]float64, len(pr.Units)*numTypes)
+	if dst == nil {
+		dst = new(Allocation)
+	}
+	X := grow(dst.X, len(pr.Units))
+	slab := grow(dst.slab, len(pr.Units)*numTypes)
+	clear(slab)
 	for ui := range pr.Units {
 		X[ui] = slab[ui*numTypes : (ui+1)*numTypes : (ui+1)*numTypes]
 		for j, v := range pr.XVar[ui] {
@@ -666,7 +675,8 @@ func (pr *Program) extract(x []float64, t float64) *Allocation {
 			X[ui][j] = val
 		}
 	}
-	return &Allocation{Units: pr.Units, X: X}
+	*dst = Allocation{Units: pr.Units, X: X, slab: slab}
+	return dst
 }
 
 // EqualShareThroughput returns throughput(m, X^equal): the effective

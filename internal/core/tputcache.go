@@ -32,6 +32,8 @@ type ThroughputCache struct {
 	inScored map[[2]int]float64 // exact gain each scored entry carries
 	dirty    map[[2]int]bool
 
+	spare []*cachedPair // entries RemoveJob freed, for SetPair to refill
+
 	// Scratch reused by flushDirty and Units; nothing here outlives a call.
 	fresh, kept []pairScore
 	pos         map[int]int
@@ -195,6 +197,7 @@ func (c *ThroughputCache) RemoveJob(id int) {
 	delete(c.jobs, id)
 	for peer := range c.peers[id] {
 		key := pairIDKey(id, peer)
+		c.spare = append(c.spare, c.pairs[key])
 		delete(c.pairs, key)
 		delete(c.peers[peer], id)
 		c.markPairDirty(key)
@@ -202,20 +205,20 @@ func (c *ThroughputCache) RemoveJob(id int) {
 	delete(c.peers, id)
 }
 
-// ObserveJob replaces a job's isolated throughput row (a measured update).
-// Previously handed-out references keep their old values: rows are replaced,
-// never mutated in place.
+// ObserveJob overwrites a job's isolated throughput row (a measured update)
+// in place. Units hand out copies, so no unit sees the change; a JobTput
+// result does.
 func (c *ThroughputCache) ObserveJob(id int, tput []float64) {
 	j, ok := c.jobs[id]
 	if !ok {
 		return
 	}
-	j.tput = append([]float64(nil), tput...)
+	j.tput = append(j.tput[:0], tput...)
 	c.markJobDirty(id)
 }
 
-// JobTput returns the cached isolated throughput row (shared, read-only),
-// or nil when the job is unknown.
+// JobTput returns the cached isolated throughput row (shared, read-only,
+// overwritten by the next ObserveJob), or nil when the job is unknown.
 func (c *ThroughputCache) JobTput(id int) []float64 {
 	if j, ok := c.jobs[id]; ok {
 		return j.tput
@@ -239,7 +242,8 @@ func pairIDKey(a, b int) [2]int {
 }
 
 // SetPair records the colocated throughput rows of a pair: ta belongs to
-// job a, tb to job b. Both slices are copied.
+// job a, tb to job b. Both slices are copied, into an entry a departure
+// freed when there is one.
 func (c *ThroughputCache) SetPair(a, b int, ta, tb []float64) {
 	if a == b {
 		return
@@ -248,11 +252,18 @@ func (c *ThroughputCache) SetPair(a, b int, ta, tb []float64) {
 	if a > b {
 		ta, tb = tb, ta
 	}
-	c.pairs[key] = &cachedPair{
-		lo:  append([]float64(nil), ta...),
-		hi:  append([]float64(nil), tb...),
-		key: PairKey(a, b),
+	p := c.pairs[key]
+	if p == nil {
+		if n := len(c.spare); n > 0 {
+			p, c.spare = c.spare[n-1], c.spare[:n-1]
+		} else {
+			p = new(cachedPair)
+		}
+		p.key = PairKey(a, b)
+		c.pairs[key] = p
 	}
+	p.lo = append(p.lo[:0], ta...)
+	p.hi = append(p.hi[:0], tb...)
 	if c.peers[a] == nil {
 		c.peers[a] = map[int]bool{}
 	}
@@ -270,7 +281,7 @@ func (c *ThroughputCache) HasPair(a, b int) bool {
 }
 
 // PairTput returns the cached colocated throughputs for (a, b), in that
-// argument order (shared, read-only).
+// argument order (shared, read-only, overwritten by ObservePair).
 func (c *ThroughputCache) PairTput(a, b int) (ta, tb []float64, ok bool) {
 	p, ok := c.pairs[pairIDKey(a, b)]
 	if !ok {
@@ -282,22 +293,19 @@ func (c *ThroughputCache) PairTput(a, b int) (ta, tb []float64, ok bool) {
 	return p.lo, p.hi, true
 }
 
-// ObservePair updates one type's entry of a cached pair with a measured
-// value (ta for job a, tb for job b). Rows are replaced, not mutated, so
-// previously handed-out references stay stable.
+// ObservePair overwrites one type's entry of a cached pair with a measured
+// value (ta for job a, tb for job b), in place: Units hand out copies.
 func (c *ThroughputCache) ObservePair(a, b, typ int, ta, tb float64) {
-	p, ok := c.pairs[pairIDKey(a, b)]
+	key := pairIDKey(a, b)
+	p, ok := c.pairs[key]
 	if !ok || typ < 0 || typ >= c.numTypes {
 		return
 	}
 	if a > b {
 		ta, tb = tb, ta
 	}
-	lo := append([]float64(nil), p.lo...)
-	hi := append([]float64(nil), p.hi...)
-	lo[typ], hi[typ] = ta, tb
-	c.pairs[pairIDKey(a, b)] = &cachedPair{lo: lo, hi: hi, key: p.key}
-	c.markPairDirty(pairIDKey(a, b))
+	p.lo[typ], p.hi[typ] = ta, tb
+	c.markPairDirty(key)
 }
 
 // PairGain returns the pair's best combined normalized throughput across
@@ -344,44 +352,61 @@ func (c *ThroughputCache) PairGain(a, b int) float64 {
 // job-ID-keyed ordering that survives arrivals and departures — the handle
 // policy.SolveContext uses to remap cached simplex bases across job-set
 // changes.
+// Units is UnitsInto over a slab of its own, so the result is the caller's.
 func (c *ThroughputCache) Units(ids []int, minGain float64, maxPairs int) []Unit {
+	return c.UnitsInto(new(UnitSlab), ids, minGain, maxPairs)
+}
+
+// UnitSlab is the storage of one UnitsInto result (units, member lists, row
+// headers, row copies), overwritten by the next UnitsInto into it.
+type UnitSlab struct {
+	units []Unit
+	jobs  []int
+	rows  [][]float64
+	vals  []float64
+}
+
+// UnitsInto is Units written into slab. The rows are copies, so a later
+// throughput observation does not reach units already handed out.
+func (c *ThroughputCache) UnitsInto(slab *UnitSlab, ids []int, minGain float64, maxPairs int) []Unit {
 	var cands []pairCand
 	if maxPairs > 0 && len(c.pairs) > 0 {
 		cands = c.pairCandidates(ids, minGain, maxPairs)
 	}
-	// The units are the caller's to keep (the allocation built over them
-	// outlives the next call), so they are allocated fresh — as three
-	// slabs, not two slices per unit: the units, their member lists, and
-	// their throughput-row headers.
-	n := len(ids) + len(cands)
-	units := make([]Unit, n)
-	jobs := make([]int, len(ids)+2*len(cands))
-	rows := make([][]float64, len(ids)+2*len(cands))
-	var zero []float64
+	members, nt := len(ids)+2*len(cands), c.numTypes
+	slab.units = grow(slab.units, len(ids)+len(cands))
+	slab.jobs = grow(slab.jobs, members)
+	slab.rows = grow(slab.rows, members)
+	slab.vals = grow(slab.vals, members*nt)
+	units, jobs, rows := slab.units, slab.jobs, slab.rows
+	row := func(at int, src []float64) { // a copy of src, zero-padded
+		r := slab.vals[at*nt : (at+1)*nt : (at+1)*nt]
+		clear(r[copy(r, src):])
+		rows[at] = r
+	}
 	for m, id := range ids {
 		jobs[m] = m
 		u := &units[m]
 		u.Jobs = jobs[m : m+1 : m+1]
 		u.Tput = rows[m : m+1 : m+1]
 		if j, ok := c.jobs[id]; ok {
-			rows[m] = j.tput
+			row(m, j.tput)
 			u.Key = j.key
-			continue
+		} else {
+			row(m, nil)
+			u.Key = JobKey(id)
 		}
-		if zero == nil {
-			zero = make([]float64, c.numTypes)
-		}
-		rows[m] = zero
-		u.Key = JobKey(id)
 	}
 	for i, s := range cands {
 		at := len(ids) + 2*i
 		p := c.pairs[pairIDKey(ids[s.a], ids[s.b])]
 		jobs[at], jobs[at+1] = s.a, s.b
 		if ids[s.a] > ids[s.b] {
-			rows[at], rows[at+1] = p.hi, p.lo
+			row(at, p.hi)
+			row(at+1, p.lo)
 		} else {
-			rows[at], rows[at+1] = p.lo, p.hi
+			row(at, p.lo)
+			row(at+1, p.hi)
 		}
 		u := &units[len(ids)+i]
 		u.Jobs = jobs[at : at+2 : at+2]
@@ -389,6 +414,19 @@ func (c *ThroughputCache) Units(ids []int, minGain float64, maxPairs int) []Unit
 		u.Key = p.key
 	}
 	return units
+}
+
+// grow returns s resized to n elements (contents unspecified), reallocating
+// only when its capacity falls short: exactly on first use, then with a
+// quarter of headroom.
+func grow[T any](s []T, n int) []T {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case cap(s) == 0:
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/4)
 }
 
 // pairCandidates selects the pair units of a Units call: candidates above
@@ -459,7 +497,7 @@ func (c *ThroughputCache) pairCandidates(ids []int, minGain float64, maxPairs in
 		}
 		return x.b - y.b
 	})
-	c.pairCount = growInts(c.pairCount, len(ids))
+	c.pairCount = grow(c.pairCount, len(ids))
 	pairCount := c.pairCount
 	for i := range pairCount {
 		pairCount[i] = 0

@@ -227,28 +227,35 @@ func TestThroughputCacheMatchesFromScratch(t *testing.T) {
 }
 
 // TestThroughputCacheRowStability checks that observing a job or pair does
-// not mutate previously handed-out rows.
+// not mutate the rows of units already handed out (units carry copies), and
+// that the observation itself is not lost.
 func TestThroughputCacheRowStability(t *testing.T) {
 	c := NewThroughputCache(2)
 	c.AddJob(1, 1, []float64{1, 2})
 	c.AddJob(2, 1, []float64{3, 4})
 	c.SetPair(1, 2, []float64{0.6, 1.2}, []float64{1.8, 2.4})
 
-	row := c.JobTput(1)
-	ta, tb, _ := c.PairTput(1, 2)
+	units := c.Units([]int{1, 2}, 0, 1)
+	if len(units) != 3 {
+		t.Fatalf("%d units, want 2 singles and the pair", len(units))
+	}
 	c.ObserveJob(1, []float64{9, 9})
 	c.ObservePair(1, 2, 0, 0.1, 0.2)
-	if row[0] != 1 || row[1] != 2 {
-		t.Fatalf("isolated row mutated in place: %v", row)
+	if row := units[0].Tput[0]; row[0] != 1 || row[1] != 2 {
+		t.Fatalf("isolated row of a handed-out unit changed: %v", row)
 	}
-	if ta[0] != 0.6 || tb[0] != 1.8 {
-		t.Fatalf("pair rows mutated in place: %v %v", ta, tb)
+	if ta, tb := units[2].Tput[0], units[2].Tput[1]; ta[0] != 0.6 || tb[0] != 1.8 {
+		t.Fatalf("pair rows of a handed-out unit changed: %v %v", ta, tb)
 	}
 	if got := c.JobTput(1); got[0] != 9 {
 		t.Fatalf("observe lost: %v", got)
 	}
 	if gta, _, _ := c.PairTput(1, 2); gta[0] != 0.1 {
 		t.Fatalf("pair observe lost: %v", gta)
+	}
+	again := c.Units([]int{1, 2}, 0, 1)
+	if again[0].Tput[0][0] != 9 || again[2].Tput[0][0] != 0.1 {
+		t.Fatalf("the next units miss the observations: %v %v", again[0].Tput, again[2].Tput)
 	}
 }
 

@@ -123,11 +123,11 @@ func NewProblem(sense Sense) *Problem {
 }
 
 // SetWorkspace attaches the arena this problem's solves run
-// in (see Workspace for exactly what it owns). A caller solving in a loop —
-// SolveContext, the simulator — attaches the same arena to every problem, and
-// a steady-state solve then allocates only what it returns: the Result, its
-// X, and the Basis snapshot. Without one, each solve builds a private arena
-// and drops it. A Workspace is not safe for concurrent solves.
+// in (see Workspace for exactly what it owns, and what it lends: X). A caller
+// solving in a loop — SolveContext, the simulator — attaches the same arena
+// to every problem, and a steady-state solve then allocates only the Result
+// and the Basis snapshot. Without one, each solve builds a private arena and
+// drops it. A Workspace is not safe for concurrent solves.
 func (p *Problem) SetWorkspace(ws *Workspace) { p.ws = ws }
 
 // Reset empties the problem for reuse under a new objective sense, keeping
@@ -211,7 +211,9 @@ func (p *Problem) AddConstraintRow(terms []Term, op Op, rhs float64, id string) 
 
 // Result holds the outcome of Solve.
 type Result struct {
-	Status     Status
+	Status Status
+	// X is the solution, lent from the problem's workspace: valid until the
+	// workspace's next solve (see Workspace).
 	X          []float64
 	Objective  float64
 	Iterations int // simplex iterations across both phases
@@ -511,7 +513,9 @@ func (p *Problem) solve(prev *Basis, mapped *MappedBasis) (*Result, error) {
 // presolve is asked for and finds something to remove, over the raw one
 // otherwise. ok=false means the engine could not verify an answer.
 func (p *Problem) attempt(prev *Basis, mapped *MappedBasis, presolve bool) (*Result, bool) {
-	if p.ws.failNext > 0 {
+	if p.ws.passNext > 0 {
+		p.ws.passNext--
+	} else if p.ws.failNext > 0 {
 		p.ws.failNext--
 		return nil, false
 	}
@@ -536,21 +540,23 @@ func (p *Problem) solveNoRows() *Result {
 			return &Result{Status: Unbounded}
 		}
 	}
-	return &Result{Status: Optimal, X: make([]float64, len(p.obj)), Basis: p.snapshotBasis(nil, nil)}
+	return &Result{Status: Optimal, X: make([]float64, len(p.obj)), Basis: p.snapshotBasis(new(Basis), nil, nil)}
 }
 
-// snapshotBasis records a final basis for warm starts, stamping it with the
-// problem's row identities. A row whose artificial never left the basis (a
-// redundant constraint) carries the entry -1.
-func (p *Problem) snapshotBasis(ops []Op, basis []int) *Basis {
-	ids := make([]string, len(p.cons))
+// snapshotBasis records a final basis for warm starts into dst, stamping it
+// with the problem's row identities. A row whose artificial never left the
+// basis (a redundant constraint) carries the entry -1.
+func (p *Problem) snapshotBasis(dst *Basis, ops []Op, basis []int) *Basis {
+	ids := grow(dst.rowIDs, len(p.cons))
 	for i, c := range p.cons {
 		ids[i] = c.id
 	}
-	return &Basis{
+	*dst = Basis{
 		numVars: len(p.obj),
-		ops:     append([]Op(nil), ops...),
-		cols:    append([]int(nil), basis...),
+		ops:     append(dst.ops[:0], ops...),
+		cols:    append(dst.cols[:0], basis...),
 		rowIDs:  ids,
+		atUpper: dst.atUpper[:0],
 	}
+	return dst
 }

@@ -632,7 +632,8 @@ func (ps *presolveState) mapMapped(mb *MappedBasis) *MappedBasis {
 // solution at their values, the objective is recomputed against the full
 // costs, and the basis is expanded so every removed row hosts a basic column
 // again (its own slack, or the column an EQ singleton fixed) — keeping the
-// snapshot usable by both the positional and the remap seeding paths.
+// snapshot usable by both the positional and the remap seeding paths. X is
+// lent from the workspace; the snapshot takes a recycled basis's storage.
 func (ps *presolveState) lift(redRes *Result) *Result {
 	res := &Result{
 		Status:             redRes.Status,
@@ -647,7 +648,7 @@ func (ps *presolveState) lift(redRes *Result) *Result {
 	if redRes.Status != Optimal {
 		return res
 	}
-	x := make([]float64, ps.n)
+	x := ps.p.ws.lendX(ps.n)
 	for j := 0; j < ps.n; j++ {
 		if ps.colFixed[j] {
 			x[j] = ps.fixedVal[j]
@@ -666,7 +667,8 @@ func (ps *presolveState) lift(redRes *Result) *Result {
 	if rb == nil {
 		return res
 	}
-	cols := make([]int, ps.m)
+	snap := ps.p.ws.snapshot()
+	cols := grow(snap.cols, ps.m)
 	for i := 0; i < ps.m; i++ {
 		ir := ps.rowMap[i]
 		if ir < 0 {
@@ -689,23 +691,24 @@ func (ps *presolveState) lift(redRes *Result) *Result {
 			cols[i] = ps.n + ps.fullSlackOrd[full]
 		}
 	}
-	ids := make([]string, ps.m)
+	ids := grow(snap.rowIDs, ps.m)
 	for i, c := range ps.p.cons {
 		ids[i] = c.id
 	}
-	var atUpper []int
+	atUpper := snap.atUpper[:0]
 	for _, jr := range rb.atUpper {
 		if jr >= 0 && jr < len(ps.keptCols) {
 			atUpper = append(atUpper, ps.keptCols[jr])
 		}
 	}
-	res.Basis = &Basis{
+	*snap = Basis{
 		numVars:  ps.n,
-		ops:      append([]Op(nil), ps.fullOps...),
+		ops:      append(snap.ops[:0], ps.fullOps...),
 		cols:     cols,
 		rowIDs:   ids,
 		atUpper:  atUpper,
 		polished: rb.polished,
 	}
+	res.Basis = snap
 	return res
 }

@@ -182,7 +182,7 @@ func referenceSolve(p *Problem) *Result {
 	return &Result{
 		Status: Optimal, X: x, Objective: obj,
 		Iterations: iterations, Pivots: pivots,
-		Basis: p.snapshotBasis(ops, basis),
+		Basis: p.snapshotBasis(new(Basis), ops, basis),
 	}
 }
 

@@ -1412,19 +1412,20 @@ func (e *revEngine) finish(warm, remapped bool) *Result {
 }
 
 // own detaches a result the revised engine assembled in the arena: the
-// returned Result, its X and its Basis (now carrying the problem's row
-// identities) are the caller's to keep.
+// returned Result and its Basis (now carrying the problem's row identities)
+// are the caller's to keep; X is lent from the workspace (see Workspace).
 func (p *Problem) own(res *Result) *Result {
 	out := new(Result)
 	*out = *res
 	if res.X != nil {
-		out.X = append([]float64(nil), res.X...)
+		out.X = p.ws.lendX(len(res.X))
+		copy(out.X, res.X)
 	}
 	if b := res.Basis; b != nil {
-		out.Basis = p.snapshotBasis(b.ops, b.cols)
+		out.Basis = p.snapshotBasis(p.ws.snapshot(), b.ops, b.cols)
 		out.Basis.polished = b.polished
 		if len(b.atUpper) > 0 {
-			out.Basis.atUpper = append([]int(nil), b.atUpper...)
+			out.Basis.atUpper = append(out.Basis.atUpper, b.atUpper...)
 		}
 	}
 	return out

@@ -14,27 +14,51 @@ import "gavel/internal/linalg"
 //     reduced Problem it hands the engine, plus the seeds projected onto it;
 //   - the lookup tables of Basis.Remap and of the mapped seed placement.
 //
-// What a solve returns is never arena-backed: Result.X and the Basis
-// snapshot are allocated per solve, because callers keep them (the
-// allocation, the warm-start cache) past the next solve.
+// Result.X is lent from the arena too, valid until its next solve; the Basis
+// snapshot is the caller's, in a recycled basis's storage when there is one.
 //
 // Buffers grow monotonically to the largest problem seen. Attach one arena
 // to every problem solved in a loop (SetWorkspace) and a steady-state solve
-// allocates only its Result; a problem without one gets a private arena for
-// the single solve. No solve reads what an earlier one left behind, so any
-// caller may reuse an arena another grew: policy.SolveContext borrows one
-// from a process-wide free list per Allocate. A Workspace is not safe for
-// concurrent solves.
+// allocates only its Result and snapshot; a problem without one gets a
+// private arena for the single solve. No solve reads what an earlier one
+// left behind, so any caller may reuse an arena another grew:
+// policy.SolveContext borrows one from a process-wide free list per
+// Allocate. A Workspace is not safe for concurrent solves.
 type Workspace struct {
 	lin  linalg.Scratch
 	eng  [2]engineArena // 0: the solve's engine, 1: its polish clone
 	ps   presolveState
 	seed seedArena
+	x    []float64 // the last solve's Result.X
+	// recycled is a basis given up (Recycle), for the next snapshot.
+	recycled *Basis
 	// failNext makes the arena's next failNext engine attempts report
-	// failure. Set only from _test.go files: no well-conditioned problem
-	// reaches the recovery path on its own. It lives here and not on the
-	// Problem because a policy rebuilds its Problem on every reset.
-	failNext int
+	// failure, once passNext more have run. Set only from _test.go files: no
+	// well-conditioned problem reaches the recovery path on its own. They
+	// live here and not on the Problem because a policy rebuilds its Problem
+	// on every reset.
+	passNext, failNext int
+}
+
+// Recycle hands b's storage to the arena's next basis snapshot. The caller
+// and everyone it shared b with must not read b again.
+func (ws *Workspace) Recycle(b *Basis) { ws.recycled = b }
+
+// snapshot returns the Basis a snapshot is written into.
+func (ws *Workspace) snapshot() *Basis {
+	b := ws.recycled
+	ws.recycled = nil
+	if b == nil {
+		b = new(Basis)
+	}
+	return b
+}
+
+// lendX returns the arena's Result.X buffer resized to n and zeroed.
+func (ws *Workspace) lendX(n int) []float64 {
+	ws.x = grow(ws.x, n)
+	clear(ws.x)
+	return ws.x
 }
 
 // engineArena is one engine's bank of reusable storage.
@@ -101,14 +125,18 @@ const (
 )
 
 // grow returns s resized to n elements, reallocating only when its capacity
-// falls short — then with a quarter of headroom, so a problem that creeps up
-// one job at a time does not reallocate the arena at every step. Contents
-// are unspecified.
+// falls short — exactly on first use (most snapshots are never recycled, and
+// a private arena lives for one solve), with a quarter of headroom after, so
+// a problem that creeps up one job at a time does not reallocate the arena
+// at every step. Contents are unspecified.
 func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n, n+n/4)
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case cap(s) == 0:
+		return make([]T, n)
 	}
-	return s[:n]
+	return make([]T, n, n+n/4)
 }
 
 func (a *engineArena) floats(slot, n int) []float64 {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -46,10 +47,14 @@ type SolveContext struct {
 	Metrics *obs.LPMetrics
 
 	scratch *solveScratch // lent to the Allocate in progress; nil between calls
+	// dst is where the next Allocate's result goes (ExtractTo).
+	dst *core.Allocation
 	// scale is the per-job scale-factor scratch handed to the program build;
-	// f64 a policy's per-variable scratch (floats).
+	// f64 a policy's per-variable scratch (floats); kept a solution a policy
+	// holds across a later solve (keep).
 	scale []int
 	f64   []float64
+	kept  []float64
 	// rowIDs interns the per-job row and column identities policies derive
 	// from external job IDs ("r:17", "wf:17"), so a reset formats a string
 	// only for a job it has not seen under that prefix.
@@ -68,10 +73,13 @@ type rowIDKey struct {
 
 // cachedBasis pairs a cached simplex basis with the column identities of the
 // problem that produced it, which is what makes the basis portable across
-// job-set changes.
+// job-set changes. spare is the basis the current one replaced, whose
+// storage the next solve under the label writes its snapshot into: a cached
+// basis never leaves the context (ExportSeeds clones it).
 type cachedBasis struct {
 	basis *lp.Basis
 	ids   []lp.ColumnID
+	spare *lp.Basis
 }
 
 // SolveStats counts LP work issued through a SolveContext.
@@ -147,6 +155,15 @@ func (c *SolveContext) giveBack(p *lp.Problem) {
 	c.scratch = nil
 }
 
+// giveBackAfter is giveBack for a solve lent the scratch alone: the caller
+// gets a copy of the result's X, which is the scratch's.
+func (c *SolveContext) giveBackAfter(p *lp.Problem, res **lp.Result) {
+	if *res != nil {
+		(*res).X = slices.Clone((*res).X)
+	}
+	c.giveBack(p)
+}
+
 // program builds the LP skeleton for in (core.NewProgram's layout, or its
 // Charnes-Cooper homogenization) on the Program of the scratch lent to the
 // Allocate in progress. The program is valid until the next call or the end
@@ -187,6 +204,35 @@ func (c *SolveContext) floats(n int) []float64 {
 	return c.f64[:n]
 }
 
+// keep copies x, a Result.X a policy reads after a later solve, into context
+// scratch valid until the next keep (a nil context allocates).
+func (c *SolveContext) keep(x []float64) []float64 {
+	if c == nil {
+		return slices.Clone(x)
+	}
+	c.kept = append(c.kept[:0], x...)
+	return c.kept
+}
+
+// ExtractTo makes dst, which its holder must be done with, the storage of the
+// allocation the next Allocate returns; nil (the default) allocates it. Nil
+// contexts ignore it.
+func (c *SolveContext) ExtractTo(dst *core.Allocation) {
+	if c != nil {
+		c.dst = dst
+	}
+}
+
+// result extracts the allocation a policy returns from the solution x of pr,
+// into the ExtractTo destination when one is set.
+func (c *SolveContext) result(pr *core.Program, x []float64) *core.Allocation {
+	var dst *core.Allocation
+	if c != nil {
+		dst, c.dst = c.dst, nil
+	}
+	return pr.ExtractInto(dst, x)
+}
+
 // rowID returns the identity prefix+id (e.g. "r:17") policies give the rows
 // and columns they derive from an external job ID, interned per context.
 func (c *SolveContext) rowID(prefix string, id int) string {
@@ -222,6 +268,7 @@ func (c *SolveContext) startBuild() buildTimer {
 
 func (c *SolveContext) observeBuild(t buildTimer) {
 	if t.lent {
+		c.dst = nil
 		c.giveBack(nil)
 	}
 	if !t.start.IsZero() {
@@ -257,8 +304,8 @@ type Seed struct {
 
 // ExportSeeds snapshots every cached (label, basis, column-identity) entry,
 // cloning the bases so the snapshot shares no mutable state with the
-// context. Entries come out in label order, so a snapshot is deterministic.
-// Nil contexts export nil.
+// context (a replaced basis's storage is reused). Entries come out in label
+// order, so a snapshot is deterministic. Nil contexts export nil.
 func (c *SolveContext) ExportSeeds() []Seed {
 	if c == nil || len(c.bases) == 0 {
 		return nil
@@ -369,7 +416,7 @@ func (c *SolveContext) record(key string, ids []lp.ColumnID, res *lp.Result) {
 			ent = &cachedBasis{}
 			c.bases[key] = ent
 		}
-		ent.basis = res.Basis
+		ent.spare, ent.basis = ent.basis, res.Basis
 		if ids == nil {
 			ent.ids = nil
 		} else {
@@ -419,20 +466,24 @@ func (c *SolveContext) recordCounters(res *lp.Result) {
 // — and caches the new optimal basis (with ids) for the next call with the
 // same key. ids names p's variables in order (e.g. Program.ColumnIDs); nil
 // disables cross-shape reuse but keeps same-shape warm starts. With a nil
-// receiver it is exactly p.Solve().
-func (c *SolveContext) Solve(key string, p *lp.Problem, ids []lp.ColumnID) (*lp.Result, error) {
+// receiver it is exactly p.Solve(). Inside an Allocate Result.X is valid
+// until the context's next solve (keep copies it), outside one it is the
+// caller's; Result.Basis until the second solve after it under key.
+func (c *SolveContext) Solve(key string, p *lp.Problem, ids []lp.ColumnID) (res *lp.Result, err error) {
 	if c == nil {
 		return p.Solve()
 	}
 	if c.lend() { // outside any Allocate: lent for this call alone
-		defer c.giveBack(p)
+		defer c.giveBackAfter(p, &res)
 	}
 	p.SetWorkspace(&c.scratch.ws)
 	c.Stats.Solves++
+	if ent := c.bases[key]; ent != nil && ent.spare != nil {
+		c.scratch.ws.Recycle(ent.spare)
+		ent.spare = nil
+	}
 	prev, mapped := c.seed(key, ids, p.NumConstraints())
 	start := c.Metrics.Start()
-	var res *lp.Result
-	var err error
 	switch {
 	case prev != nil:
 		c.Stats.WarmAttempts++
@@ -460,17 +511,17 @@ func (c *SolveContext) Solve(key string, p *lp.Problem, ids []lp.ColumnID) (*lp.
 // optimum vertex-insensitive, and warm-start like every other policy's.
 // The method is retained deliberately for callers building procedures with
 // that vertex-sensitivity outside this package.
-func (c *SolveContext) SolveCold(p *lp.Problem) (*lp.Result, error) {
+func (c *SolveContext) SolveCold(p *lp.Problem) (res *lp.Result, err error) {
 	if c == nil {
 		return p.Solve()
 	}
 	if c.lend() { // outside any Allocate: lent for this call alone
-		defer c.giveBack(p)
+		defer c.giveBackAfter(p, &res)
 	}
 	p.SetWorkspace(&c.scratch.ws)
 	c.Stats.Solves++
 	start := c.Metrics.Start()
-	res, err := p.Solve()
+	res, err = p.Solve()
 	if err != nil {
 		return res, err
 	}

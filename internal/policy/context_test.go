@@ -262,11 +262,18 @@ func TestSolveContextIterationSavingsUnderChurn(t *testing.T) {
 // lp.Workspace keeps that counter unexported on purpose — nothing outside a
 // test may set it — and a policy builds its own lp.Problem, so this test
 // reaches through the one door there is.
-func failNextAttempts(n int) {
+func failNextAttempts(n int) { failAttemptsAfter(0, n) }
+
+// failAttemptsAfter is failNextAttempts with the first pass attempts let
+// through: a policy's first solve runs, its later ones fail.
+func failAttemptsAfter(pass, n int) {
 	c := new(SolveContext)
 	c.lend()
-	f := reflect.ValueOf(&c.scratch.ws).Elem().FieldByName("failNext")
-	*(*int)(unsafe.Pointer(f.UnsafeAddr())) = n
+	ws := reflect.ValueOf(&c.scratch.ws).Elem()
+	for name, v := range map[string]int{"passNext": pass, "failNext": n} {
+		f := ws.FieldByName(name)
+		*(*int)(unsafe.Pointer(f.UnsafeAddr())) = v
+	}
 	c.giveBack(nil)
 }
 

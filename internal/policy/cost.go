@@ -141,7 +141,7 @@ func (p *MinCost) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, erro
 	if err != nil {
 		return nil, fmt.Errorf("min_cost: %w", err)
 	}
-	return pr.ExtractRatio(res.X), nil
+	return ctx.result(pr, res.X), nil
 }
 
 // MaxTotalThroughput maximizes total normalized effective throughput: the
@@ -177,5 +177,5 @@ func (MaxTotalThroughput) Allocate(in *Input, ctx *SolveContext) (*core.Allocati
 	if res.Status != lp.Optimal {
 		return nil, fmt.Errorf("max_total_throughput LP: %v", res.Status)
 	}
-	return pr.Extract(res.X), nil
+	return ctx.result(pr, res.X), nil
 }

@@ -57,7 +57,7 @@ func (FIFO) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
 	if res.Status != lp.Optimal {
 		return nil, fmt.Errorf("fifo LP: %v", res.Status)
 	}
-	return pr.Extract(res.X), nil
+	return ctx.result(pr, res.X), nil
 }
 
 // ShortestJobFirst minimizes the completion time of the job that can finish
@@ -117,5 +117,5 @@ func (ShortestJobFirst) Allocate(in *Input, ctx *SolveContext) (*core.Allocation
 	if res.Status != lp.Optimal {
 		return nil, fmt.Errorf("sjf LP: %v", res.Status)
 	}
-	return pr.Extract(res.X), nil
+	return ctx.result(pr, res.X), nil
 }

@@ -105,7 +105,7 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 	// Grow hi until feasible (rho can exceed 1 under heavy load).
 	for i := 0; i < 40; i++ {
 		if x, ok := feasible(hi); ok {
-			best = x
+			best = ctx.keep(x)
 			break
 		}
 		lo = hi
@@ -117,12 +117,12 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 	for hi-lo > tol*hi {
 		mid := (lo + hi) / 2
 		if x, ok := feasible(mid); ok {
-			best, hi = x, mid
+			best, hi = ctx.keep(x), mid
 		} else {
 			lo = mid
 		}
 	}
-	return pr.Extract(best), nil
+	return ctx.result(pr, best), nil
 }
 
 // RhoValue returns the finish-time-fairness ratio of job m under alloc,

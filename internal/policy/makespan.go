@@ -60,12 +60,14 @@ func (Makespan) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error)
 	}
 	zStar := res.X[z]
 	if zStar <= 0 {
-		return pr.Extract(res.X), nil
+		return ctx.result(pr, res.X), nil
 	}
 
 	// Refinement: keep every job on pace for the optimal makespan, then
-	// maximize total normalized throughput — on the same skeleton, rewound
-	// (res.X, the first pass's solution, is the solver's own and stays).
+	// maximize total normalized throughput — on the same skeleton, rewound.
+	// The refinement's solve reuses the storage of the first pass's
+	// solution, kept here for the fallback.
+	x1 := ctx.keep(res.X)
 	pr.Rewind()
 	for m := range in.Jobs {
 		steps := in.Jobs[m].RemainingSteps
@@ -83,9 +85,9 @@ func (Makespan) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error)
 	}
 	res2, err := ctx.Solve("makespan/refine", pr.P, pr.ColumnIDs())
 	if err != nil || res2.Status != lp.Optimal {
-		return pr.Extract(res.X), nil
+		return ctx.result(pr, x1), nil
 	}
-	return pr.Extract(res2.X), nil
+	return ctx.result(pr, res2.X), nil
 }
 
 // MakespanValue returns the makespan the allocation achieves on the given

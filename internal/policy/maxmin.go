@@ -64,8 +64,10 @@ func (p *MaxMinFairness) Allocate(in *Input, ctx *SolveContext) (*core.Allocatio
 	// Pass 2: fix the fairness floor slightly below t*, maximize total
 	// normalized throughput so leftover capacity is not wasted. Its program
 	// is pass 1's skeleton (same columns, budget and capacity rows) without
-	// the t column, so it is rewound rather than rebuilt from the units;
-	// pass 1's solution res.X stays valid, it is the solver's own.
+	// the t column, so it is rewound rather than rebuilt from the units.
+	// Pass 2's solve reuses the storage of pass 1's solution, kept here for
+	// the fallback.
+	x1 := ctx.keep(res.X)
 	pr.Rewind()
 	for m := range in.Jobs {
 		if coeff[m] == 0 {
@@ -81,9 +83,9 @@ func (p *MaxMinFairness) Allocate(in *Input, ctx *SolveContext) (*core.Allocatio
 	if err != nil || res2.Status != lp.Optimal {
 		// The floor should always be feasible; fall back to pass 1 if the
 		// refinement hits numerical trouble.
-		return pr.Extract(res.X), nil
+		return ctx.result(pr, x1), nil
 	}
-	return pr.Extract(res2.X), nil
+	return ctx.result(pr, res2.X), nil
 }
 
 // normalizers computes scale_m / (w_m * throughput(m, X^equal)) per job;

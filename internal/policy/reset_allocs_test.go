@@ -8,13 +8,15 @@ import (
 
 // resetAllocCeilings are the committed per-reset allocation ceilings, set at
 // about twice what the arena-backed reset path measures (objects and bytes
-// per reset; CHANGES.md PR 15 records the measurements and the parent's).
-// What legitimately remains per reset is what the reset returns or caches:
-// the units, the policy input, the Allocation, each solve's Result.X and
-// Basis snapshot.
+// per reset). This stream hands the policy no buffers, so what remains per
+// reset is what a caller without them gets fresh: the units (Units, not
+// UnitsInto), the policy input and the Allocation (no ExtractTo
+// destination). Solve vectors are lent from the workspace and basis
+// snapshots reuse the storage of the bases they replace. The shard, which
+// hands over all of these, is pinned by cluster's TestShardResetAllocs.
 var resetAllocCeilings = map[string]struct{ objects, bytes float64 }{
-	"maxmin_ss_churn_64": {objects: 150, bytes: 130_000}, // measured 77 / 65,402 (parent 15,099 / 2,418,894)
-	"cost_drift_256":     {objects: 48, bytes: 240_000},  // measured 24 / 121,008 (parent 6,583 / 914,717)
+	"maxmin_ss_churn_64": {objects: 136, bytes: 110_000}, // measured 68 / 54,298 (before the lent vectors 77 / 65,402)
+	"cost_drift_256":     {objects: 40, bytes: 225_000},  // measured 20 / 111,442 (before 24 / 121,008)
 }
 
 // measureResetAllocs runs the scenario's reset stream through one

@@ -52,7 +52,8 @@ type RoundPlan struct {
 // RoundResult reports one RunRound: Sealed is false only when Idle declined;
 // PolicyTime is the allocation fan-out's wall time (zero: no shard was stale);
 // Assigns is the merged round per shard — free to leave the process, its seal
-// being durable by the time the caller sees it.
+// being durable by the time the caller sees it, and valid until the next
+// RunRound (the service and the shards reuse its storage).
 type RoundResult struct {
 	Sealed     bool
 	PolicyTime time.Duration

@@ -16,7 +16,8 @@ import (
 // type). The service queries it when a job lands on a shard — admission,
 // migration, or recovery — to ship pair candidates alongside the job; shards
 // apply them HasPair-gated, so the source may answer for already-cached pairs
-// without harm. Nil disables space sharing.
+// without harm. The service copies the rows before its next call, so the
+// source may answer in a reused buffer. Nil disables space sharing.
 type PairSource func(a, b int) (ta, tb []float64)
 
 // ServiceConfig parameterizes the coordinator: the cluster to split across
@@ -187,6 +188,11 @@ type Service struct {
 	split      [][]int
 	shards     []*shardMirror
 	fan        []int // scratch: shard indices of the fan-out in progress, or Retire's job IDs
+	// pairRows' and AssignRound's results, until their next calls.
+	pairs      []PairRows
+	pairVals   []float64
+	perShard   [][]scheduler.Assignment
+	assignErrs []error
 	shardOf    map[int]int
 	migrations int
 	rebalances int
@@ -780,12 +786,13 @@ func (s *Service) route(id int) (*shardMirror, error) {
 // pairRows builds the pair candidates to ship with a job landing on m: one
 // row pair per co-resident single-worker job, in admission order. The
 // destination applies them HasPair-gated, so rows for already-cached pairs
-// are harmless.
+// are harmless. The rows are copied out of the PairSource into the
+// service's slab; the result is valid until the next call.
 func (s *Service) pairRows(m *shardMirror, id, scaleFactor int) []PairRows {
 	if s.cfg.Pairs == nil || scaleFactor > 1 {
 		return nil
 	}
-	out := make([]PairRows, 0, len(m.jobs))
+	out, vals := s.pairs[:0], s.pairVals[:0]
 	for _, other := range m.jobs {
 		if other == id || m.sf[other] > 1 {
 			continue
@@ -794,8 +801,12 @@ func (s *Service) pairRows(m *shardMirror, id, scaleFactor int) []PairRows {
 		if ta == nil {
 			continue
 		}
-		out = append(out, PairRows{A: id, B: other, Ta: ta, Tb: tb})
+		// Rows cut before vals grows stay in the array it leaves, unwritten.
+		at, mid := len(vals), len(vals)+len(ta)
+		vals = append(append(vals, ta...), tb...)
+		out = append(out, PairRows{A: id, B: other, Ta: vals[at:mid:mid], Tb: vals[mid:len(vals):len(vals)]})
 	}
+	s.pairs, s.pairVals = out, vals
 	return out
 }
 
@@ -1141,8 +1152,9 @@ func (s *Service) AllocateAll(round int64, info func(id int) policy.JobInfo, for
 // masks jobs that must not run (may be nil); a dead daemon contributes an
 // empty round.
 func (s *Service) AssignRound(round int64, roundSeconds float64, skip func(id int) bool) ([][]scheduler.Assignment, error) {
-	perShard := make([][]scheduler.Assignment, len(s.shards))
-	errs := make([]error, len(s.shards))
+	s.perShard = append(s.perShard[:0], make([][]scheduler.Assignment, len(s.shards))...)
+	s.assignErrs = append(s.assignErrs[:0], make([]error, len(s.shards))...)
+	perShard, errs := s.perShard, s.assignErrs
 	s.fan = s.fan[:0]
 	for k, m := range s.shards {
 		if m.down || m.alloc == nil || len(m.alloc.Units) == 0 {

@@ -334,7 +334,10 @@ func (s *ShardServer) Allocate(args AllocateArgs, reply *AllocateReply) error {
 		return err
 	}
 	sp.AttrInt("iterations", s.solveIters(sh)-itersBefore).End(nil)
-	reply.IDs = sh.AllocIDs // fresh per allocation and never written again
+	// The reply shares the shard's live generation: written again only by
+	// the second successful Allocate from now, when neither this cache nor
+	// the coordinator's mirror holds it any longer.
+	reply.IDs = sh.AllocIDs
 	reply.Units = sh.Alloc.Units
 	reply.X = sh.Alloc.X
 	s.lastAllocRound, s.lastAlloc = args.Round, *reply

@@ -72,9 +72,8 @@ type Assignment struct {
 }
 
 // Mechanism carries received-time state across rounds, and the scratch a
-// round reuses: in steady state Assign allocates only the []Assignment it
-// returns, and ResetReceived allocates nothing. A Mechanism is not safe for
-// concurrent use; each shard owns one.
+// round reuses: in steady state neither Assign nor ResetReceived allocates.
+// A Mechanism is not safe for concurrent use; each shard owns one.
 type Mechanism struct {
 	numTypes  int
 	perServer []int // devices per server, per type
@@ -92,6 +91,10 @@ type Mechanism struct {
 	placed []placed // picked assignments in pick order
 	slots  []int    // free devices per server; type j's are slots[slotAt[j]:slotAt[j+1]]
 	slotAt []int
+
+	// Assign's results: a round writes the generation the last one did not.
+	outs [2][]Assignment
+	gen  int
 }
 
 // cand is one schedulable (unit, type) pair with its priority.
@@ -140,7 +143,8 @@ type Workers struct {
 // remain or no schedulable unit has positive priority. scaleFactor gives
 // each unit's device demand; jobIDs its member job IDs, which Assign reads
 // before its next call, so the callback may return a reused buffer. The
-// returned slice is freshly allocated (nil when nothing runs).
+// returned slice (nil when nothing runs) is the mechanism's, valid until the
+// second Assign after it.
 func (m *Mechanism) Assign(alloc *core.Allocation, workers Workers, scaleFactor func(u int) int, jobIDs func(u int) []int) ([]Assignment, error) {
 	if len(workers.Free) != m.numTypes {
 		return nil, fmt.Errorf("scheduler: %d worker counts for %d types", len(workers.Free), m.numTypes)
@@ -192,7 +196,8 @@ func (m *Mechanism) Assign(alloc *core.Allocation, workers Workers, scaleFactor 
 	}
 	clear(m.busy)
 	m.placed = m.placed[:0]
-	var out []Assignment
+	m.gen ^= 1
+	out := m.outs[m.gen][:0]
 	for _, c := range m.cands {
 		raw := scaleFactor(c.u)
 		sf := max(raw, 1)
@@ -207,14 +212,18 @@ func (m *Mechanism) Assign(alloc *core.Allocation, workers Workers, scaleFactor 
 			m.busy[id] = true
 		}
 		m.free[c.j] -= sf
-		if out == nil {
-			out = make([]Assignment, 0, min(len(m.cands), bound))
+		if len(out) == 0 && cap(out) < min(len(m.cands), bound) {
+			out = make([]Assignment, 0, bound) // never outgrown while the devices last
 		}
 		m.placed = append(m.placed, placed{i: len(out), sf: raw})
 		out = append(out, Assignment{UnitIdx: c.u, Type: c.j})
 	}
 
 	m.placeOnServers(out, workers)
+	m.outs[m.gen] = out
+	if len(out) == 0 {
+		return nil, nil
+	}
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -234,5 +235,33 @@ func TestPropertyAssignInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAssignResultOutlivesNextRound: Assign's result is the mechanism's, in
+// two generations, so a round's assignments held across the next round's
+// Assign (the shard server's reply cache, the coordinator's merged round)
+// keep their values; the round after that may reuse their storage.
+func TestAssignResultOutlivesNextRound(t *testing.T) {
+	alloc := singleAlloc(
+		[][]float64{{0.5, 0.5}, {0.5, 0.5}, {1, 0}, {0, 1}},
+		[][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}},
+	)
+	m := New(2, []int{2, 2})
+	var prev []Assignment
+	var prevWas string
+	for r := 0; r < 6; r++ {
+		got, err := m.Assign(alloc, Workers{Free: []int{2, 1}}, sfOne, ids(alloc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RecordRound(alloc, got, 360, ids(alloc))
+		if prev != nil && fmt.Sprint(prev) != prevWas {
+			t.Fatalf("round %d rewrote round %d's assignments: %v, was %s", r, r-1, prev, prevWas)
+		}
+		if len(got) > 0 && len(prev) > 0 && &got[0] == &prev[0] {
+			t.Fatalf("round %d's result shares round %d's storage", r, r-1)
+		}
+		prev, prevWas = got, fmt.Sprint(got)
 	}
 }

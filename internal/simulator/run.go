@@ -130,8 +130,9 @@ func Run(cfg Config) (*Result, error) {
 	// about a pair lower trace position first, whichever job is landing.
 	var pairs rpc.PairSource
 	if cfg.SpaceSharing {
+		rows := make([]float64, 2*e.numTypes) // read by the service before its next query
 		pairs = func(aID, bID int) ([]float64, []float64) {
-			rows := make([]float64, 2*e.numTypes)
+			clear(rows)
 			ta, tb := rows[:e.numTypes:e.numTypes], rows[e.numTypes:]
 			if !stable {
 				return ta, tb
