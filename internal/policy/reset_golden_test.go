@@ -17,10 +17,12 @@ import (
 	"gavel/internal/workload"
 )
 
-// The reset-path golden: six reset streams (Units → Allocate through one
+// The reset-path golden: ten reset streams (Units → Allocate through one
 // SolveContext, 40 resets each) whose every Allocation.X bit pattern and
 // per-reset solve accounting were recorded at the commit before the reset
-// path was rebuilt on the member index and the arena. Any changed pivot —
+// path was rebuilt on the member index and the arena (the first six) or
+// before the policies' programs were folded onto one shared max-min kernel
+// and one weighted-objective LP (the last four). Any changed pivot —
 // one reordered floating-point operation in program build, presolve, the
 // factorization or the eta file — changes a digest or a count here, in
 // under two seconds instead of a benchmark run.
@@ -76,6 +78,10 @@ var resetScenarios = []resetScenario{
 	{name: "cost_slo_perturb", policy: func() Policy { return &MinCost{EnforceSLOs: true} }, jobs: 96, disturb: resetPerturb, slo: true, resets: 40},
 	{name: "hier_perturb", policy: func() Policy { return &Hierarchical{} }, jobs: 64, disturb: resetPerturb, resets: 40},
 	{name: "makespan_churn", policy: func() Policy { return Makespan{} }, jobs: 96, disturb: resetChurn, resets: 40},
+	{name: "fifo_ss_churn", policy: func() Policy { return FIFO{} }, jobs: 64, pairs: 4, disturb: resetChurn, resets: 40},
+	{name: "sjf_churn", policy: func() Policy { return ShortestJobFirst{} }, jobs: 64, disturb: resetChurn, resets: 40},
+	{name: "maxtput_perturb", policy: func() Policy { return MaxTotalThroughput{} }, jobs: 96, disturb: resetPerturb, resets: 40},
+	{name: "placement_churn", policy: func() Policy { return &PlacementAwareMaxMin{} }, jobs: 64, disturb: resetChurn, resets: 40},
 }
 
 // resetStream drives one scenario's reset stream: a throughput cache over
