@@ -59,10 +59,8 @@ func (p *Agnostic) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, err
 	for _, w := range in.Workers {
 		totalW += w
 	}
-	X := make([][]float64, len(in.Units))
-	for ui := range in.Units {
-		X[ui] = make([]float64, len(in.Workers))
-	}
+	out := emptyAllocation(in)
+	X := out.X
 	for m := range in.Jobs {
 		share := 0.0
 		for _, x := range alloc.X[m] {
@@ -92,11 +90,7 @@ func (p *Agnostic) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, err
 	for t := range in.Workers {
 		used := 0.0
 		for m := range in.Jobs {
-			sf := float64(in.Jobs[m].ScaleFactor)
-			if sf < 1 {
-				sf = 1
-			}
-			used += X[m][t] * sf
+			used += X[m][t] * float64(in.Jobs[m].scaleFactor())
 		}
 		if used > in.Workers[t] {
 			f := in.Workers[t] / used
@@ -105,5 +99,5 @@ func (p *Agnostic) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, err
 			}
 		}
 	}
-	return &core.Allocation{Units: in.Units, X: X}, nil
+	return out, nil
 }

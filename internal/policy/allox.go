@@ -136,10 +136,8 @@ func (p *AlloX) Allocate(in *Input, _ *SolveContext) (*core.Allocation, error) {
 		}
 	}
 
-	X := make([][]float64, len(in.Units))
-	for ui := range in.Units {
-		X[ui] = make([]float64, len(in.Workers))
-	}
+	out := emptyAllocation(in)
+	X := out.X
 	for di, h := range head {
 		if h == 0 {
 			continue
@@ -160,5 +158,5 @@ func (p *AlloX) Allocate(in *Input, _ *SolveContext) (*core.Allocation, error) {
 			}
 		}
 	}
-	return &core.Allocation{Units: in.Units, X: X}, nil
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -50,8 +51,8 @@ type SolveContext struct {
 	// dst is where the next Allocate's result goes (ExtractTo).
 	dst *core.Allocation
 	// scale is the per-job scale-factor scratch handed to the program build;
-	// f64 a policy's per-variable scratch (floats); kept a solution a policy
-	// holds across a later solve (keep).
+	// f64 a policy's per-job or per-variable vectors (floats); kept a
+	// solution a policy holds across a later solve (keep).
 	scale []int
 	f64   []float64
 	kept  []float64
@@ -191,17 +192,16 @@ func (c *SolveContext) program(sense lp.Sense, in *Input, homogeneous bool) *cor
 	return pr
 }
 
-// floats returns a float64 scratch vector of length n from the context
-// (contents unspecified, valid until the next call); a nil context
-// allocates.
+// floats returns n zeroed float64s of context scratch, a policy's per-job
+// or per-variable vectors, valid until the next call (a nil context
+// allocates).
 func (c *SolveContext) floats(n int) []float64 {
 	if c == nil {
 		return make([]float64, n)
 	}
-	if cap(c.f64) < n {
-		c.f64 = make([]float64, n)
-	}
-	return c.f64[:n]
+	c.f64 = slices.Grow(c.f64[:0], n)[:n]
+	clear(c.f64)
+	return c.f64
 }
 
 // keep copies x, a Result.X a policy reads after a later solve, into context
@@ -405,9 +405,14 @@ func (c *SolveContext) record(key string, ids []lp.ColumnID, res *lp.Result) {
 	case res.WarmStarted:
 		c.Stats.WarmHits++
 	}
+	if res.Recovered {
+		c.Stats.Fallbacks++
+	}
 	c.Stats.Iterations += res.Iterations
 	c.Stats.Pivots += res.Pivots
-	c.recordCounters(res)
+	c.Stats.PresolveReductions += res.PresolveReductions
+	c.Stats.DualIterations += res.DualIterations
+	c.Stats.Refactorizations += res.Refactorizations
 	if res.Status == lp.Optimal && res.Basis != nil {
 		// ids is typically the program's own slice, rewritten by the next
 		// build: the cache keeps a copy, in the entry's storage.
@@ -448,17 +453,6 @@ func (c *SolveContext) emit(key string, res *lp.Result, start time.Time) {
 	if res.Recovered {
 		c.Metrics.Solves.With("fallback").Inc()
 	}
-}
-
-// recordCounters folds the presolve/dual/recovery accounting of one result
-// into the stats.
-func (c *SolveContext) recordCounters(res *lp.Result) {
-	if res.Recovered {
-		c.Stats.Fallbacks++
-	}
-	c.Stats.PresolveReductions += res.PresolveReductions
-	c.Stats.DualIterations += res.DualIterations
-	c.Stats.Refactorizations += res.Refactorizations
 }
 
 // Solve solves p, seeding from the basis cached under key — positionally
@@ -502,32 +496,16 @@ func (c *SolveContext) Solve(key string, p *lp.Problem, ids []lp.ColumnID) (res 
 	return res, nil
 }
 
-// SolveCold solves p on the cold two-phase path unconditionally, keeping
-// only the accounting. It exists for procedures whose *result* depends on
-// which optimal vertex the solver lands on, where a seeded solve could
-// change the outcome rather than just the cost. Hierarchical water filling
-// — the original user — no longer needs it: its iteration LPs pin
-// zero-weight jobs' incidental throughput with explicit rows, making the
-// optimum vertex-insensitive, and warm-start like every other policy's.
-// The method is retained deliberately for callers building procedures with
-// that vertex-sensitivity outside this package.
-func (c *SolveContext) SolveCold(p *lp.Problem) (res *lp.Result, err error) {
-	if c == nil {
-		return p.Solve()
-	}
-	if c.lend() { // outside any Allocate: lent for this call alone
-		defer c.giveBackAfter(p, &res)
-	}
-	p.SetWorkspace(&c.scratch.ws)
-	c.Stats.Solves++
-	start := c.Metrics.Start()
-	res, err = p.Solve()
+// solveOptimal is Solve over pr's program and column identities for a
+// policy that needs an optimum: a failed solve and any other status are
+// errors naming label.
+func (c *SolveContext) solveOptimal(label string, pr *core.Program) (*lp.Result, error) {
+	res, err := c.Solve(label, pr.P, pr.ColumnIDs())
 	if err != nil {
-		return res, err
+		return nil, fmt.Errorf("%s LP: %w", label, err)
 	}
-	c.Stats.Iterations += res.Iterations
-	c.Stats.Pivots += res.Pivots
-	c.recordCounters(res)
-	c.emit("cold", res, start)
+	if res.Status != lp.Optimal {
+		return nil, fmt.Errorf("%s LP: %v", label, res.Status)
+	}
 	return res, nil
 }

@@ -277,29 +277,23 @@ func failAttemptsAfter(pass, n int) {
 	c.giveBack(nil)
 }
 
-// TestSolveOutsideAllocateGivesBack: a Solve or SolveCold issued outside any
-// Allocate borrows a scratch for the call alone, and the caller's problem
-// does not keep pointing into it once it is back on the free list.
+// TestSolveOutsideAllocateGivesBack: a Solve issued outside any Allocate
+// borrows a scratch for the call alone, and the caller's problem does not
+// keep pointing into it once it is back on the free list.
 func TestSolveOutsideAllocateGivesBack(t *testing.T) {
 	ctx := NewSolveContext()
-	for _, cold := range []bool{false, true} {
-		p := lp.NewProblem(lp.Maximize)
-		x := p.AddVar(1, "x")
-		p.AddConstraintRow([]lp.Term{{Var: x, Coeff: 1}}, lp.LE, 3, "cap")
-		solve := func() (*lp.Result, error) { return ctx.Solve("bare", p, nil) }
-		if cold {
-			solve = func() (*lp.Result, error) { return ctx.SolveCold(p) }
-		}
-		res, err := solve()
-		if err != nil || res.Status != lp.Optimal || res.X[x] != 3 {
-			t.Fatalf("cold=%v: got (%+v, %v), want x = 3", cold, res, err)
-		}
-		if ctx.scratch != nil {
-			t.Fatalf("cold=%v: the context kept its scratch after the call", cold)
-		}
-		if !reflect.ValueOf(p).Elem().FieldByName("ws").IsNil() {
-			t.Fatalf("cold=%v: the problem still points into a returned workspace", cold)
-		}
+	p := lp.NewProblem(lp.Maximize)
+	x := p.AddVar(1, "x")
+	p.AddConstraintRow([]lp.Term{{Var: x, Coeff: 1}}, lp.LE, 3, "cap")
+	res, err := ctx.Solve("bare", p, nil)
+	if err != nil || res.Status != lp.Optimal || res.X[x] != 3 {
+		t.Fatalf("got (%+v, %v), want x = 3", res, err)
+	}
+	if ctx.scratch != nil {
+		t.Fatal("the context kept its scratch after the call")
+	}
+	if !reflect.ValueOf(p).Elem().FieldByName("ws").IsNil() {
+		t.Fatal("the problem still points into a returned workspace")
 	}
 }
 

@@ -88,8 +88,7 @@ func (p *MinCost) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, erro
 	// the homogenizing t, its skeleton the budget and capacity rows
 	// a·y − b·t <= 0. A solution with t ~ 0 has an unbounded denominator.
 	pr := ctx.program(lp.Maximize, in, true)
-	den := ctx.floats(pr.P.NumVars()) // every allocation column is set below
-	den[pr.Homogenizer()] = 0
+	den := ctx.floats(pr.P.NumVars()) // zero at the homogenizer
 	solve := func(nSLO int) (*lp.Result, error) {
 		pr.Rewind()
 		// Numerator (the objective): normalized throughput. Denominator
@@ -119,16 +118,11 @@ func (p *MinCost) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, erro
 			pr.AddRow(pr.ThroughputTerms(s.job, 1), lp.GE, s.need, ctx.rowID("slo:", in.Jobs[s.job].ID))
 		}
 		pr.AddNormalization(den, 0)
-		res, err := ctx.Solve("mincost", pr.P, pr.ColumnIDs())
-		switch {
-		case err != nil:
-			return nil, err
-		case res.Status != lp.Optimal:
-			return nil, fmt.Errorf("lp: fractional program not optimal: %v", res.Status)
-		case res.X[pr.Homogenizer()] < lp.CharnesCooperMinT:
-			return nil, lp.ErrDegenerateFraction
+		res, err := ctx.solveOptimal("mincost", pr)
+		if err == nil && res.X[pr.Homogenizer()] < lp.CharnesCooperMinT {
+			err = lp.ErrDegenerateFraction
 		}
-		return res, nil
+		return res, err
 	}
 	nSLO := len(slos)
 	res, err := solve(nSLO)
@@ -160,22 +154,9 @@ func (MaxTotalThroughput) Allocate(in *Input, ctx *SolveContext) (*core.Allocati
 	if len(in.Jobs) == 0 {
 		return emptyAllocation(in), nil
 	}
-	pr := ctx.program(lp.Maximize, in, false)
-	for m := range in.Jobs {
-		fastest := core.MaxThroughput(in.Jobs[m].Tput)
-		if !core.Finite(fastest) {
-			continue
-		}
-		for _, tm := range pr.ThroughputTerms(m, 1/fastest) {
-			pr.P.AddObj(tm.Var, tm.Coeff)
-		}
+	w := ctx.floats(len(in.Jobs))
+	for m := range w {
+		w[m] = 1
 	}
-	res, err := ctx.Solve("maxtput", pr.P, pr.ColumnIDs())
-	if err != nil {
-		return nil, fmt.Errorf("max_total_throughput LP: %w", err)
-	}
-	if res.Status != lp.Optimal {
-		return nil, fmt.Errorf("max_total_throughput LP: %v", res.Status)
-	}
-	return ctx.result(pr, res.X), nil
+	return ctx.normalizedThroughput("maxtput", in, w)
 }

@@ -11,7 +11,8 @@ import (
 // maxMinPass1 solves max-min's first LP alone, cold, the way Allocate builds
 // it, and extracts its solution.
 func maxMinPass1(t *testing.T, in *Input) *core.Allocation {
-	coeff, _ := (&MaxMinFairness{}).normalizers(in)
+	coeff := make([]float64, len(in.Jobs))
+	normalizers(in, false, coeff)
 	var ctx *SolveContext
 	pr := ctx.program(lp.Maximize, in, false)
 	tv := pr.AddVar(1, "t")

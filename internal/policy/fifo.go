@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sort"
 
 	"gavel/internal/core"
@@ -37,27 +36,11 @@ func (FIFO) Allocate(in *Input, ctx *SolveContext) (*core.Allocation, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return in.Jobs[order[a]].ArrivalSeq < in.Jobs[order[b]].ArrivalSeq
 	})
-	M := float64(len(in.Jobs))
-
-	pr := ctx.program(lp.Maximize, in, false)
+	w := ctx.floats(len(in.Jobs))
 	for rank, m := range order {
-		fastest := core.MaxThroughput(in.Jobs[m].Tput)
-		if !core.Finite(fastest) {
-			continue
-		}
-		weight := M - float64(rank)
-		for _, tm := range pr.ThroughputTerms(m, weight/fastest) {
-			pr.P.AddObj(tm.Var, tm.Coeff)
-		}
+		w[m] = float64(len(in.Jobs) - rank)
 	}
-	res, err := ctx.Solve("fifo", pr.P, pr.ColumnIDs())
-	if err != nil {
-		return nil, fmt.Errorf("fifo LP: %w", err)
-	}
-	if res.Status != lp.Optimal {
-		return nil, fmt.Errorf("fifo LP: %v", res.Status)
-	}
-	return ctx.result(pr, res.X), nil
+	return ctx.normalizedThroughput("fifo", in, w)
 }
 
 // ShortestJobFirst minimizes the completion time of the job that can finish
@@ -95,27 +78,31 @@ func (ShortestJobFirst) Allocate(in *Input, ctx *SolveContext) (*core.Allocation
 	// Maximize the shortest job's throughput with a large primary weight,
 	// breaking ties by total normalized throughput so the rest of the
 	// cluster stays busy. A single LP keeps this policy cheap.
-	pr := ctx.program(lp.Maximize, in, false)
-	const primary = 1e6
+	w := ctx.floats(len(in.Jobs))
+	for m := range w {
+		w[m] = 1
+	}
+	w[shortest] = 1e6
+	return ctx.normalizedThroughput("sjf", in, w)
+}
+
+// normalizedThroughput is the one LP of FIFO, shortest-job-first and
+// max-total-throughput: maximize sum_m w_m * throughput(m, X) /
+// throughput(m, X^fastest) under label.
+func (c *SolveContext) normalizedThroughput(label string, in *Input, w []float64) (*core.Allocation, error) {
+	pr := c.program(lp.Maximize, in, false)
 	for m := range in.Jobs {
 		fastest := core.MaxThroughput(in.Jobs[m].Tput)
 		if !core.Finite(fastest) {
 			continue
 		}
-		w := 1.0
-		if m == shortest {
-			w = primary
-		}
-		for _, tm := range pr.ThroughputTerms(m, w/fastest) {
+		for _, tm := range pr.ThroughputTerms(m, w[m]/fastest) {
 			pr.P.AddObj(tm.Var, tm.Coeff)
 		}
 	}
-	res, err := ctx.Solve("sjf", pr.P, pr.ColumnIDs())
+	res, err := c.solveOptimal(label, pr)
 	if err != nil {
-		return nil, fmt.Errorf("sjf LP: %w", err)
+		return nil, err
 	}
-	if res.Status != lp.Optimal {
-		return nil, fmt.Errorf("sjf LP: %v", res.Status)
-	}
-	return ctx.result(pr, res.X), nil
+	return c.result(pr, res.X), nil
 }

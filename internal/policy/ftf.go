@@ -47,54 +47,37 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 		tol = 1e-3
 	}
 
-	// Isolated denominators d_m.
-	d := make([]float64, len(in.Jobs))
+	// Each probe is the weighted max-min kernel's refine with the probe's
+	// floors, over the jobs with an isolated finish time d_m, also rewarding
+	// normalized throughput so the feasible point is not lazy.
+	k := ctx.weightedMaxMin(in, ctx.program(lp.Maximize, in, false))
 	active := 0
 	for m := range in.Jobs {
-		j := &in.Jobs[m]
-		n := float64(j.NumActiveJobs)
-		if n < 1 {
-			n = float64(len(in.Jobs))
+		if isolatedFinish(in, m) != 0 {
+			k.scale[m], k.tc[m], k.div[m] = 1, 1, core.MaxThroughput(in.Jobs[m].Tput)
+			active++
 		}
-		iso := core.EqualShareThroughput(j.Tput, in.Workers) / n
-		if !core.Finite(iso) || j.RemainingSteps <= 0 {
-			d[m] = 0
-			continue
-		}
-		d[m] = j.Elapsed + j.RemainingSteps/iso
-		active++
 	}
 	if active == 0 {
 		return emptyAllocation(in), nil
 	}
 
-	// Every probe of the search solves over the same skeleton, built once
-	// and rewound per probe; only the last feasible probe's solution is
-	// extracted, after the search (Extract reads only the skeleton).
-	pr := ctx.program(lp.Maximize, in, false)
+	// Every probe of the search solves over the same skeleton, rewound per
+	// probe; only the last feasible probe's solution is extracted, after
+	// the search (Extract reads only the skeleton).
 	feasible := func(r float64) ([]float64, bool) {
-		pr.Rewind()
-		for m := range in.Jobs {
-			if d[m] == 0 {
+		for m, tc := range k.tc {
+			if tc == 0 {
 				continue
 			}
-			budget := r*d[m] - in.Jobs[m].Elapsed
+			budget := r*isolatedFinish(in, m) - in.Jobs[m].Elapsed
 			if budget <= 0 {
 				return nil, false // job cannot meet ratio r no matter what
 			}
-			need := in.Jobs[m].RemainingSteps / budget
-			terms := pr.ThroughputTerms(m, 1)
-			// Also reward throughput so the feasible point is not lazy.
-			fastest := core.MaxThroughput(in.Jobs[m].Tput)
-			if core.Finite(fastest) {
-				for _, tm := range terms {
-					pr.P.AddObj(tm.Var, tm.Coeff/fastest)
-				}
-			}
-			pr.AddRow(terms, lp.GE, need, ctx.rowID("r:", in.Jobs[m].ID))
+			k.floor[m] = in.Jobs[m].RemainingSteps / budget
 		}
-		res, err := ctx.Solve("ftf/feas", pr.P, pr.ColumnIDs())
-		if err != nil || res.Status != lp.Optimal {
+		res, err := k.refine("ftf/feas")
+		if err != nil {
 			return nil, false
 		}
 		return res.X, true
@@ -122,13 +105,28 @@ func (p *FinishTimeFairness) Allocate(in *Input, ctx *SolveContext) (*core.Alloc
 			lo = mid
 		}
 	}
-	return ctx.result(pr, best), nil
+	return ctx.result(k.pr, best), nil
 }
 
 // RhoValue returns the finish-time-fairness ratio of job m under alloc,
 // using the same isolated-share denominator as the policy. Infinite when
 // the job receives no throughput.
 func RhoValue(in *Input, alloc *core.Allocation, m int) float64 {
+	den := isolatedFinish(in, m)
+	if den == 0 {
+		return 1
+	}
+	j := &in.Jobs[m]
+	tp := alloc.EffectiveThroughput(m)
+	if tp <= 0 {
+		return math.Inf(1)
+	}
+	return (j.Elapsed + j.RemainingSteps/tp) / den
+}
+
+// isolatedFinish is d_m, job m's finish time on its isolated 1/n share of
+// every accelerator, or 0 for a job without work or a usable device.
+func isolatedFinish(in *Input, m int) float64 {
 	j := &in.Jobs[m]
 	n := float64(j.NumActiveJobs)
 	if n < 1 {
@@ -136,12 +134,7 @@ func RhoValue(in *Input, alloc *core.Allocation, m int) float64 {
 	}
 	iso := core.EqualShareThroughput(j.Tput, in.Workers) / n
 	if !core.Finite(iso) || j.RemainingSteps <= 0 {
-		return 1
+		return 0
 	}
-	den := j.Elapsed + j.RemainingSteps/iso
-	tp := alloc.EffectiveThroughput(m)
-	if tp <= 0 {
-		return math.Inf(1)
-	}
-	return (j.Elapsed + j.RemainingSteps/tp) / den
+	return j.Elapsed + j.RemainingSteps/iso
 }

@@ -239,10 +239,7 @@ func (p *Hierarchical) solveIteration(in *Input, ctx *SolveContext, pr *core.Pro
 			continue
 		}
 		id := in.Jobs[m].ID
-		sf := float64(in.Jobs[m].ScaleFactor)
-		if sf < 1 {
-			sf = 1
-		}
+		sf := float64(in.Jobs[m].scaleFactor())
 		switch {
 		case frozen[m]:
 			// Do not degrade a bottlenecked job below its frozen level.
@@ -265,12 +262,9 @@ func (p *Hierarchical) solveIteration(in *Input, ctx *SolveContext, pr *core.Pro
 			pr.AddRow(terms, lp.LE, prev[m]*(1+1e-6), ctx.rowID("wfc:", id))
 		}
 	}
-	res, err := ctx.Solve("hier/wf", pr.P, pr.ColumnIDs())
+	res, err := ctx.solveOptimal("hier/wf", pr)
 	if err != nil {
 		return nil, nil, err
-	}
-	if res.Status != lp.Optimal {
-		return nil, nil, fmt.Errorf("LP %v", res.Status)
 	}
 	alloc := pr.Extract(res.X)
 	// One pass over the units for every job's throughput, then scaled in
@@ -278,11 +272,7 @@ func (p *Hierarchical) solveIteration(in *Input, ctx *SolveContext, pr *core.Pro
 	achieved := alloc.EffectiveThroughputs(len(in.Jobs))
 	for m := range in.Jobs {
 		if norm[m] > 0 {
-			sf := float64(in.Jobs[m].ScaleFactor)
-			if sf < 1 {
-				sf = 1
-			}
-			achieved[m] = achieved[m] * sf / norm[m]
+			achieved[m] = achieved[m] * float64(in.Jobs[m].scaleFactor()) / norm[m]
 		} else {
 			achieved[m] = 0
 		}
@@ -313,10 +303,7 @@ func (p *Hierarchical) findBottlenecks(in *Input, ctx *SolveContext, pr *core.Pr
 			continue
 		}
 		id := in.Jobs[m].ID
-		sf := float64(in.Jobs[m].ScaleFactor)
-		if sf < 1 {
-			sf = 1
-		}
+		sf := float64(in.Jobs[m].scaleFactor())
 		terms := pr.ThroughputTerms(m, sf/norm[m])
 		switch {
 		case frozen[m]:
@@ -337,8 +324,8 @@ func (p *Hierarchical) findBottlenecks(in *Input, ctx *SolveContext, pr *core.Pr
 	// property of the optimum rather than the vertex, so it warm-starts
 	// under its own label (the LP's shape tracks the freezing progress, so
 	// successive iterations reuse the basis via the cross-shape remap).
-	res, err := ctx.Solve("hier/bn", pr.P, pr.ColumnIDs())
-	if err != nil || res.Status != lp.Optimal {
+	res, err := ctx.solveOptimal("hier/bn", pr)
+	if err != nil {
 		// Numerical trouble: freeze everything so the caller terminates.
 		var out []int
 		for m := range in.Jobs {

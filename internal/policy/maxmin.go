@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"fmt"
-
 	"gavel/internal/core"
 	"gavel/internal/lp"
 )
@@ -36,82 +34,140 @@ func (p *MaxMinFairness) Allocate(in *Input, ctx *SolveContext) (*core.Allocatio
 	if len(in.Jobs) == 0 {
 		return emptyAllocation(in), nil
 	}
-	coeff, ok := p.normalizers(in)
-	if !ok {
+	k := ctx.weightedMaxMin(in, ctx.program(lp.Maximize, in, false))
+	if !normalizers(in, p.UsePriorities, k.scale) {
 		return emptyAllocation(in), nil
 	}
-
-	// Pass 1: maximize the minimum normalized throughput t.
-	pr := ctx.program(lp.Maximize, in, false)
-	t := pr.AddVar(1, "t")
-	for m := range in.Jobs {
-		if coeff[m] == 0 {
-			continue
+	for m, s := range k.scale {
+		if s != 0 {
+			k.tc[m], k.div[m] = 1, 1
 		}
-		terms := pr.ThroughputTerms(m, coeff[m])
-		terms = append(terms, lp.Term{Var: t, Coeff: -1})
-		pr.AddRow(terms, lp.GE, 0, ctx.rowID("r:", in.Jobs[m].ID))
 	}
-	res, err := ctx.Solve("maxmin/minmax", pr.P, pr.ColumnIDs())
-	if err != nil {
-		return nil, fmt.Errorf("max-min LP: %w", err)
-	}
-	if res.Status != lp.Optimal {
-		return nil, fmt.Errorf("max-min LP: %v", res.Status)
-	}
-	tStar := res.X[t]
-
-	// Pass 2: fix the fairness floor slightly below t*, maximize total
-	// normalized throughput so leftover capacity is not wasted. Its program
-	// is pass 1's skeleton (same columns, budget and capacity rows) without
-	// the t column, so it is rewound rather than rebuilt from the units.
-	// Pass 2's solve reuses the storage of pass 1's solution, kept here for
-	// the fallback.
-	x1 := ctx.keep(res.X)
-	pr.Rewind()
-	for m := range in.Jobs {
-		if coeff[m] == 0 {
-			continue
-		}
-		terms := pr.ThroughputTerms(m, coeff[m])
-		for _, tm := range terms {
-			pr.P.AddObj(tm.Var, tm.Coeff)
-		}
-		pr.AddRow(terms, lp.GE, tStar*(1-1e-6), ctx.rowID("r:", in.Jobs[m].ID))
-	}
-	res2, err := ctx.Solve("maxmin/refine", pr.P, pr.ColumnIDs())
-	if err != nil || res2.Status != lp.Optimal {
-		// The floor should always be feasible; fall back to pass 1 if the
-		// refinement hits numerical trouble.
-		return ctx.result(pr, x1), nil
-	}
-	return ctx.result(pr, res2.X), nil
+	return k.solve("maxmin/minmax", "t", "maxmin/refine")
 }
 
-// normalizers computes scale_m / (w_m * throughput(m, X^equal)) per job;
-// ok is false when no job is schedulable.
-func (p *MaxMinFairness) normalizers(in *Input) ([]float64, bool) {
-	coeff := make([]float64, len(in.Jobs))
+// normalizers writes scale_m / (w_m * throughput(m, X^equal)) per job into
+// coeff, 0 for a job without weight or usable capacity; it reports whether
+// any job is schedulable.
+func normalizers(in *Input, usePriorities bool, coeff []float64) bool {
 	any := false
 	for m := range in.Jobs {
 		j := &in.Jobs[m]
 		w := j.Weight
-		if p.UsePriorities {
+		if usePriorities {
 			w = effectiveWeight(j)
 		}
-		if w <= 0 {
-			continue
-		}
 		norm := core.EqualShareThroughput(j.Tput, in.Workers)
-		if !core.Finite(norm) {
+		if w <= 0 || !core.Finite(norm) {
+			coeff[m] = 0
 			continue
 		}
-		sf := float64(j.ScaleFactor)
-		if sf < 1 {
-			sf = 1
-		}
-		coeff[m] = sf / (w * norm)
+		coeff[m] = float64(j.scaleFactor()) / (w * norm)
 		any = true
 	}
-	return coeff, any
+	return any
+}
+
+// weightedMaxMin is the one program behind max-min fairness, makespan,
+// finish-time fairness's probe and placement-aware max-min. Per job m it
+// reads
+//
+//   - scale_m, the factor on throughput(m, X);
+//   - tc_m, the job's coefficient on t: 0 leaves the job out of pass 1's
+//     rows and pass 2's floors;
+//   - div_m, pass 2's objective divisor: 0 leaves the job out of the
+//     objective;
+//
+// and runs in two passes over one skeleton:
+//
+//	pass 1:  max t  s.t.  scale_m * throughput(m, X) >= tc_m * t
+//	pass 2:  max sum_m scale_m * throughput(m, X) / div_m
+//	         s.t.  scale_m * throughput(m, X) >= floor_m
+//
+// Pass 2 (refine) spends what the bottleneck leaves over without letting
+// any job drop below its floor. Rows are named "r:<job ID>" in both passes.
+type weightedMaxMin struct {
+	ctx                   *SolveContext
+	in                    *Input
+	pr                    *core.Program
+	scale, tc, div, floor []float64
+}
+
+// weightedMaxMin returns the kernel over pr, its per-job vectors zeroed in
+// context scratch (floats).
+func (c *SolveContext) weightedMaxMin(in *Input, pr *core.Program) weightedMaxMin {
+	n := len(in.Jobs)
+	v := c.floats(4 * n)
+	return weightedMaxMin{ctx: c, in: in, pr: pr,
+		scale: v[:n:n], tc: v[n : 2*n : 2*n], div: v[2*n : 3*n : 3*n], floor: v[3*n:]}
+}
+
+// maximize runs pass 1 under label, with t the column named tID, and
+// returns its solution and t*. With no job in a row it solves nothing and
+// returns a nil solution.
+func (k *weightedMaxMin) maximize(label, tID string) (x []float64, tStar float64, err error) {
+	t := k.pr.AddVar(1, tID)
+	rows := false
+	for m, tc := range k.tc {
+		if tc == 0 {
+			continue
+		}
+		terms := append(k.pr.ThroughputTerms(m, k.scale[m]), lp.Term{Var: t, Coeff: -tc})
+		k.pr.AddRow(terms, lp.GE, 0, k.ctx.rowID("r:", k.in.Jobs[m].ID))
+		rows = true
+	}
+	if !rows {
+		return nil, 0, nil
+	}
+	res, err := k.ctx.solveOptimal(label, k.pr)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.X, res.X[t], nil
+}
+
+// refine rewinds the skeleton and runs pass 2 under label with the floors
+// in k.floor.
+func (k *weightedMaxMin) refine(label string) (*lp.Result, error) {
+	k.pr.Rewind()
+	for m := range k.in.Jobs {
+		tc, div := k.tc[m], k.div[m]
+		if tc == 0 && div == 0 {
+			continue
+		}
+		terms := k.pr.ThroughputTerms(m, k.scale[m])
+		if div != 0 {
+			for _, tm := range terms {
+				k.pr.P.AddObj(tm.Var, tm.Coeff/div)
+			}
+		}
+		if tc != 0 {
+			k.pr.AddRow(terms, lp.GE, k.floor[m], k.ctx.rowID("r:", k.in.Jobs[m].ID))
+		}
+	}
+	return k.ctx.solveOptimal(label, k.pr)
+}
+
+// solve runs both passes, pass 2 with every floor just below pass 1's level,
+// (tc_m * t*) * (1 - 1e-6), and returns the allocation. The floors should
+// always be feasible, so a refine that fails hit numerical trouble: the
+// answer is then pass 1's solution. No job with a row is an empty
+// allocation.
+func (k *weightedMaxMin) solve(minmax, tID, refine string) (*core.Allocation, error) {
+	x, tStar, err := k.maximize(minmax, tID)
+	switch {
+	case err != nil:
+		return nil, err
+	case x == nil:
+		return emptyAllocation(k.in), nil
+	}
+	// Pass 2 reuses the storage of pass 1's solution, kept for the fallback.
+	x = k.ctx.keep(x)
+	for m, tc := range k.tc {
+		k.floor[m] = tc * tStar * (1 - 1e-6)
+	}
+	if res, err := k.refine(refine); err == nil {
+		x = res.X
+	}
+	return k.ctx.result(k.pr, x), nil
 }

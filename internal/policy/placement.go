@@ -67,10 +67,7 @@ func (p *PlacementAwareMaxMin) Allocate(in *Input, ctx *SolveContext) (*core.All
 	for j := 0; j < numTypes; j++ {
 		var terms []lp.Term
 		for ui := range virtUnits {
-			sf := float64(in.Jobs[ui].ScaleFactor)
-			if sf < 1 {
-				sf = 1
-			}
+			sf := float64(in.Jobs[ui].scaleFactor())
 			for _, col := range []int{j, numTypes + j} {
 				if v := pr.XVar[ui][col]; v >= 0 {
 					terms = append(terms, lp.Term{Var: v, Coeff: sf})
@@ -82,61 +79,38 @@ func (p *PlacementAwareMaxMin) Allocate(in *Input, ctx *SolveContext) (*core.All
 		}
 	}
 
-	t := pr.AddVar(1, "t")
-	any := false
-	for m := range in.Jobs {
-		w := in.Jobs[m].Weight
-		if w <= 0 {
-			continue
-		}
-		// Normalize by the consolidated equal-share throughput so the
-		// objective stays comparable with the plain policy.
-		norm := core.EqualShareThroughput(in.Jobs[m].Tput, in.Workers)
-		if !core.Finite(norm) {
-			continue
-		}
-		sf := float64(in.Jobs[m].ScaleFactor)
-		if sf < 1 {
-			sf = 1
-		}
-		terms := pr.ThroughputTerms(m, sf/(w*norm))
-		terms = append(terms, lp.Term{Var: t, Coeff: -1})
-		pr.AddRow(terms, lp.GE, 0, ctx.rowID("r:", in.Jobs[m].ID))
-		any = true
-	}
-	if !any {
+	// The weighted max-min kernel's pass 1, normalized by the consolidated
+	// equal-share throughput so the objective stays comparable with the
+	// plain policy.
+	k := ctx.weightedMaxMin(in, pr)
+	if !normalizers(in, false, k.scale) {
 		return emptyAllocation(in), nil
 	}
-	res, err := ctx.Solve("placement", pr.P, pr.ColumnIDs())
+	for m, s := range k.scale {
+		if s != 0 {
+			k.tc[m] = 1
+		}
+	}
+	x, _, err := k.maximize("placement", "t")
 	if err != nil {
-		return nil, fmt.Errorf("placement max-min LP: %w", err)
+		return nil, err
 	}
-	if res.Status != lp.Optimal {
-		return nil, fmt.Errorf("placement max-min LP: %v", res.Status)
-	}
-	virt := pr.Extract(res.X)
+	virt := pr.Extract(x)
 
 	// Fold the virtual columns back onto the physical types for the
 	// mechanism; the consolidated/unconsolidated preference is recovered
 	// by the mechanism's best-fit server placement.
-	X := make([][]float64, len(in.Units))
-	for ui := range in.Units {
-		X[ui] = make([]float64, numTypes)
-	}
+	out := emptyAllocation(in)
 	for m := range in.Jobs {
-		for j := 0; j < numTypes; j++ {
-			X[m][j] = virt.X[m][j] + virt.X[m][numTypes+j]
-			if X[m][j] > 1 {
-				X[m][j] = 1
-			}
+		for j := range numTypes {
+			out.X[m][j] = min(virt.X[m][j]+virt.X[m][numTypes+j], 1)
 		}
 	}
-	return &core.Allocation{Units: in.Units, X: X}, nil
+	return out, nil
 }
 
-// VirtualAllocation exposes the raw consolidated/unconsolidated split for
-// introspection and tests: it re-solves and returns the 2*numTypes-column
-// allocation.
+// unconsolidated returns job m's spread-placement throughputs, one per
+// physical type.
 func (p *PlacementAwareMaxMin) unconsolidated(in *Input, m int) []float64 {
 	if u, ok := p.UnconsolidatedTput[m]; ok && len(u) == len(in.Workers) {
 		return u

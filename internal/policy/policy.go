@@ -4,11 +4,17 @@
 // against (vanilla LAS/FIFO/FTF, Gandiva ad-hoc space sharing, AlloX).
 //
 // Every heterogeneity-aware policy builds on internal/core's Program: an LP
-// skeleton with the standard allocation-validity constraints, to which the
-// policy adds its objective. Policies that cannot be expressed as a single
-// LP use a sequence of LPs (makespan, finish-time fairness via a scalar
-// search; hierarchical fairness via water filling with a MILP bottleneck
-// test, Appendix A.1).
+// skeleton with the standard allocation-validity constraints. On it the
+// policies write two shared programs. The weighted max-min kernel
+// (weightedMaxMin) serves max-min fairness, makespan, finish-time
+// fairness's feasibility probe and placement-aware max-min, each filling in
+// its per-job vectors. One weighted normalized-throughput objective
+// (normalizedThroughput) serves FIFO, shortest-job-first and
+// max-total-throughput. Min-cost writes a Charnes-Cooper objective on the
+// homogenized skeleton, and hierarchical fairness runs water filling with a
+// MILP bottleneck test (Appendix A.1). Every solve goes through the
+// SolveContext, which warm-starts it from the basis cached under the
+// policy's label.
 package policy
 
 import (
@@ -158,7 +164,9 @@ func effectiveWeight(j *JobInfo) float64 {
 	return w
 }
 
-// emptyAllocation is returned when there is nothing to schedule.
+// emptyAllocation is the all-zero allocation over in's units: a policy's
+// answer when there is nothing to schedule, and the storage of one that
+// fills X in by hand.
 func emptyAllocation(in *Input) *core.Allocation {
 	X := make([][]float64, len(in.Units))
 	for i := range X {

@@ -378,7 +378,7 @@ func TestEmptyInputs(t *testing.T) {
 		&MaxMinFairness{}, FIFO{}, ShortestJobFirst{}, Makespan{},
 		&FinishTimeFairness{}, &MinCost{}, MaxTotalThroughput{},
 		&Agnostic{Inner: &MaxMinFairness{}}, &AlloX{}, &Hierarchical{},
-		NewGandivaSpaceSharing(1),
+		NewGandivaSpaceSharing(1), &PlacementAwareMaxMin{},
 	}
 	for _, p := range pols {
 		alloc, err := p.Allocate(empty, nil)
@@ -399,7 +399,7 @@ func allPoliciesValidOn(t *testing.T, seed int64) bool {
 		&MaxMinFairness{}, FIFO{}, ShortestJobFirst{}, Makespan{},
 		&FinishTimeFairness{}, &MinCost{}, &MinCost{EnforceSLOs: true},
 		MaxTotalThroughput{}, &Agnostic{Inner: &MaxMinFairness{}},
-		&Agnostic{Inner: FIFO{}}, &AlloX{}, &Hierarchical{},
+		&Agnostic{Inner: FIFO{}}, &AlloX{}, &Hierarchical{}, &PlacementAwareMaxMin{},
 	}
 	rng := rand.New(rand.NewSource(seed))
 	in := randomInput(rng, 1+rng.Intn(7), 2+rng.Intn(2))
@@ -462,6 +462,28 @@ func TestMinCostIdlesAJobThatRunsNowhere(t *testing.T) {
 	if alloc.JobTimeFraction(0) != 0 || !(alloc.JobTimeFraction(1) > 0) {
 		t.Fatalf("time fractions %v and %v, want 0 for the job that runs nowhere and > 0 for the other (X=%v)",
 			alloc.JobTimeFraction(0), alloc.JobTimeFraction(1), alloc.X)
+	}
+}
+
+// TestFairPoliciesServeAJobBesideAnEmptyType: job 0 runs only on a type
+// with no devices, as a shard whose split gave it none of that type sees.
+// Job 1 must still get its whole time budget on the other type. Makespan
+// used to constrain job 0 too, which pinned z* at 0 and idled the cluster.
+func TestFairPoliciesServeAJobBesideAnEmptyType(t *testing.T) {
+	in := &Input{Workers: []float64{0, 2}}
+	for m, tp := range [][]float64{{3, 0}, {2, 1}} {
+		in.Jobs = append(in.Jobs, JobInfo{ID: m, Weight: 1, ScaleFactor: 1, Tput: tp,
+			RemainingSteps: 1000, TotalSteps: 1000, Elapsed: 10, NumActiveJobs: 2})
+		in.Units = append(in.Units, core.Single(m, tp))
+	}
+	for _, p := range []Policy{Makespan{}, &MaxMinFairness{}, &FinishTimeFairness{}} {
+		alloc, err := p.Allocate(in, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if f := alloc.JobTimeFraction(1); f < 0.999 {
+			t.Errorf("%s: job 1 runs %.3f of the time, want 1 (X=%v)", p.Name(), f, alloc.X)
+		}
 	}
 }
 
