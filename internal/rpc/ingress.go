@@ -226,102 +226,93 @@ func (ing *ingress) dequeueLocked(sub *submission) {
 	}
 }
 
-// applySubmitLocked accepts one submission into the queue — the shared
-// write-side of Service.Submit and recSubmit replay.
-func (ing *ingress) applySubmitLocked(js *journalSubmit) {
-	t := ing.tenantLocked(js.Tenant, js.Round)
-	sub := &submission{
-		tenant:      js.Tenant,
-		key:         js.Key,
-		jobID:       js.JobID,
-		name:        js.Name,
-		totalSteps:  js.TotalSteps,
-		scaleFactor: js.ScaleFactor,
-		tput:        append([]float64(nil), js.Tput...),
-		sloClass:    js.SLOClass,
-		state:       SubmissionQueued,
-		shard:       -1,
-		round:       js.Round,
-	}
-	ing.byKey[submissionKey(js.Tenant, js.Key)] = sub
-	ing.byJob[js.JobID] = sub
-	ing.queue = append(ing.queue, sub)
-	t.queued++
-	t.submitted++
-	if js.Round > t.lastActive {
-		t.lastActive = js.Round
-	}
-	if js.JobID >= ing.nextJobID {
-		ing.nextJobID = js.JobID + 1
-	}
-}
-
-// applyRejectLocked sheds one queued submission — the write-side of the
-// overload ladder and recReject replay.
-func (ing *ingress) applyRejectLocked(ref *journalSubmitRef) {
-	sub := ing.byKey[submissionKey(ref.Tenant, ref.Key)]
-	if sub == nil || sub.state != SubmissionQueued {
-		return
-	}
-	ing.dequeueLocked(sub)
-	sub.state = SubmissionRejected
-	t := ing.tenantLocked(ref.Tenant, ref.Round)
-	t.queued--
-	t.shed++
-}
-
-// applyWithdrawLocked withdraws one submission: queued submissions leave
-// immediately, admitted ones are flagged for the next AdmitPending pass.
-// Shared by Service.Withdraw, ExpireAbandoned, and recWithdraw replay.
-func (ing *ingress) applyWithdrawLocked(ref *journalSubmitRef) SubmissionState {
-	sub := ing.byKey[submissionKey(ref.Tenant, ref.Key)]
-	if sub == nil {
-		return SubmissionUnknown
-	}
-	t := ing.tenantLocked(ref.Tenant, ref.Round)
-	if ref.Round > t.lastActive && ref.Reason == withdrawClient {
-		t.lastActive = ref.Round
-	}
-	switch sub.state {
-	case SubmissionQueued:
-		ing.dequeueLocked(sub)
-		sub.state = SubmissionWithdrawn
-		t.queued--
-		t.withdrawn++
-	case SubmissionAdmitted:
-		if !sub.withdraw {
-			sub.withdraw = true
-			ing.pendingWithdraw = append(ing.pendingWithdraw, sub)
+// applyLocked lands one submission-plane record in the ingress: the one
+// write side of Submit, Withdraw, Poll, ExpireAbandoned, the shed ladder,
+// ObserveMeasured and their replay. The live callers journal the record
+// first, so nothing the log does not hold is ever acknowledged.
+func (ing *ingress) applyLocked(rec *journalRecord) {
+	switch rec.Kind {
+	case recSubmit: // accept one submission into the queue
+		js := rec.Submit
+		t := ing.tenantLocked(js.Tenant, js.Round)
+		sub := &submission{
+			tenant:      js.Tenant,
+			key:         js.Key,
+			jobID:       js.JobID,
+			name:        js.Name,
+			totalSteps:  js.TotalSteps,
+			scaleFactor: js.ScaleFactor,
+			tput:        append([]float64(nil), js.Tput...),
+			sloClass:    js.SLOClass,
+			state:       SubmissionQueued,
+			shard:       -1,
+			round:       js.Round,
 		}
-	}
-	return sub.state
-}
-
-// applyTouchLocked advances a tenant's liveness clock — the write-side of
-// Poll and recTouch replay.
-func (ing *ingress) applyTouchLocked(ref *journalSubmitRef) {
-	if t, ok := ing.tenants[ref.Tenant]; ok && ref.Round > t.lastActive {
-		t.lastActive = ref.Round
-	}
-}
-
-// applyMeasureLocked folds one worker-measured throughput sample into the
-// job's EWMA row — the write-side of ObserveMeasured and recMeasure replay.
-func (ing *ingress) applyMeasureLocked(m *journalMeasure) {
-	sub := ing.byJob[m.JobID]
-	if sub == nil || m.Type < 0 || m.Type >= ing.numTypes {
-		return
-	}
-	if sub.measured == nil {
-		sub.measured = make([]float64, ing.numTypes)
-		sub.seen = make([]bool, ing.numTypes)
-	}
-	if !sub.seen[m.Type] {
-		sub.measured[m.Type] = m.Rate
-		sub.seen[m.Type] = true
-	} else {
-		a := ing.cfg.MeasuredAlpha
-		sub.measured[m.Type] = a*m.Rate + (1-a)*sub.measured[m.Type]
+		ing.byKey[submissionKey(js.Tenant, js.Key)] = sub
+		ing.byJob[js.JobID] = sub
+		ing.queue = append(ing.queue, sub)
+		t.queued++
+		t.submitted++
+		if js.Round > t.lastActive {
+			t.lastActive = js.Round
+		}
+		if js.JobID >= ing.nextJobID {
+			ing.nextJobID = js.JobID + 1
+		}
+	case recReject: // the overload ladder sheds one queued submission
+		ref := rec.Ref
+		sub := ing.byKey[submissionKey(ref.Tenant, ref.Key)]
+		if sub == nil || sub.state != SubmissionQueued {
+			return
+		}
+		ing.dequeueLocked(sub)
+		sub.state = SubmissionRejected
+		t := ing.tenantLocked(ref.Tenant, ref.Round)
+		t.queued--
+		t.shed++
+	case recWithdraw: // queued submissions leave now, admitted ones at the next AdmitPending
+		ref := rec.Ref
+		sub := ing.byKey[submissionKey(ref.Tenant, ref.Key)]
+		if sub == nil {
+			return
+		}
+		t := ing.tenantLocked(ref.Tenant, ref.Round)
+		if ref.Round > t.lastActive && ref.Reason == withdrawClient {
+			t.lastActive = ref.Round
+		}
+		switch sub.state {
+		case SubmissionQueued:
+			ing.dequeueLocked(sub)
+			sub.state = SubmissionWithdrawn
+			t.queued--
+			t.withdrawn++
+		case SubmissionAdmitted:
+			if !sub.withdraw {
+				sub.withdraw = true
+				ing.pendingWithdraw = append(ing.pendingWithdraw, sub)
+			}
+		}
+	case recTouch: // a Poll advances the tenant's liveness clock
+		if t, ok := ing.tenants[rec.Ref.Tenant]; ok && rec.Ref.Round > t.lastActive {
+			t.lastActive = rec.Ref.Round
+		}
+	case recMeasure: // fold one worker-measured sample into the job's EWMA row
+		m := rec.Measure
+		sub := ing.byJob[m.JobID]
+		if sub == nil || m.Type < 0 || m.Type >= ing.numTypes {
+			return
+		}
+		if sub.measured == nil {
+			sub.measured = make([]float64, ing.numTypes)
+			sub.seen = make([]bool, ing.numTypes)
+		}
+		if !sub.seen[m.Type] {
+			sub.measured[m.Type] = m.Rate
+			sub.seen[m.Type] = true
+		} else {
+			a := ing.cfg.MeasuredAlpha
+			sub.measured[m.Type] = a*m.Rate + (1-a)*sub.measured[m.Type]
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func (s *Service) RunRound(p *RoundPlan) (out RoundResult, err error) {
 		if m.fresh = m.dirty || m.alloc == nil; !m.fresh {
 			continue
 		}
-		anyStale, m.sinceAlloc = true, 0
+		anyStale = true
 		if p.Refresh != nil && !m.down {
 			if err = p.Refresh(k); err != nil {
 				return out, err
@@ -140,8 +140,10 @@ func (s *Service) RunRound(p *RoundPlan) (out RoundResult, err error) {
 			return out, err
 		}
 	}
+	// The realloc cadence counts this round's seal too: the round record
+	// advances sinceAlloc. A down shard is never allocated again.
 	for k, m := range s.shards {
-		if m.sinceAlloc++; err == nil && p.ReallocEvery > 0 && m.sinceAlloc >= p.ReallocEvery {
+		if err == nil && !m.down && p.ReallocEvery > 0 && m.sinceAlloc+1 >= p.ReallocEvery {
 			err = s.MarkDirty(k)
 		}
 	}

@@ -107,8 +107,8 @@ type shardMirror struct {
 	pushDegraded bool
 	pushErr      error
 	// RunRound's per-shard state: stale going into this round's allocation,
-	// and rounds since the last one (rebuilt on replay from recAlloc,
-	// recDegrade and recRound, so a resumed run keeps the realloc cadence).
+	// and sealed rounds since the last one (written by the alloc, degrade and
+	// round records only, so a resumed run keeps the realloc cadence).
 	fresh      bool
 	sinceAlloc int
 
@@ -212,7 +212,7 @@ type Service struct {
 	ing *ingress
 	// measure and measureRec are ObserveMeasured's record, reused for every
 	// sample under ing.mu: the journal has encoded it by the time append
-	// returns, and applyMeasureLocked keeps no pointer.
+	// returns, and the ingress keeps no pointer into it.
 	measure    journalMeasure
 	measureRec journalRecord
 
@@ -324,78 +324,132 @@ func NewService(cfg ServiceConfig, clients []ShardClient) (*Service, error) {
 	return s, nil
 }
 
-// replay applies the journal's i-th record to the mirror; over the whole log
-// that rebuilds the exact pre-crash coordinator state without touching any
-// daemon. It is the read-side twin of the journaling mutators below: every
-// applyX helper is shared with the live path, so replayed and lived-through
-// state cannot drift.
+// replay validates the journal's i-th record — shard in range, payload
+// present, the header naming this service's shape — and lands it with the
+// live path's own transition (apply, or the ingress's applyLocked for
+// submission kinds), so replayed and lived-through state cannot drift. A
+// round record first re-runs the round boundary, which journals nothing of
+// its own. Over the whole log this rebuilds the exact pre-crash coordinator
+// state without touching any daemon.
 func (s *Service) replay(i int, rec *journalRecord) error {
-	bad := func(k int) bool { return k < 0 || k >= len(s.shards) }
+	in := func(k int) bool { return k >= 0 && k < len(s.shards) }
+	ok, ingress := true, false // well-formed; a submission-plane kind
 	switch rec.Kind {
 	case recConfig:
-		if i != 0 { // record 0 is the header readJournal has checked
-			return Errorf(CodeBadRequest, "journal record %d: config record past the header", i)
-		}
-		if n := rec.Config.NumShards; n != len(s.shards) {
-			return Errorf(CodeBadRequest, "journal was written for %d shards, service has %d", n, len(s.shards))
-		}
+		return s.checkHeader(i, rec.Config)
+	case recInstall:
+		ok = rec.Install != nil && in(rec.Install.Shard)
+	case recRemove:
+		ok = rec.Remove != nil && in(rec.Remove.Shard)
+	case recAlloc:
+		ok = rec.Alloc != nil && in(rec.Alloc.Shard)
+	case recSnapshot:
+		ok = rec.Snapshot != nil && in(rec.Snapshot.Shard)
+	case recDown, recDirty, recDegrade:
+		ok = in(rec.Shard)
+	case recRebalance, recRound:
+	case recSubmit:
+		ok, ingress = rec.Submit != nil, true
+	case recReject, recWithdraw, recTouch:
+		ok, ingress = rec.Ref != nil, true
+	case recMeasure:
+		ok, ingress = rec.Measure != nil, true
+	default:
+		return Errorf(CodeBadRequest, "journal record %d: unknown kind %d", i, rec.Kind)
+	}
+	if ingress && s.ing == nil {
+		return Errorf(CodeBadRequest, "journal record %d: submission record without an admission config", i)
+	}
+	if !ok {
+		return Errorf(CodeBadRequest, "journal record %d: malformed record of kind %d", i, rec.Kind)
+	}
+	switch {
+	case ingress:
+		s.ing.mu.Lock()
+		s.ing.applyLocked(rec)
+		s.ing.mu.Unlock()
+	case rec.Kind == recRound:
+		s.boundary(rec.Round)
+		fallthrough
+	default:
+		s.apply(rec)
+	}
+	return nil
+}
+
+// checkHeader refuses a journal written for a differently-shaped service:
+// another shard count, policy or routing would replay every record onto the
+// wrong partition or under the wrong allocation rule.
+func (s *Service) checkHeader(i int, c *journalConfig) error {
+	if i != 0 { // record 0 is the header readJournal has checked
+		return Errorf(CodeBadRequest, "journal record %d: config record past the header", i)
+	}
+	if c.NumShards != len(s.shards) {
+		return Errorf(CodeBadRequest, "journal was written for %d shards, service has %d", c.NumShards, len(s.shards))
+	}
+	if c.Policy != s.cfg.Policy || c.Route != int(s.cfg.Route) {
+		return Errorf(CodeBadRequest, "journal was written for policy %+v with %v routing, service has %+v with %v routing",
+			c.Policy, cluster.RoutePolicy(c.Route), s.cfg.Policy, s.cfg.Route)
+	}
+	return nil
+}
+
+// apply is the coordinator's one transition function: it lands a mirror
+// record's state change — placement, membership, allocation, staleness,
+// counters and their telemetry — in the mirror. Every live mutator builds its
+// record and goes through here (applyRecord: apply, then append, because the
+// daemon has already acted), and replay calls it over the log, so each record
+// kind's change is written once. Replay runs before setObs, so the telemetry
+// counters are nil there and nothing is counted twice.
+func (s *Service) apply(rec *journalRecord) {
+	switch rec.Kind {
 	case recInstall:
 		in := rec.Install
-		if in == nil || bad(in.Shard) {
-			return Errorf(CodeBadRequest, "journal record %d: malformed install", i)
-		}
-		m := s.shards[in.Shard]
-		m.add(in.JobID, in.ScaleFactor, in.Tput)
-		s.shardOf[in.JobID] = m.index
+		s.shards[in.Shard].add(in.JobID, in.ScaleFactor, in.Tput)
+		s.shardOf[in.JobID] = in.Shard
 		if s.ing != nil {
-			s.ing.noteAdmitted(in.JobID, m.index)
+			s.ing.noteAdmitted(in.JobID, in.Shard)
 		}
 		switch in.Reason {
 		case reasonMigrate:
 			s.migrations++
+			s.tel.migrations.Inc()
 		case reasonRecover:
 			s.recoveries++
+			s.tel.recoveries.Inc()
 		}
 	case recRemove:
-		rm := rec.Remove
-		if rm == nil || bad(rm.Shard) {
-			return Errorf(CodeBadRequest, "journal record %d: malformed remove", i)
+		// The placement entry is cleared only if it still points at this
+		// shard: a recovery's install on the new shard lands before the
+		// removal from the dead one.
+		k, id := rec.Remove.Shard, rec.Remove.JobID
+		s.shards[k].remove(id)
+		if at, ok := s.shardOf[id]; ok && at == k {
+			delete(s.shardOf, id)
+			if s.ing != nil {
+				// The job left its placement entirely: resolve its submission.
+				// A migration's remove-then-install resolves and revives it.
+				s.ing.noteRemoved(id)
+			}
 		}
-		s.applyRemove(rm.Shard, rm.JobID)
 	case recDown:
-		if bad(rec.Shard) {
-			return Errorf(CodeBadRequest, "journal record %d: bad shard", i)
-		}
-		s.applyDown(s.shards[rec.Shard])
+		m := s.shards[rec.Shard]
+		m.down, m.alloc, m.allocIDs = true, nil, nil
 	case recDirty:
-		if bad(rec.Shard) {
-			return Errorf(CodeBadRequest, "journal record %d: bad shard", i)
-		}
 		s.shards[rec.Shard].dirty = true
 	case recAlloc:
-		al := rec.Alloc
-		if al == nil || bad(al.Shard) {
-			return Errorf(CodeBadRequest, "journal record %d: malformed alloc", i)
-		}
-		m := s.shards[al.Shard]
-		m.alloc = &core.Allocation{Units: al.Units, X: al.X}
-		m.allocIDs = al.IDs
+		m := s.shards[rec.Alloc.Shard]
+		m.alloc = &core.Allocation{Units: rec.Alloc.Units, X: rec.Alloc.X}
+		m.allocIDs = rec.Alloc.IDs
 		m.dirty = false
 		m.staleRounds, m.sinceAlloc = 0, 0
 	case recSnapshot:
-		sn := rec.Snapshot
-		if sn == nil || bad(sn.Shard) {
-			return Errorf(CodeBadRequest, "journal record %d: malformed snapshot", i)
-		}
-		m := s.shards[sn.Shard]
-		m.seeds = sn.Seeds
-		m.status = sn.Status
+		m := s.shards[rec.Snapshot.Shard]
+		m.seeds, m.status = rec.Snapshot.Seeds, rec.Snapshot.Status
 	case recRebalance:
 		s.rebalances++
+		s.tel.rebalances.Inc()
 	case recDegrade:
-		if bad(rec.Shard) {
-			return Errorf(CodeBadRequest, "journal record %d: bad shard", i)
-		}
 		m := s.shards[rec.Shard]
 		m.staleRounds++
 		m.staleAllocs++
@@ -409,54 +463,18 @@ func (s *Service) replay(i int, rec *journalRecord) error {
 		}
 		if rec.Degraded {
 			s.degradedRounds++
+			s.tel.degraded.Inc()
 		}
-		if s.ing != nil {
-			// Re-run the round boundary's deterministic ingress work
-			// (token refill, overload ladder, trust review) so counters,
-			// quarantine flags, and mirror throughput clamps land exactly
-			// as they did live. No daemon push during replay: reconcile
-			// re-installs from the clamped mirror rows where needed.
-			s.applyClamps(s.ing.endRound(rec.Round), false)
-		}
-	case recSubmit:
-		if rec.Submit == nil || s.ing == nil {
-			return Errorf(CodeBadRequest, "journal record %d: submission record without an admission config", i)
-		}
-		s.ing.mu.Lock()
-		s.ing.applySubmitLocked(rec.Submit)
-		s.ing.mu.Unlock()
-	case recReject:
-		if rec.Ref == nil || s.ing == nil {
-			return Errorf(CodeBadRequest, "journal record %d: malformed reject", i)
-		}
-		s.ing.mu.Lock()
-		s.ing.applyRejectLocked(rec.Ref)
-		s.ing.mu.Unlock()
-	case recWithdraw:
-		if rec.Ref == nil || s.ing == nil {
-			return Errorf(CodeBadRequest, "journal record %d: malformed withdraw", i)
-		}
-		s.ing.mu.Lock()
-		s.ing.applyWithdrawLocked(rec.Ref)
-		s.ing.mu.Unlock()
-	case recTouch:
-		if rec.Ref == nil || s.ing == nil {
-			return Errorf(CodeBadRequest, "journal record %d: malformed touch", i)
-		}
-		s.ing.mu.Lock()
-		s.ing.applyTouchLocked(rec.Ref)
-		s.ing.mu.Unlock()
-	case recMeasure:
-		if rec.Measure == nil || s.ing == nil {
-			return Errorf(CodeBadRequest, "journal record %d: malformed measure", i)
-		}
-		s.ing.mu.Lock()
-		s.ing.applyMeasureLocked(rec.Measure)
-		s.ing.mu.Unlock()
-	default:
-		return Errorf(CodeBadRequest, "journal record %d: unknown kind %d", i, rec.Kind)
+		s.tel.rounds.Inc()
 	}
-	return nil
+}
+
+// applyRecord lands a mirror record, then journals it (the append is a no-op
+// without a journal): the daemon has already acted, so the mirror follows it
+// whether or not the append succeeds, and a failed append fails the round.
+func (s *Service) applyRecord(rec *journalRecord) error {
+	s.apply(rec)
+	return s.record(rec)
 }
 
 // reconcile squares the replayed mirror with what each live daemon actually
@@ -484,16 +502,7 @@ func (s *Service) reconcile() error {
 			if resident[id] {
 				continue
 			}
-			args := InstallArgs{
-				JobID:       id,
-				ScaleFactor: m.sf[id],
-				Tput:        m.tput[id],
-				Seeds:       m.seeds,
-				Migrated:    true,
-				Trace:       s.curTrace,
-			}
-			args.Pairs = s.pairRows(m, id, args.ScaleFactor)
-			if err := m.client.Install(args); err != nil {
+			if err := s.resend(m, id); err != nil {
 				if err = s.downOrErr(m, err); err != nil {
 					return err
 				}
@@ -568,12 +577,10 @@ func (s *Service) IsDirty(k int) bool { return s.shards[k].dirty }
 // MarkDirty flags shard k stale (its membership or demand changed and the
 // next AllocateAll must recompute it) and journals the transition.
 func (s *Service) MarkDirty(k int) error {
-	m := s.shards[k]
-	if m.dirty {
+	if s.shards[k].dirty {
 		return nil
 	}
-	m.dirty = true
-	return s.record(&journalRecord{Kind: recDirty, Shard: k})
+	return s.applyRecord(&journalRecord{Kind: recDirty, Shard: k})
 }
 
 // HasJob reports whether the job is resident on some shard — true for jobs
@@ -606,22 +613,14 @@ func (s *Service) StaleAllocs(k int) int { return s.shards[k].staleAllocs }
 // to and including round r. Drivers number the round they are building
 // Round()+1, which keeps r in step with the trace ID its calls carried.
 func (s *Service) EndRound(r int64) error {
-	if s.ing != nil {
-		// Round-boundary ingress work first: token refill, overload ladder,
-		// and the trust review. Clamp pushes can degrade the round, so they
-		// run before the degraded flag is read below.
-		if err := s.applyClamps(s.ing.endRound(r), true); err != nil {
-			return err
-		}
+	// The round boundary first; its clamp pushes can degrade the round, so
+	// they run before the record reads the degraded flag.
+	if err := s.pushClamps(s.boundary(r)); err != nil {
+		return err
 	}
-	s.round = r
-	degraded := s.roundDegraded
+	rec := &journalRecord{Kind: recRound, Round: r, Degraded: s.roundDegraded}
 	s.roundDegraded = false
-	if degraded {
-		s.degradedRounds++
-		s.tel.degraded.Inc()
-	}
-	s.tel.rounds.Inc()
+	s.apply(rec)
 	// The commit closes the sealed round's trace; calls landing between this
 	// seal and the next belong to round r+1.
 	sealed := s.curTrace
@@ -630,7 +629,7 @@ func (s *Service) EndRound(r int64) error {
 	if s.j == nil {
 		return nil
 	}
-	if err := s.j.append(&journalRecord{Kind: recRound, Round: r, Degraded: degraded}); err != nil {
+	if err := s.j.append(rec); err != nil {
 		return err
 	}
 	sp := s.tel.tr.Begin(sealed, "journal.commit")
@@ -645,41 +644,15 @@ func (s *Service) Alloc(k int) (*core.Allocation, []int) {
 	return s.shards[k].alloc, s.shards[k].allocIDs
 }
 
-// applyDown is the mirror-side effect of marking a shard dead — shared by the
-// live path (markDown) and journal replay.
-func (s *Service) applyDown(m *shardMirror) {
-	m.down = true
-	m.alloc = nil
-	m.allocIDs = nil
-}
-
-// applyRemove drops a job from shard k's mirror. The placement map entry is
-// cleared only if it still points at k: during recovery the install on the
-// new shard lands (and is journaled) before the removal from the dead one, so
-// an unconditional delete would erase the new placement.
-func (s *Service) applyRemove(k, id int) {
-	s.shards[k].remove(id)
-	if at, ok := s.shardOf[id]; ok && at == k {
-		delete(s.shardOf, id)
-		if s.ing != nil {
-			// The job left its placement entirely (not a recovery's stale
-			// source entry): resolve its submission. A migration's
-			// remove-then-install transiently resolves and revives — the same
-			// sequence live and on replay.
-			s.ing.noteRemoved(id)
-		}
-	}
-}
-
 // markDown flags a shard dead and journals the transition.
 func (s *Service) markDown(m *shardMirror) error {
 	if m.down {
 		return nil
 	}
-	s.applyDown(m)
+	err := s.applyRecord(&journalRecord{Kind: recDown, Shard: m.index})
 	s.tel.tr.Begin(s.curTrace, "coord.shard_down").OnShard(m.index).End(nil)
 	s.syncObs()
-	return s.record(&journalRecord{Kind: recDown, Shard: m.index})
+	return err
 }
 
 // downOrErr marks the shard dead and returns nil when err means the daemon is
@@ -724,12 +697,11 @@ func (s *Service) degradeOrErr(m *shardMirror, err error) error {
 // when there is no allocation to fall back on — the shard escalates to down
 // so Recover re-routes its jobs.
 func (s *Service) degradeAlloc(m *shardMirror) error {
-	m.staleRounds++
-	m.staleAllocs++
 	s.roundDegraded = true
+	err := s.applyRecord(&journalRecord{Kind: recDegrade, Shard: m.index})
 	s.tel.tr.Begin(s.curTrace, "coord.degrade_alloc").OnShard(m.index).
 		AttrInt("stale_rounds", int64(m.staleRounds)).End(nil)
-	if err := s.record(&journalRecord{Kind: recDegrade, Shard: m.index}); err != nil {
+	if err != nil {
 		return err
 	}
 	if m.alloc == nil || m.staleRounds >= s.staleAfter {
@@ -815,17 +787,10 @@ func (s *Service) pairRows(m *shardMirror, id, scaleFactor int) []PairRows {
 // daemons hold; a crash between ack and append re-runs as an idempotent
 // re-install during reconcile).
 func (s *Service) install(m *shardMirror, args InstallArgs, reason installReason) error {
-	args.Trace = s.curTrace
-	args.Pairs = s.pairRows(m, args.JobID, args.ScaleFactor)
-	if err := m.client.Install(args); err != nil {
+	if err := s.send(m, args); err != nil {
 		return err
 	}
-	m.add(args.JobID, args.ScaleFactor, args.Tput)
-	s.shardOf[args.JobID] = m.index
-	if s.ing != nil {
-		s.ing.noteAdmitted(args.JobID, m.index)
-	}
-	return s.record(&journalRecord{Kind: recInstall, Install: &journalInstall{
+	return s.applyRecord(&journalRecord{Kind: recInstall, Install: &journalInstall{
 		Shard:       m.index,
 		JobID:       args.JobID,
 		ScaleFactor: args.ScaleFactor,
@@ -834,17 +799,36 @@ func (s *Service) install(m *shardMirror, args InstallArgs, reason installReason
 	}})
 }
 
-// place installs a job on the least-loaded live shard, walking down the
-// survivor list as destinations fail — the shared landing path of recovery
-// and of migrations whose destination dies mid-move. Each failed attempt
-// marks one more shard down, so the walk terminates.
-func (s *Service) place(id, scaleFactor int, tput []float64, seeds []policy.Seed, reason installReason) (*shardMirror, error) {
-	for {
-		live := s.live()
-		if len(live) == 0 {
-			return nil, Errorf(CodeShardDown, "no live shard daemons")
+// send ships one Install to m's daemon, stamped with the round's trace and
+// the pair candidates the job gains on m. It touches neither the mirror nor
+// the journal.
+func (s *Service) send(m *shardMirror, args InstallArgs) error {
+	args.Trace = s.curTrace
+	args.Pairs = s.pairRows(m, args.JobID, args.ScaleFactor)
+	return m.client.Install(args)
+}
+
+// resend re-sends a job the mirror places on m to m's daemon, from the
+// mirror's row with m's last snapshot seeds: reconcile's re-install onto a
+// bare daemon, and migrate's repair of an Extract whose reply was lost.
+func (s *Service) resend(m *shardMirror, id int) error {
+	return s.send(m, InstallArgs{JobID: id, ScaleFactor: m.sf[id], Tput: m.tput[id], Seeds: m.seeds, Migrated: true})
+}
+
+// place installs a job on to, or — when to is nil or its install fails — on
+// the least-loaded live shard, walking down the survivor list as
+// destinations fail: the one landing path of admission, migration and
+// recovery. Each failed attempt marks one more shard down, so the walk
+// terminates.
+func (s *Service) place(to *shardMirror, id, scaleFactor int, tput []float64, seeds []policy.Seed, reason installReason) (*shardMirror, error) {
+	for ; ; to = nil {
+		if to == nil {
+			live := s.live()
+			if len(live) == 0 {
+				return nil, Errorf(CodeShardDown, "no live shard daemons")
+			}
+			to = leastLoaded(live)
 		}
-		to := leastLoaded(live)
 		err := s.install(to, InstallArgs{
 			JobID:       id,
 			ScaleFactor: scaleFactor,
@@ -880,22 +864,17 @@ func (s *Service) Admit(id, scaleFactor int, tput []float64) (int, error) {
 }
 
 // admitJob routes and installs one validated arrival — shared by Admit and
-// the submission plane's AdmitPending.
+// the submission plane's AdmitPending. A routed daemon that turns out dead
+// hands the job to place's least-loaded walk.
 func (s *Service) admitJob(id, scaleFactor int, tput []float64) (int, error) {
-	for attempt := 0; attempt <= len(s.shards); attempt++ {
-		m, err := s.route(id)
-		if err != nil {
-			return -1, err
-		}
-		err = s.install(m, InstallArgs{JobID: id, ScaleFactor: scaleFactor, Tput: tput}, reasonAdmit)
-		if err == nil {
-			return m.index, nil
-		}
-		if err = s.downOrErr(m, err); err != nil {
-			return -1, err
-		}
+	m, err := s.route(id)
+	if err == nil {
+		m, err = s.place(m, id, scaleFactor, tput, nil, reasonAdmit)
 	}
-	return -1, Errorf(CodeShardDown, "no live shard daemons")
+	if err != nil {
+		return -1, err
+	}
+	return m.index, nil
 }
 
 // Remove drops a departed (completed) job from its shard. A dead daemon's
@@ -911,8 +890,7 @@ func (s *Service) Remove(id int) error {
 			return err
 		}
 	}
-	s.applyRemove(k, id)
-	return s.record(&journalRecord{Kind: recRemove, Remove: &journalRemove{Shard: k, JobID: id}})
+	return s.applyRecord(&journalRecord{Kind: recRemove, Remove: &journalRemove{Shard: k, JobID: id}})
 }
 
 // Retire removes every finished job: shards ascending, admission order within.
@@ -953,16 +931,7 @@ func (s *Service) migrate(id int, from, to *shardMirror) (err error) {
 			// job. Reinstall from the mirror to resolve it: a no-op if the
 			// extract never landed, a restore (warm via the shard's own seeds)
 			// if it did. Either way the job stays put and the move is dropped.
-			args := InstallArgs{
-				JobID:       id,
-				ScaleFactor: from.sf[id],
-				Tput:        from.tput[id],
-				Seeds:       from.seeds,
-				Migrated:    true,
-				Trace:       s.curTrace,
-			}
-			args.Pairs = s.pairRows(from, id, args.ScaleFactor)
-			if rerr := from.client.Install(args); rerr != nil {
+			if rerr := s.resend(from, id); rerr != nil {
 				if derr := s.downOrErr(from, rerr); derr != nil {
 					return derr
 				}
@@ -973,30 +942,13 @@ func (s *Service) migrate(id int, from, to *shardMirror) (err error) {
 	// Extract landed: the source daemon no longer holds the job, so the
 	// mirror and journal reflect that before any install attempt (place may
 	// otherwise pick the source as a fallback destination and double-add).
-	if err := s.record(&journalRecord{Kind: recRemove, Remove: &journalRemove{Shard: from.index, JobID: id}}); err != nil {
+	if err := s.applyRecord(&journalRecord{Kind: recRemove, Remove: &journalRemove{Shard: from.index, JobID: id}}); err != nil {
 		return err
 	}
-	s.applyRemove(from.index, id)
-	err = s.install(to, InstallArgs{
-		JobID:       id,
-		ScaleFactor: rep.ScaleFactor,
-		Tput:        rep.Tput,
-		Seeds:       rep.Seeds,
-		Migrated:    true,
-	}, reasonMigrate)
-	if err != nil {
-		if err = s.downOrErr(to, err); err != nil {
-			return err
-		}
-		// The destination died holding nothing (Install failed); the job is
-		// already extracted, so land it on a surviving shard instead.
-		if _, err = s.place(id, rep.ScaleFactor, rep.Tput, rep.Seeds, reasonMigrate); err != nil {
-			return err
-		}
-	}
-	s.migrations++
-	s.tel.migrations.Inc()
-	return nil
+	// A destination that dies holding nothing (Install failed) hands the
+	// already-extracted job to a surviving shard.
+	_, err = s.place(to, id, rep.ScaleFactor, rep.Tput, rep.Seeds, reasonMigrate)
+	return err
 }
 
 // Rebalance evens device demand across the live shards by migrating the most
@@ -1050,9 +1002,7 @@ func (s *Service) Rebalance() ([]cluster.Migration, error) {
 		migs = append(migs, cluster.Migration{Job: pick, From: hi.index, To: lo.index})
 	}
 	if len(migs) > 0 {
-		s.rebalances++
-		s.tel.rebalances.Inc()
-		if err := s.record(&journalRecord{Kind: recRebalance}); err != nil {
+		if err := s.applyRecord(&journalRecord{Kind: recRebalance}); err != nil {
 			return migs, err
 		}
 	}
@@ -1134,11 +1084,7 @@ func (s *Service) AllocateAll(round int64, info func(id int) policy.JobInfo, for
 			}
 			continue
 		}
-		m.alloc = &core.Allocation{Units: slots[k].rep.Units, X: slots[k].rep.X}
-		m.allocIDs = slots[k].rep.IDs
-		m.dirty = false
-		m.staleRounds = 0
-		err := s.record(&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{Shard: k, AllocateReply: slots[k].rep}})
+		err := s.applyRecord(&journalRecord{Kind: recAlloc, Alloc: &journalAlloc{Shard: k, AllocateReply: slots[k].rep}})
 		if err != nil {
 			return err
 		}
@@ -1263,13 +1209,12 @@ func (s *Service) SnapshotAll() error {
 			}
 			continue
 		}
-		m.seeds = rep.Seeds
-		m.status = rep.Status
 		// PolicyTime is a wall clock, which no replay can reproduce: the
 		// journal carries it zeroed, the live mirror keeps the real value.
 		journaled := rep
 		journaled.Status.PolicyTime = 0
-		err = s.record(&journalRecord{Kind: recSnapshot, Snapshot: &journalSnapshot{Shard: m.index, SnapshotReply: journaled}})
+		err = s.applyRecord(&journalRecord{Kind: recSnapshot, Snapshot: &journalSnapshot{Shard: m.index, SnapshotReply: journaled}})
+		m.status.PolicyTime = rep.Status.PolicyTime
 		if err != nil {
 			return err
 		}
@@ -1306,16 +1251,13 @@ func (s *Service) Recover() ([]cluster.Migration, error) {
 			return migs, nil
 		}
 		for _, id := range append([]int(nil), dead.jobs...) {
-			to, err := s.place(id, dead.sf[id], dead.tput[id], dead.seeds, reasonRecover)
+			to, err := s.place(nil, id, dead.sf[id], dead.tput[id], dead.seeds, reasonRecover)
 			if err != nil {
 				return migs, err
 			}
-			if err := s.record(&journalRecord{Kind: recRemove, Remove: &journalRemove{Shard: dead.index, JobID: id}}); err != nil {
+			if err := s.applyRecord(&journalRecord{Kind: recRemove, Remove: &journalRemove{Shard: dead.index, JobID: id}}); err != nil {
 				return migs, err
 			}
-			s.applyRemove(dead.index, id)
-			s.recoveries++
-			s.tel.recoveries.Inc()
 			migs = append(migs, cluster.Migration{Job: id, From: dead.index, To: to.index})
 		}
 	}

@@ -3,8 +3,10 @@ package rpc
 // The Service half of the submission plane: the thread-safe client surface
 // (Submit / Withdraw / Poll — the only Service methods safe to call
 // concurrently with the round loop) and the round-loop integration points
-// (ExpireAbandoned, AdmitPending, ObserveMeasured, and the clamp application
-// EndRound and replay share). All of it is a no-op pass-through when
+// (ExpireAbandoned, AdmitPending, ObserveMeasured, and the round boundary
+// EndRound and replay share). Every submission-plane change is journaled
+// before it is applied: a submission the log does not hold must not be
+// acknowledged. All of it is a no-op pass-through when
 // ServiceConfig.Admission is nil.
 //
 // Liveness accounting is journal-backed by construction: a tenant's
@@ -15,6 +17,7 @@ package rpc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -64,10 +67,11 @@ func (s *Service) Submit(a SubmitArgs) (SubmitReply, error) {
 		Tput:        append([]float64(nil), a.Tput...),
 		Round:       ing.round,
 	}
-	if err := s.record(&journalRecord{Kind: recSubmit, Submit: js}); err != nil {
+	rec := &journalRecord{Kind: recSubmit, Submit: js}
+	if err := s.record(rec); err != nil {
 		return SubmitReply{}, err
 	}
-	ing.applySubmitLocked(js)
+	ing.applyLocked(rec)
 	return SubmitReply{JobID: js.JobID, State: SubmissionQueued}, nil
 }
 
@@ -90,11 +94,12 @@ func (s *Service) Withdraw(a WithdrawArgs) (WithdrawReply, error) {
 	case SubmissionDone, SubmissionWithdrawn, SubmissionRejected:
 		return WithdrawReply{State: sub.state}, nil
 	}
-	ref := &journalSubmitRef{Tenant: a.Tenant, Key: a.Key, Reason: withdrawClient, Round: ing.round}
-	if err := s.record(&journalRecord{Kind: recWithdraw, Ref: ref}); err != nil {
+	rec := &journalRecord{Kind: recWithdraw, Ref: &journalSubmitRef{Tenant: a.Tenant, Key: a.Key, Reason: withdrawClient, Round: ing.round}}
+	if err := s.record(rec); err != nil {
 		return WithdrawReply{}, err
 	}
-	return WithdrawReply{State: ing.applyWithdrawLocked(ref)}, nil
+	ing.applyLocked(rec)
+	return WithdrawReply{State: sub.state}, nil
 }
 
 // Poll reports a submission's state and refreshes the tenant's liveness
@@ -109,11 +114,11 @@ func (s *Service) Poll(a PollArgs) (PollReply, error) {
 	defer ing.mu.Unlock()
 	rep := PollReply{State: SubmissionUnknown, Shard: -1, Round: ing.round}
 	if t, ok := ing.tenants[a.Tenant]; ok && t.lastActive < ing.round {
-		ref := &journalSubmitRef{Tenant: a.Tenant, Round: ing.round}
-		if err := s.record(&journalRecord{Kind: recTouch, Ref: ref}); err != nil {
+		rec := &journalRecord{Kind: recTouch, Ref: &journalSubmitRef{Tenant: a.Tenant, Round: ing.round}}
+		if err := s.record(rec); err != nil {
 			return rep, err
 		}
-		ing.applyTouchLocked(ref)
+		ing.applyLocked(rec)
 	}
 	if sub := ing.byKey[submissionKey(a.Tenant, a.Key)]; sub != nil {
 		rep.JobID = sub.jobID
@@ -153,11 +158,11 @@ func (s *Service) ExpireAbandoned(round int64) error {
 			}
 		}
 		for _, sub := range stale {
-			ref := &journalSubmitRef{Tenant: name, Key: sub.key, Reason: withdrawAbandoned, Round: round}
-			if err := s.record(&journalRecord{Kind: recWithdraw, Ref: ref}); err != nil {
+			rec := &journalRecord{Kind: recWithdraw, Ref: &journalSubmitRef{Tenant: name, Key: sub.key, Reason: withdrawAbandoned, Round: round}}
+			if err := s.record(rec); err != nil {
 				return err
 			}
-			ing.applyWithdrawLocked(ref)
+			ing.applyLocked(rec)
 			ing.decideLocked(round, name, sub.key, "abandon",
 				fmt.Sprintf("no client contact since round %d", t.lastActive))
 		}
@@ -212,12 +217,12 @@ func (s *Service) AdmitPending(round int64) ([]int, error) {
 				}
 			}
 			victim := ing.queue[vi]
-			ref := &journalSubmitRef{Tenant: victim.tenant, Key: victim.key, Round: round}
-			if err := s.record(&journalRecord{Kind: recReject, Ref: ref}); err != nil {
+			rec := &journalRecord{Kind: recReject, Ref: &journalSubmitRef{Tenant: victim.tenant, Key: victim.key, Round: round}}
+			if err := s.record(rec); err != nil {
 				ing.mu.Unlock()
 				return nil, err
 			}
-			ing.applyRejectLocked(ref)
+			ing.applyLocked(rec)
 			ing.decideLocked(round, victim.tenant, victim.key, "shed",
 				fmt.Sprintf("overload for %d rounds: queue %d > %d, slo class %d",
 					ing.overloadRounds, len(ing.queue)+1, ing.cfg.ShedQueueDepth, victim.sloClass))
@@ -291,42 +296,51 @@ func (s *Service) ObserveMeasured(jobID, accType int, rate float64) error {
 	if err := s.record(&s.measureRec); err != nil {
 		return err
 	}
-	ing.applyMeasureLocked(&s.measure)
+	ing.applyLocked(&s.measureRec)
 	return nil
 }
 
-// applyClamps lands the trust review's effective-throughput rows in the
-// mirror (reallocation-triggering when a row actually changed) and, on the
-// live path, pushes them to the owning daemons via ObserveJob. Pushes repeat
-// every review round while a tenant stays quarantined — the overwrite is
-// idempotent, and repetition heals a push a degraded round lost.
-//
-// The mirror absorbs every clamp first, in clamp order; then each live
-// shard's pushes run as one chain, the chains concurrently. A shard sees
-// exactly the calls, in exactly the order, the one-at-a-time loop would make:
-// a transient failure degrades the round and the chain goes on, anything else
-// ends that shard's chain. Outcomes land after the join, shards ascending.
-func (s *Service) applyClamps(clamps []jobClamp, push bool) error {
-	for _, m := range s.shards {
-		m.pushes = m.pushes[:0]
+// boundary runs the round boundary's deterministic ingress work (token
+// refill, overload ladder, trust review) and lands the review's
+// effective-throughput rows in the mirror, reallocation-triggering when a row
+// actually changed. It journals nothing and reads only journaled state, so
+// EndRound and recRound replay share it; it returns the clamps for EndRound
+// to push.
+func (s *Service) boundary(r int64) []jobClamp {
+	if s.ing == nil {
+		return nil
 	}
+	clamps := s.ing.endRound(r)
 	for _, cl := range clamps {
 		k, ok := s.shardOf[cl.jobID]
 		if !ok {
 			continue
 		}
-		m := s.shards[k]
-		old := m.tput[cl.jobID]
-		same := len(old) == len(cl.tput)
-		for j := 0; same && j < len(old); j++ {
-			same = old[j] == cl.tput[j]
-		}
-		if !same {
+		if m := s.shards[k]; !slices.Equal(m.tput[cl.jobID], cl.tput) {
 			m.tput[cl.jobID] = append([]float64(nil), cl.tput...)
 			m.dirty = true
 		}
-		if push && !m.down {
-			m.pushes = append(m.pushes, ObserveJobArgs{JobID: cl.jobID, Tput: cl.tput, Trace: s.curTrace})
+	}
+	return clamps
+}
+
+// pushClamps is the live half of the round boundary: it pushes the clamp rows
+// to the owning daemons via ObserveJob. Pushes repeat every review round
+// while a tenant stays quarantined — the overwrite is idempotent, and
+// repetition heals a push a degraded round lost.
+//
+// Each live shard's pushes run as one chain, in clamp order, the chains
+// concurrently. A shard sees exactly the calls, in exactly the order, the
+// one-at-a-time loop would make: a transient failure degrades the round and
+// the chain goes on, anything else ends that shard's chain. Outcomes land
+// after the join, shards ascending.
+func (s *Service) pushClamps(clamps []jobClamp) error {
+	for _, m := range s.shards {
+		m.pushes = m.pushes[:0]
+	}
+	for _, cl := range clamps {
+		if k, ok := s.shardOf[cl.jobID]; ok && !s.shards[k].down {
+			s.shards[k].pushes = append(s.shards[k].pushes, ObserveJobArgs{JobID: cl.jobID, Tput: cl.tput, Trace: s.curTrace})
 		}
 	}
 	s.fan = s.fan[:0]
@@ -336,7 +350,7 @@ func (s *Service) applyClamps(clamps []jobClamp, push bool) error {
 		}
 	}
 	if len(s.fan) == 0 {
-		return nil // replay, or no live shard holds a clamped job
+		return nil // no live shard holds a clamped job
 	}
 	fanOut(s.fan, func(k int) {
 		m := s.shards[k]
