@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -39,7 +41,7 @@ func (r *refState) units(ids []int, minGain float64, maxPairs int) []Unit {
 		if t == nil {
 			t = make([]float64, r.numTypes)
 		}
-		units = append(units, Single(m, t))
+		units = append(units, Single(m, t).Keyed(JobKey(id)))
 	}
 	type cand struct {
 		a, b int
@@ -97,7 +99,7 @@ func (r *refState) units(ids []int, minGain float64, maxPairs int) []Unit {
 		if ids[s.a] > ids[s.b] {
 			ta, tb = tb, ta
 		}
-		units = append(units, Pair(s.a, s.b, ta, tb))
+		units = append(units, Pair(s.a, s.b, ta, tb).Keyed(PairKey(ids[s.a], ids[s.b])))
 	}
 	return units
 }
@@ -224,6 +226,149 @@ func TestThroughputCacheMatchesFromScratch(t *testing.T) {
 	if cache.Len() != len(live) {
 		t.Fatalf("cache holds %d jobs, %d live", cache.Len(), len(live))
 	}
+}
+
+// unitsIdentical holds got to want bit for bit: members, rows and keys.
+func unitsIdentical(got, want []Unit) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d units, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := &got[i], &want[i]
+		if g.Key != w.Key || !slices.Equal(g.Jobs, w.Jobs) || len(g.Tput) != len(w.Tput) {
+			return fmt.Errorf("unit %d: got %q %v, want %q %v", i, g.Key, g.Jobs, w.Key, w.Jobs)
+		}
+		for k := range g.Tput {
+			if !slices.Equal(g.Tput[k], w.Tput[k]) {
+				return fmt.Errorf("unit %d (%s) member %d: got %v, want %v", i, g.Key, k, g.Tput[k], w.Tput[k])
+			}
+		}
+	}
+	return nil
+}
+
+// TestPairCacheChurnMatchesReference churns a small ID pool through every
+// cache mutation (adds, removals, re-adds of removed IDs, overwrites, pair
+// rows, pair and job observations) and after every batch holds UnitsInto,
+// over one reused slab, to the from-scratch reference, keys included. The
+// pool is small, so the entries departures free are refilled constantly, and
+// a re-added ID must come back without any of its old pairs.
+func TestPairCacheChurnMatchesReference(t *testing.T) {
+	const numTypes, pool, batch, ops = 3, 40, 8, 2400
+	rng := rand.New(rand.NewSource(43))
+	c := NewThroughputCache(numTypes)
+	ref := newRefState(numTypes)
+	row := func() []float64 {
+		r := make([]float64, numTypes)
+		for j := range r {
+			if rng.Intn(10) > 0 {
+				r[j] = 0.5 + 2*rng.Float64()
+			}
+		}
+		return r
+	}
+	var live []int
+	removed := map[int]bool{}
+	pick2 := func() (int, int) {
+		i := rng.Intn(len(live))
+		j := (i + 1 + rng.Intn(len(live)-1)) % len(live)
+		return live[i], live[j]
+	}
+	setPair := func(a, b int) {
+		ta, tb := row(), row()
+		c.SetPair(a, b, ta, tb)
+		if a > b {
+			ta, tb = tb, ta
+		}
+		ref.pairs[ref.key(a, b)] = [2][]float64{ta, tb}
+	}
+	var slab UnitSlab
+	readds, queries := 0, 0
+	for op := 0; op < ops; op++ {
+		switch k := rng.Intn(20); {
+		case len(live) < 2 || (k < 4 && len(live) < 3*pool/4): // add a non-resident ID
+			id := rng.Intn(pool)
+			for ref.tput[id] != nil {
+				id = (id + 1) % pool
+			}
+			sf := 1
+			if rng.Intn(6) == 0 {
+				sf = 2
+			}
+			tput := row()
+			c.AddJob(id, sf, tput)
+			ref.tput[id], ref.sf[id] = tput, sf
+			if removed[id] {
+				readds++
+				for _, other := range live {
+					if c.HasPair(id, other) {
+						t.Fatalf("op %d: re-added job %d came back paired with %d", op, id, other)
+					}
+				}
+			}
+			for _, other := range live { // pair the newcomer, as a placement does
+				if rng.Intn(3) > 0 {
+					setPair(id, other)
+				}
+			}
+			live = append(live, id)
+		case k < 6: // remove
+			i := rng.Intn(len(live))
+			id := live[i]
+			live = append(live[:i], live[i+1:]...)
+			c.RemoveJob(id)
+			delete(ref.tput, id)
+			delete(ref.sf, id)
+			for key := range ref.pairs {
+				if key[0] == id || key[1] == id {
+					delete(ref.pairs, key)
+				}
+			}
+			removed[id] = true
+		case k < 7: // overwrite a resident's row and scale factor; its pairs stay
+			id := live[rng.Intn(len(live))]
+			sf, tput := 1+rng.Intn(2), row()
+			c.AddJob(id, sf, tput)
+			ref.tput[id], ref.sf[id] = tput, sf
+		case k < 11: // cache (or overwrite) a pair's rows
+			setPair(pick2())
+		case k < 16: // observe one type of a pair, cached or not
+			a, b := pick2()
+			typ, ta, tb := rng.Intn(numTypes), 0.5+rng.Float64(), 0.5+rng.Float64()
+			c.ObservePair(a, b, typ, ta, tb)
+			if p, ok := ref.pairs[ref.key(a, b)]; ok {
+				if a > b {
+					ta, tb = tb, ta
+				}
+				lo, hi := slices.Clone(p[0]), slices.Clone(p[1])
+				lo[typ], hi[typ] = ta, tb
+				ref.pairs[ref.key(a, b)] = [2][]float64{lo, hi}
+			}
+		default: // observe a resident's isolated row
+			id := live[rng.Intn(len(live))]
+			tput := row()
+			c.ObserveJob(id, tput)
+			ref.tput[id] = tput
+		}
+		if op%batch != batch-1 {
+			continue
+		}
+		ids := slices.Clone(live)
+		if rng.Intn(4) == 0 { // an ID the cache does not hold
+			ids = append(ids, pool+rng.Intn(pool))
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		minGain, maxPairs := []float64{0, 1, 1.05}[rng.Intn(3)], rng.Intn(5)
+		got := c.UnitsInto(&slab, ids, minGain, maxPairs)
+		if err := unitsIdentical(got, ref.units(ids, minGain, maxPairs)); err != nil {
+			t.Fatalf("op %d (ids=%v minGain=%v maxPairs=%d): %v", op, ids, minGain, maxPairs, err)
+		}
+		queries++
+	}
+	if c.Len() != len(live) || readds < 50 {
+		t.Fatalf("cache holds %d jobs for %d live; %d re-adds", c.Len(), len(live), readds)
+	}
+	t.Logf("%d ops, %d queries, %d re-adds, %d pairs cached at the end", ops, queries, readds, len(ref.pairs))
 }
 
 // TestThroughputCacheRowStability checks that observing a job or pair does
