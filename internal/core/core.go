@@ -66,7 +66,10 @@ func (u Unit) Keyed(key string) Unit {
 
 // JobKey is the stable unit key for the single-job unit of the job with the
 // given external ID.
-func JobKey(id int) string { return "j" + strconv.Itoa(id) }
+func JobKey(id int) string {
+	var buf [21]byte // "j" and an int64: formatted in one allocation
+	return string(strconv.AppendInt(append(buf[:0], 'j'), int64(id), 10))
+}
 
 // PairKey is the stable unit key for the space-sharing pair of the jobs with
 // the given external IDs (order-insensitive: a pair's LP column means the
@@ -75,7 +78,9 @@ func PairKey(a, b int) string {
 	if a > b {
 		a, b = b, a
 	}
-	return "p" + strconv.Itoa(a) + "|" + strconv.Itoa(b)
+	var buf [42]byte // "p", two int64s, "|": formatted in one allocation
+	k := strconv.AppendInt(append(buf[:0], 'p'), int64(a), 10)
+	return string(strconv.AppendInt(append(k, '|'), int64(b), 10))
 }
 
 // IsPair reports whether the unit is a space-sharing combination.

@@ -451,6 +451,21 @@ func TestUnitsCarryStableKeys(t *testing.T) {
 	}
 }
 
+// TestUnitKeysFormat holds JobKey and PairKey to their string forms.
+func TestUnitKeysFormat(t *testing.T) {
+	for _, id := range []int{0, 7, 99, 100, 123456, -5, math.MaxInt64, math.MinInt64} {
+		if got, want := JobKey(id), fmt.Sprintf("j%d", id); got != want {
+			t.Fatalf("JobKey(%d) = %q, want %q", id, got, want)
+		}
+		if got, want := PairKey(id, 42), fmt.Sprintf("p%d|%d", min(id, 42), max(id, 42)); got != want {
+			t.Fatalf("PairKey(%d, 42) = %q, want %q", id, got, want)
+		}
+	}
+	if got := PairKey(math.MaxInt64, math.MinInt64); got != fmt.Sprintf("p%d|%d", math.MinInt64, math.MaxInt64) {
+		t.Fatalf("PairKey of the extremes = %q", got)
+	}
+}
+
 // referenceUnits is the pre-incremental Units algorithm — a full O(n²)
 // rescan of every id pair — kept as the oracle for the incremental
 // candidate list.
@@ -622,4 +637,94 @@ func BenchmarkThroughputCacheUnits(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pairChurnAllocCeiling bounds TestPairCacheChurnAllocs' objects per cycle.
+const pairChurnAllocCeiling = 14
+
+// TestPairCacheChurnAllocs pins the steady-state cost of the space-sharing
+// churn a Gavel w/ SS reset sees: at 96 residents with every pair cached,
+// one cycle drops the oldest resident, adds a newcomer, caches its pair with
+// every resident and assembles the units. It logs the measured count.
+func TestPairCacheChurnAllocs(t *testing.T) {
+	const n, numTypes, rows = 96, 3, 16
+	rng := rand.New(rand.NewSource(9))
+	iso := make([][]float64, rows)
+	for k := range iso {
+		iso[k] = []float64{4 + rng.Float64(), 2 + rng.Float64(), 1 + rng.Float64()}
+	}
+	// colo[x][y] is job x's row beside job y (by row class).
+	colo := make([][][]float64, rows)
+	for x := range colo {
+		colo[x] = make([][]float64, rows)
+		for y := range colo[x] {
+			f := 0.5 + 0.4*rng.Float64()
+			colo[x][y] = []float64{f * iso[x][0], f * iso[x][1], f * iso[x][2]}
+		}
+	}
+	c := NewThroughputCache(numTypes)
+	ids := make([]int, 0, n)
+	add := func(id int) {
+		c.AddJob(id, 1, iso[id%rows])
+		for _, other := range ids {
+			c.SetPair(id, other, colo[id%rows][other%rows], colo[other%rows][id%rows])
+		}
+	}
+	for id := 0; id < n; id++ {
+		add(id)
+		ids = append(ids, id)
+	}
+	var slab UnitSlab
+	next := n
+	cycle := func() {
+		c.RemoveJob(ids[0])
+		copy(ids, ids[1:])
+		ids = ids[:n-1]
+		add(next)
+		ids = append(ids, next)
+		next++
+		if len(c.UnitsInto(&slab, ids, 1.05, 4)) <= n {
+			t.Fatal("no pair became a unit")
+		}
+	}
+	for i := 0; i < 2*n; i++ { // every resident replaced twice: steady state
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	if int(c.jobs.n) != n || int(c.pairs.n) != n*(n-1)/2 {
+		t.Fatalf("%d job slots and %d pair entries for %d residents: departures' storage not reused",
+			c.jobs.n, c.pairs.n, n)
+	}
+	t.Logf("%.1f objects per churn cycle", allocs)
+	if allocs > pairChurnAllocCeiling {
+		t.Fatalf("%.1f objects per churn cycle, ceiling %v", allocs, pairChurnAllocCeiling)
+	}
+}
+
+// TestPairOfUncachedJobIsANoOp checks that SetPair and ObservePair store
+// nothing for a job the cache does not hold: no pair outlives its members,
+// and none appears when the ID is added later.
+func TestPairOfUncachedJobIsANoOp(t *testing.T) {
+	c := NewThroughputCache(2)
+	c.AddJob(1, 1, []float64{1, 2})
+	c.SetPair(1, 9, []float64{0.8, 1.6}, []float64{0.7, 1.4})
+	c.SetPair(8, 9, []float64{0.8, 1.6}, []float64{0.7, 1.4})
+	c.ObservePair(1, 9, 0, 0.5, 0.5)
+	if c.HasPair(1, 9) || c.HasPair(9, 8) {
+		t.Fatal("a pair with an uncached member was stored")
+	}
+	if _, _, ok := c.PairTput(1, 9); ok || c.PairGain(1, 9) != 0 {
+		t.Fatal("an uncached pair has rows")
+	}
+	if c.pairs.n != 0 || c.pairAt != nil {
+		t.Fatalf("%d pair entries and an index allocated for no pair", c.pairs.n)
+	}
+	c.RemoveJob(9) // unknown: nothing to drop
+	c.AddJob(9, 1, []float64{2, 1})
+	if c.HasPair(1, 9) {
+		t.Fatal("the pair appeared once its second member was added")
+	}
+	if units := c.Units([]int{1, 9}, 0, 4); len(units) != 2 {
+		t.Fatalf("%d units, want the two singles", len(units))
+	}
 }
