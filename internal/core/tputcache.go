@@ -172,7 +172,8 @@ func (c *ThroughputCache) flushDirty() {
 	fresh := c.fresh[:0]
 	for _, e := range c.dirty {
 		p := c.pairs.at(e)
-		if p.dirty = false; p.lo >= 0 {
+		p.dirty = false
+		if p.lo >= 0 { // not freed since it was queued
 			p.gain = c.entryGain(e)
 			fresh = push(fresh, e)
 		}

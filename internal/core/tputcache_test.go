@@ -728,3 +728,23 @@ func TestPairOfUncachedJobIsANoOp(t *testing.T) {
 		t.Fatalf("%d units, want the two singles", len(units))
 	}
 }
+
+// TestNegativeMinGainAdmitsOnlyCachedPairs checks that a negative threshold
+// makes every cached pair a candidate, a gain-0 one included, and never a
+// pair the cache does not hold (one that has no rows to hand out).
+func TestNegativeMinGainAdmitsOnlyCachedPairs(t *testing.T) {
+	c := NewThroughputCache(2)
+	for id := 1; id <= 3; id++ {
+		c.AddJob(id, 1, []float64{1, 2})
+	}
+	c.SetPair(1, 2, []float64{0.6, 1.2}, []float64{0.7, 1.4})
+	c.SetPair(2, 3, []float64{0, 0}, []float64{0, 0}) // gain 0
+	units := c.Units([]int{1, 2, 3}, -1, 4)
+	var keys []string
+	for _, u := range units[3:] {
+		keys = append(keys, u.Key)
+	}
+	if want := []string{PairKey(1, 2), PairKey(2, 3)}; !slices.Equal(keys, want) {
+		t.Fatalf("pair units %v, want %v", keys, want)
+	}
+}
